@@ -104,6 +104,7 @@ __all__ = [
     "recover_error_values",
     "recover_product",
     "run_monte_carlo",
+    "sample_error",
     "syndromes",
     "synthesize_recurrence",
     "t_max",

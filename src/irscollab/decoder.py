@@ -363,12 +363,23 @@ def _attempt(code: GrsCode, synd: SyndromeSet, r: np.ndarray, t: int, coeffs=Non
     """
     fld = code.field
     system = _stack(synd, t, fld)
-    if coeffs is None:
-        sol = fld.solve_consistent(system.matrix, system.rhs)
-        if sol is None:
-            return "skip", None
-        coeffs = sol[::-1]
-    if fld.rank(system.matrix) < t:
+    if isinstance(fld, PrimeField):
+        # One elimination gives the solution and the rank; the stack is
+        # consistent with synthesized coeffs, so then only the rank is needed.
+        rhs = system.rhs[:, None]
+        sol, rank = fld._solve(system.matrix, rhs if coeffs is None else rhs[:, :0])
+        if coeffs is None:
+            if sol is None:
+                return "skip", None
+            coeffs = sol[::-1, 0]
+    else:
+        if coeffs is None:
+            sol = fld.solve_consistent(system.matrix, system.rhs)
+            if sol is None:
+                return "skip", None
+            coeffs = sol[::-1]
+        rank = fld.rank(system.matrix)
+    if rank < t:
         return "fail", FailureReason.RANK_DEFICIENT
     outcome = _finish(code, synd, r, coeffs)
     if outcome.success:

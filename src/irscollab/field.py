@@ -6,6 +6,13 @@ lives in numpy arrays.  The field object owns the arithmetic, the zero and
 equality policies, and the linear algebra the decoders rely on: rank
 decisions and consistent solves are exact Gaussian elimination over GF(p) and
 SVD-based least squares over the reals.
+
+Over GF(p) both go through one blocked elimination, PrimeField._solve, which
+returns a solution and the rank together.  It takes the rows in blocks that
+double in size, reduces each block against the RREF basis of the rows before
+it with one matmul, and row-reduces only what is left.  Once ncols
+independent rows are found, every remaining row is checked with one residual
+matmul, so the cost of a tall stacked system grows linearly in its height.
 """
 
 from __future__ import annotations
@@ -29,6 +36,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Largest modulus for which products of two reduced elements fit in int64.
 _INT64_SAFE_P = 3_037_000_499
+
+# Minimum height of the first row block of PrimeField._solve: systems this
+# short are eliminated in one dense pass.
+_FIRST_BLOCK = 64
 
 
 def is_prime(n: int) -> bool:
@@ -206,8 +217,10 @@ class PrimeField:
 
     def matmul(self, a, b):
         """Matrix product mod p, chunked so partial sums never overflow."""
-        a = self.array(a)
-        b = self.array(b)
+        return self._matmul(self.array(a), self.array(b))
+
+    def _matmul(self, a, b):
+        """matmul of canonical arrays."""
         inner = a.shape[-1]
         if a.dtype == object or inner * (self.p - 1) ** 2 < 2**63:
             return (a @ b) % self.p
@@ -220,18 +233,16 @@ class PrimeField:
 
     # -- linear algebra -------------------------------------------------------
 
-    def _row_reduce(self, m, ncols=None):
-        """Reduced row echelon form mod p.  Returns (matrix, pivot_columns).
+    def _row_reduce(self, m, ncols):
+        """Reduced row echelon form mod p of a canonical 2-D array.
 
-        Pivots are searched only in the first ncols columns, so callers can
-        append right-hand sides as extra columns of an augmented matrix.
+        Returns (matrix, pivot_columns).  Pivots are searched only in the
+        first ncols columns, so callers can append right-hand sides as extra
+        columns of an augmented matrix.  Every pivot updates every row, so
+        _solve feeds this dense kernel one block at a time.
         """
-        m = np.array(self.array(m), copy=True)
-        if m.ndim != 2:
-            raise InvalidParameters("row reduction expects a 2-D matrix")
-        rows, total = m.shape
-        if ncols is None:
-            ncols = total
+        m = np.array(m, order="C")  # a copy, with contiguous rows
+        rows = m.shape[0]
         piv_cols = []
         r = 0
         for c in range(ncols):
@@ -247,21 +258,82 @@ class PrimeField:
             m[r] = (m[r] * pivot_inv) % self.p
             factors = m[:, c].copy()
             factors[r] = 0
-            m = (m - np.outer(factors, m[r])) % self.p
+            m -= np.outer(factors, m[r])
+            m %= self.p
             piv_cols.append(c)
             r += 1
         return m, piv_cols
 
+    def _solve(self, a, rhs):
+        """Blocked exact solve of a @ x = rhs for canonical 2-D a and rhs.
+
+        Returns (x, rank): x is the solution with free variables set to zero,
+        or None when any column of rhs is inconsistent, and rank is the exact
+        rank of a either way.  The rows are taken in blocks that double in
+        size, the first of max(_FIRST_BLOCK, 2 * ncols) rows.  Each later
+        block is reduced against the RREF basis of the rows before it by one
+        matmul, and only what that leaves is row-reduced and folded into the
+        basis, so no elimination ever sweeps the whole stack.  A row left with
+        zero coefficients and a nonzero right-hand side makes the system
+        inconsistent; the scan then carries only the coefficients, to finish
+        the rank.  Once the rank reaches ncols, the remaining rows are checked
+        against x by one residual matmul, so a tall full-rank system costs
+        O(rows * ncols * width) multiply-adds.  The RREF of a row space is
+        unique, so x and the rank do not depend on the block boundaries.
+        """
+        rows, n = a.shape
+        p = self.p
+        size = max(_FIRST_BLOCK, 2 * n)
+        red, piv = self._row_reduce(np.hstack([a[:size], rhs[:size]]), n)
+        r = len(piv)
+        consistent = not red[r:, n:].any()
+        basis = red[:r]
+        start = size
+        while start < rows and r < n:
+            size *= 2
+            stop = start + size
+            blk = np.hstack([a[start:stop], rhs[start:stop]]) if consistent else a[start:stop]
+            start = stop
+            width = blk.shape[1]
+            basis = basis[:, :width]
+            if r:
+                blk = (blk - self._matmul(blk[:, piv], basis)) % p
+            red, new = self._row_reduce(blk, n)
+            consistent = consistent and not red[len(new):, n:].any()
+            if new:
+                red = red[:len(new)]
+                basis = np.vstack([(basis - self._matmul(basis[:, new], red)) % p, red])
+                piv += new
+                r = len(piv)
+        if not consistent:
+            return None, r
+        x = self.zeros((n, rhs.shape[1]))
+        x[piv] = basis[:, n:]
+        if start < rows and rhs.shape[1] and np.any(self._matmul(a[start:], x) != rhs[start:]):
+            return None, r
+        return x, r
+
     def rank(self, m) -> int:
-        """Exact rank over GF(p)."""
-        return len(self._row_reduce(m)[1])
+        """Exact rank over GF(p), by the blocked elimination of _solve.
+
+        The scan stops as soon as ncols independent rows are found and costs
+        at most O(rows * ncols**2) multiply-adds, where a full-height
+        elimination costs a whole-matrix pass per pivot.
+        """
+        m = self.array(m)
+        if m.ndim != 2:
+            raise InvalidParameters("rank expects a 2-D matrix")
+        return self._solve(m, m[:, :0])[1]
 
     def solve_consistent(self, a, b):
         """Exact solution of a @ x = b (free variables set to zero).
 
         Returns None when the system is inconsistent.  b may be a vector or a
         matrix of stacked right-hand sides (then every column must be
-        consistent).
+        consistent).  The elimination is the blocked one of _solve: once
+        ncols independent rows are found, the remaining rows cost one
+        residual matmul, so a tall full-rank system costs
+        O(rows * ncols * (ncols + width)) multiply-adds.
         """
         a = self.array(a)
         if a.ndim != 2:
@@ -271,13 +343,9 @@ class PrimeField:
         rhs = b[:, None] if one_d else b
         if rhs.shape[0] != a.shape[0]:
             raise InvalidParameters("right-hand side length does not match the matrix")
-        red, piv = self._row_reduce(np.hstack([a, rhs]), ncols=a.shape[1])
-        nrank = len(piv)
-        if np.any(red[nrank:, a.shape[1]:] != 0):
+        x = self._solve(a, rhs)[0]
+        if x is None:
             return None
-        x = self.zeros((a.shape[1], rhs.shape[1]))
-        if piv:
-            x[np.array(piv), :] = red[:nrank, a.shape[1]:]
         return x[:, 0] if one_d else x
 
     # -- number theory ---------------------------------------------------------

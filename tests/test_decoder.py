@@ -525,3 +525,99 @@ def test_outcomes_equal_discriminates():
     assert outcomes_equal(fld, bad1, bad1)
     assert not outcomes_equal(fld, ok, bad1)
     assert not outcomes_equal(fld, bad1, bad2)
+
+
+# ---------------------------------------------------------------------------
+# Blocked elimination against the reference elimination, at depth
+# ---------------------------------------------------------------------------
+
+def _decode_both_ways(monkeypatch, oracle_solve, code, received):
+    """cpda and mssr outcomes, asserted equal on the blocked and reference paths."""
+    fld = code.field
+    blocked = [cpda_decode(code, received), mssr_decode(code, received)]
+    with monkeypatch.context() as patch:
+        patch.setattr(PrimeField, "_solve", oracle_solve)
+        reference = [cpda_decode(code, received), mssr_decode(code, received)]
+    for got, want in zip(blocked, reference):
+        assert outcomes_equal(fld, got, want)
+    assert outcomes_equal(fld, *blocked)
+    return blocked[0]
+
+
+@pytest.mark.parametrize("t", [2, 7, 11])
+def test_blocked_decode_matches_reference_deep_random_words(monkeypatch, oracle_solve, t):
+    fld = PrimeField(257)
+    code = make_grs(fld, 16, 4, [fld.primitive_root() ** i % fld.p for i in range(16)])
+    l = 2048
+    assert t <= t_max(16, 4, l)
+    word, received, err = _planted_instance(code, l, t, np.random.default_rng(100 + t))
+    out = _decode_both_ways(monkeypatch, oracle_solve, code, received)
+    assert out.success and np.array_equal(out.corrected, word)
+    assert out.locations == tuple(int(j) for j in err.support)
+
+
+@pytest.mark.parametrize("t,t_early,split", [(5, 0, 1500), (9, 2, 1000), (11, 4, 2040)])
+def test_blocked_decode_matches_reference_late_errors(monkeypatch, oracle_solve, t, t_early,
+                                                      split):
+    # The first `split` layers err only in t_early of the t faulty columns, so
+    # the stack's leading blocks look consistent at too small a t and lack
+    # pivots; the later blocks and the residual check must settle it.
+    fld = PrimeField(257)
+    code = make_grs(fld, 16, 4, [fld.primitive_root() ** i % fld.p for i in range(16)])
+    word, _, err = _planted_instance(code, 2048, t, np.random.default_rng(400 + t))
+    e = np.array(err.e, copy=True)
+    e[:split, list(err.support[t_early:])] = 0
+    out = _decode_both_ways(monkeypatch, oracle_solve, code, fld.add(word, e))
+    assert out.success and np.array_equal(out.corrected, word)
+    assert out.locations == tuple(int(j) for j in err.support)
+
+
+@pytest.mark.parametrize("t", [3, 6, 7, 9])
+def test_blocked_decode_matches_reference_identical_layers(monkeypatch, oracle_solve, t):
+    # L copies of one layer: every stacked system has the rank of a single
+    # layer's, so above (N - K) / 2 it stays rank-deficient and the blocked
+    # elimination scans every block.
+    fld = PrimeField(257)
+    code = classical_code(fld, 16, 4)
+    _, one_layer, _ = _planted_instance(code, 1, t, np.random.default_rng(200 + t))
+    received = np.repeat(one_layer, 2048, axis=0)
+    out = _decode_both_ways(monkeypatch, oracle_solve, code, received)
+    assert out.success == (t <= 6)
+
+
+def test_blocked_decode_matches_reference_past_t_max(monkeypatch, oracle_solve):
+    # Words with more errors than t_max, at a depth that spans several blocks.
+    # Uniform errors give NO_CONSISTENT_T; errors whose layers are multiples
+    # of one row act like a single layer and give NOT_T_VALID and, at this
+    # small p, RANK_DEFICIENT.  Over GF(p) a locator with t distinct roots
+    # among the 1/alpha_j always explains the syndromes (they form a
+    # t-dimensional Vandermonde system), so SYNDROME_RESIDUAL cannot occur;
+    # the value check behind it is compared on a wrong support instead.
+    fld = PrimeField(17)
+    code = make_grs(fld, 16, 4, [fld.primitive_root() ** i % fld.p for i in range(16)])
+    l = 300
+    tm = t_max(16, 4, l)
+    rng = np.random.default_rng(300)
+    seen = set()
+    for _ in range(120):
+        e = int(rng.integers(tm + 1, 17))
+        cols = rng.choice(16, e, replace=False)
+        err = fld.zeros((l, 16))
+        if rng.integers(2):
+            err[:, cols] = rng.integers(1, fld.p, (l, e))
+        else:
+            err[:, cols] = fld.matmul(rng.integers(1, fld.p, (l, 1)), rng.integers(1, fld.p, (1, e)))
+        received = fld.add(_random_word(code, l, rng), err)
+        out = _decode_both_ways(monkeypatch, oracle_solve, code, received)
+        if not out.success:
+            seen.add(out.reason)
+        if len(seen) == 3:
+            break
+    assert seen == {FailureReason.NO_CONSISTENT_T, FailureReason.NOT_T_VALID,
+                    FailureReason.RANK_DEFICIENT}
+    synd = layer_syndromes(code, received)
+    wrong = [j for j in range(16) if j not in cols][:3]
+    assert recover_error_values(code, wrong, synd) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(PrimeField, "_solve", oracle_solve)
+        assert recover_error_values(code, wrong, synd) is None

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irscollab import field as field_module
 from irscollab.errors import InvalidParameters
 from irscollab.field import PrimeField, RealField, ToleranceProfile, is_prime
 
@@ -210,3 +213,135 @@ def test_power_matrix_both_fields():
     re = RealField()
     pm_r = re.power_matrix(np.array([2.0, 0.0]), 4)
     assert pm_r.tolist() == [[1.0, 2.0, 4.0, 8.0], [1.0, 0.0, 0.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# Blocked GF(p) elimination against the full Gauss-Jordan reference
+# ---------------------------------------------------------------------------
+
+# Both sides of the int64-safe boundary (3037000493 is the largest prime
+# below _INT64_SAFE_P; 2**61 - 1 takes the object dtype).
+SOLVE_PRIMES = [2, 3, 257, 65537, 3_037_000_493, 2**61 - 1]
+# With at most 32 columns the first block has _FIRST_BLOCK rows and the
+# blocks double, so block k ends at row _FIRST_BLOCK * (2**k - 1).
+BLOCK_ENDS = [0] + [field_module._FIRST_BLOCK * (2**k - 1) for k in (1, 2, 3)]
+
+
+def _assert_matches_reference(reference, fld, a, rhs):
+    """rank, solve_consistent and _solve agree with the reference; returns x."""
+    x_ref, rank_ref = reference(fld, a, rhs)
+    assert fld.rank(a) == rank_ref
+    assert fld._solve(a, rhs)[1] == rank_ref
+    got = fld.solve_consistent(a, rhs)
+    assert (got is None) == (x_ref is None)
+    if got is not None:
+        assert got.dtype == x_ref.dtype and np.array_equal(got, x_ref)
+    if rhs.shape[1] == 1:
+        got1 = fld.solve_consistent(a, rhs[:, 0])
+        assert (got1 is None) == (x_ref is None)
+        assert got1 is None or np.array_equal(got1, x_ref[:, 0])
+    return x_ref
+
+
+@st.composite
+def _systems(draw):
+    """(field, a, rhs, kind) for tall, possibly rank-deficient systems.
+
+    The first `late` rows span only a subspace of the row space, so pivots
+    keep appearing in later blocks; kind "last_row" makes the last row a copy
+    of the first (or zero) with a different right-hand side.
+    """
+    fld = PrimeField(draw(st.sampled_from(SOLVE_PRIMES)))
+    n = draw(st.integers(0, 8))
+    crossed = draw(st.integers(0, 3))
+    rows = BLOCK_ENDS[crossed] + draw(st.integers(0 if crossed == 0 else 1, 40))
+    kind = draw(st.sampled_from(["consistent", "random", "last_row"]))
+    width = draw(st.integers(1 if kind == "last_row" else 0, 3))
+    rank = draw(st.integers(0, n))
+    early_rank = draw(st.integers(0, rank))
+    late = draw(st.integers(0, rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = max(rows, 1) if kind == "last_row" else rows
+    basis = fld.rand_elements(rng, (rank, n))
+    mix = fld.rand_elements(rng, (rows, rank))
+    mix[:late, early_rank:] = 0
+    a = fld.matmul(mix, basis) if rank else fld.zeros((rows, n))
+    if kind == "random":
+        rhs = fld.rand_elements(rng, (rows, width))
+    else:
+        rhs = fld.matmul(a, fld.rand_elements(rng, (n, width))) if n else fld.zeros((rows, width))
+    if kind == "last_row":
+        a[-1] = a[0] if rows > 1 else 0
+        rhs[-1] = rhs[0] if rows > 1 else 0
+        rhs[-1, 0] = (rhs[-1, 0] + 1) % fld.p
+    return fld, fld.array(a), fld.array(rhs).reshape(rows, width), kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_blocked_solve_matches_gauss_jordan(oracle_solve, system):
+    fld, a, rhs, kind = system
+    x = _assert_matches_reference(oracle_solve, fld, a, rhs)
+    if kind == "consistent":
+        assert x is not None
+    if kind == "last_row":
+        assert x is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(SOLVE_PRIMES), rows=st.integers(1, 24), n=st.integers(1, 24),
+       width=st.integers(0, 300), consistent=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_solve_wide_rhs_matches_gauss_jordan(oracle_solve, p, rows, n, width,
+                                                     consistent, seed):
+    # The shape of recover_error_values: N - K syndromes by t locations,
+    # one right-hand side per layer.
+    fld = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    a = fld.rand_elements(rng, (rows, min(n, rows)))
+    if consistent:
+        rhs = fld.matmul(a, fld.rand_elements(rng, (a.shape[1], width)))
+    else:
+        rhs = fld.rand_elements(rng, (rows, width))
+    _assert_matches_reference(oracle_solve, fld, a, rhs)
+
+
+@pytest.mark.parametrize("p", SOLVE_PRIMES)
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ENDS[3] + 5])
+def test_blocked_solve_all_zero_matrix(p, rows):
+    fld = PrimeField(p)
+    a = fld.zeros((rows, 3))
+    assert fld.rank(a) == 0
+    zero_rhs = fld.zeros((rows, 2))
+    assert np.array_equal(fld.solve_consistent(a, zero_rhs), fld.zeros((3, 2)))
+    if rows:
+        rhs = zero_rhs.copy()
+        rhs[-1, 1] = 1
+        assert fld.solve_consistent(a, rhs) is None
+        assert fld._solve(a, rhs)[1] == 0
+
+
+def test_blocked_solve_row_reduce_heights_stay_bounded(monkeypatch):
+    # The work bound behind linear-in-L decoding: on a tall full-rank system
+    # the dense kernel only ever sees the first block and the basis, and the
+    # remaining rows cost matmuls.
+    fld = PrimeField(257)
+    rng = np.random.default_rng(2025)
+    rows, n = 100_000, 20
+    a = fld.rand_elements(rng, (rows, n))
+    x = fld.rand_elements(rng, n)
+    b = fld.matmul(a, x)
+    heights = []
+    kernel = PrimeField._row_reduce
+
+    def recording(self, m, ncols):
+        heights.append(m.shape[0])
+        return kernel(self, m, ncols)
+
+    monkeypatch.setattr(PrimeField, "_row_reduce", recording)
+    assert np.array_equal(fld.solve_consistent(a, b), x)
+    assert fld.rank(a) == n
+    b[-1] = (b[-1] + 1) % fld.p
+    assert fld.solve_consistent(a, b) is None
+    first = max(field_module._FIRST_BLOCK, 2 * n)
+    assert heights and max(heights) <= first + n
