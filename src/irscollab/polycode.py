@@ -122,28 +122,23 @@ def _split_columns(mat: np.ndarray, parts: int) -> list[np.ndarray]:
 
 
 def encode_tasks(params: PolyCodeParams, a, b) -> list[WorkerTask]:
-    """Encode A (s x r) and B (s x r') into one task per worker."""
+    """Encode A (s x r) and B (s x r') into one task per worker.
+
+    Each input is encoded by one matmul: the N x m matrix of the powers
+    x_i^(j * exp_a) times the m blocks stacked as rows.
+    """
     fld = params.field
     a = fld.array(a)
     b = fld.array(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise InvalidParameters("A and B must be 2-D with the same row count")
-    a_blocks = _split_columns(a, params.m)
-    b_blocks = _split_columns(b, params.n)
-    pow_a = fld.power_matrix(params.xs, (params.m - 1) * params.exp_a + 1)
-    pow_b = fld.power_matrix(params.xs, (params.n - 1) * params.exp_b + 1)
-    tasks = []
-    for i in range(params.num_workers):
-        a_tilde = None
-        for j, blk in enumerate(a_blocks):
-            term = fld.mul(blk, pow_a[i, j * params.exp_a])
-            a_tilde = term if a_tilde is None else fld.add(a_tilde, term)
-        b_tilde = None
-        for k, blk in enumerate(b_blocks):
-            term = fld.mul(blk, pow_b[i, k * params.exp_b])
-            b_tilde = term if b_tilde is None else fld.add(b_tilde, term)
-        tasks.append(WorkerTask(i, a_tilde, b_tilde, fld))
-    return tasks
+    coded = []
+    for mat, parts, exp in ((a, params.m, params.exp_a), (b, params.n, params.exp_b)):
+        blocks = np.stack(_split_columns(mat, parts))
+        degrees = exp * np.arange(parts)
+        powers = fld.power_matrix(params.xs, degrees[-1] + 1)[:, degrees]
+        coded.append(fld.matmul(powers, blocks.reshape(parts, -1)).reshape(-1, *blocks.shape[1:]))
+    return [WorkerTask(i, a_i, b_i, fld) for i, (a_i, b_i) in enumerate(zip(*coded))]
 
 
 def worker_compute(task: WorkerTask) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Field arithmetic: frozen examples, algebraic laws, and policy edge cases."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +219,137 @@ def test_power_matrix_both_fields():
 
 
 # ---------------------------------------------------------------------------
+# The GF(p) matmul kernel against Python-int arithmetic
+# ---------------------------------------------------------------------------
+
+# The largest prime with (p - 1)**2 < 2**53: float64 dgemm is exact for it
+# only at inner size 1, and its int64 chunks hold 1024 products.
+FLOAT_EXACT_P = 94_906_249
+MATMUL_PRIMES = [2, 257, 65537, FLOAT_EXACT_P, 2**31 - 1, 3_037_000_493, 2**61 - 1]
+
+
+def _switch_inners(p):
+    """Inner sizes around each path switch of _matmul (float64 dgemm while
+    inner * (p - 1)**2 < 2**53, one int64 product while it is < 2**63, int64
+    chunks after that), kept to those small enough to test."""
+    sizes = {0, 1, 7}
+    for bound in (2**53, 2**63):
+        first_over = -(-bound // (p - 1) ** 2)
+        sizes |= {first_over - 1, first_over, first_over + 1, 2 * first_over + 1}
+    return sorted(n for n in sizes if 0 <= n <= 4096)
+
+
+# A 2 x 3 output stays below _BLAS_MIN_MACS at the inner sizes above, and a
+# BLAS_SIDE x BLAS_SIDE output reaches it from inner size 1.
+BLAS_SIDE = 128
+
+
+def test_matmul_prime_bounds():
+    assert is_prime(FLOAT_EXACT_P) and (FLOAT_EXACT_P - 1) ** 2 < 2**53
+    assert not any(is_prime(q) for q in range(FLOAT_EXACT_P + 1, math.isqrt(2**53 - 1) + 2))
+    assert _switch_inners(FLOAT_EXACT_P) == [0, 1, 2, 3, 5, 7, 1024, 1025, 1026, 2051]
+    largest = max(max(_switch_inners(p)) for p in MATMUL_PRIMES)
+    assert 2 * 3 * largest < field_module._BLAS_MIN_MACS <= BLAS_SIDE**2
+
+
+@pytest.mark.parametrize("p", MATMUL_PRIMES)
+def test_matmul_worst_case_entries_at_every_switch(p):
+    # Entries p - 1 make every product and partial sum as large as it can
+    # be; entries p - 2 (odd) make odd products, whose sums a float64 past
+    # 2**53 would round.  The exact result is inner * fill**2 mod p.
+    fld = PrimeField(p)
+    sides = [(2, 3)] if fld.dtype is object else [(2, 3), (BLAS_SIDE, BLAS_SIDE)]
+    for fill, (rows, cols), inner in itertools.product({p - 1, p - 2}, sides, _switch_inners(p)):
+        a = np.full((rows, inner), fill, dtype=fld.dtype)
+        b = np.full((inner, cols), fill, dtype=fld.dtype)
+        out = fld.matmul(a, b)
+        assert out.dtype == fld.dtype and out.shape == (rows, cols)
+        if fld.dtype is object:
+            assert all(type(v) is int for v in out.ravel())
+        assert np.all(out == inner * fill**2 % p), (fill, rows, inner)
+
+
+def test_matmul_worst_case_at_the_float_switch_of_65537():
+    # inner * 65536**2 reaches 2**53 at inner = 2**21: vectors keep it small.
+    p = 65537
+    fld = PrimeField(p)
+    for inner in (2**21 - 1, 2**21):
+        v = np.full(inner, p - 1, dtype=np.int64)
+        assert fld.matmul(v, v) == inner % p
+
+
+@st.composite
+def _products(draw):
+    """(field, a, b): 1-D or 2-D operands, inner sizes near the path
+    switches, sizes on both sides of _BLAS_MIN_MACS, entries uniform or
+    among the three largest elements."""
+    p = draw(st.sampled_from(MATMUL_PRIMES))
+    inner = draw(st.integers(0, 40) | st.sampled_from(_switch_inners(p)))
+    cols = draw(st.integers(0, 4)) if draw(st.booleans()) else None
+    b_shape = (inner,) if cols is None else (inner, cols)
+    blas_rows = -(-field_module._BLAS_MIN_MACS // max(1, inner * (1 if cols is None else cols)))
+    rows = draw(st.integers(0, 4) | st.sampled_from([blas_rows - 1, blas_rows]))
+    a_shape = (inner,) if draw(st.booleans()) else (rows, inner)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fld = PrimeField(p)
+
+    def entries(shape):
+        spread = min(p, draw(st.sampled_from([3, p])))
+        return fld.array(p - 1 - rng.integers(0, spread, size=shape, dtype=np.int64))
+
+    return fld, entries(a_shape), entries(b_shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_products())
+def test_matmul_matches_python_int_reference(case):
+    fld, a, b = case
+    want = (a.astype(object) @ b.astype(object)) % fld.p
+    got = fld.matmul(a, b)
+    if a.ndim == b.ndim == 1:
+        assert type(got) is int and got == want
+    else:
+        assert got.dtype == fld.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+# Rows per float64 slab of a 20-column operand times a 3-column one.
+SLAB_ROWS = field_module._FLOAT_SLAB // (20 + 3 + 1)
+
+
+@pytest.mark.parametrize("p", [257, 65537])
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3 * SLAB_ROWS + 5, 20), (20, 3)),  # a tall stacked system
+    ((7, 3), (3, field_module._FLOAT_SLAB + 1)),  # a coded input: one-row slabs
+    ((field_module._FLOAT_SLAB + 1,), (field_module._FLOAT_SLAB + 1, 2)),
+])
+def test_matmul_across_float_slabs(p, a_shape, b_shape):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p)
+    a = fld.array(p - 1 - rng.integers(0, 3, size=a_shape))
+    b = fld.rand_elements(rng, b_shape)
+    want = (a.astype(object) @ b.astype(object)) % p
+    got = fld.matmul(a, b)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", MATMUL_PRIMES)
+def test_matmul_vector_product_is_a_python_int(p):
+    fld = PrimeField(p)
+    got = fld.matmul([1, 2, 3], [p - 1, 4, 5])
+    assert type(got) is int and got == (p - 1 + 8 + 15) % p
+    assert fld.matmul(fld.zeros(0), fld.zeros(0)) == 0
+    assert fld.matmul(fld.zeros(0), fld.zeros((0, 2))).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("p", MATMUL_PRIMES)
+def test_matmul_zero_inner_dimension(p):
+    fld = PrimeField(p)
+    out = fld.matmul(fld.zeros((3, 0)), fld.zeros((0, 4)))
+    assert out.dtype == fld.dtype and np.array_equal(out, fld.zeros((3, 4)))
+
+
+# ---------------------------------------------------------------------------
 # Blocked GF(p) elimination against the full Gauss-Jordan reference
 # ---------------------------------------------------------------------------
 
@@ -304,6 +438,61 @@ def test_blocked_solve_wide_rhs_matches_gauss_jordan(oracle_solve, p, rows, n, w
     else:
         rhs = fld.rand_elements(rng, (rows, width))
     _assert_matches_reference(oracle_solve, fld, a, rhs)
+
+
+@st.composite
+def _wide_systems(draw):
+    """(field, a, rhs, kind) with rhs wider than _solve's first block is tall.
+
+    Short systems fit in the first block; tall ones (up to 64 rows past it)
+    also carry the right-hand sides through a second block.  kind
+    "one_column" repeats row 0 as the last row with one right-hand side
+    changed there, so exactly that column is inconsistent.
+    """
+    fld = PrimeField(draw(st.sampled_from(SOLVE_PRIMES)))
+    kind = draw(st.sampled_from(["consistent", "one_column", "rank_deficient"]))
+    n = draw(st.integers(1, 12))
+    rows = draw(st.integers(2, 30) | st.integers(BLOCK_ENDS[1] + 1, BLOCK_ENDS[1] + 64))
+    first = min(rows, max(field_module._FIRST_BLOCK, 2 * n))
+    width = first + draw(st.integers(1, 40))
+    rank = draw(st.integers(0, n - 1)) if kind == "rank_deficient" else min(n, rows - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = fld.matmul(fld.rand_elements(rng, (rows, rank)), fld.rand_elements(rng, (rank, n)))
+    rhs = fld.matmul(a, fld.rand_elements(rng, (n, width)))
+    if kind == "one_column":
+        a[-1], rhs[-1] = a[0], rhs[0]
+        col = draw(st.integers(0, width - 1))
+        rhs[-1, col] = (rhs[-1, col] + 1) % fld.p
+    return fld, fld.array(a), fld.array(rhs), kind
+
+
+@settings(max_examples=120, deadline=None)
+@given(_wide_systems())
+def test_wide_rhs_solve_applies_the_row_transform(oracle_solve, system):
+    # The shapes of recover_error_values (N - K rows, L right-hand sides) and
+    # of interpolation (K rows, L right-hand sides).  The first block must be
+    # reduced as [a | I], not with every right-hand side carried along.
+    fld, a, rhs, kind = system
+    widths = []
+    kernel = PrimeField._row_reduce
+
+    def recording(self, m, ncols):
+        widths.append(m.shape[1])
+        return kernel(self, m, ncols)
+
+    x = _assert_matches_reference(oracle_solve, fld, a, rhs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PrimeField, "_row_reduce", recording)
+        rank = fld._solve(a, rhs)[1]
+    rows, n = a.shape
+    assert widths[0] == n + min(rows, max(field_module._FIRST_BLOCK, 2 * n))
+    assert (x is None) == (kind == "one_column")
+    if kind == "rank_deficient":
+        assert rank < n
+    if x is not None:
+        assert np.array_equal(fld.matmul(a, x), rhs)
+        if fld.dtype is object:
+            assert all(type(v) is int for v in x.ravel())
 
 
 @pytest.mark.parametrize("p", SOLVE_PRIMES)

@@ -93,6 +93,57 @@ def test_encode_tasks_expansion_oracle():
         assert np.array_equal(task.b_tilde, b_ref)
 
 
+def _encode_per_worker(params, a, b):
+    """The per-worker loop encode_tasks used before it became one matmul per
+    input: (A~_i, B~_i) for every worker, as a reference."""
+    fld = params.field
+    a_blocks = np.hsplit(fld.array(a), params.m)
+    b_blocks = np.hsplit(fld.array(b), params.n)
+    pow_a = fld.power_matrix(params.xs, (params.m - 1) * params.exp_a + 1)
+    pow_b = fld.power_matrix(params.xs, (params.n - 1) * params.exp_b + 1)
+    out = []
+    for i in range(params.num_workers):
+        a_tilde = None
+        for j, blk in enumerate(a_blocks):
+            term = fld.mul(blk, pow_a[i, j * params.exp_a])
+            a_tilde = term if a_tilde is None else fld.add(a_tilde, term)
+        b_tilde = None
+        for k, blk in enumerate(b_blocks):
+            term = fld.mul(blk, pow_b[i, k * params.exp_b])
+            b_tilde = term if b_tilde is None else fld.add(b_tilde, term)
+        out.append((a_tilde, b_tilde))
+    return out
+
+
+@pytest.mark.parametrize("field, m, n, exps", [
+    (GF, 3, 2, None),
+    (GF, 2, 3, (3, 1)),  # exp_a = n, exp_b = 1
+    (GF, 1, 3, (0, 1)),  # a single A block may take any exponent
+    (PrimeField(2**61 - 1), 3, 2, None),
+    (PrimeField(2**61 - 1), 2, 3, (3, 1)),
+    (RE, 3, 2, None),
+    (RE, 2, 3, (3, 1)),
+])
+def test_encode_tasks_matches_per_worker_loop(field, m, n, exps):
+    rng = np.random.default_rng(11)
+    xs = make_params(field, m, n, m * n + 4).xs
+    exp_a, exp_b = exps if exps else (None, None)
+    params = PolyCodeParams(field=field, m=m, n=n, num_workers=len(xs), xs=xs,
+                            exp_a=exp_a, exp_b=exp_b)
+    a = field.rand_elements(rng, (5, 4 * m))
+    b = field.rand_elements(rng, (5, 2 * n))
+    tasks = encode_tasks(params, a, b)
+    assert [task.worker_id for task in tasks] == list(range(params.num_workers))
+    for task, want in zip(tasks, _encode_per_worker(params, a, b), strict=True):
+        for got, ref in zip((task.a_tilde, task.b_tilde), want):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            if isinstance(field, PrimeField):
+                assert np.array_equal(got, ref)
+            else:
+                # BLAS may sum the m (or n) terms in another order.
+                assert np.allclose(got, ref, rtol=RE.tol.eq_tol, atol=RE.tol.eq_tol)
+
+
 def test_encode_tasks_shape_validation():
     params = make_params(GF, 2, 2, 5)
     with pytest.raises(InvalidParameters):
