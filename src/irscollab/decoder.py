@@ -18,6 +18,23 @@ t = 1, 2, ... and accepts the first t whose stacked system is consistent
 common recurrence of the L syndrome sequences directly and validates it.
 Both certify the result through the same location and value-recovery checks,
 so a Success is always the closest (maximum-likelihood) explanation of R.
+
+Over GF(p) the synthesis is one multi-sequence Berlekamp-Massey pass (Feng
+and Tzeng, IEEE T-IT 1991; Schmidt, Sidorenko and Bossert, IEEE T-IT 2009).
+It keeps a register C of length ell and a few records (B, ell_B, m, D):
+earlier registers that held through position m - 1 and failed at m with
+discrepancy vector D in F^L.  At a position j whose discrepancy vector
+delta is nonzero, delta is written in the records' D, and C subtracts the
+same combination of the shifted registers x^(j-m) B; the length becomes
+the largest of ell and the used records' j - m + ell_B, or j + 1 when delta
+lies outside the span of the D (nothing shorter then explains position j).
+Record exchange: the old register (C, ell, j, delta) joins the records when
+delta was outside their span, and otherwise replaces the used record of
+lowest m - ell_B when its own j - ell is higher.  The records thus stay a
+basis of their span with the greatest m - ell_B, which makes every length
+the least possible.  With L = 1 this is the classical algorithm.  Over the
+reals, where Berlekamp-Massey is numerically unstable, the register is
+refit by least squares instead.
 """
 
 from __future__ import annotations
@@ -29,7 +46,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameters
-from .field import Field, PrimeField, RealField
+from .field import Field, PrimeField
 from .grs import GrsCode
 
 __all__ = [
@@ -149,8 +166,7 @@ def layer_syndromes(code: GrsCode, r) -> SyndromeSet:
     return SyndromeSet(values=values, scale=scale)
 
 
-def _stack(synd: SyndromeSet, t: int, field: Field) -> StackedSystem:
-    values = synd.values
+def _stack(values: np.ndarray, t: int, field: Field) -> StackedSystem:
     nk = values.shape[1]
     win = sliding_window_view(values, t, axis=1)
     matrix = win[:, : nk - t, :].reshape(-1, t)
@@ -174,70 +190,124 @@ def build_stacked(code: GrsCode, r, t: int) -> StackedSystem:
     tm = t_max(code.n, code.k, r.shape[0])
     if t > tm:
         raise InvalidParameters(f"t={t} exceeds the decoding radius t_max={tm}")
-    return _stack(layer_syndromes(code, r), int(t), code.field)
+    return _stack(layer_syndromes(code, r).values, int(t), code.field)
 
 
 # ---------------------------------------------------------------------------
 # Minimal common recurrence synthesis
 # ---------------------------------------------------------------------------
 
-def _prefix_system(seqs: np.ndarray, t2: int, j: int, field: Field):
-    """Constraint system for a length-t2 recurrence on positions t2..j."""
-    rows = j - t2 + 1
-    if rows <= 0:
-        return None, None
-    wins = sliding_window_view(seqs[:, :j], t2, axis=1)[:, :rows, :]
-    matrix = wins[..., ::-1].reshape(-1, t2)
-    rhs = -seqs[:, t2:j + 1]
-    if isinstance(field, PrimeField):
-        rhs = rhs % field.p
-    return matrix, rhs.reshape(-1)
+def _synthesize_gf(field: PrimeField, seqs: np.ndarray):
+    """Multi-sequence Berlekamp-Massey over canonical GF(p) rows.
+
+    c holds the register (c[0] = 1) of length ell.  Record i, (b, ell_b, m),
+    is an earlier register of length ell_b that held through position m - 1
+    and failed at m with the discrepancy vector in column i of disc.  These
+    r columns stay linearly independent (at most min(L, n) of them); on the
+    rows sel they form an invertible r x r matrix whose inverse is
+    inv[:r, :r].
+    """
+    p = field.p
+    rows, n = seqs.shape
+    cap = min(rows, n)
+    disc, inv = field.zeros((rows, cap)), field.zeros((cap, cap))
+    sel, records = [], []
+    c, ell = field.ones(1), 0
+    for j in range(n):
+        delta = field._matmul(seqs[:, j - ell:j + 1], c[::-1])
+        if not delta.any():
+            continue
+        r = len(records)
+        x = field._matmul(inv[:r, :r], delta[sel])
+        resid = (delta - field._matmul(disc[:, :r], x)) % p
+        out = resid.nonzero()[0]
+        if out.size:
+            # delta is outside the records' span: the implicit record
+            # (1, 0, -1) gives length j + 1, which constrains no position.
+            # Row k joins sel, and the new record's column joins inv.
+            k = int(out[0])
+            row = field.zeros(r + 1)
+            row[:r] = -field._matmul(disc[k, :r], inv[:r, :r]) % p
+            row[r] = 1
+            pivot = resid[k]
+            new_ell, slot, used = j + 1, r, ()
+            sel.append(k)
+            records.append(None)
+        else:
+            used = x.nonzero()[0]
+            low = min(used, key=lambda i: records[i][2] - records[i][1])
+            new_ell = max(ell, j - records[low][2] + records[low][1])
+            slot = low if new_ell > ell else None
+            row, pivot = inv[low, :r], x[low]
+        new_c = field.zeros(new_ell + 1)
+        new_c[:ell + 1] = c
+        for i in used:
+            b, _, m = records[i]
+            new_c[j - m:j - m + len(b)] = (new_c[j - m:j - m + len(b)] - x[i] * b) % p
+        if slot is not None:
+            row = row * pow(int(pivot), p - 2, p) % p
+            inv[:r, :len(row)] = (inv[:r, :len(row)] - x[:, None] * row) % p
+            inv[slot, :len(row)] = row
+            disc[:, slot] = delta
+            records[slot] = (c, ell, j)
+        c, ell = new_c, new_ell
+    return ell, c[1:]
 
 
 def synthesize_recurrence(field: Field, seqs, scales=None):
     """Minimal-length common linear recurrence over the rows of seqs.
 
-    Processes the sequences position by position; whenever any row shows a
-    nonzero discrepancy the register is re-fit at the smallest length whose
-    constraint system over the processed prefix is consistent.  Returns
-    (t, coeffs) with coeffs = (c_1, ..., c_t) such that every row s obeys
-    s[i] + sum_k c_k s[i-k] = 0 for t <= i < len(s).  Discrepancy zero tests
-    over the reals are scale-relative; scales (same shape as seqs) supplies
-    per-syndrome magnitude references.
+    Returns (t, coeffs) with coeffs = (c_1, ..., c_t) such that every row s
+    obeys s[i] + sum_k c_k s[i-k] = 0 for t <= i < len(s); t is the least
+    length for which any such recurrence exists (c_t may be zero).
+
+    Over GF(p) this is one multi-sequence Berlekamp-Massey pass (see the
+    module docstring).  At each position j with a nonzero discrepancy
+    vector, the register subtracts the combination of records (earlier
+    registers B that failed at a position m) whose discrepancy vectors sum
+    to it, each shifted by x^(j-m); the length grows to the largest
+    j - m + ell_B of the records used, or to j + 1 when the vector is outside
+    their span.  Record exchange: the old register then joins the records,
+    and otherwise replaces the used record of lowest m - ell_B when its own
+    j - ell is higher, which is exactly when the length grows.  The final
+    length is the least common-recurrence length, and the coefficients are
+    the unique ones whenever the t-stack has full column rank.  The records'
+    discrepancy vectors are kept with the inverse of their restriction to as
+    many chosen rows, so writing a discrepancy in them is one small product
+    checked on every row by one residual product, and an exchange updates
+    that inverse by one pivot: no elimination runs inside the pass.
+
+    Over the reals, where that pass is numerically unstable, the register
+    is refit at each nonzero discrepancy: the smallest length whose
+    least-squares system over the processed prefix is consistent.
+    Discrepancy zero tests there are scale-relative; scales (same shape as
+    seqs) supplies per-syndrome magnitude references.
     """
     seqs = field.array(seqs)
     if seqs.ndim != 2:
         raise InvalidParameters("expected an L x n matrix of sequences")
-    _, n = seqs.shape
-    real = isinstance(field, RealField)
-    mags = None
-    if real:
-        mags = np.abs(seqs)
-        if scales is not None:
-            mags = np.maximum(mags, np.asarray(scales, dtype=np.float64))
+    if isinstance(field, PrimeField):
+        return _synthesize_gf(field, seqs)
+    n = seqs.shape[1]
+    mags = np.abs(seqs)
+    if scales is not None:
+        mags = np.maximum(mags, np.asarray(scales, dtype=np.float64))
     t = 0
     coeffs = field.zeros(0)
     for j in range(n):
         if j < t:
             continue
         window = seqs[:, j - t:j][:, ::-1]
-        if real:
-            delta = seqs[:, j] + (window @ coeffs if t else 0)
-            base = mags[:, j] + (np.abs(window) @ np.abs(coeffs) if t else 0)
-            if np.all(field.is_zero(delta, scale=base)):
-                continue
-        else:
-            delta = seqs[:, j]
-            if t:
-                delta = field.add(delta, field.matmul(window, coeffs.reshape(-1, 1)).reshape(-1))
-            if np.all(delta == 0):
-                continue
+        delta = seqs[:, j] + (window @ coeffs if t else 0)
+        base = mags[:, j] + (np.abs(window) @ np.abs(coeffs) if t else 0)
+        if np.all(field.is_zero(delta, scale=base)):
+            continue
         for t2 in range(max(t, 1), j + 2):
-            matrix, rhs = _prefix_system(seqs, t2, j, field)
-            if matrix is None:
+            if t2 > j:
                 t, coeffs = t2, field.zeros(t2)
                 break
-            sol = field.solve_consistent(matrix, rhs)
+            system = _stack(seqs[:, :j + 1], t2, field)
+            sol = field.solve_consistent(np.ascontiguousarray(system.matrix[:, ::-1]), system.rhs)
             if sol is not None:
                 t, coeffs = t2, sol
                 break
@@ -362,7 +432,7 @@ def _attempt(code: GrsCode, synd: SyndromeSet, r: np.ndarray, t: int, coeffs=Non
     synthesis) the stacked solve is skipped.
     """
     fld = code.field
-    system = _stack(synd, t, fld)
+    system = _stack(synd.values, t, fld)
     if isinstance(fld, PrimeField):
         # One elimination gives the solution and the rank; the stack is
         # consistent with synthesized coeffs, so then only the rank is needed.

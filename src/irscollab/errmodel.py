@@ -107,9 +107,16 @@ def hamming_weight(e, field: Field, scale=None) -> int:
 
 
 def inject(d, e, field: Field) -> np.ndarray:
-    """Entrywise field addition of an error matrix onto a word."""
+    """Entrywise field addition of an error matrix onto a word.
+
+    Each operand is validated once by field.array; the sum of the canonical
+    arrays is then one raw add (and one reduction mod p over GF(p)).
+    """
     d = field.array(d)
     e = field.array(e)
     if d.shape != e.shape:
         raise InvalidParameters(f"shape mismatch: {d.shape} vs {e.shape}")
-    return field.add(d, e)
+    out = d + e
+    if isinstance(field, PrimeField):
+        out %= field.p
+    return out

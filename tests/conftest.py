@@ -1,14 +1,20 @@
-"""Shared test fixtures: the reference GF(p) elimination.
+"""Shared test fixtures: reference GF(p) elimination and recurrence synthesis.
 
 gauss_jordan_solve is an unblocked exact solver: one Gauss-Jordan pass over
 the whole augmented matrix, with a whole-matrix update per pivot.  It is slow
 on tall stacks but simple, so the blocked PrimeField._solve is checked against
 it, and it can be patched into PrimeField in its place to run whole decodes on
 the reference path.
+
+gaussian_synthesize is the GF(p) recurrence synthesis that decoder.py used
+before its Berlekamp-Massey pass: at every nonzero discrepancy it refits the
+register at lengths t, t + 1, ... by solving the prefix system.  It is slow
+but direct, so synthesize_recurrence is checked against it.
 """
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _row_reduce(field, m, ncols):
@@ -52,3 +58,47 @@ def gauss_jordan_solve(field, a, rhs):
 def oracle_solve():
     """The reference solver, callable as a PrimeField method."""
     return gauss_jordan_solve
+
+
+def _prefix_system(seqs, t2, j, field):
+    """Constraint system for a length-t2 recurrence on positions t2..j."""
+    rows = j - t2 + 1
+    if rows <= 0:
+        return None, None
+    wins = sliding_window_view(seqs[:, :j], t2, axis=1)[:, :rows, :]
+    matrix = wins[..., ::-1].reshape(-1, t2)
+    rhs = -seqs[:, t2:j + 1] % field.p
+    return matrix, rhs.reshape(-1)
+
+
+def gaussian_synthesize(field, seqs):
+    """(t, (c_1, ..., c_t)): the minimal common recurrence, by repeated refits."""
+    seqs = field.array(seqs)
+    _, n = seqs.shape
+    t = 0
+    coeffs = field.zeros(0)
+    for j in range(n):
+        if j < t:
+            continue
+        window = seqs[:, j - t:j][:, ::-1]
+        delta = seqs[:, j]
+        if t:
+            delta = field.add(delta, field.matmul(window, coeffs.reshape(-1, 1)).reshape(-1))
+        if np.all(delta == 0):
+            continue
+        for t2 in range(max(t, 1), j + 2):
+            matrix, rhs = _prefix_system(seqs, t2, j, field)
+            if matrix is None:
+                t, coeffs = t2, field.zeros(t2)
+                break
+            sol = field.solve_consistent(matrix, rhs)
+            if sol is not None:
+                t, coeffs = t2, sol
+                break
+    return t, coeffs
+
+
+@pytest.fixture(scope="session")
+def reference_synthesize():
+    """The refit synthesis, callable like synthesize_recurrence over GF(p)."""
+    return gaussian_synthesize

@@ -1,9 +1,12 @@
 """Tests for collaborative decoding of interleaved GRS words."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irscollab.decoder import (
     DecodeOutcome,
@@ -223,6 +226,102 @@ def test_synthesis_real_with_scales():
     t, coeffs = synthesize_recurrence(fld, seqs, scales=np.abs(seqs))
     assert t == 2
     assert np.allclose(coeffs, [-(a + b), a * b], atol=1e-9)
+
+
+SYNTH_PRIMES = [2, 3, 5, 257, 65537, 2**61 - 1]
+
+
+@st.composite
+def _sequence_sets(draw):
+    """(field, seqs): L x n rows over GF(p) with a planted common recurrence
+    (its last coefficient possibly zero, one symbol possibly perturbed, the
+    initial values possibly sparse), all-zero rows, or a lone trailing
+    impulse.  Entries are Python ints, so p = 2**61 - 1 runs on object dtype."""
+    p = draw(st.sampled_from(SYNTH_PRIMES))
+    l, n = draw(st.integers(1, 6)), draw(st.integers(0, 14))
+    kind = draw(st.sampled_from(["planted", "zeros", "impulse"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    seqs = [[0] * n for _ in range(l)]
+    if kind == "impulse" and n:
+        seqs[rng.randrange(l)][n - 1] = rng.randrange(1, p)
+    elif kind == "planted":
+        t = draw(st.integers(0, n))
+        coeffs = [rng.randrange(p) for _ in range(t)]
+        if t and draw(st.booleans()):
+            coeffs[-1] = 0
+        sparse = draw(st.booleans())
+        for row in seqs:
+            row[:t] = [0 if sparse and rng.random() < 0.5 else rng.randrange(p) for _ in range(t)]
+            for i in range(t, n):
+                row[i] = -sum(coeffs[k - 1] * row[i - k] for k in range(1, t + 1)) % p
+        if n and draw(st.booleans()):
+            seqs[rng.randrange(l)][rng.randrange(n)] = rng.randrange(p)
+    fld = PrimeField(p)
+    return fld, fld.array(np.array(seqs, dtype=object).reshape(l, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sequence_sets())
+def test_synthesis_matches_gaussian_refit(reference_synthesize, case):
+    fld, seqs = case
+    t, coeffs = synthesize_recurrence(fld, seqs)
+    t_ref, coeffs_ref = reference_synthesize(fld, seqs)
+    assert t == t_ref and coeffs.shape == (t,) and coeffs.dtype == fld.dtype
+    rows = [[int(v) for v in row] for row in seqs]
+    c = [int(v) for v in coeffs]
+    for row in rows:
+        for i in range(t, len(row)):
+            assert (row[i] + sum(c[k - 1] * row[i - k] for k in range(1, t + 1))) % fld.p == 0
+    stack = [row[i:i + t] for row in rows for i in range(len(row) - t)]
+    if t and stack and fld.rank(np.array(stack, dtype=object)) == t:
+        # The recurrence of length t is unique, so both must have found it.
+        assert [int(v) for v in coeffs_ref] == c
+
+
+def _rank_one_errors(fld, l, n, t, rng):
+    """Errors in t columns whose L layers are multiples of one row, so the
+    syndrome sequences behave like a single one and lengths jump as in the
+    classical Berlekamp-Massey algorithm."""
+    e = fld.zeros((l, n))
+    e[:, rng.choice(n, t, replace=False)] = fld.matmul(rng.integers(1, fld.p, (l, 1)),
+                                                       rng.integers(1, fld.p, (1, t)))
+    return e
+
+
+@pytest.mark.parametrize("rank_one,t", [(False, 20), (True, 10)])
+def test_synthesis_work_is_bounded_per_position(monkeypatch, rank_one, t):
+    # No elimination sweeps the L = 16384 deep stack: at most one solve per
+    # position, on no more columns than positions, and at most four products
+    # per position, none larger than the L x n syndrome block.  Refitting
+    # prefix systems at each discrepancy fails this on the rank-one words,
+    # whose lengths jump by several positions at once.
+    fld = PrimeField(257)
+    code = make_grs(fld, 40, 16, [pow(fld.primitive_root(), i, fld.p) for i in range(40)])
+    rng = np.random.default_rng(600 + t)
+    l = 16384
+    if rank_one:
+        e = _rank_one_errors(fld, l, 40, t, rng)
+    else:
+        e = sample_error(ErrorModelSpec(kind="uref", t=t), fld, l, 40, rng).e
+    seqs = layer_syndromes(code, e).values
+    n = seqs.shape[1]
+    solves, products = [], []
+    solve, matmul = PrimeField._solve, PrimeField._matmul
+
+    def counting_solve(self, a, rhs):
+        solves.append(a.shape[1])
+        return solve(self, a, rhs)
+
+    def counting_matmul(self, a, b):
+        products.append(a.size * (b.shape[1] if b.ndim == 2 else 1))
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(PrimeField, "_solve", counting_solve)
+    monkeypatch.setattr(PrimeField, "_matmul", counting_matmul)
+    got, _ = synthesize_recurrence(fld, seqs)
+    assert got == t
+    assert len(solves) <= n and max(solves, default=0) <= n
+    assert len(products) <= 4 * n and max(products) <= seqs.size
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,20 @@ def test_inject_examples():
     assert inject(dr, er, RE).tolist() == [[0.75, 0.0]]
 
 
+def test_inject_object_dtype_and_nonfinite():
+    big = PrimeField(2**61 - 1)
+    d = big.array([[2**61 - 2, 5]])
+    e = big.array([[3, 2**61 - 6]])
+    out = inject(d, e, big)
+    assert out.dtype == object and out.tolist() == [[2, 0]]
+    assert inject([[6, 0]], [[1, 13]], GF7).tolist() == [[0, 6]]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            inject(np.array([[0.5, bad]]), np.zeros((1, 2)), RE)
+    with pytest.raises(TypeError):
+        inject(np.array([[0.5, 1.0]]), np.zeros((1, 2), dtype=np.int64), GF7)
+
+
 def test_error_matrix_is_readonly():
     em = sample_error(ErrorModelSpec(kind="uref", t=1), GF7, 2, 4, rng_for(5))
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +300,32 @@ def test_cli_simulate_writes_csv(tmp_path, capsys):
     report = load_csv(out)
     assert [(c.l, c.t) for c in report.cells] == [(2, 0), (2, 1), (2, 2)]
     assert "p_f" in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).parent / "data"
+GOLDEN_RUNS = {
+    "gf257_n16_k4_l4_t7-9_cpda_seed3.csv":
+        ["--field", "gf:257", "--n", "16", "--k", "4", "--l", "4", "--t", "7:9",
+         "--trials", "400", "--decoder", "cpda", "--seed", "3"],
+    "gf257_n16_k4_l4_t7-9_mssr_seed3.csv":
+        ["--field", "gf:257", "--n", "16", "--k", "4", "--l", "4", "--t", "7:9",
+         "--trials", "400", "--decoder", "mssr", "--seed", "3"],
+    "gf17_n16_k4_l64_t10-12_mssr_seed3.csv":
+        ["--field", "gf:17", "--n", "16", "--k", "4", "--l", "64", "--t", "10:12",
+         "--trials", "100", "--decoder", "mssr", "--seed", "3"],
+    "real_n8_k2_l6_t3-6_pow0.9_mssr_seed3.csv":
+        ["--field", "real", "--n", "8", "--k", "2", "--l", "6", "--t", "3:6",
+         "--trials", "300", "--alphas", "pow:0.9", "--decoder", "mssr", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_cli_simulate_reproduces_golden_csv(tmp_path, capsys, name):
+    # The committed files were written by an earlier release; a seeded run
+    # must reproduce them byte for byte.
+    out = tmp_path / name
+    assert main(["simulate", *GOLDEN_RUNS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_cli_simulate_rejects_bad_params(capsys):
