@@ -12,6 +12,19 @@ Stacking these L Hankel blocks gives one linear system in the t unknown
 coefficients; errors in up to t_max = floor(L (N-K) / (L+1)) columns are
 correctable whenever the stack has full column rank.
 
+The errors hit at most t columns, so the L x (N-K) syndrome matrix is
+S = E_t H_t, of rank at most min(L, t, N-K).  Everything the decoders derive
+from S is linear in its rows and so depends only on its row space: the
+solution set and the rank of each stacked system, the minimal common
+recurrence and, when unique, its coefficients (Metzner and Kapturowski,
+IEEE T-IT 1990, use the same fact for L >= t).  Over GF(p), with more
+layers than positions, both decoders therefore first reduce S to its RREF
+row basis, at most N - K rows, by the blocked scan of PrimeField._scan, and
+stack, eliminate and synthesize on that basis; only the error-value solve
+keeps all L layers.  Sequences sharing a recurrence of length t span at
+most t dimensions, so cpda_decode starts its scan at the rank of S.  Real
+words keep all L layers: the conditioning of the real decoder depends on L.
+
 Two decoders are provided and produce identical outcomes: cpda_decode scans
 t = 1, 2, ... and accepts the first t whose stacked system is consistent
 (with a unique solution), while mssr_decode synthesizes the minimal-length
@@ -155,15 +168,29 @@ def t_max(n: int, k: int, l: int) -> int:
 
 def layer_syndromes(code: GrsCode, r) -> SyndromeSet:
     """Syndromes of every layer of an L x N word, with magnitude references."""
-    fld = code.field
-    r = fld.array(r)
+    r = code.field.array(r)
     if r.ndim != 2 or r.shape[1] != code.n:
         raise InvalidParameters(f"expected an L x {code.n} matrix, got shape {r.shape}")
-    values = fld.matmul(r, code.syndrome_matrix())
+    return _syndromes(code, r)
+
+
+def _syndromes(code: GrsCode, r: np.ndarray) -> SyndromeSet:
+    """layer_syndromes of a validated word."""
+    fld, h = code.field, code.syndrome_matrix()
     if isinstance(fld, PrimeField):
-        return SyndromeSet(values=values)
-    scale = np.abs(r) @ code.syndrome_matrix_abs()
-    return SyndromeSet(values=values, scale=scale)
+        return SyndromeSet(values=fld._matmul(r, h))
+    return SyndromeSet(values=r @ h, scale=np.abs(r) @ code.syndrome_matrix_abs())
+
+
+def _row_space(field: Field, values: np.ndarray) -> np.ndarray:
+    """The rows the decoders scan: an RREF basis of GF(p) syndromes.
+
+    Only when there are more layers than positions, since the basis has at
+    most as many rows as positions.  Real syndromes keep every layer.
+    """
+    if not isinstance(field, PrimeField) or values.shape[0] <= values.shape[1]:
+        return values
+    return field._scan(values, values[:, :0])[0]
 
 
 def _stack(values: np.ndarray, t: int, field: Field) -> StackedSystem:
@@ -376,11 +403,20 @@ def recover_error_values(code: GrsCode, locations, synd: SyndromeSet):
     returns the L x t value matrix, or None when any layer's system is
     inconsistent (so the locations cannot explain the received word).
     """
+    return _error_values(code, locations, code.field.array(synd.values))
+
+
+def _error_values(code: GrsCode, locations, values: np.ndarray):
+    """recover_error_values on validated syndrome values."""
+    fld = code.field
     locations = list(locations)
     if not locations:
-        return code.field.zeros((synd.values.shape[0], 0))
+        return fld.zeros((values.shape[0], 0))
     m = code.syndrome_matrix()[locations, :].T
-    sol = code.field.solve_consistent(m, synd.values.T)
+    if isinstance(fld, PrimeField):
+        sol = fld._solve(m, values.T)[0]
+    else:
+        sol = fld.solve_consistent(m, values.T)
     return None if sol is None else sol.T
 
 
@@ -406,12 +442,16 @@ def _finish(code: GrsCode, synd: SyndromeSet, r: np.ndarray, coeffs) -> DecodeOu
     valid, locations = is_t_valid(code, locator)
     if not valid:
         return DecodeOutcome.fail(FailureReason.NOT_T_VALID)
-    values = recover_error_values(code, locations, synd)
+    values = _error_values(code, locations, synd.values)
     if values is None:
         return DecodeOutcome.fail(FailureReason.SYNDROME_RESIDUAL)
     corrected = np.array(r, copy=True)
     locs = list(locations)
-    corrected[:, locs] = fld.sub(corrected[:, locs], values)
+    fixed = corrected[:, locs] - values
+    if isinstance(fld, PrimeField):
+        fixed += fld.p  # % is several times faster on non-negative operands
+        fixed %= fld.p
+    corrected[:, locs] = fixed
     return DecodeOutcome.ok(corrected, locator, locations, values)
 
 
@@ -423,16 +463,18 @@ def _validated_word(code: GrsCode, r):
     return r
 
 
-def _attempt(code: GrsCode, synd: SyndromeSet, r: np.ndarray, t: int, coeffs=None):
+def _attempt(code: GrsCode, synd: SyndromeSet, seqs: np.ndarray, r: np.ndarray, t: int,
+             coeffs=None):
     """Try to decode with exactly t errors.
 
-    Returns ("skip", None) when the stacked system is inconsistent,
-    ("fail", reason) when it is consistent but a downstream check rejects
-    it, or ("success", outcome).  When coeffs is given (from recurrence
-    synthesis) the stacked solve is skipped.
+    The stacked system is built from seqs, the rows of _row_space(synd).
+    Returns ("skip", None) when it is inconsistent, ("fail", reason) when it
+    is consistent but a downstream check rejects it, or ("success",
+    outcome).  When coeffs is given (from recurrence synthesis) the stacked
+    solve is skipped.
     """
     fld = code.field
-    system = _stack(synd.values, t, fld)
+    system = _stack(seqs, t, fld)
     if isinstance(fld, PrimeField):
         # One elimination gives the solution and the rank; the stack is
         # consistent with synthesized coeffs, so then only the rank is needed.
@@ -471,13 +513,17 @@ def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
     """
     r = _validated_word(code, r)
     fld = code.field
-    synd = layer_syndromes(code, r)
+    synd = _syndromes(code, r)
     if _all_syndromes_zero(synd, fld):
         return _clean_outcome(fld, r)
+    seqs = _row_space(fld, synd.values)
+    # Sequences with a common recurrence of length t span at most t
+    # dimensions, so no t below the rank of a basis can be consistent.
+    first = len(seqs) if len(seqs) < len(synd.values) else 1
     tm = t_max(code.n, code.k, r.shape[0])
     first_reason = None
-    for t in range(1, tm + 1):
-        kind, res = _attempt(code, synd, r, t)
+    for t in range(first, tm + 1):
+        kind, res = _attempt(code, synd, seqs, r, t)
         if kind == "success":
             return res
         if kind == "fail":
@@ -499,23 +545,24 @@ def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
     """
     r = _validated_word(code, r)
     fld = code.field
-    synd = layer_syndromes(code, r)
+    synd = _syndromes(code, r)
     if _all_syndromes_zero(synd, fld):
         return _clean_outcome(fld, r)
-    t0, coeffs = synthesize_recurrence(fld, synd.values, scales=synd.scale)
+    seqs = _row_space(fld, synd.values)
+    t0, coeffs = synthesize_recurrence(fld, seqs, scales=synd.scale)
     if t0 == 0:
         return _clean_outcome(fld, r)
     tm = t_max(code.n, code.k, r.shape[0])
     if t0 > tm:
         return DecodeOutcome.fail(FailureReason.NO_CONSISTENT_T)
-    kind, res = _attempt(code, synd, r, t0, coeffs=coeffs)
+    kind, res = _attempt(code, synd, seqs, r, t0, coeffs=coeffs)
     if kind == "success":
         return res
     if isinstance(fld, PrimeField):
         return DecodeOutcome.fail(res)
     first_reason = res
     for t in range(t0 + 1, tm + 1):
-        kind, res = _attempt(code, synd, r, t)
+        kind, res = _attempt(code, synd, seqs, r, t)
         if kind == "success":
             return res
     return DecodeOutcome.fail(first_reason)

@@ -8,9 +8,11 @@ decisions and consistent solves are exact Gaussian elimination over GF(p) and
 SVD-based least squares over the reals.
 
 Over GF(p) both go through one blocked elimination, PrimeField._solve, which
-returns a solution and the rank together.  It takes the rows in blocks that
-double in size, reduces each block against the RREF basis of the rows before
-it with one matmul, and row-reduces only what is left.  Once ncols
+returns a solution and the rank together.  Its row scan, PrimeField._scan,
+takes the rows in blocks that double in size, reduces each block against the
+RREF basis of the rows before it with one matmul, and row-reduces only what
+is left; the decoders also use it alone, for the row basis of a deep
+syndrome matrix.  Once ncols
 independent rows are found, every remaining row is checked with one residual
 matmul, so the cost of a tall stacked system grows linearly in its height.
 A system with more right-hand sides than its first block has rows reduces
@@ -23,11 +25,16 @@ every partial sum is then an integer below 2**53, so the product is exact
 whatever order the BLAS sums in.  Other products use int64 matmuls (in inner
 chunks when their sums could pass 2**63), and p above _INT64_SAFE_P uses
 Python ints.
+
+Arrays are validated once, at the public methods (array, matmul, rank,
+solve_consistent, ...); the underscored kernels take canonical arrays and
+run raw numpy on them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +64,16 @@ _FLOAT_SLAB = 2**16
 # OpenBLAS: 4x16 @ 16x12 takes 3.9 us in int64 and 5.9 us through float64;
 # 32x32 @ 32x32 takes 37 us and 16 us).
 _BLAS_MIN_MACS = 2**14
+
+# Smallest int64 array that PrimeField._coerce range-checks instead of
+# reducing: a min/max pass plus a copy beats a % pass from here on (16384 x 40
+# at p = 257: 0.83 ms against 4.96 ms), while below about 1024 elements the
+# single % pass is faster.
+_RANGE_CHECK_MIN = 2**12
+
+# Python int of every element of an object array (a scalar for 0-d input);
+# rejects non-integers such as floats.
+_as_int = np.frompyfunc(operator.index, 1, 1)
 
 # Minimum height of the first row block of PrimeField._solve: systems this
 # short are eliminated in one dense pass.
@@ -143,18 +160,29 @@ class PrimeField:
         return np.int64 if self.p <= _INT64_SAFE_P else object
 
     def _coerce(self, x):
-        """Reduce x (scalar or array) mod p, rejecting non-integer operands."""
+        """Reduce x (scalar or array) mod p, rejecting non-integer operands.
+
+        An array result is always a fresh array.  Object elements become
+        Python ints, so products of huge elements never wrap in a fixed-width
+        numpy integer.  A large int64 array whose entries already lie in
+        [0, p) is copied after one range check instead of reduced.
+        """
         if isinstance(x, bool):
             raise TypeError("GF(p) operations take integer operands, got bool")
         if isinstance(x, (int, np.integer)):
             return int(x) % self.p
         arr = np.asarray(x)
-        if arr.dtype.kind not in "iu" and arr.dtype != object:
+        if arr.dtype == object:
+            arr = np.asarray(_as_int(arr), dtype=object)
+        elif arr.dtype.kind not in "iu":
             raise TypeError(
                 f"GF({self.p}) operations take integer operands, got dtype {arr.dtype}"
             )
-        if arr.dtype.kind in "iu" and self.p > _INT64_SAFE_P:
+        elif self.p > _INT64_SAFE_P:
             arr = arr.astype(object)
+        elif (arr.dtype == np.int64 and arr.size >= _RANGE_CHECK_MIN
+              and arr.min() >= 0 and arr.max() < self.p):
+            return arr.copy()
         return arr % self.p
 
     def element(self, x) -> int:
@@ -283,7 +311,10 @@ class PrimeField:
         Returns (matrix, pivot_columns).  Pivots are searched only in the
         first ncols columns, so callers can append right-hand sides as extra
         columns of an augmented matrix.  Every pivot updates every row, so
-        _solve feeds this dense kernel one block at a time.
+        _scan feeds this dense kernel one block at a time.  Here and in _scan
+        a subtraction adds the negation instead, so that % only ever reduces
+        non-negative sums: numpy's int64 % is about 3.5 times slower when the
+        signs are mixed (197k elements at p = 257: 3.7 ms against 1.1 ms).
         """
         m = np.array(m, order="C")  # a copy, with contiguous rows
         rows = m.shape[0]
@@ -300,30 +331,27 @@ class PrimeField:
                 m[[r, pr]] = m[[pr, r]]
             pivot_inv = pow(int(m[r, c]), self.p - 2, self.p)
             m[r] = (m[r] * pivot_inv) % self.p
-            factors = m[:, c].copy()
+            factors = self.p - m[:, c]  # the negated column, plus p
             factors[r] = 0
-            m -= np.outer(factors, m[r])
+            m += np.outer(factors, m[r])
             m %= self.p
             piv_cols.append(c)
             r += 1
         return m, piv_cols
 
-    def _solve(self, a, rhs):
-        """Blocked exact solve of a @ x = rhs for canonical 2-D a and rhs.
+    def _scan(self, a, rhs):
+        """The blocked row scan behind _solve, for canonical 2-D a and rhs.
 
-        Returns (x, rank): x is the solution with free variables set to zero,
-        or None when any column of rhs is inconsistent, and rank is the exact
-        rank of a either way.  The rows are taken in blocks that double in
-        size, the first of max(_FIRST_BLOCK, 2 * ncols) rows.  Each later
-        block is reduced against the RREF basis of the rows before it by one
-        matmul, and only what that leaves is row-reduced and folded into the
-        basis, so no elimination ever sweeps the whole stack.  A row left with
-        zero coefficients and a nonzero right-hand side makes the system
-        inconsistent; the scan then carries only the coefficients, to finish
-        the rank.  Once the rank reaches ncols, the remaining rows are checked
-        against x by one residual matmul, so a tall full-rank system costs
-        O(rows * ncols * width) multiply-adds.  The RREF of a row space is
-        unique, so x and the rank do not depend on the block boundaries.
+        Returns (basis, piv, consistent, start): basis is the RREF of the
+        rows [a | rhs][:start] without its zero rows (only the coefficient
+        columns once consistent is False), piv its pivot columns, and
+        consistent whether those rows admit a solution.  The rows are taken
+        in blocks that double in size, the first of max(_FIRST_BLOCK,
+        2 * ncols) rows.  Each later block is reduced against the basis by one
+        matmul, and only what that leaves is row-reduced and folded in, so no
+        elimination ever sweeps the whole stack.  The scan stops early only
+        once the rank reaches ncols, so the coefficient columns of basis
+        always span the rows of a.
 
         When rhs is wider than the first block is tall, that block is reduced
         as [a | I] instead: the identity columns end up holding the row
@@ -353,19 +381,38 @@ class PrimeField:
             width = blk.shape[1]
             basis = basis[:, :width]
             if r:
-                blk = (blk - self._matmul(blk[:, piv], basis)) % p
+                blk = (blk + (p - self._matmul(blk[:, piv], basis))) % p
             red, new = self._row_reduce(blk, n)
             consistent = consistent and not red[len(new):, n:].any()
             if new:
                 red = red[:len(new)]
-                basis = np.vstack([(basis - self._matmul(basis[:, new], red)) % p, red])
+                basis = np.vstack([(basis + (p - self._matmul(basis[:, new], red))) % p, red])
                 piv += new
                 r = len(piv)
+        return basis, piv, consistent, start
+
+    def _solve(self, a, rhs):
+        """Blocked exact solve of a @ x = rhs for canonical 2-D a and rhs.
+
+        Returns (x, rank): x is the solution with free variables set to zero,
+        or None when any column of rhs is inconsistent, and rank is the exact
+        rank of a either way.  The rows go through the blocked scan of _scan;
+        a row left with zero coefficients and a nonzero right-hand side makes
+        the system inconsistent, and the scan then carries only the
+        coefficients, to finish the rank.  Once the rank reaches ncols, the
+        remaining rows are checked against x by one residual matmul, so a
+        tall full-rank system costs O(rows * ncols * width) multiply-adds.
+        The RREF of a row space is unique, so x and the rank do not depend on
+        the block boundaries.
+        """
+        basis, piv, consistent, start = self._scan(a, rhs)
+        r = len(piv)
         if not consistent:
             return None, r
+        n = a.shape[1]
         x = self.zeros((n, rhs.shape[1]))
         x[piv] = basis[:, n:]
-        if start < rows and rhs.shape[1] and np.any(self._matmul(a[start:], x) != rhs[start:]):
+        if start < len(a) and rhs.shape[1] and np.any(self._matmul(a[start:], x) != rhs[start:]):
             return None, r
         return x, r
 

@@ -205,6 +205,30 @@ def _decode_once(config: ExperimentConfig, code, received):
     return a
 
 
+def _trials(config: ExperimentConfig, code, l: int, t: int):
+    """(word, received) for every trial of the (L, t) cell.
+
+    Each trial draws random messages and, for t >= 1, a weight-t error from
+    its own stream, so a cell's trials do not depend on what ran before.
+    """
+    fld = config.field
+    enc = code.encoding_matrix().T  # k x n, word = messages @ enc
+    spec = None if t == 0 else config.error_spec(t)
+    for trial in range(config.trials):
+        rng = _trial_rng(config.seed, l, t, trial)
+        word = fld.matmul(_random_messages(fld, rng, l, config.k), enc)
+        if spec is None:
+            yield word, word
+        else:
+            yield word, inject(word, sample_error(spec, fld, l, config.n, rng).e, fld)
+
+
+def _gram_cond(code, received, t: int) -> float:
+    """2-norm condition number of S^T S, S the stacked system at t."""
+    s = build_stacked(code, received, t).matrix
+    return float(np.linalg.cond(s.T @ s))
+
+
 def run_monte_carlo(config: ExperimentConfig) -> Report:
     """Estimate P_F, P_ML, P_e for every (L, t) cell of the config.
 
@@ -215,24 +239,14 @@ def run_monte_carlo(config: ExperimentConfig) -> Report:
     """
     fld = config.field
     code = config.code()
-    enc = code.encoding_matrix().T  # k x n, word = messages @ enc
     cells = []
     for l in config.l_values:
         for t in config.t_values:
-            spec = None if t == 0 else config.error_spec(t)
             failures = undetected = 0
             conds = []
-            for trial in range(config.trials):
-                rng = _trial_rng(config.seed, l, t, trial)
-                word = fld.matmul(_random_messages(fld, rng, l, config.k), enc)
-                if spec is None:
-                    received = word
-                else:
-                    err = sample_error(spec, fld, l, config.n, rng)
-                    received = inject(word, err.e, fld)
+            for word, received in _trials(config, code, l, t):
                 if config.measure_cond and t >= 1:
-                    s = build_stacked(code, received, t).matrix
-                    conds.append(float(np.linalg.cond(s.T @ s)))
+                    conds.append(_gram_cond(code, received, t))
                 outcome = _decode_once(config, code, received)
                 if not outcome.success:
                     failures += 1
@@ -261,21 +275,11 @@ def condnum_study(config: ExperimentConfig) -> Report:
         bad = [t for t in config.t_values if t > tm]
         if bad:
             raise InvalidParameters(f"t={bad[0]} exceeds t_max={tm} for L={l}")
-    fld = config.field
     code = config.code()
-    enc = code.encoding_matrix().T
     cells = []
     for l in config.l_values:
         for t in config.t_values:
-            spec = config.error_spec(t)
-            conds = []
-            for trial in range(config.trials):
-                rng = _trial_rng(config.seed, l, t, trial)
-                word = fld.matmul(_random_messages(fld, rng, l, config.k), enc)
-                err = sample_error(spec, fld, l, config.n, rng)
-                received = inject(word, err.e, fld)
-                s = build_stacked(code, received, t).matrix
-                conds.append(float(np.linalg.cond(s.T @ s)))
+            conds = [_gram_cond(code, received, t) for _, received in _trials(config, code, l, t)]
             cells.append(CellStats(t=t, l=l, trials=config.trials, failures=0,
                                    undetected=0,
                                    mean_cond=math.fsum(conds) / len(conds)))

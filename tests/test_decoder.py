@@ -2,12 +2,14 @@
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irscollab import decoder as decoder_module
 from irscollab.decoder import (
     DecodeOutcome,
     ErrorLocator,
@@ -720,3 +722,171 @@ def test_blocked_decode_matches_reference_past_t_max(monkeypatch, oracle_solve):
     with monkeypatch.context() as patch:
         patch.setattr(PrimeField, "_solve", oracle_solve)
         assert recover_error_values(code, wrong, synd) is None
+
+
+# ---------------------------------------------------------------------------
+# Decoding on the row space of the syndromes, against all L layers
+# ---------------------------------------------------------------------------
+
+ROW_SPACE_PRIMES = [2, 3, 257, 65537, 2**61 - 1]
+WORD_KINDS = ["clean", "planted", "identical", "past", "rank_one", "low_rank"]
+
+
+def _full_layers(field, values):
+    return values
+
+
+def _collab_word(fld, n, k, l, kind, rng):
+    """A received L x n word on the points 1..n: a codeword plus errors of
+    the given kind.  identical: one erroneous layer repeated L times;
+    past: uniform errors in more than t_max columns; rank_one: error layers
+    that are multiples of one row; low_rank: errors in e columns whose
+    values have rank below e, so rank(S) < e."""
+    code = make_grs(fld, n, k, list(range(1, n + 1)))
+    tm = t_max(n, k, l)
+    word = fld.matmul(fld.array(rng.integers(0, fld.p, (l, k))), code.encoding_matrix().T)
+    rows = 1 if kind == "identical" else l
+    weight = {"clean": 0, "planted": rng.integers(0, tm + 1), "identical": rng.integers(1, n + 1),
+              "past": rng.integers(min(tm + 1, n), n + 1), "rank_one": rng.integers(1, n + 1),
+              "low_rank": rng.integers(min(2, n), n + 1)}[kind]
+    cols = rng.choice(n, weight, replace=False)
+    if kind in ("rank_one", "low_rank"):
+        rank = 1 if kind == "rank_one" else rng.integers(1, max(weight, 2))
+        vals = fld.matmul(fld.array(rng.integers(1, fld.p, (rows, rank))),
+                          fld.array(rng.integers(1, fld.p, (rank, weight))))
+    else:
+        vals = fld.array(rng.integers(1, fld.p, (rows, weight)))
+    e = fld.zeros((rows, n))
+    e[:, cols] = vals
+    if kind == "identical":
+        word = np.repeat(word[:1], l, axis=0)
+        e = np.repeat(e, l, axis=0)
+    return code, fld.add(word, e)
+
+
+def _decode_compressed_and_full(code, received):
+    """cpda and mssr outcomes, asserted equal with and without compression."""
+    fld = code.field
+    compressed = [cpda_decode(code, received), mssr_decode(code, received)]
+    with mock.patch.object(decoder_module, "_row_space", _full_layers):
+        full = [cpda_decode(code, received), mssr_decode(code, received)]
+    for got, want in zip(compressed, full):
+        assert outcomes_equal(fld, got, want)
+    assert outcomes_equal(fld, *compressed)
+    return compressed[0]
+
+
+@st.composite
+def _syndrome_matrices(draw):
+    """(field, S): L x m syndrome-like rows with L > m: products of an
+    L x rank and a rank x m matrix, sums of geometric sequences (error
+    syndromes), identical rows, or zeros."""
+    fld = PrimeField(draw(st.sampled_from(ROW_SPACE_PRIMES)))
+    m = draw(st.integers(1, 10))
+    l = draw(st.integers(m + 1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["product", "geometric", "identical", "zeros"]))
+    rand = lambda *shape: fld.array(rng.integers(0, fld.p, shape))
+    if kind == "product":
+        rank = draw(st.integers(1, m))
+        s = fld.matmul(rand(l, rank), rand(rank, m))
+    elif kind == "geometric":
+        w = draw(st.integers(1, m))
+        s = fld.matmul(rand(l, w), fld.power_matrix(rand(w), m))
+    elif kind == "identical":
+        s = np.repeat(rand(1, m), l, axis=0)
+    else:
+        s = fld.zeros((l, m))
+    return fld, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_syndrome_matrices())
+def test_row_space_keeps_every_stacked_system(case):
+    # Over every prime, GF(2) included: each t-stack of the basis has the
+    # solution and rank of the t-stack of all L rows, no t below the rank of
+    # the basis is consistent, and the synthesized recurrence is the same.
+    fld, s = case
+    basis = decoder_module._row_space(fld, s)
+    assert basis.dtype == s.dtype and len(basis) == fld.rank(s)
+    assert fld.rank(np.vstack([basis, s])) == len(basis)
+    for t in range(1, s.shape[1]):
+        full, small = (decoder_module._stack(v, t, fld) for v in (s, basis))
+        x_full, rank_full = fld._solve(full.matrix, full.rhs[:, None])
+        x_small, rank_small = fld._solve(small.matrix, small.rhs[:, None])
+        assert rank_small == rank_full
+        assert (x_small is None) == (x_full is None)
+        assert x_full is None or np.array_equal(x_small, x_full)
+        if t < len(basis):
+            assert x_full is None
+    t_full, c_full = synthesize_recurrence(fld, s)
+    t_small, c_small = synthesize_recurrence(fld, basis)
+    assert t_small == t_full
+    if t_full and fld.rank(decoder_module._stack(s, t_full, fld).matrix) == t_full:
+        assert np.array_equal(c_small, c_full)
+
+
+@st.composite
+def _deep_words(draw):
+    """(code, received) with more layers than syndromes.  GF(2) has a single
+    nonzero evaluation point, so it has no code to decode and is covered by
+    test_row_space_keeps_every_stacked_system instead."""
+    p = draw(st.sampled_from(ROW_SPACE_PRIMES[1:]))
+    n = draw(st.integers(2, min(p - 1, 14)))
+    k = draw(st.integers(1, n - 1))
+    l = draw(st.integers(n - k + 1, 64))
+    kind = draw(st.sampled_from(WORD_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _collab_word(PrimeField(p), n, k, l, kind, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_deep_words())
+def test_compressed_decoding_matches_full_layers(case):
+    _decode_compressed_and_full(*case)
+
+
+def test_compressed_decoding_reaches_every_outcome():
+    # The differential check above, on fixed words that between them
+    # succeed and fail with every reason that can occur over GF(p).
+    fld = PrimeField(17)
+    rng = np.random.default_rng(700)
+    seen = set()
+    for trial in range(300):
+        kind = WORD_KINDS[trial % len(WORD_KINDS)]
+        code, received = _collab_word(fld, 16, 4, int(rng.integers(13, 65)), kind, rng)
+        out = _decode_compressed_and_full(code, received)
+        seen.add(out.reason if not out.success else kind == "clean")
+        if len(seen) == 5:
+            break
+    assert seen == {True, False, FailureReason.NO_CONSISTENT_T, FailureReason.NOT_T_VALID,
+                    FailureReason.RANK_DEFICIENT}
+
+
+@pytest.mark.parametrize("decode", [cpda_decode, mssr_decode])
+def test_deep_decode_stacks_at_most_positions_squared_rows(monkeypatch, decode):
+    # With L = 16384 layers the stacked systems and solves see the row space
+    # of the syndromes, not L (N - K - t) rows.
+    fld = PrimeField(257)
+    n, k, l, t = 40, 16, 16384, 20
+    code = make_grs(fld, n, k, [pow(fld.primitive_root(), i, fld.p) for i in range(n)])
+    rng = np.random.default_rng(800)
+    word = fld.matmul(fld.rand_elements(rng, (l, k)), code.encoding_matrix().T)
+    err = sample_error(ErrorModelSpec(kind="uref", t=t), fld, l, n, rng)
+    rows = []
+    stack, solve = decoder_module._stack, PrimeField._solve
+
+    def counting_stack(values, t, field):
+        system = stack(values, t, field)
+        rows.append(system.matrix.shape[0])
+        return system
+
+    def counting_solve(self, a, rhs):
+        rows.append(a.shape[0])
+        return solve(self, a, rhs)
+
+    monkeypatch.setattr(decoder_module, "_stack", counting_stack)
+    monkeypatch.setattr(PrimeField, "_solve", counting_solve)
+    out = decode(code, inject(word, err.e, fld))
+    assert out.success and np.array_equal(out.corrected, word)
+    assert rows and max(rows) <= (n - k) ** 2

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -534,3 +535,62 @@ def test_blocked_solve_row_reduce_heights_stay_bounded(monkeypatch):
     assert fld.solve_consistent(a, b) is None
     first = max(field_module._FIRST_BLOCK, 2 * n)
     assert heights and max(heights) <= first + n
+
+
+# ---------------------------------------------------------------------------
+# Coercion: object elements and the range check of canonical int64 arrays
+# ---------------------------------------------------------------------------
+
+def test_object_elements_become_python_ints():
+    # A numpy integer inside an object array used to survive the reduction
+    # and wrap on multiplication: 2**60 squared mod 2**61 - 1 came out 0.
+    p = 2**61 - 1
+    fld = PrimeField(p)
+    a = fld.array(np.array([np.int64(2**60), np.uint64(p + 5), 7], dtype=object))
+    assert all(type(v) is int for v in a)
+    assert a.tolist() == [2**60, 5, 7]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fld.mul(a, a).tolist() == [2**120 % p, 25, 49]
+        assert fld.mul(np.array([np.int64(2**60)], dtype=object), 2**60).tolist() == [2**120 % p]
+    assert fld.array(np.array(np.int64(2**60), dtype=object)) == 2**60
+    # Object arrays over a small field still come out int64.
+    small = PrimeField(257).array(np.array([np.int64(-1), 300], dtype=object))
+    assert small.dtype == np.int64 and small.tolist() == [256, 43]
+
+
+def test_object_arrays_reject_non_integers():
+    for p in (257, 2**61 - 1):
+        with pytest.raises(TypeError):
+            PrimeField(p).array(np.array([1, 2.5], dtype=object))
+
+
+GATE = field_module._RANGE_CHECK_MIN
+
+
+@pytest.mark.parametrize("p", [2, 257, 65537, 3_037_000_493])
+@pytest.mark.parametrize("size", [1, GATE - 1, GATE, GATE + 1, 3 * GATE])
+@pytest.mark.parametrize("kind", ["canonical", "negative", "p", "p_minus_1", "large"])
+def test_array_reduces_int64_on_both_sides_of_the_range_check(p, size, kind):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(size + p)
+    x = rng.integers(0, p, size, dtype=np.int64)
+    where = rng.integers(0, size)
+    x[where] = {"canonical": x[where], "negative": -1 - x[where], "p": p,
+                "p_minus_1": p - 1, "large": 2**62 + 3}[kind]
+    before = x.copy()
+    got = fld.array(x)
+    assert got.dtype == np.int64
+    assert got.tolist() == [int(v) % p for v in before.tolist()]
+    assert not np.shares_memory(got, x)
+    got[:] = 0
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.uint8])
+def test_array_reduces_other_integer_dtypes(dtype):
+    fld = PrimeField(251)
+    x = (np.arange(2 * GATE) % 256).astype(dtype)
+    got = fld.array(x)
+    assert got.dtype == np.int64 and got.tolist() == [int(v) % 251 for v in x.tolist()]
+    assert not np.shares_memory(got, x)

@@ -317,6 +317,9 @@ GOLDEN_RUNS = {
         ["--field", "real", "--n", "8", "--k", "2", "--l", "6", "--t", "3:6",
          "--trials", "300", "--alphas", "pow:0.9", "--decoder", "mssr", "--seed", "3"],
 }
+GOLDEN_CONDNUM = ("real_n8_k2_l2-4_t1-4_pow0.9_condnum_seed3.csv",
+                  ["--n", "8", "--k", "2", "--l", "2:4", "--t", "1:4", "--trials", "200",
+                   "--alphas", "pow:0.9", "--seed", "3"])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
@@ -325,6 +328,13 @@ def test_cli_simulate_reproduces_golden_csv(tmp_path, capsys, name):
     # must reproduce them byte for byte.
     out = tmp_path / name
     assert main(["simulate", *GOLDEN_RUNS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_cli_condnum_reproduces_golden_csv(tmp_path, capsys):
+    name, args = GOLDEN_CONDNUM
+    out = tmp_path / name
+    assert main(["condnum", *args, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
