@@ -118,8 +118,8 @@ def _cmd_demo_matmul(args) -> int:
                             exp_a=exp_a, exp_b=exp_b)
     report = demo_matmul(params, args.t, args.seed)
     if not report.success:
-        print(f"decode failed with {report.t} faulty workers of {report.num_workers}: "
-              f"{report.reason.value}")
+        reason = getattr(report.reason, "value", report.reason)
+        print(f"decode failed with {report.t} faulty workers of {report.num_workers}: {reason}")
         return EXIT_DECODE_FAILURE
     print(f"recovered the product with {report.t} faulty workers of "
           f"{report.num_workers}; max relative error {report.max_rel_error:.3e}")

@@ -25,6 +25,12 @@ keeps all L layers.  Sequences sharing a recurrence of length t span at
 most t dimensions, so cpda_decode starts its scan at the rank of S.  Real
 words keep all L layers: the conditioning of the real decoder depends on L.
 
+The Monte Carlo harness decodes GF(p) words only in batches, through
+_decode_batch: it gives every word of a (B, L, N) stack the outcome that
+cpda_decode or mssr_decode would, with each stage one array operation over
+the whole stack, row bases included for every L.  The public decoders take
+one word, so a deep word keeps the blocked scan above.
+
 Two decoders are provided and produce identical outcomes: cpda_decode scans
 t = 1, 2, ... and accepts the first t whose stacked system is consistent
 (with a unique solution), while mssr_decode synthesizes the minimal-length
@@ -369,7 +375,7 @@ def is_t_valid(code: GrsCode, locator: ErrorLocator):
         coeffs = fld.array(locator.coeffs)
         if coeffs[-1] == 0:
             return False, ()
-        cands = fld.inv(code.alphas)
+        cands = code.inverse_powers()[:, 1]
         acc = fld.zeros(code.n)
         for c in list(coeffs[::-1]) + [1]:
             acc = (acc * cands + c) % fld.p
@@ -566,6 +572,115 @@ def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
         if kind == "success":
             return res
     return DecodeOutcome.fail(first_reason)
+
+
+# ---------------------------------------------------------------------------
+# Batch decoding of many small GF(p) words
+# ---------------------------------------------------------------------------
+
+def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
+    """Outcomes of cpda_decode or mssr_decode (decoder "cpda" or "mssr") for
+    every word of a canonical (B, L, N) GF(p) stack.
+
+    Each stage runs on the whole stack: the syndromes are one product, the
+    clean words one zero test, and the RREF row bases of the syndrome
+    matrices one masked Gauss-Jordan elimination (PrimeField._reduce_batch),
+    each basis padded with zero rows to min(L, N - K).  cpda then runs one
+    elimination per t over the stacked systems of the words still scanning;
+    a word joins the scan at the rank of its basis and leaves it at its
+    first consistent t, where over GF(p) the outcome is final: rank
+    deficient, or on to the tail.  mssr synthesizes each word's recurrence
+    from its basis and checks the rank at each length found by one
+    elimination.  The tail, _finish_batch, runs once per t on the words
+    accepted at that t.
+    """
+    _require_invertible_points(code)
+    fld, p = code.field, code.field.p
+    count, l, n = words.shape
+    m, tm = n - code.k, t_max(n, code.k, l)
+    synd = fld._matmul(words, code.syndrome_matrix())
+    outcomes = [None] * count
+    dirty = np.flatnonzero(synd.any(axis=(1, 2)))
+    for i in np.setdiff1d(np.arange(count), dirty):
+        outcomes[i] = _clean_outcome(fld, words[i])
+    basis, rank, _ = fld._reduce_batch(synd[dirty], m)
+    basis = basis[:, :min(l, m)]
+
+    def fail(pos, reason):
+        for j in pos:
+            outcomes[dirty[j]] = DecodeOutcome.fail(reason)
+
+    def finish(pos, coeffs):
+        if pos.size:
+            trials = dirty[pos]
+            for i, out in zip(trials, _finish_batch(code, words[trials], synd[trials], coeffs)):
+                outcomes[i] = out
+
+    if decoder == "cpda":
+        scanning = np.arange(len(dirty))
+        for t in range(1, tm + 1):
+            # No t below the rank of a basis is consistent (see cpda_decode).
+            pos = scanning[rank[scanning] <= t]
+            if not pos.size:
+                continue
+            # Every window of t + 1 syndromes is a row [A | -b] of the stack.
+            red, r, done = fld._reduce_batch(sliding_window_view(basis[pos], t + 1, axis=2), t)
+            scanning = np.setdiff1d(scanning, pos[done])
+            fail(pos[done & (r < t)], FailureReason.RANK_DEFICIENT)
+            full = done & (r == t)
+            # The pivots are columns 0..t-1, and the solution is -(c_t, ..., c_1).
+            finish(pos[full], (p - red[full, :t, t])[:, ::-1] % p)
+        fail(scanning, FailureReason.NO_CONSISTENT_T)
+        return outcomes
+    found = {}
+    for j in range(len(dirty)):
+        t, coeffs = _synthesize_gf(fld, basis[j, :rank[j]])
+        if t > tm:
+            fail([j], FailureReason.NO_CONSISTENT_T)
+        else:
+            found.setdefault(t, []).append((j, coeffs))
+    for t, group in found.items():
+        pos = np.array([j for j, _ in group])
+        coeffs = np.array([c for _, c in group], dtype=fld.dtype)
+        r = fld._reduce_batch(sliding_window_view(basis[pos], t + 1, axis=2), t)[1]
+        fail(pos[r < t], FailureReason.RANK_DEFICIENT)
+        finish(pos[r == t], coeffs[r == t])
+    return outcomes
+
+
+def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, coeffs: np.ndarray):
+    """_finish for a stack of words with locators of one length t.
+
+    The Chien search evaluates every locator (1, c_1, ..., c_t) at every
+    candidate 1/alpha_j by one product with the cached power table; a word
+    is t-valid when exactly t candidates are roots, listed in column order.
+    The value solves are one masked elimination of the (B, N - K, t + L)
+    stack [H_t^T | S^T], and the subtraction writes every word at once.
+    """
+    fld, p = code.field, code.field.p
+    count, t = coeffs.shape
+    outcomes = [DecodeOutcome.fail(FailureReason.NOT_T_VALID)] * count
+    locators = np.hstack([fld.ones((count, 1)), coeffs])
+    roots = fld._matmul(locators, code.inverse_powers()[:, :t + 1].T) == 0
+    valid = np.flatnonzero(roots.sum(axis=1) == t)
+    locs = np.nonzero(roots[valid])[1].reshape(-1, t)
+    system = np.concatenate([code.syndrome_matrix()[locs].transpose(0, 2, 1),
+                             synd[valid].transpose(0, 2, 1)], axis=2)
+    red, _, solved = fld._reduce_batch(system, t)
+    # H_t has full column rank t (distinct nonzero points), so x = red[:t].
+    values = red[:, :t, t:].transpose(0, 2, 1)
+    cols = np.broadcast_to(locs[:, None, :], values.shape)
+    corrected = words[valid]
+    fixed = np.take_along_axis(corrected, cols, axis=2) + (p - values)
+    fixed %= p  # % is several times faster on non-negative operands
+    np.put_along_axis(corrected, cols, fixed, axis=2)
+    for k, (i, where) in enumerate(zip(valid, locs.tolist())):
+        if solved[k]:
+            outcomes[i] = DecodeOutcome.ok(corrected[k], ErrorLocator(coeffs=coeffs[i]),
+                                           where, values[k])
+        else:
+            outcomes[i] = DecodeOutcome.fail(FailureReason.SYNDROME_RESIDUAL)
+    return outcomes
 
 
 def outcomes_equal(field: Field, a: DecodeOutcome, b: DecodeOutcome, rtol=None) -> bool:

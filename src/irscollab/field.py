@@ -17,7 +17,9 @@ independent rows are found, every remaining row is checked with one residual
 matmul, so the cost of a tall stacked system grows linearly in its height.
 A system with more right-hand sides than its first block has rows reduces
 [a | I] instead and applies the row transform to every right-hand side with
-one matmul.
+one matmul.  Many small systems of one shape, such as a Monte Carlo cell's,
+go through PrimeField._reduce_batch instead: one masked Gauss-Jordan step
+per column over the whole (B, rows, width) stack.
 
 A GF(p) matmul that is not tiny runs on float64 BLAS (dgemm) for int64
 elements while inner * (p - 1)**2 < 2**53, reduced mod p once at the end;
@@ -75,6 +77,10 @@ _RANGE_CHECK_MIN = 2**12
 # rejects non-integers such as floats.
 _as_int = np.frompyfunc(operator.index, 1, 1)
 
+# Moduli below this invert arrays by lookup in a table of all p inverses
+# (at most 512 KB), built on first use; larger ones by square-and-multiply.
+_INV_TABLE_P = 2**16
+
 # Minimum height of the first row block of PrimeField._solve: systems this
 # short are eliminated in one dense pass.
 _FIRST_BLOCK = 64
@@ -131,7 +137,7 @@ class ToleranceProfile:
 class PrimeField:
     """The prime field GF(p).  Elements are canonical ints in [0, p)."""
 
-    __slots__ = ("p", "_primitive_root")
+    __slots__ = ("p", "_primitive_root", "_inv_table")
 
     def __init__(self, p: int):
         if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
@@ -141,6 +147,7 @@ class PrimeField:
             raise InvalidParameters(f"field modulus must be prime, got {p}")
         self.p = p
         self._primitive_root = None
+        self._inv_table = None
 
     # -- identity ---------------------------------------------------------
 
@@ -234,11 +241,34 @@ class PrimeField:
         if isinstance(val, np.ndarray):
             if np.any(val == 0):
                 raise ZeroDivisionError(f"zero has no inverse in GF({self.p})")
-            flat = [pow(int(v), self.p - 2, self.p) for v in val.ravel()]
-            return np.array(flat, dtype=val.dtype).reshape(val.shape)
+            return self._inverse(val)
         if val == 0:
             raise ZeroDivisionError(f"zero has no inverse in GF({self.p})")
         return pow(val, self.p - 2, self.p)
+
+    def _inverse(self, a):
+        """Elementwise inverse of a canonical array without zeros.
+
+        For p below _INV_TABLE_P, a lookup in a table of every inverse, built
+        on first use.  Otherwise a**(p - 2) by square-and-multiply over the
+        whole array: about 2 log2(p) array products, not one pow per entry.
+        """
+        if self.p >= _INV_TABLE_P:
+            return self._power(a, self.p - 2)
+        if self._inv_table is None:
+            self._inv_table = self._power(np.arange(self.p), self.p - 2)
+        return self._inv_table[a]
+
+    def _power(self, a, e: int):
+        """a**e mod p, elementwise, for a canonical array a."""
+        out = self.ones(a.shape)
+        while e:
+            if e & 1:
+                out = out * a % self.p
+            e >>= 1
+            if e:
+                a = a * a % self.p
+        return out
 
     def is_zero(self, a, scale=1.0):
         """Exact zero test; scale is ignored over a finite field."""
@@ -338,6 +368,57 @@ class PrimeField:
             piv_cols.append(c)
             r += 1
         return m, piv_cols
+
+    def _reduce_batch(self, m, ncols):
+        """RREF mod p of every matrix in a canonical (B, rows, width) stack.
+
+        Axes between the first and the last count as rows: a (B, R, n,
+        width) stack is reduced as (B, R * n, width), with one copy.  Pivots
+        are searched only in the first ncols columns, as in _row_reduce.
+        Returns (reduced, rank, consistent), the last two length-B arrays:
+        consistent is whether every row past the rank is zero, that is,
+        whether the columns after ncols, as right-hand sides, are solvable.
+
+        Each column is one masked Gauss-Jordan step over the whole stack:
+        every matrix with a pivot in that column at or below its rank swaps
+        the first such row up, scales it to 1 and clears the column in all
+        its other rows, and the other matrices are left as they are.  The
+        loop stops early once every matrix has full row rank.  This is the
+        batch counterpart of _row_reduce for many small systems of one
+        shape, where one step over the stack replaces a Python-level
+        elimination per matrix.
+        """
+        m = np.array(m, order="C")  # a copy, with contiguous rows
+        m = m.reshape(len(m), math.prod(m.shape[1:-1]), m.shape[-1])
+        count, rows, _ = m.shape
+        p = self.p
+        rank = np.zeros(count, dtype=np.intp)
+        every, below = np.arange(count), np.arange(rows)
+        work = np.empty_like(m)  # the update, then the quotients
+        for c in range(ncols):
+            if (rank == rows).all():
+                break
+            cand = (m[:, :, c] != 0) & (below >= rank[:, None])
+            has = cand.any(axis=1)
+            r = np.minimum(rank, rows - 1)
+            q = np.where(has, cand.argmax(axis=1), r)  # no pivot: row r stays put
+            prow = m[every, q]
+            m[every, q] = m[every, r]
+            lead = np.where(has, prow[:, c], 1)
+            prow = prow * self._inverse(lead)[:, None] % p
+            m[every, r] = prow
+            factors = p - m[:, :, c]  # the negated column, plus p
+            factors[~has] = 0
+            factors[every, r] = 0
+            np.multiply(factors[:, :, None], prow[:, None, :], out=work)
+            m += work
+            # m %= p, by floor division: numpy's int64 // by a scalar is about
+            # 2.5 times faster than its % (100 x 24 x 8: 20 us against 50 us).
+            np.floor_divide(m, p, out=work)
+            work *= p
+            m -= work
+            rank += has
+        return m, rank, ~(m.any(axis=2) & (below >= rank[:, None])).any(axis=1)
 
     def _scan(self, a, rhs):
         """The blocked row scan behind _solve, for canonical 2-D a and rhs.

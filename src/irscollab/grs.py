@@ -22,7 +22,7 @@ class GrsCode:
     """Immutable GRS code parameters plus cached evaluation/syndrome matrices."""
 
     __slots__ = ("field", "n", "k", "alphas", "v", "u",
-                 "_enc_mat", "_synd_mat", "_synd_mat_abs", "_cand_gaps")
+                 "_enc_mat", "_synd_mat", "_synd_mat_abs", "_cand_gaps", "_inv_pows")
 
     def __init__(self, field: Field, n: int, k: int, alphas, v, u):
         self.field = field
@@ -37,6 +37,7 @@ class GrsCode:
         self._synd_mat = None
         self._synd_mat_abs = None
         self._cand_gaps = None
+        self._inv_pows = None
 
     @property
     def d_min(self) -> int:
@@ -73,6 +74,19 @@ class GrsCode:
             mat.setflags(write=False)
             self._synd_mat_abs = mat
         return self._synd_mat_abs
+
+    def inverse_powers(self) -> np.ndarray:
+        """N x (N-K+1) matrix W with W[j, i] = alpha_j**-i.
+
+        Row j holds the powers of the candidate root 1/alpha_j, so a locator
+        of degree t <= N - K is evaluated at every candidate by one product
+        with W[:, :t+1].  Built on first use; the points must be nonzero.
+        """
+        if self._inv_pows is None:
+            mat = self.field.power_matrix(self.field.inv(self.alphas), self.n - self.k + 1)
+            mat.setflags(write=False)
+            self._inv_pows = mat
+        return self._inv_pows
 
     def candidate_gaps(self) -> np.ndarray:
         """Per-candidate nearest-neighbour distance among the 1/alpha_j."""

@@ -8,12 +8,16 @@ deterministic CSV reports.
 
 Every trial draws from its own counter-based RNG stream keyed by
 (master seed, L, t, trial index), so runs are reproducible cell by cell and
-independent of execution order.
+independent of execution order.  Over GF(p) a cell's trials are then
+stacked and decoded together by the batch decoder (decoder._decode_batch,
+the one GF(p) decode path here), which gives each trial the outcome of the
+single-word decoder; over the reals each trial is decoded on its own.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -21,9 +25,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decoder import FailureReason, build_stacked, cpda_decode, mssr_decode, outcomes_equal, t_max
+from .decoder import (FailureReason, _decode_batch, build_stacked, cpda_decode, mssr_decode,
+                      outcomes_equal, t_max)
 from .errmodel import ErrorModelSpec, inject, sample_error
-from .errors import DecoderMismatch, InvalidParameters
+from .errors import DecoderMismatch, InvalidParameters, NotACodeword
 from .field import Field, PrimeField, RealField
 from .grs import make_grs
 from .polycode import PolyCodeParams, assemble_irs, encode_tasks, recover_product, worker_compute
@@ -50,6 +55,11 @@ CLASSIFY_RTOL = 1e-6
 
 _DECODERS = ("cpda", "mssr", "both")
 _MODELS = ("uref", "gre")
+_SINGLE = {"cpda": cpda_decode, "mssr": mssr_decode}
+
+# Received symbols per batch of trials.  It bounds the batch decoder's arrays,
+# which hold a few times as many elements, whatever the trial count.
+_BATCH_SYMBOLS = 2**20
 
 
 def make_alphas(field: Field, n: int, rule: str):
@@ -190,19 +200,23 @@ def _words_differ(fld: Field, got, want) -> bool:
     return bool(np.max(np.abs(got - want)) > CLASSIFY_RTOL * scale)
 
 
-def _decode_once(config: ExperimentConfig, code, received):
-    if config.decoder == "cpda":
-        return cpda_decode(code, received)
-    if config.decoder == "mssr":
-        return mssr_decode(code, received)
-    a = cpda_decode(code, received)
-    b = mssr_decode(code, received)
-    if isinstance(config.field, PrimeField):
-        if not outcomes_equal(config.field, a, b):
-            raise DecoderMismatch(f"decoders disagree: {a.reason} vs {b.reason}")
-    elif not outcomes_equal(config.field, a, b, rtol=CLASSIFY_RTOL):
-        warnings.warn("cpda and mssr disagree beyond tolerance; keeping the cpda outcome")
-    return a
+def _checked(config: ExperimentConfig, decode) -> list:
+    """decode(name), a list of outcomes, for the configured decoder.
+
+    With "both", the cpda outcomes after comparing each with mssr's: over
+    GF(p) any difference raises DecoderMismatch, over the reals one beyond
+    CLASSIFY_RTOL warns.
+    """
+    if config.decoder != "both":
+        return decode(config.decoder)
+    cpda, mssr = decode("cpda"), decode("mssr")
+    for a, b in zip(cpda, mssr):
+        if isinstance(config.field, PrimeField):
+            if not outcomes_equal(config.field, a, b):
+                raise DecoderMismatch(f"decoders disagree: {a.reason} vs {b.reason}")
+        elif not outcomes_equal(config.field, a, b, rtol=CLASSIFY_RTOL):
+            warnings.warn("cpda and mssr disagree beyond tolerance; keeping the cpda outcome")
+    return cpda
 
 
 def _trials(config: ExperimentConfig, code, l: int, t: int):
@@ -221,6 +235,25 @@ def _trials(config: ExperimentConfig, code, l: int, t: int):
             yield word, word
         else:
             yield word, inject(word, sample_error(spec, fld, l, config.n, rng).e, fld)
+
+
+def _decoded(config: ExperimentConfig, code, l: int, t: int):
+    """(word, received, outcome) for every trial of the (L, t) cell, in order.
+
+    The trials go in batches of at most _BATCH_SYMBOLS received symbols.  A
+    GF(p) batch is stacked and decoded by the batch decoder.  Real trials are
+    decoded one at a time: batched least squares would sum in another order.
+    """
+    trials = _trials(config, code, l, t)
+    size = max(1, _BATCH_SYMBOLS // (l * config.n))
+    while batch := list(itertools.islice(trials, size)):
+        words, received = zip(*batch)
+        if isinstance(config.field, PrimeField):
+            stack = np.stack(received)
+            outcomes = _checked(config, lambda name: _decode_batch(code, stack, name))
+        else:
+            outcomes = _checked(config, lambda name: [_SINGLE[name](code, r) for r in received])
+        yield from zip(words, received, outcomes)
 
 
 def _gram_cond(code, received, t: int) -> float:
@@ -244,10 +277,9 @@ def run_monte_carlo(config: ExperimentConfig) -> Report:
         for t in config.t_values:
             failures = undetected = 0
             conds = []
-            for word, received in _trials(config, code, l, t):
+            for word, received, outcome in _decoded(config, code, l, t):
                 if config.measure_cond and t >= 1:
                     conds.append(_gram_cond(code, received, t))
-                outcome = _decode_once(config, code, received)
                 if not outcome.success:
                     failures += 1
                 elif _words_differ(fld, outcome.corrected, word):
@@ -305,11 +337,15 @@ def pf_bound(q: int, n: int, k: int, l: int, t: int) -> float:
 
 @dataclass(frozen=True)
 class DemoReport:
-    """End-to-end coded matmul outcome."""
+    """End-to-end coded matmul outcome.
+
+    On failure, reason is the decoder's FailureReason, or "not_a_codeword"
+    when the decoded word fails the interpolation of the product.
+    """
 
     success: bool
     max_rel_error: float | None
-    reason: FailureReason | None = None
+    reason: FailureReason | str | None = None
     t: int = 0
     num_workers: int = 0
 
@@ -319,8 +355,9 @@ def demo_matmul(params: PolyCodeParams, t: int, seed: int = 0) -> DemoReport:
 
     Generates random inputs, distributes encoded tasks, corrupts the
     outputs of t workers, decodes collaboratively, and compares the
-    recovered product to the directly computed one.  A decoding impasse is
-    reported in the outcome, not raised.
+    recovered product to the directly computed one.  A decoding impasse, or
+    a decoded word that the interpolation rejects, is reported in the
+    outcome, not raised.
     """
     fld = params.field
     # Fixed demo shapes: 4 inner rows and blocks of width 2, giving an
@@ -345,10 +382,17 @@ def demo_matmul(params: PolyCodeParams, t: int, seed: int = 0) -> DemoReport:
         err = sample_error(ErrorModelSpec(kind=kind, t=t), fld, l, params.num_workers, rng)
         word = replace(word, d=inject(word.d, err.e, fld))
     outcome = cpda_decode(word.code, word.d)
-    if not outcome.success:
-        return DemoReport(success=False, max_rel_error=None, reason=outcome.reason,
+    reason = outcome.reason
+    if outcome.success:
+        try:
+            product = recover_product(params, replace(word, d=outcome.corrected))
+        except NotACodeword:
+            # Over the reals a certified word can still miss the
+            # interpolation's residual tolerance on ill-conditioned points.
+            reason = "not_a_codeword"
+    if reason is not None:
+        return DemoReport(success=False, max_rel_error=None, reason=reason,
                           t=t, num_workers=params.num_workers)
-    product = recover_product(params, replace(word, d=outcome.corrected))
     truth = fld.matmul(a.T, b)
     if isinstance(fld, PrimeField):
         rel = 0.0 if np.array_equal(product, truth) else 1.0

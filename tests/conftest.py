@@ -4,7 +4,8 @@ gauss_jordan_solve is an unblocked exact solver: one Gauss-Jordan pass over
 the whole augmented matrix, with a whole-matrix update per pivot.  It is slow
 on tall stacks but simple, so the blocked PrimeField._solve is checked against
 it, and it can be patched into PrimeField in its place to run whole decodes on
-the reference path.
+the reference path.  Its RREF pass also checks the batched elimination
+PrimeField._reduce_batch, matrix by matrix.
 
 gaussian_synthesize is the GF(p) recurrence synthesis that decoder.py used
 before its Berlekamp-Massey pass: at every nonzero discrepancy it refits the
@@ -52,6 +53,12 @@ def gauss_jordan_solve(field, a, rhs):
     if piv:
         x[np.array(piv), :] = red[:nrank, n:]
     return x, nrank
+
+
+@pytest.fixture(scope="session")
+def oracle_reduce():
+    """The reference RREF: oracle_reduce(field, m, ncols) -> (rref, pivots)."""
+    return _row_reduce
 
 
 @pytest.fixture(scope="session")

@@ -890,3 +890,114 @@ def test_deep_decode_stacks_at_most_positions_squared_rows(monkeypatch, decode):
     out = decode(code, inject(word, err.e, fld))
     assert out.success and np.array_equal(out.corrected, word)
     assert rows and max(rows) <= (n - k) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Batch decoding of GF(p) words, against the single-word decoders
+# ---------------------------------------------------------------------------
+
+BATCH_PRIMES = [3, 17, 257, 65537, 2**61 - 1]
+
+
+def _batch_matches_single_words(code, words):
+    """cpda and mssr outcomes of the batch decoder, asserted equal to
+    cpda_decode's and mssr_decode's word by word; returns cpda's."""
+    fld = code.field
+    for name, decode in (("mssr", mssr_decode), ("cpda", cpda_decode)):
+        got = decoder_module._decode_batch(code, words, name)
+        assert len(got) == len(words)
+        for outcome, word in zip(got, words):
+            assert outcomes_equal(fld, outcome, decode(code, word))
+    return got
+
+
+@st.composite
+def _word_batches(draw):
+    """(code, (B, L, N) stack) of words of mixed kinds (see _collab_word),
+    with L on both sides of N - K."""
+    p = draw(st.sampled_from(BATCH_PRIMES))
+    n = draw(st.integers(2, min(p - 1, 14)))
+    k = draw(st.integers(1, n - 1))
+    l = draw(st.integers(1, 2 * (n - k) + 2))
+    kinds = draw(st.lists(st.sampled_from(WORD_KINDS), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fld = PrimeField(p)
+    pairs = [_collab_word(fld, n, k, l, kind, rng) for kind in kinds]
+    return pairs[0][0], np.stack([word for _, word in pairs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_word_batches())
+def test_batch_decoding_matches_single_words(case):
+    _batch_matches_single_words(*case)
+
+
+@pytest.mark.parametrize("l", [4, 20])
+def test_batch_decoding_reaches_every_outcome(l):
+    # One fixed GF(17) batch, L below and above N - K = 12, whose words
+    # leave the scan at different t and between them succeed and fail with
+    # every reason that can occur over GF(p).
+    fld = PrimeField(17)
+    rng = np.random.default_rng(900 + l)
+    pairs = [_collab_word(fld, 16, 4, l, WORD_KINDS[i % len(WORD_KINDS)], rng)
+             for i in range(120)]
+    code, words = pairs[0][0], np.stack([word for _, word in pairs])
+    outcomes = _batch_matches_single_words(code, words)
+    seen = {out.reason if not out.success else len(out.locations) > 0 for out in outcomes}
+    assert seen == {True, False, FailureReason.NO_CONSISTENT_T, FailureReason.NOT_T_VALID,
+                    FailureReason.RANK_DEFICIENT}
+    assert len({len(out.locations) for out in outcomes if out.success}) > 3
+
+
+def test_batch_decoding_of_an_empty_stack():
+    code = make_grs(PrimeField(257), 16, 4, list(range(1, 17)))
+    assert decoder_module._decode_batch(code, code.field.zeros((0, 4, 16)), "cpda") == []
+
+
+def test_batch_decoding_requires_nonzero_points():
+    fld = PrimeField(257)
+    code = make_grs(fld, 8, 2, list(range(8)))
+    with pytest.raises(InvalidParameters):
+        decoder_module._decode_batch(code, fld.zeros((3, 2, 8)), "cpda")
+
+
+def test_monte_carlo_cell_makes_one_batched_elimination_per_t(monkeypatch):
+    # A 100-trial mc-gf257 cell (GF(257), N = 16, K = 4, L = 4, t = 9): one
+    # elimination for the row bases, at most one scan elimination and one
+    # value solve per t, and no per-word elimination at all.
+    from irscollab.harness import ExperimentConfig, run_monte_carlo
+
+    calls, single = [], []
+    reduce_batch = PrimeField._reduce_batch
+
+    def counting_reduce(self, m, ncols):
+        calls.append((m.shape, ncols))
+        return reduce_batch(self, m, ncols)
+
+    def per_word(name):
+        return lambda *args: single.append(name)
+
+    monkeypatch.setattr(PrimeField, "_reduce_batch", counting_reduce)
+    for name in ("_scan", "_solve", "_row_reduce"):
+        monkeypatch.setattr(PrimeField, name, per_word(name))
+    config = ExperimentConfig(field=PrimeField(257), n=16, k=4, l_values=(4,), t_values=(9,),
+                              trials=100, model="uref", alphas="primitive", seed=5)
+    cell = run_monte_carlo(config).cell(4, 9)
+    assert cell.failures == cell.undetected == 0
+    assert not single
+    kinds = [(shape[-1] - ncols, ncols) for shape, ncols in calls]
+    assert kinds.count((0, 12)) == 1  # the row bases of the 4 x 12 syndromes
+    scans = [t for extra, t in kinds if extra == 1]
+    solves = [t for extra, t in kinds if extra == 4]
+    assert len(scans) == len(set(scans)) and len(solves) == len(set(solves))
+    assert len(calls) == 1 + len(scans) + len(solves) <= 1 + 2 * t_max(16, 4, 4)
+    assert 9 in solves and all(shape[0] > 1 for shape, _ in calls)
+
+
+def test_is_t_valid_uses_the_cached_inverse_points(monkeypatch):
+    fld = PrimeField(257)
+    code = classical_code(fld, 16, 4)
+    word, received, err = _planted_instance(code, 2, 3, np.random.default_rng(950))
+    locator = cpda_decode(code, received).locator
+    monkeypatch.setattr(PrimeField, "inv", lambda *args: pytest.fail("inverted the points"))
+    assert is_t_valid(code, locator) == (True, err.support)

@@ -594,3 +594,53 @@ def test_array_reduces_other_integer_dtypes(dtype):
     got = fld.array(x)
     assert got.dtype == np.int64 and got.tolist() == [int(v) % 251 for v in x.tolist()]
     assert not np.shares_memory(got, x)
+
+
+# ---------------------------------------------------------------------------
+# Batched elimination and array inverses
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _stacks(draw):
+    """(field, (B, rows, width) stack, ncols): matrices of random rank,
+    zero ones included, whose first rows may span less than the rest."""
+    fld = PrimeField(draw(st.sampled_from(SOLVE_PRIMES)))
+    count = draw(st.integers(0, 6))
+    rows, width = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    ncols = draw(st.integers(0, width))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = fld.zeros((count, rows, width))
+    for b in range(count):
+        rank = int(rng.integers(0, min(rows, width) + 1))
+        if rank:
+            mix = fld.rand_elements(rng, (rows, rank))
+            mix[:rng.integers(0, rows + 1), rng.integers(0, rank + 1):] = 0
+            stack[b] = fld.matmul(mix, fld.rand_elements(rng, (rank, width)))
+    return fld, stack, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks())
+def test_batch_reduce_matches_gauss_jordan_per_matrix(oracle_reduce, case):
+    fld, stack, ncols = case
+    red, rank, consistent = fld._reduce_batch(stack, ncols)
+    assert red.shape == stack.shape and red.dtype == stack.dtype
+    assert rank.shape == consistent.shape == (len(stack),)
+    for got, r, ok, m in zip(red, rank, consistent, stack):
+        want, piv = oracle_reduce(fld, m, ncols)
+        assert np.array_equal(got, want) and r == len(piv)
+        assert ok == (oracle_reduce(fld, m, m.shape[1])[1] == piv)
+
+
+@pytest.mark.parametrize("p", [2, 3, 257, 65521, 65537, 3_037_000_493, 2**61 - 1])
+def test_inverse_of_arrays_matches_pow(p):
+    # Below _INV_TABLE_P by table, above it by square-and-multiply, on
+    # int64 and on object elements.
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p % 1000)
+    vals = [1, p - 1, p - 2, 2] + [int(v) for v in rng.integers(1, min(p, 2**62), 20)]
+    a = fld.array(np.array([v for v in vals if 0 < v < p], dtype=object).reshape(-1, 1))
+    got = fld._inverse(a)
+    assert got.dtype == fld.dtype and got.shape == a.shape
+    assert [int(v) for v in got.ravel()] == [pow(int(v), p - 2, p) for v in a.ravel()]
+    assert np.array_equal(fld.inv(a), got)

@@ -187,3 +187,14 @@ def test_shape_validation():
         syndromes(code, [1, 2, 3])
     with pytest.raises(InvalidParameters):
         interpolate(code, [1, 2, 3])
+
+
+def test_inverse_powers_are_built_on_first_use_and_cached():
+    fld = PrimeField(257)
+    code = make_grs(fld, 16, 4, [pow(3, i, 257) for i in range(16)])
+    assert code._inv_pows is None
+    w = code.inverse_powers()
+    assert w.shape == (16, 13) and w.dtype == np.int64 and not w.flags.writeable
+    assert code.inverse_powers() is w
+    alphas = [int(a) for a in code.alphas]
+    assert w.tolist() == [[pow(a, -i, 257) for i in range(13)] for a in alphas]

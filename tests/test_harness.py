@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from irscollab import harness
 from irscollab.cli import main
-from irscollab.errors import InvalidParameters
+from irscollab.decoder import DecodeOutcome, FailureReason
+from irscollab.errors import DecoderMismatch, InvalidParameters
 from irscollab.field import PrimeField, RealField
 from irscollab.harness import (
     CellStats,
@@ -117,6 +119,30 @@ def test_run_monte_carlo_decoders_agree_in_both_mode():
     # 'both' cross-checks every trial and raises on disagreement.
     report = run_monte_carlo(_config(decoder="both", trials=25, t_values=(0, 2, 4)))
     assert all(c.trials == 25 for c in report.cells)
+
+
+def test_run_monte_carlo_both_mode_raises_on_a_disagreement(monkeypatch):
+    decode_batch = harness._decode_batch
+
+    def skewed(code, words, name):
+        outcomes = decode_batch(code, words, name)
+        if name == "mssr":
+            outcomes[-1] = DecodeOutcome.fail(FailureReason.NOT_T_VALID)
+        return outcomes
+
+    monkeypatch.setattr(harness, "_decode_batch", skewed)
+    with pytest.raises(DecoderMismatch):
+        run_monte_carlo(_config(decoder="both", trials=5, t_values=(1,)))
+
+
+@pytest.mark.parametrize("decoder", ["cpda", "mssr"])
+def test_run_monte_carlo_does_not_depend_on_the_batch_size(monkeypatch, decoder):
+    # Batches of one trial, of three and of a whole cell give the same report.
+    cfg = _config(decoder=decoder, trials=10, t_values=(0, 2, 3))
+    whole = run_monte_carlo(cfg)
+    for symbols in (1, 3 * 2 * 10):
+        monkeypatch.setattr(harness, "_BATCH_SYMBOLS", symbols)
+        assert run_monte_carlo(cfg) == whole
 
 
 def test_run_monte_carlo_beyond_radius_always_errs():
@@ -240,6 +266,18 @@ def test_demo_matmul_real_with_errors():
     report = demo_matmul(params, t=3, seed=7)
     assert report.success
     assert report.max_rel_error <= 1e-6
+
+
+def test_demo_matmul_reports_a_word_the_interpolation_rejects():
+    # 24 real points on pow:0.9: the decoder certifies the word, but its
+    # interpolation misses the residual tolerance (conditioning, not a
+    # decoding impasse); the demo reports it instead of raising.
+    fld = RealField()
+    params = PolyCodeParams(field=fld, m=2, n=2, num_workers=24,
+                            xs=make_alphas(fld, 24, "pow:0.9"))
+    report = demo_matmul(params, t=2, seed=1)
+    assert not report.success and report.reason == "not_a_codeword"
+    assert report.max_rel_error is None and (report.t, report.num_workers) == (2, 24)
 
 
 def test_demo_matmul_rejects_t_beyond_radius():
@@ -385,6 +423,14 @@ def test_cli_demo_matmul_invalid(capsys):
     rc = main(["demo-matmul", "--field", "gf:257", "--m", "2", "--nblocks", "2",
                "--workers", "12", "--t", "7", "--seed", "0"])
     assert rc == 2  # t beyond the decoding radius
+
+
+def test_cli_demo_matmul_rejected_interpolation_exits_3(capsys):
+    rc = main(["demo-matmul", "--field", "real", "--m", "2", "--nblocks", "2",
+               "--workers", "24", "--t", "2", "--seed", "1"])
+    assert rc == 3
+    assert capsys.readouterr().out == (
+        "decode failed with 2 faulty workers of 24: not_a_codeword\n")
 
 
 def test_cli_entry_point_runs():
