@@ -648,6 +648,20 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     return outcomes
 
 
+def _batch_elements(n: int, k: int, l: int) -> int:
+    """Elements per word in the largest array _decode_batch builds for
+    (B, l, n) words of a GRS(n, k) code.
+
+    That is the received word, a scan stack (min(l, n - k) basis rows of
+    n - k - t windows of t + 1 syndromes, at most (n - k + 1)**2 / 4
+    elements per row) or a value solve (n - k rows of t + l entries).  Both
+    grow with the square of n - k, so they, not the received word, bound a
+    batch of long codes with few layers.
+    """
+    m = n - k
+    return max(l * n, min(l, m) * ((m + 1) ** 2 // 4), m * (t_max(n, k, l) + l))
+
+
 def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, coeffs: np.ndarray):
     """_finish for a stack of words with locators of one length t.
 

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decoder import (FailureReason, _decode_batch, build_stacked, cpda_decode, mssr_decode,
-                      outcomes_equal, t_max)
+from .decoder import (FailureReason, _batch_elements, _decode_batch, build_stacked, cpda_decode,
+                      mssr_decode, outcomes_equal, t_max)
 from .errmodel import ErrorModelSpec, inject, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
 from .field import Field, PrimeField, RealField
@@ -57,9 +57,10 @@ _DECODERS = ("cpda", "mssr", "both")
 _MODELS = ("uref", "gre")
 _SINGLE = {"cpda": cpda_decode, "mssr": mssr_decode}
 
-# Received symbols per batch of trials.  It bounds the batch decoder's arrays,
-# which hold a few times as many elements, whatever the trial count.
-_BATCH_SYMBOLS = 2**20
+# Elements in the largest array of the batch decoder for one batch of trials
+# (decoder._batch_elements per trial): 2 MB of int64, whatever the code and
+# the trial count.  The elimination holds about three arrays of this size.
+_BATCH_ELEMENTS = 2**18
 
 
 def make_alphas(field: Field, n: int, rule: str):
@@ -240,12 +241,13 @@ def _trials(config: ExperimentConfig, code, l: int, t: int):
 def _decoded(config: ExperimentConfig, code, l: int, t: int):
     """(word, received, outcome) for every trial of the (L, t) cell, in order.
 
-    The trials go in batches of at most _BATCH_SYMBOLS received symbols.  A
-    GF(p) batch is stacked and decoded by the batch decoder.  Real trials are
-    decoded one at a time: batched least squares would sum in another order.
+    The trials go in batches whose largest decoder array holds at most
+    _BATCH_ELEMENTS elements.  A GF(p) batch is stacked and decoded by the
+    batch decoder.  Real trials are decoded one at a time: batched least
+    squares would sum in another order.
     """
     trials = _trials(config, code, l, t)
-    size = max(1, _BATCH_SYMBOLS // (l * config.n))
+    size = max(1, _BATCH_ELEMENTS // _batch_elements(config.n, config.k, l))
     while batch := list(itertools.islice(trials, size)):
         words, received = zip(*batch)
         if isinstance(config.field, PrimeField):

@@ -630,6 +630,9 @@ def test_batch_reduce_matches_gauss_jordan_per_matrix(oracle_reduce, case):
         want, piv = oracle_reduce(fld, m, ncols)
         assert np.array_equal(got, want) and r == len(piv)
         assert ok == (oracle_reduce(fld, m, m.shape[1])[1] == piv)
+        # The per-matrix kernel of _scan gives the same RREF and pivots.
+        one, one_piv = fld._row_reduce(m, ncols)
+        assert np.array_equal(one, want) and one_piv == piv
 
 
 @pytest.mark.parametrize("p", [2, 3, 257, 65521, 65537, 3_037_000_493, 2**61 - 1])

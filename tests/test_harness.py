@@ -10,7 +10,7 @@ import pytest
 
 from irscollab import harness
 from irscollab.cli import main
-from irscollab.decoder import DecodeOutcome, FailureReason
+from irscollab.decoder import DecodeOutcome, FailureReason, _batch_elements
 from irscollab.errors import DecoderMismatch, InvalidParameters
 from irscollab.field import PrimeField, RealField
 from irscollab.harness import (
@@ -140,9 +140,29 @@ def test_run_monte_carlo_does_not_depend_on_the_batch_size(monkeypatch, decoder)
     # Batches of one trial, of three and of a whole cell give the same report.
     cfg = _config(decoder=decoder, trials=10, t_values=(0, 2, 3))
     whole = run_monte_carlo(cfg)
-    for symbols in (1, 3 * 2 * 10):
-        monkeypatch.setattr(harness, "_BATCH_SYMBOLS", symbols)
+    for elements in (1, 3 * _batch_elements(10, 4, 2)):
+        monkeypatch.setattr(harness, "_BATCH_ELEMENTS", elements)
         assert run_monte_carlo(cfg) == whole
+
+
+def test_run_monte_carlo_bounds_the_batch_arrays_of_long_codes(monkeypatch):
+    # N - K = 60 with L = 1: a value solve holds 60 x 30 elements per trial
+    # and a scan stack up to 930, where the received word holds 64, so
+    # batches sized by received symbols would build arrays several times
+    # the limit.
+    limit = 2**14
+    monkeypatch.setattr(harness, "_BATCH_ELEMENTS", limit)
+    sizes = []
+    reduce_batch = PrimeField._reduce_batch
+
+    def recording(self, m, ncols):
+        sizes.append(m.size)
+        return reduce_batch(self, m, ncols)
+
+    monkeypatch.setattr(PrimeField, "_reduce_batch", recording)
+    report = run_monte_carlo(_config(n=64, k=4, l_values=(1,), t_values=(29,), trials=40))
+    assert report.cell(1, 29).failures < 40
+    assert limit // 2 < max(sizes) <= limit
 
 
 def test_run_monte_carlo_beyond_radius_always_errs():
