@@ -233,14 +233,11 @@ def test_synthesis_real_with_scales():
 SYNTH_PRIMES = [2, 3, 5, 257, 65537, 2**61 - 1]
 
 
-@st.composite
-def _sequence_sets(draw):
-    """(field, seqs): L x n rows over GF(p) with a planted common recurrence
-    (its last coefficient possibly zero, one symbol possibly perturbed, the
-    initial values possibly sparse), all-zero rows, or a lone trailing
-    impulse.  Entries are Python ints, so p = 2**61 - 1 runs on object dtype."""
-    p = draw(st.sampled_from(SYNTH_PRIMES))
-    l, n = draw(st.integers(1, 6)), draw(st.integers(0, 14))
+def _draw_rows(draw, p, l, n):
+    """l rows of length n over GF(p), as lists of Python ints: a planted
+    common recurrence (its last coefficient possibly zero, one symbol
+    possibly perturbed, the initial values possibly sparse), all-zero rows,
+    or a lone trailing impulse; the last row possibly a copy of the first."""
     kind = draw(st.sampled_from(["planted", "zeros", "impulse"]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     seqs = [[0] * n for _ in range(l)]
@@ -258,8 +255,19 @@ def _sequence_sets(draw):
                 row[i] = -sum(coeffs[k - 1] * row[i - k] for k in range(1, t + 1)) % p
         if n and draw(st.booleans()):
             seqs[rng.randrange(l)][rng.randrange(n)] = rng.randrange(p)
+    if l > 1 and draw(st.booleans()):
+        seqs[-1] = list(seqs[0])
+    return seqs
+
+
+@st.composite
+def _sequence_sets(draw):
+    """(field, seqs): L x n rows over GF(p) drawn by _draw_rows.  Entries
+    are Python ints, so p = 2**61 - 1 runs on object dtype."""
+    p = draw(st.sampled_from(SYNTH_PRIMES))
+    l, n = draw(st.integers(1, 6)), draw(st.integers(0, 14))
     fld = PrimeField(p)
-    return fld, fld.array(np.array(seqs, dtype=object).reshape(l, n))
+    return fld, fld.array(np.array(_draw_rows(draw, p, l, n), dtype=object).reshape(l, n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,6 +286,35 @@ def test_synthesis_matches_gaussian_refit(reference_synthesize, case):
     if t and stack and fld.rank(np.array(stack, dtype=object)) == t:
         # The recurrence of length t is unique, so both must have found it.
         assert [int(v) for v in coeffs_ref] == c
+
+
+KERNEL_PRIMES = [2, 3, 257, 65537, 3037000493, 2**61 - 1]
+
+
+@st.composite
+def _sequence_stacks(draw):
+    """(field, (B, R, n) stack, heights): B words of _draw_rows' rows over
+    one field, word b with heights[b] rows and then zero rows."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(0, 14))
+    heights = draw(st.lists(st.integers(1, rows), min_size=1, max_size=12))
+    words = [_draw_rows(draw, p, h, n) + [[0] * n] * (rows - h) for h in heights]
+    fld = PrimeField(p)
+    return fld, fld.array(np.array(words, dtype=object).reshape(len(words), rows, n)), heights
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sequence_stacks())
+def test_batch_synthesis_matches_single_words(case):
+    # Bit for bit, not just the outcome; p = 3037000493 is the largest int64
+    # modulus, where summed products of two elements pass 2**63.
+    fld, stack, heights = case
+    ell, coeffs = decoder_module._synthesize_batch(fld, stack)
+    assert coeffs.shape == (len(stack), stack.shape[2]) and coeffs.dtype == fld.dtype
+    for b, h in enumerate(heights):
+        t, want = decoder_module._synthesize_gf(fld, stack[b, :h])
+        assert ell[b] == t
+        assert np.array_equal(coeffs[b, :t], want) and not coeffs[b, t:].any()
 
 
 def _rank_one_errors(fld, l, n, t, rng):
@@ -896,7 +933,7 @@ def test_deep_decode_stacks_at_most_positions_squared_rows(monkeypatch, decode):
 # Batch decoding of GF(p) words, against the single-word decoders
 # ---------------------------------------------------------------------------
 
-BATCH_PRIMES = [3, 17, 257, 65537, 2**61 - 1]
+BATCH_PRIMES = [3, 17, 257, 65537, 3037000493, 2**61 - 1]
 
 
 def _batch_matches_single_words(code, words):
@@ -992,6 +1029,40 @@ def test_monte_carlo_cell_makes_one_batched_elimination_per_t(monkeypatch):
     assert len(scans) == len(set(scans)) and len(solves) == len(set(solves))
     assert len(calls) == 1 + len(scans) + len(solves) <= 1 + 2 * t_max(16, 4, 4)
     assert 9 in solves and all(shape[0] > 1 for shape, _ in calls)
+
+
+def test_monte_carlo_mssr_cell_synthesizes_once_per_batch(monkeypatch):
+    # The same cell decoded by mssr: one batched synthesis per batch, and
+    # no per-word synthesis or elimination at all.
+    from irscollab import harness
+    from irscollab.harness import ExperimentConfig, run_monte_carlo
+
+    batches, syntheses, single = [], [], []
+    decode_batch, synthesize_batch = harness._decode_batch, decoder_module._synthesize_batch
+
+    def counting_decode(code, words, name):
+        batches.append(len(words))
+        return decode_batch(code, words, name)
+
+    def counting_synthesize(field, seqs):
+        syntheses.append(len(seqs))
+        return synthesize_batch(field, seqs)
+
+    def per_word(name):
+        return lambda *args: single.append(name)
+
+    monkeypatch.setattr(harness, "_decode_batch", counting_decode)
+    monkeypatch.setattr(decoder_module, "_synthesize_batch", counting_synthesize)
+    monkeypatch.setattr(decoder_module, "_synthesize_gf", per_word("_synthesize_gf"))
+    for name in ("_scan", "_solve", "_row_reduce"):
+        monkeypatch.setattr(PrimeField, name, per_word(name))
+    config = ExperimentConfig(field=PrimeField(257), n=16, k=4, l_values=(4,), t_values=(9,),
+                              trials=100, model="uref", alphas="primitive", seed=5,
+                              decoder="mssr")
+    cell = run_monte_carlo(config).cell(4, 9)
+    assert cell.failures == cell.undetected == 0
+    assert not single
+    assert batches == [100] and syntheses == [100]
 
 
 def test_is_t_valid_uses_the_cached_inverse_points(monkeypatch):
