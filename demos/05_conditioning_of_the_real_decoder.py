@@ -34,7 +34,6 @@ config = ExperimentConfig(
     model="gre",
     alphas="pow:0.9",
     seed=0,
-    measure_cond=True,
 )
 report = condnum_study(config)
 

@@ -27,7 +27,7 @@ from .decoder import (
 )
 from .errmodel import ErrorMatrix, ErrorModelSpec, hamming_weight, inject, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
-from .field import Field, PrimeField, RealField, ToleranceProfile, is_prime
+from .field import Field, PrimeField, RealField, is_prime
 from .grs import GrsCode, classical_code, encode, interpolate, make_grs, syndromes
 from .harness import (
     CellStats,
@@ -50,7 +50,6 @@ from .polycode import (
     choose_exponents,
     encode_tasks,
     recover_product,
-    vectorize,
     worker_compute,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "Report",
     "StackedSystem",
     "SyndromeSet",
-    "ToleranceProfile",
     "WorkerTask",
     "assemble_irs",
     "build_stacked",
@@ -108,6 +106,5 @@ __all__ = [
     "syndromes",
     "synthesize_recurrence",
     "t_max",
-    "vectorize",
     "worker_compute",
 ]

@@ -101,7 +101,7 @@ def _cmd_condnum(args) -> int:
     config = ExperimentConfig(
         field=RealField(), n=args.n, k=args.k, l_values=_parse_range(args.l),
         t_values=_parse_range(args.t), trials=args.trials, model="gre",
-        alphas=args.alphas, seed=args.seed, measure_cond=True)
+        alphas=args.alphas, seed=args.seed)
     report = condnum_study(config)
     if args.out:
         emit_csv(report, args.out)

@@ -66,7 +66,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameters
-from .field import Field, PrimeField
+from .field import EQ_TOL, ROOT_TOL, Field, PrimeField
 from .grs import GrsCode
 
 __all__ = [
@@ -363,7 +363,7 @@ def is_t_valid(code: GrsCode, locator: ErrorLocator):
     Returns (valid, locations).  Over GF(p) the candidates are evaluated
     exactly; over the reals the t polynomial roots are matched to their
     nearest candidates, each match accepted only within a window of
-    max(root_tol * |candidate|, 0.45 * nearest-candidate gap) so that roots
+    max(ROOT_TOL * |candidate|, 0.45 * nearest-candidate gap) so that roots
     perturbed by solver noise are recognized while off-grid or coalescing
     roots are rejected.
     """
@@ -393,7 +393,7 @@ def is_t_valid(code: GrsCode, locator: ErrorLocator):
     for root in roots:
         dists = np.abs(root - cands)
         j1 = int(np.argmin(dists))
-        window = max(fld.tol.root_tol * max(abs(cands[j1]), 1.0), 0.45 * gaps[j1])
+        window = max(ROOT_TOL * max(abs(cands[j1]), 1.0), 0.45 * gaps[j1])
         if dists[j1] > window:
             return False, ()
         matched.add(j1)
@@ -518,27 +518,7 @@ def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
     the first failure is reported if no t succeeds.  Never raises on a
     decoding impasse; all failure modes are reported in the outcome.
     """
-    r = _validated_word(code, r)
-    fld = code.field
-    synd = _syndromes(code, r)
-    if _all_syndromes_zero(synd, fld):
-        return _clean_outcome(fld, r)
-    seqs = _row_space(fld, synd.values)
-    # Sequences with a common recurrence of length t span at most t
-    # dimensions, so no t below the rank of a basis can be consistent.
-    first = len(seqs) if len(seqs) < len(synd.values) else 1
-    tm = t_max(code.n, code.k, r.shape[0])
-    first_reason = None
-    for t in range(first, tm + 1):
-        kind, res = _attempt(code, synd, seqs, r, t)
-        if kind == "success":
-            return res
-        if kind == "fail":
-            if isinstance(fld, PrimeField):
-                return DecodeOutcome.fail(res)
-            if first_reason is None:
-                first_reason = res
-    return DecodeOutcome.fail(first_reason or FailureReason.NO_CONSISTENT_T)
+    return _decode(code, r, "cpda")
 
 
 def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
@@ -550,29 +530,41 @@ def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
     after a downstream rejection); the two decoders agree on every input
     (exactly over GF(p), to numerical tolerance over the reals).
     """
+    return _decode(code, r, "mssr")
+
+
+def _decode(code: GrsCode, r, decoder: str) -> DecodeOutcome:
+    """cpda_decode or mssr_decode (decoder "cpda" or "mssr") of one word.
+
+    Both scan t upward from a first t to t_max: cpda from the rank of the
+    row basis, mssr from the length of the synthesized recurrence, whose
+    coefficients stand in for the stacked solve at that first t.
+    """
     r = _validated_word(code, r)
     fld = code.field
     synd = _syndromes(code, r)
     if _all_syndromes_zero(synd, fld):
         return _clean_outcome(fld, r)
     seqs = _row_space(fld, synd.values)
-    t0, coeffs = synthesize_recurrence(fld, seqs, scales=synd.scale)
-    if t0 == 0:
-        return _clean_outcome(fld, r)
-    tm = t_max(code.n, code.k, r.shape[0])
-    if t0 > tm:
-        return DecodeOutcome.fail(FailureReason.NO_CONSISTENT_T)
-    kind, res = _attempt(code, synd, seqs, r, t0, coeffs=coeffs)
-    if kind == "success":
-        return res
-    if isinstance(fld, PrimeField):
-        return DecodeOutcome.fail(res)
-    first_reason = res
-    for t in range(t0 + 1, tm + 1):
-        kind, res = _attempt(code, synd, seqs, r, t)
+    first, coeffs = 1, None
+    if decoder == "mssr":
+        first, coeffs = synthesize_recurrence(fld, seqs, scales=synd.scale)
+        if first == 0:
+            return _clean_outcome(fld, r)
+    elif len(seqs) < len(synd.values):
+        # Sequences with a common recurrence of length t span at most t
+        # dimensions, so no t below the rank of a basis can be consistent.
+        first = len(seqs)
+    first_reason = None
+    for t in range(first, t_max(code.n, code.k, r.shape[0]) + 1):
+        kind, res = _attempt(code, synd, seqs, r, t, coeffs if t == first else None)
         if kind == "success":
             return res
-    return DecodeOutcome.fail(first_reason)
+        if kind == "fail":
+            if isinstance(fld, PrimeField):
+                return DecodeOutcome.fail(res)
+            first_reason = first_reason or res
+    return DecodeOutcome.fail(first_reason or FailureReason.NO_CONSISTENT_T)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +766,7 @@ def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, coeffs: np
     return outcomes
 
 
-def outcomes_equal(field: Field, a: DecodeOutcome, b: DecodeOutcome, rtol=None) -> bool:
+def outcomes_equal(field: Field, a: DecodeOutcome, b: DecodeOutcome, rtol=EQ_TOL) -> bool:
     """Whether two outcomes agree (exactly over GF, within rtol over reals)."""
     if a.success != b.success:
         return False
@@ -786,8 +778,6 @@ def outcomes_equal(field: Field, a: DecodeOutcome, b: DecodeOutcome, rtol=None) 
         return (np.array_equal(a.corrected, b.corrected)
                 and np.array_equal(a.values, b.values)
                 and np.array_equal(a.locator.coeffs, b.locator.coeffs))
-    if rtol is None:
-        rtol = field.tol.eq_tol
     for x, y in ((a.corrected, b.corrected), (a.values, b.values),
                  (a.locator.coeffs, b.locator.coeffs)):
         if x.shape != y.shape:

@@ -71,21 +71,16 @@ def sample_error(spec: ErrorModelSpec, field: Field, l: int, n: int, rng) -> Err
     support = np.sort(rng.choice(n, size=spec.t, replace=False)) if spec.t else np.empty(0, dtype=int)
     e = field.zeros((l, n))
     if spec.t:
-        if spec.kind == "uref":
-            vals = field.rand_elements(rng, (l, spec.t))
-            while True:
-                dead = ~np.any(vals != 0, axis=0)
-                if not np.any(dead):
-                    break
-                vals[:, dead] = field.rand_elements(rng, (l, int(dead.sum())))
-        else:
-            std = float(np.sqrt(spec.variance))
-            vals = spec.mean + std * rng.standard_normal((l, spec.t))
-            while True:
-                dead = ~np.any(vals != 0.0, axis=0)
-                if not np.any(dead):
-                    break
-                vals[:, dead] = spec.mean + std * rng.standard_normal((l, int(dead.sum())))
+        std = float(np.sqrt(spec.variance))
+
+        def draw(cols):
+            if spec.kind == "uref":
+                return field.rand_elements(rng, (l, cols))
+            return spec.mean + std * rng.standard_normal((l, cols))
+
+        vals = draw(spec.t)
+        while (dead := ~vals.any(axis=0)).any():
+            vals[:, dead] = draw(int(dead.sum()))
         e[:, support] = vals
     return ErrorMatrix(e=e, support=tuple(int(j) for j in support))
 

@@ -37,19 +37,30 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameters
 
 __all__ = [
-    "ToleranceProfile",
+    "EQ_TOL",
+    "RANK_TOL",
+    "ROOT_TOL",
+    "RESIDUAL_TOL",
     "PrimeField",
     "RealField",
     "Field",
     "is_prime",
 ]
+
+# The real field's tolerances: the scale-relative zero and equality test,
+# the singular-value cutoff factor of rank decisions, the window in which a
+# locator root matches a candidate, and the relative residual bound of a
+# consistent solve.
+EQ_TOL = 1e-9
+RANK_TOL = 1e-10
+ROOT_TOL = 1e-6
+RESIDUAL_TOL = 1e-8
 
 # Deterministic Miller-Rabin witnesses for every n < 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -110,28 +121,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Numerical policy knobs for real-field computations.
-
-    eq_tol        scale-relative equality / zero test
-    rank_tol      singular-value cutoff factor for rank decisions
-    root_tol      acceptance window for locator-root identification
-    residual_tol  relative residual bound for consistent-solve checks
-    """
-
-    eq_tol: float = 1e-9
-    rank_tol: float = 1e-10
-    root_tol: float = 1e-6
-    residual_tol: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("eq_tol", "rank_tol", "root_tol", "residual_tol"):
-            val = getattr(self, name)
-            if not (isinstance(val, (int, float)) and 0 < val < float("inf")):
-                raise InvalidParameters(f"{name} must be a positive finite number, got {val!r}")
 
 
 class PrimeField:
@@ -568,32 +557,25 @@ class PrimeField:
 
 
 class RealField:
-    """The real numbers with explicit numerical tolerances.
+    """The real numbers with the fixed numerical tolerances above.
 
     Elements are finite floats; zero and equality tests are relative to a
     caller-provided magnitude scale (clamped below at 1) so that cancellation
     noise in large intermediate quantities is judged fairly.
     """
 
-    __slots__ = ("tol",)
-
-    def __init__(self, tol: ToleranceProfile | None = None):
-        if tol is None:
-            tol = ToleranceProfile()
-        if not isinstance(tol, ToleranceProfile):
-            raise InvalidParameters(f"tol must be a ToleranceProfile, got {tol!r}")
-        self.tol = tol
+    __slots__ = ()
 
     # -- identity ---------------------------------------------------------
 
     def __repr__(self):
-        return f"RealField(tol={self.tol})"
+        return "RealField()"
 
     def __eq__(self, other):
-        return isinstance(other, RealField) and other.tol == self.tol
+        return isinstance(other, RealField)
 
     def __hash__(self):
-        return hash(("RealField", self.tol))
+        return hash("RealField")
 
     # -- element handling --------------------------------------------------
 
@@ -659,9 +641,9 @@ class RealField:
         return 1.0 / val
 
     def is_zero(self, a, scale=1.0):
-        """Scale-relative zero test: |a| <= eq_tol * max(scale, 1)."""
+        """Scale-relative zero test: |a| <= EQ_TOL * max(scale, 1)."""
         val = self._coerce(a)
-        out = np.abs(val) <= self.tol.eq_tol * np.maximum(scale, 1.0)
+        out = np.abs(val) <= EQ_TOL * np.maximum(scale, 1.0)
         return bool(out) if np.ndim(out) == 0 else out
 
     def eq(self, a, b, scale=1.0):
@@ -679,7 +661,7 @@ class RealField:
     # -- linear algebra -------------------------------------------------------
 
     def rank(self, m) -> int:
-        """Numerical rank: count of sigma_i > rank_tol * sigma_max * max(dims)."""
+        """Numerical rank: count of sigma_i > RANK_TOL * sigma_max * max(dims)."""
         m = self.array(m)
         if m.ndim != 2:
             raise InvalidParameters("rank expects a 2-D matrix")
@@ -688,12 +670,12 @@ class RealField:
         s = np.linalg.svd(m, compute_uv=False)
         if s[0] == 0.0:
             return 0
-        return int(np.sum(s > self.tol.rank_tol * s[0] * max(m.shape)))
+        return int(np.sum(s > RANK_TOL * s[0] * max(m.shape)))
 
     def solve_consistent(self, a, b):
         """Least-squares solve of a @ x = b, accepted only if consistent.
 
-        The residual test is ||a x - b|| <= residual_tol * max(||b||,
+        The residual test is ||a x - b|| <= RESIDUAL_TOL * max(||b||,
         sigma_max ||x||) per right-hand side; returns None when any side
         fails.
         """
@@ -703,16 +685,16 @@ class RealField:
         b = self.array(b)
         if b.shape[0] != a.shape[0]:
             raise InvalidParameters("right-hand side length does not match the matrix")
-        rcond = self.tol.rank_tol * max(a.shape)
+        rcond = RANK_TOL * max(a.shape)
         x, _, _, sv = np.linalg.lstsq(a, b, rcond=rcond)
         smax = float(sv[0]) if sv.size else 0.0
         resid = a @ x - b
         if b.ndim == 1:
-            ok = np.linalg.norm(resid) <= self.tol.residual_tol * max(
+            ok = np.linalg.norm(resid) <= RESIDUAL_TOL * max(
                 np.linalg.norm(b), smax * np.linalg.norm(x)
             )
         else:
-            bounds = self.tol.residual_tol * np.maximum(
+            bounds = RESIDUAL_TOL * np.maximum(
                 np.linalg.norm(b, axis=0), smax * np.linalg.norm(x, axis=0)
             )
             ok = np.all(np.linalg.norm(resid, axis=0) <= bounds)

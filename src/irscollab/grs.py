@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameters, NotACodeword
-from .field import Field, PrimeField, RealField
+from .field import RANK_TOL, RESIDUAL_TOL, Field, PrimeField, RealField
 
 __all__ = ["GrsCode", "make_grs", "classical_code", "encode", "syndromes", "interpolate"]
 
@@ -191,9 +191,9 @@ def _interpolate_rows(code: GrsCode, rows: np.ndarray) -> np.ndarray:
         if np.any(reenc.T != rows):
             raise NotACodeword("symbols are not consistent with any codeword")
         return head.T
-    msgs, _, _, _ = np.linalg.lstsq(gmat, rows.T, rcond=field.tol.rank_tol * max(gmat.shape))
+    msgs, _, _, _ = np.linalg.lstsq(gmat, rows.T, rcond=RANK_TOL * max(gmat.shape))
     resid = gmat @ msgs - rows.T
-    bad = np.linalg.norm(resid, axis=0) > field.tol.residual_tol * np.linalg.norm(rows.T, axis=0)
+    bad = np.linalg.norm(resid, axis=0) > RESIDUAL_TOL * np.linalg.norm(rows.T, axis=0)
     if np.any(bad):
         raise NotACodeword("least-squares residual exceeds the codeword tolerance")
     return msgs.T

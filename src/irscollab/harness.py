@@ -55,7 +55,6 @@ CLASSIFY_RTOL = 1e-6
 
 _DECODERS = ("cpda", "mssr", "both")
 _MODELS = ("uref", "gre")
-_SINGLE = {"cpda": cpda_decode, "mssr": mssr_decode}
 
 # Elements in the largest array of the batch decoder for one batch of trials
 # (decoder._batch_elements per trial): 2 MB of int64, whatever the code and
@@ -103,9 +102,6 @@ class ExperimentConfig:
     alphas: str = "primitive"
     decoder: str = "cpda"
     seed: int = 0
-    measure_cond: bool = False
-    model_mean: float = 0.0
-    model_variance: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "l_values", tuple(int(l) for l in self.l_values))
@@ -133,10 +129,7 @@ class ExperimentConfig:
         return make_grs(self.field, self.n, self.k, make_alphas(self.field, self.n, self.alphas))
 
     def error_spec(self, t: int) -> ErrorModelSpec:
-        if self.model == "uref":
-            return ErrorModelSpec(kind="uref", t=t)
-        return ErrorModelSpec(kind="gre", t=t, mean=self.model_mean,
-                              variance=self.model_variance)
+        return ErrorModelSpec(kind=self.model, t=t)
 
 
 @dataclass(frozen=True)
@@ -188,12 +181,6 @@ def _trial_rng(seed: int, l: int, t: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, l, t, trial))))
 
 
-def _random_messages(fld: Field, rng, l: int, k: int):
-    if isinstance(fld, PrimeField):
-        return fld.rand_elements(rng, (l, k))
-    return rng.standard_normal((l, k))
-
-
 def _words_differ(fld: Field, got, want) -> bool:
     if isinstance(fld, PrimeField):
         return not np.array_equal(got, want)
@@ -231,7 +218,7 @@ def _trials(config: ExperimentConfig, code, l: int, t: int):
     spec = None if t == 0 else config.error_spec(t)
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, l, t, trial)
-        word = fld.matmul(_random_messages(fld, rng, l, config.k), enc)
+        word = fld.matmul(fld.rand_elements(rng, (l, config.k)), enc)
         if spec is None:
             yield word, word
         else:
@@ -239,7 +226,7 @@ def _trials(config: ExperimentConfig, code, l: int, t: int):
 
 
 def _decoded(config: ExperimentConfig, code, l: int, t: int):
-    """(word, received, outcome) for every trial of the (L, t) cell, in order.
+    """(word, outcome) for every trial of the (L, t) cell, in order.
 
     The trials go in batches whose largest decoder array holds at most
     _BATCH_ELEMENTS elements.  A GF(p) batch is stacked and decoded by the
@@ -254,8 +241,11 @@ def _decoded(config: ExperimentConfig, code, l: int, t: int):
             stack = np.stack(received)
             outcomes = _checked(config, lambda name: _decode_batch(code, stack, name))
         else:
-            outcomes = _checked(config, lambda name: [_SINGLE[name](code, r) for r in received])
-        yield from zip(words, received, outcomes)
+            # Looked up per batch, not bound at import, so that a rebound
+            # cpda_decode or mssr_decode is the one called.
+            single = {"cpda": cpda_decode, "mssr": mssr_decode}
+            outcomes = _checked(config, lambda name: [single[name](code, r) for r in received])
+        yield from zip(words, outcomes)
 
 
 def _gram_cond(code, received, t: int) -> float:
@@ -278,18 +268,13 @@ def run_monte_carlo(config: ExperimentConfig) -> Report:
     for l in config.l_values:
         for t in config.t_values:
             failures = undetected = 0
-            conds = []
-            for word, received, outcome in _decoded(config, code, l, t):
-                if config.measure_cond and t >= 1:
-                    conds.append(_gram_cond(code, received, t))
+            for word, outcome in _decoded(config, code, l, t):
                 if not outcome.success:
                     failures += 1
                 elif _words_differ(fld, outcome.corrected, word):
                     undetected += 1
-            mean_cond = math.fsum(conds) / len(conds) if conds else None
             cells.append(CellStats(t=t, l=l, trials=config.trials,
-                                   failures=failures, undetected=undetected,
-                                   mean_cond=mean_cond))
+                                   failures=failures, undetected=undetected))
     return Report(cells=tuple(cells))
 
 
@@ -370,12 +355,8 @@ def demo_matmul(params: PolyCodeParams, t: int, seed: int = 0) -> DemoReport:
     if not 0 <= t <= tm:
         raise InvalidParameters(f"need 0 <= t <= t_max={tm}, got t={t}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, l, t, 0))))
-    if isinstance(fld, PrimeField):
-        a = fld.rand_elements(rng, (s, r))
-        b = fld.rand_elements(rng, (s, rp))
-    else:
-        a = rng.standard_normal((s, r))
-        b = rng.standard_normal((s, rp))
+    a = fld.rand_elements(rng, (s, r))
+    b = fld.rand_elements(rng, (s, rp))
     tasks = encode_tasks(params, a, b)
     outputs = [worker_compute(task) for task in tasks]
     word = assemble_irs(params, outputs)
@@ -427,16 +408,31 @@ def emit_csv(report: Report, path) -> None:
 
 
 def load_csv(path) -> Report:
-    """Parse a CSV written by emit_csv back into a Report."""
+    """Parse a CSV written by emit_csv back into a Report.
+
+    A row with the wrong number of fields, counts that are not integers, or
+    counts outside trials >= 1 and 0 <= failures + undetected <= trials
+    raises InvalidParameters naming its line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [line for line in fh.read().splitlines()
+        rows = [(num, line) for num, line in enumerate(fh.read().splitlines(), 1)
                 if line and not line.startswith("#")]
-    if not rows or rows[0] != _CSV_HEADER:
+    if not rows or rows[0][1] != _CSV_HEADER:
         raise InvalidParameters(f"{path} is not a report CSV")
+    width = len(_CSV_HEADER.split(","))
     cells = []
-    for rec in csv.reader(rows[1:]):
-        t, l, trials, failures, undetected = (int(x) for x in rec[:5])
-        mean_cond = float(rec[8]) if rec[8] else None
+    for num, line in rows[1:]:
+        rec = next(csv.reader([line]))
+        try:
+            if len(rec) != width:
+                raise ValueError(f"expected {width} fields, got {len(rec)}")
+            t, l, trials, failures, undetected = (int(x) for x in rec[:5])
+            mean_cond = float(rec[8]) if rec[8] else None
+        except ValueError as exc:
+            raise InvalidParameters(f"{path}, line {num}: {exc}") from None
+        if trials < 1 or min(failures, undetected) < 0 or failures + undetected > trials:
+            raise InvalidParameters(f"{path}, line {num}: counts {failures} + {undetected}"
+                                    f" do not fit in {trials} trials")
         cells.append(CellStats(t=t, l=l, trials=trials, failures=failures,
                                undetected=undetected, mean_cond=mean_cond))
     return Report(cells=tuple(cells))

@@ -31,7 +31,6 @@ __all__ = [
     "choose_exponents",
     "encode_tasks",
     "worker_compute",
-    "vectorize",
     "assemble_irs",
     "recover_product",
 ]
@@ -146,16 +145,8 @@ def worker_compute(task: WorkerTask) -> np.ndarray:
     return task.field.matmul(task.a_tilde.T, task.b_tilde)
 
 
-def vectorize(w) -> np.ndarray:
-    """Row-major flattening: entry (i, j) of W lands at index i*cols + j."""
-    w = np.asarray(w)
-    if w.ndim != 2:
-        raise InvalidParameters("vectorize expects a 2-D matrix")
-    return w.reshape(-1)
-
-
 def assemble_irs(params: PolyCodeParams, worker_outputs) -> IrsWord:
-    """Stack the vectorized worker outputs into an L x N interleaved word.
+    """Stack the flattened worker outputs into an L x N interleaved word.
 
     Row l of the result collects entry l (row-major) of every worker's output
     matrix; each row is a codeword of the returned GRS(N, mn) code when no
@@ -172,7 +163,7 @@ def assemble_irs(params: PolyCodeParams, worker_outputs) -> IrsWord:
     (shape,) = shapes
     if len(shape) != 2:
         raise InvalidParameters("worker outputs must be 2-D matrices")
-    cols = [vectorize(params.field.array(o)) for o in outputs]
+    cols = [params.field.array(o).reshape(-1) for o in outputs]
     d = np.stack(cols, axis=1)
     code = make_grs(params.field, params.num_workers, params.k, params.xs)
     return IrsWord(d=d, code=code, block_rows=shape[0], block_cols=shape[1])

@@ -210,7 +210,7 @@ def test_criterion_7_conditioning_trend():
     cfg = ExperimentConfig(field=RealField(), n=8, k=2,
                            l_values=(1, 2, 3, 4, 5), t_values=(2, 3),
                            trials=500, model="gre", alphas="pow:0.9",
-                           seed=0, measure_cond=True)
+                           seed=0)
     rep = condnum_study(cfg)
     anchors = {(1, 3): 4.06e13, (3, 3): 7.73e6}
     for (l, t), ref in anchors.items():

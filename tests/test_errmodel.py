@@ -67,7 +67,7 @@ def test_hamming_weight_brute_force_oracle():
 
 def test_hamming_weight_real_scale():
     e = np.zeros((2, 4))
-    e[0, 1] = 1e-12  # below eq_tol at scale 1: not a column error
+    e[0, 1] = 1e-12  # below EQ_TOL at scale 1: not a column error
     e[1, 3] = 0.5
     assert hamming_weight(e, RE) == 1
     assert hamming_weight(e, RE, scale=np.array([1, 1e5, 1, 1])) == 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from irscollab import field as field_module
 from irscollab.errors import InvalidParameters
-from irscollab.field import PrimeField, RealField, ToleranceProfile, is_prime
+from irscollab.field import PrimeField, RealField, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +44,7 @@ def test_real_scalar_examples():
 
 
 def test_real_is_zero_scale_policy():
-    re = RealField()  # eq_tol = 1e-9
+    re = RealField()  # EQ_TOL = 1e-9
     assert re.is_zero(1e-12, scale=1.0)
     assert not re.is_zero(5e-9, scale=1e-6)  # scale clamps up to 1, never below
     assert re.is_zero(5e-9, scale=10.0)
@@ -77,14 +77,6 @@ def test_is_prime_reference_values():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31 + 1)
-
-
-def test_tolerance_profile_validation():
-    assert ToleranceProfile().eq_tol == 1e-9
-    with pytest.raises(InvalidParameters):
-        ToleranceProfile(eq_tol=0.0)
-    with pytest.raises(InvalidParameters):
-        ToleranceProfile(rank_tol=-1e-3)
 
 
 def test_mixed_field_operands_rejected():

@@ -184,6 +184,24 @@ def test_run_monte_carlo_real_field():
         assert c.p_e == 0.0  # all weights within the L=6 radius
 
 
+def test_run_monte_carlo_real_field_calls_each_decoder_by_name(monkeypatch):
+    # Real trials go through the module's cpda_decode and mssr_decode as they
+    # are bound when the cell runs, so a wrapper installed later sees them.
+    calls = {"cpda": 0, "mssr": 0}
+    for name in calls:
+        decode = getattr(harness, f"{name}_decode")
+
+        def counting(code, r, name=name, decode=decode):
+            calls[name] += 1
+            return decode(code, r)
+
+        monkeypatch.setattr(harness, f"{name}_decode", counting)
+    cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(6,), t_values=(2,),
+                           trials=7, model="gre", alphas="pow:0.9", decoder="both")
+    assert run_monte_carlo(cfg).cell(6, 2).p_e == 0.0
+    assert calls == {"cpda": 7, "mssr": 7}
+
+
 # ---------------------------------------------------------------------------
 # Failure bound
 # ---------------------------------------------------------------------------
@@ -233,7 +251,7 @@ def test_pf_bound_validation():
 def test_condnum_study_t1_is_exactly_one():
     cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(1, 3),
                            t_values=(1,), trials=10, model="gre",
-                           alphas="pow:0.9", seed=0, measure_cond=True)
+                           alphas="pow:0.9", seed=0)
     report = condnum_study(cfg)
     for c in report.cells:
         assert c.mean_cond == pytest.approx(1.0)
@@ -242,7 +260,7 @@ def test_condnum_study_t1_is_exactly_one():
 def test_condnum_study_decreases_with_l():
     cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(1, 2, 3),
                            t_values=(2,), trials=50, model="gre",
-                           alphas="pow:0.9", seed=0, measure_cond=True)
+                           alphas="pow:0.9", seed=0)
     report = condnum_study(cfg)
     conds = [report.cell(l, 2).mean_cond for l in (1, 2, 3)]
     assert conds[0] > conds[1] > conds[2]
@@ -250,10 +268,10 @@ def test_condnum_study_decreases_with_l():
 
 def test_condnum_study_rejects_bad_configs():
     with pytest.raises(InvalidParameters):
-        condnum_study(_config(measure_cond=True))  # finite field
+        condnum_study(_config())  # finite field
     cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(1,),
                            t_values=(4,), trials=5, model="gre",
-                           alphas="pow:0.9", measure_cond=True)
+                           alphas="pow:0.9")
     with pytest.raises(InvalidParameters):
         condnum_study(cfg)  # t=4 > t_max(8,2,1)=3
 
@@ -334,6 +352,23 @@ def test_emit_csv_empty_report(tmp_path):
     lines = path.read_text().splitlines()
     assert lines == ["t,L,trials,failures,undetected,p_f,p_ml,p_e,mean_cond"]
     assert load_csv(path) == Report(cells=())
+
+
+@pytest.mark.parametrize("row", [
+    "1,1,10,0",  # too few fields
+    "1,1,10,0,0,0.0,0.0,0.0,,7",  # too many fields
+    "1,1,ten,0,0,0.0,0.0,0.0,",  # a count that is not an integer
+    "1,1,10,0.5,0,0.05,0.0,0.05,",
+    "1,1,0,0,0,0.0,0.0,0.0,",  # no trials
+    "1,1,10,-1,0,0.0,0.0,0.0,",
+    "1,1,10,6,5,0.6,0.5,1.1,",  # more errors than trials
+])
+def test_load_csv_rejects_a_malformed_row_by_line(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text("# note\nt,L,trials,failures,undetected,p_f,p_ml,p_e,mean_cond\n"
+                    f"1,1,10,0,0,0.0,0.0,0.0,\n{row}\n")
+    with pytest.raises(InvalidParameters, match="line 4"):
+        load_csv(path)
 
 
 def test_csv_byte_identical_reproduction(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irscollab.errors import InvalidParameters
-from irscollab.field import PrimeField, RealField
+from irscollab.field import EQ_TOL, PrimeField, RealField
 from irscollab.grs import syndromes
 from irscollab.polycode import (
     PolyCodeParams,
@@ -12,7 +12,6 @@ from irscollab.polycode import (
     choose_exponents,
     encode_tasks,
     recover_product,
-    vectorize,
     worker_compute,
 )
 
@@ -141,7 +140,7 @@ def test_encode_tasks_matches_per_worker_loop(field, m, n, exps):
                 assert np.array_equal(got, ref)
             else:
                 # BLAS may sum the m (or n) terms in another order.
-                assert np.allclose(got, ref, rtol=RE.tol.eq_tol, atol=RE.tol.eq_tol)
+                assert np.allclose(got, ref, rtol=EQ_TOL, atol=EQ_TOL)
 
 
 def test_encode_tasks_shape_validation():
@@ -177,15 +176,8 @@ def test_worker_compute_zero_inputs():
 
 
 # ---------------------------------------------------------------------------
-# Vectorization and interleaving
+# Interleaving
 # ---------------------------------------------------------------------------
-
-def test_vectorize_row_major_frozen_example():
-    w = np.array([[1, 2], [3, 4]])
-    assert vectorize(w).tolist() == [1, 2, 3, 4]
-    w2 = np.array([[5, 6, 7]])
-    assert vectorize(w2).tolist() == [5, 6, 7]
-
 
 def test_assemble_irs_rows_are_codewords_gf():
     rng = np.random.default_rng(11)
