@@ -63,8 +63,9 @@ for t in config.t_values:
 # Reports serialize to CSV with enough precision to round-trip exactly;
 # re-running with the same seed reproduces the file byte for byte.
 
-out = Path(tempfile.mkdtemp()) / "radius_study.csv"
-emit_csv(report, out)
-print()
-print(f"wrote {out}")
-print("\n".join(out.read_text().splitlines()[:4]))
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "radius_study.csv"
+    emit_csv(report, out)
+    print()
+    print(f"wrote {out}")
+    print("\n".join(out.read_text().splitlines()[:4]))

@@ -204,9 +204,7 @@ def _stack(values: np.ndarray, t: int, field: Field) -> StackedSystem:
     nk = values.shape[1]
     win = sliding_window_view(values, t, axis=1)
     matrix = win[:, : nk - t, :].reshape(-1, t)
-    rhs = -values[:, t:]
-    if isinstance(field, PrimeField):
-        rhs = rhs % field.p
+    rhs = field._sub(0, values[:, t:])
     return StackedSystem(t=t, matrix=matrix, rhs=rhs.reshape(-1))
 
 
@@ -341,9 +339,9 @@ def synthesize_recurrence(field: Field, seqs, scales=None):
                 t, coeffs = t2, field.zeros(t2)
                 break
             system = _stack(seqs[:, :j + 1], t2, field)
-            sol = field.solve_consistent(np.ascontiguousarray(system.matrix[:, ::-1]), system.rhs)
+            sol = field._solve(np.ascontiguousarray(system.matrix[:, ::-1]), system.rhs[:, None])[0]
             if sol is not None:
-                t, coeffs = t2, sol
+                t, coeffs = t2, sol[:, 0]
                 break
     return t, coeffs
 
@@ -419,11 +417,7 @@ def _error_values(code: GrsCode, locations, values: np.ndarray):
     locations = list(locations)
     if not locations:
         return fld.zeros((values.shape[0], 0))
-    m = code.syndrome_matrix()[locations, :].T
-    if isinstance(fld, PrimeField):
-        sol = fld._solve(m, values.T)[0]
-    else:
-        sol = fld.solve_consistent(m, values.T)
+    sol = fld._solve(code.syndrome_matrix()[locations, :].T, values.T)[0]
     return None if sol is None else sol.T
 
 
@@ -454,11 +448,7 @@ def _finish(code: GrsCode, synd: SyndromeSet, r: np.ndarray, coeffs) -> DecodeOu
         return DecodeOutcome.fail(FailureReason.SYNDROME_RESIDUAL)
     corrected = np.array(r, copy=True)
     locs = list(locations)
-    fixed = corrected[:, locs] - values
-    if isinstance(fld, PrimeField):
-        fixed += fld.p  # % is several times faster on non-negative operands
-        fixed %= fld.p
-    corrected[:, locs] = fixed
+    corrected[:, locs] = fld._sub(corrected[:, locs], values)
     return DecodeOutcome.ok(corrected, locator, locations, values)
 
 
@@ -478,26 +468,17 @@ def _attempt(code: GrsCode, synd: SyndromeSet, seqs: np.ndarray, r: np.ndarray, 
     Returns ("skip", None) when it is inconsistent, ("fail", reason) when it
     is consistent but a downstream check rejects it, or ("success",
     outcome).  When coeffs is given (from recurrence synthesis) the stacked
-    solve is skipped.
+    solve gives only the rank.
     """
-    fld = code.field
-    system = _stack(seqs, t, fld)
-    if isinstance(fld, PrimeField):
-        # One elimination gives the solution and the rank; the stack is
-        # consistent with synthesized coeffs, so then only the rank is needed.
-        rhs = system.rhs[:, None]
-        sol, rank = fld._solve(system.matrix, rhs if coeffs is None else rhs[:, :0])
-        if coeffs is None:
-            if sol is None:
-                return "skip", None
-            coeffs = sol[::-1, 0]
-    else:
-        if coeffs is None:
-            sol = fld.solve_consistent(system.matrix, system.rhs)
-            if sol is None:
-                return "skip", None
-            coeffs = sol[::-1]
-        rank = fld.rank(system.matrix)
+    system = _stack(seqs, t, code.field)
+    # One solve gives the solution and the rank; the stack is consistent
+    # with synthesized coeffs, so then only the rank is needed.
+    rhs = system.rhs[:, None]
+    sol, rank = code.field._solve(system.matrix, rhs if coeffs is None else rhs[:, :0])
+    if coeffs is None:
+        if sol is None:
+            return "skip", None
+        coeffs = sol[::-1, 0]
     if rank < t:
         return "fail", FailureReason.RANK_DEFICIENT
     outcome = _finish(code, synd, r, coeffs)
@@ -740,7 +721,7 @@ def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, coeffs: np
     The value solves are one masked elimination of the (B, N - K, t + L)
     stack [H_t^T | S^T], and the subtraction writes every word at once.
     """
-    fld, p = code.field, code.field.p
+    fld = code.field
     count, t = coeffs.shape
     outcomes = [DecodeOutcome.fail(FailureReason.NOT_T_VALID)] * count
     locators = np.hstack([fld.ones((count, 1)), coeffs])
@@ -754,8 +735,7 @@ def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, coeffs: np
     values = red[:, :t, t:].transpose(0, 2, 1)
     cols = np.broadcast_to(locs[:, None, :], values.shape)
     corrected = words[valid]
-    fixed = np.take_along_axis(corrected, cols, axis=2) + (p - values)
-    fixed %= p  # % is several times faster on non-negative operands
+    fixed = fld._sub(np.take_along_axis(corrected, cols, axis=2), values)
     np.put_along_axis(corrected, cols, fixed, axis=2)
     for k, (i, where) in enumerate(zip(valid, locs.tolist())):
         if solved[k]:

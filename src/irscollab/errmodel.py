@@ -88,14 +88,13 @@ def sample_error(spec: ErrorModelSpec, field: Field, l: int, n: int, rng) -> Err
 def hamming_weight(e, field: Field, scale=None) -> int:
     """Number of nonzero columns (column-burst weight).
 
-    Over the reals a column counts as nonzero when any entry fails the
-    field's is_zero test at the given per-column scale (default 1).
+    A column counts as nonzero when any entry fails the field's is_zero
+    test: exact over GF(p), and over the reals at the given per-column scale
+    (default 1).
     """
     e = field.array(e)
     if e.ndim != 2:
         raise InvalidParameters("hamming_weight expects an L x N matrix")
-    if isinstance(field, PrimeField):
-        return int(np.count_nonzero(np.any(e != 0, axis=0)))
     col_scale = 1.0 if scale is None else np.asarray(scale, dtype=np.float64)
     nonzero = ~field.is_zero(e, scale=col_scale)
     return int(np.count_nonzero(np.any(nonzero, axis=0)))

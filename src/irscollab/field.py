@@ -2,19 +2,32 @@
 
 Everything else in the package is generic over the two field classes defined
 here.  Scalar elements are plain Python ints (GF) or floats (reals); bulk data
-lives in numpy arrays.  The field object owns the arithmetic, the zero and
-equality policies, and the linear algebra the decoders rely on: rank
-decisions and consistent solves are exact Gaussian elimination over GF(p) and
-SVD-based least squares over the reals.
+lives in numpy arrays.  The field object owns the arithmetic, the zero test,
+and the linear algebra the decoders rely on.
 
-Over GF(p) both go through one blocked elimination, PrimeField._solve, which
-returns a solution and the rank together.  Its row scan, PrimeField._scan,
-takes the rows in blocks that double in size, reduces each block against the
-RREF basis of the rows before it with one matmul, and row-reduces only what
-is left; the decoders also use it alone, for the row basis of a deep
-syndrome matrix.  Once ncols
-independent rows are found, every remaining row is checked with one residual
-matmul, so the cost of a tall stacked system grows linearly in its height.
+Arrays are validated once, at the public methods (array, matmul, rank,
+solve_consistent, ...).  Inside, both fields provide the same raw kernels on
+canonical arrays, so the decoders run one body over either field:
+
+    _matmul(a, b)    the product a @ b (b 1-D or 2-D);
+    _sub(a, b)       the difference a - b, elementwise;
+    _solve(a, rhs)   (x, rank) for 2-D a and rhs: x solves a @ x = rhs, or
+                     is None when any column of rhs is inconsistent, and
+                     rank is the rank of a either way.
+
+rank and solve_consistent validate their operands and call _solve.  Over
+GF(p) _solve is exact, a blocked elimination that sets free variables to
+zero.  Over the reals it is one least-squares factorisation (np.linalg.lstsq)
+at the singular-value cutoff RANK_TOL * sigma_max * max(shape): it returns
+that rank, and the minimum-norm x when every column passes the RESIDUAL_TOL
+residual test.
+
+The GF(p) row scan, PrimeField._scan, takes the rows in blocks that double
+in size, reduces each block against the RREF basis of the rows before it
+with one matmul, and row-reduces only what is left; the decoders also use it
+alone, for the row basis of a deep syndrome matrix.  Once ncols independent
+rows are found, every remaining row is checked with one residual matmul, so
+the cost of a tall stacked system grows linearly in its height.
 A system with more right-hand sides than its first block has rows reduces
 [a | I] instead and applies the row transform to every right-hand side with
 one matmul.  Many small systems of one shape, such as a Monte Carlo cell's,
@@ -27,10 +40,6 @@ every partial sum is then an integer below 2**53, so the product is exact
 whatever order the BLAS sums in.  Other products use int64 matmuls (in inner
 chunks when their sums could pass 2**63), and p above _INT64_SAFE_P uses
 Python ints.
-
-Arrays are validated once, at the public methods (array, matmul, rank,
-solve_consistent, ...); the underscored kernels take canonical arrays and
-run raw numpy on them.
 """
 
 from __future__ import annotations
@@ -121,6 +130,41 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _rank(field, m) -> int:
+    """Rank of a 2-D matrix, from field._solve: exact over GF(p), where the
+    blocked elimination stops once ncols independent rows are found; over the
+    reals, the count of singular values above RANK_TOL * sigma_max *
+    max(m.shape)."""
+    m = field.array(m)
+    if m.ndim != 2:
+        raise InvalidParameters("rank expects a 2-D matrix")
+    return field._solve(m, m[:, :0])[1]
+
+
+def _solve_consistent(field, a, b):
+    """Solution of a @ x = b by field._solve, or None when inconsistent.
+
+    b may be a vector or a matrix of stacked right-hand sides (then every
+    column must be consistent).  Over GF(p) the solution is exact, with free
+    variables set to zero, and a tall full-rank system costs
+    O(rows * ncols * (ncols + width)) multiply-adds; over the reals it is the
+    least-squares solution, accepted by the residual test of
+    RealField._solve.
+    """
+    a = field.array(a)
+    if a.ndim != 2:
+        raise InvalidParameters("solve_consistent expects a 2-D coefficient matrix")
+    b = field.array(b)
+    one_d = b.ndim == 1
+    rhs = b[:, None] if one_d else b
+    if rhs.shape[0] != a.shape[0]:
+        raise InvalidParameters("right-hand side length does not match the matrix")
+    x = field._solve(a, rhs)[0]
+    if x is None:
+        return None
+    return x[:, 0] if one_d else x
 
 
 class PrimeField:
@@ -269,8 +313,12 @@ class PrimeField:
         out = val == 0
         return bool(out) if np.ndim(out) == 0 else out
 
-    def eq(self, a, b, scale=1.0):
-        return self.is_zero(self.sub(a, b), scale)
+    def _sub(self, a, b):
+        """a - b of canonical operands, as a + (p - b) reduced in place:
+        numpy's int64 % is several times faster on non-negative operands."""
+        out = a + (self.p - b)
+        out %= self.p
+        return out
 
     # -- bulk helpers --------------------------------------------------------
 
@@ -494,40 +542,8 @@ class PrimeField:
             return None, r
         return x, r
 
-    def rank(self, m) -> int:
-        """Exact rank over GF(p), by the blocked elimination of _solve.
-
-        The scan stops as soon as ncols independent rows are found and costs
-        at most O(rows * ncols**2) multiply-adds, where a full-height
-        elimination costs a whole-matrix pass per pivot.
-        """
-        m = self.array(m)
-        if m.ndim != 2:
-            raise InvalidParameters("rank expects a 2-D matrix")
-        return self._solve(m, m[:, :0])[1]
-
-    def solve_consistent(self, a, b):
-        """Exact solution of a @ x = b (free variables set to zero).
-
-        Returns None when the system is inconsistent.  b may be a vector or a
-        matrix of stacked right-hand sides (then every column must be
-        consistent).  The elimination is the blocked one of _solve: once
-        ncols independent rows are found, the remaining rows cost one
-        residual matmul, so a tall full-rank system costs
-        O(rows * ncols * (ncols + width)) multiply-adds.
-        """
-        a = self.array(a)
-        if a.ndim != 2:
-            raise InvalidParameters("solve_consistent expects a 2-D coefficient matrix")
-        b = self.array(b)
-        one_d = b.ndim == 1
-        rhs = b[:, None] if one_d else b
-        if rhs.shape[0] != a.shape[0]:
-            raise InvalidParameters("right-hand side length does not match the matrix")
-        x = self._solve(a, rhs)[0]
-        if x is None:
-            return None
-        return x[:, 0] if one_d else x
+    rank = _rank
+    solve_consistent = _solve_consistent
 
     # -- number theory ---------------------------------------------------------
 
@@ -559,9 +575,9 @@ class PrimeField:
 class RealField:
     """The real numbers with the fixed numerical tolerances above.
 
-    Elements are finite floats; zero and equality tests are relative to a
-    caller-provided magnitude scale (clamped below at 1) so that cancellation
-    noise in large intermediate quantities is judged fairly.
+    Elements are finite floats; zero tests are relative to a caller-provided
+    magnitude scale (clamped below at 1) so that cancellation noise in large
+    intermediate quantities is judged fairly.
     """
 
     __slots__ = ()
@@ -646,8 +662,8 @@ class RealField:
         out = np.abs(val) <= EQ_TOL * np.maximum(scale, 1.0)
         return bool(out) if np.ndim(out) == 0 else out
 
-    def eq(self, a, b, scale=1.0):
-        return self.is_zero(self.sub(a, b), scale)
+    def _sub(self, a, b):
+        return a - b
 
     # -- bulk helpers --------------------------------------------------------
 
@@ -656,49 +672,31 @@ class RealField:
         return np.power.outer(xs, np.arange(ncols, dtype=np.float64))
 
     def matmul(self, a, b):
-        return self.array(a) @ self.array(b)
+        return self._matmul(self.array(a), self.array(b))
+
+    def _matmul(self, a, b):
+        return a @ b
 
     # -- linear algebra -------------------------------------------------------
 
-    def rank(self, m) -> int:
-        """Numerical rank: count of sigma_i > RANK_TOL * sigma_max * max(dims)."""
-        m = self.array(m)
-        if m.ndim != 2:
-            raise InvalidParameters("rank expects a 2-D matrix")
-        if m.size == 0:
-            return 0
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[0] == 0.0:
-            return 0
-        return int(np.sum(s > RANK_TOL * s[0] * max(m.shape)))
+    def _solve(self, a, rhs):
+        """One least-squares solve of a @ x = rhs for 2-D a and rhs.
 
-    def solve_consistent(self, a, b):
-        """Least-squares solve of a @ x = b, accepted only if consistent.
-
-        The residual test is ||a x - b|| <= RESIDUAL_TOL * max(||b||,
-        sigma_max ||x||) per right-hand side; returns None when any side
-        fails.
+        Returns (x, rank) from one np.linalg.lstsq at rcond = RANK_TOL *
+        max(a.shape): rank counts the singular values above RANK_TOL *
+        sigma_max * max(a.shape), and x is the minimum-norm solution, or
+        None unless every column passes ||a x - b|| <= RESIDUAL_TOL *
+        max(||b||, sigma_max ||x||).
         """
-        a = self.array(a)
-        if a.ndim != 2:
-            raise InvalidParameters("solve_consistent expects a 2-D coefficient matrix")
-        b = self.array(b)
-        if b.shape[0] != a.shape[0]:
-            raise InvalidParameters("right-hand side length does not match the matrix")
-        rcond = RANK_TOL * max(a.shape)
-        x, _, _, sv = np.linalg.lstsq(a, b, rcond=rcond)
+        x, _, rank, sv = np.linalg.lstsq(a, rhs, rcond=RANK_TOL * max(a.shape))
         smax = float(sv[0]) if sv.size else 0.0
-        resid = a @ x - b
-        if b.ndim == 1:
-            ok = np.linalg.norm(resid) <= RESIDUAL_TOL * max(
-                np.linalg.norm(b), smax * np.linalg.norm(x)
-            )
-        else:
-            bounds = RESIDUAL_TOL * np.maximum(
-                np.linalg.norm(b, axis=0), smax * np.linalg.norm(x, axis=0)
-            )
-            ok = np.all(np.linalg.norm(resid, axis=0) <= bounds)
-        return x if ok else None
+        bounds = RESIDUAL_TOL * np.maximum(np.linalg.norm(rhs, axis=0),
+                                           smax * np.linalg.norm(x, axis=0))
+        ok = np.all(np.linalg.norm(a @ x - rhs, axis=0) <= bounds)
+        return (x if ok else None), int(rank)
+
+    rank = _rank
+    solve_consistent = _solve_consistent
 
 
 Field = PrimeField | RealField

@@ -218,7 +218,7 @@ def _trials(config: ExperimentConfig, code, l: int, t: int):
     spec = None if t == 0 else config.error_spec(t)
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, l, t, trial)
-        word = fld.matmul(fld.rand_elements(rng, (l, config.k)), enc)
+        word = fld._matmul(fld.rand_elements(rng, (l, config.k)), enc)
         if spec is None:
             yield word, word
         else:

@@ -11,11 +11,19 @@ gaussian_synthesize is the GF(p) recurrence synthesis that decoder.py used
 before its Berlekamp-Massey pass: at every nonzero discrepancy it refits the
 register at lengths t, t + 1, ... by solving the prefix system.  It is slow
 but direct, so synthesize_recurrence is checked against it.
+
+lstsq_solve and svd_rank are the real field's solve and rank as they were
+before RealField._solve took both from one factorisation: a least-squares
+solve accepted by its residual test, and a count of singular values above
+the cutoff.  RealField._solve, rank and solve_consistent are checked
+against them.
 """
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+
+from irscollab.field import RANK_TOL, RESIDUAL_TOL
 
 
 def _row_reduce(field, m, ncols):
@@ -65,6 +73,41 @@ def oracle_reduce():
 def oracle_solve():
     """The reference solver, callable as a PrimeField method."""
     return gauss_jordan_solve
+
+
+def lstsq_solve(a, b):
+    """Least-squares x of a @ x = b (b 1-D or 2-D), or None unless every
+    right-hand side passes ||a x - b|| <= RESIDUAL_TOL * max(||b||,
+    sigma_max ||x||)."""
+    x, _, _, sv = np.linalg.lstsq(a, b, rcond=RANK_TOL * max(a.shape))
+    smax = float(sv[0]) if sv.size else 0.0
+    resid = a @ x - b
+    if b.ndim == 1:
+        ok = np.linalg.norm(resid) <= RESIDUAL_TOL * max(
+            np.linalg.norm(b), smax * np.linalg.norm(x)
+        )
+    else:
+        bounds = RESIDUAL_TOL * np.maximum(
+            np.linalg.norm(b, axis=0), smax * np.linalg.norm(x, axis=0)
+        )
+        ok = np.all(np.linalg.norm(resid, axis=0) <= bounds)
+    return x if ok else None
+
+
+def svd_rank(m):
+    """Count of singular values above RANK_TOL * sigma_max * max(m.shape)."""
+    if m.size == 0:
+        return 0
+    s = np.linalg.svd(m, compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int(np.sum(s > RANK_TOL * s[0] * max(m.shape)))
+
+
+@pytest.fixture(scope="session")
+def oracle_lstsq():
+    """The reference real solve and rank: (lstsq_solve, svd_rank)."""
+    return lstsq_solve, svd_rank
 
 
 def _prefix_system(seqs, t2, j, field):

@@ -512,6 +512,28 @@ def test_decode_corrects_planted_errors_real(decode, l, t):
 
 
 @pytest.mark.parametrize("decode", [cpda_decode, mssr_decode])
+def test_real_decode_takes_rank_and_solution_from_one_factorisation(monkeypatch, decode):
+    # Every stacked system's rank comes from its least-squares solve, so a
+    # decodable real word costs no separate SVD.
+    fld = RealField()
+    code = make_grs(fld, 8, 2, [0.9 ** i for i in range(1, 9)])
+    rng = np.random.default_rng(61)
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for l, t in [(1, 1), (1, 3), (2, 4), (6, 5)]:
+        _, received, err = _planted_instance(code, l, t, rng)
+        out = decode(code, received)
+        assert out.success and out.locations == err.support
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("decode", [cpda_decode, mssr_decode])
 def test_decode_single_error_locator_structure(decode):
     fld = PrimeField(257)
     code = classical_code(fld, 10, 4)

@@ -190,6 +190,87 @@ def test_real_solve_multi_rhs():
     assert got is not None and np.allclose(got, xs, atol=1e-10)
 
 
+@pytest.mark.parametrize("fld", [PrimeField(7), PrimeField(3_037_000_493),
+                                 PrimeField(2**61 - 1), RealField()], ids=repr)
+def test_raw_sub_matches_sub(fld):
+    if isinstance(fld, PrimeField):
+        a = fld.array([[0, 1, fld.p - 1], [2, fld.p - 2, 5]])
+        b = fld.array([[fld.p - 1, 1, 0], [fld.p - 2, 2, 5]])
+    else:
+        a, b = np.array([[0.0, 1.5, -2.0]]), np.array([[2.5, 1.5, 0.25]])
+    got = fld._sub(a, b)
+    assert got.dtype == a.dtype and np.array_equal(got, fld.sub(a, b))
+    assert np.array_equal(fld._sub(0, b), fld.neg(b))
+
+
+@st.composite
+def _real_systems(draw):
+    """(a, rhs, kind, rank): low-rank real systems scaled by 1e-6 to 1e6.
+
+    kind "consistent" takes rhs in the column space of a, "random" draws it
+    at the scale of a (inconsistent once rows exceed the rank), and "zero"
+    makes a the zero matrix.  "graded" gives a chosen singular values: 1,
+    then 1e-4, 1e-8, 1e-14 or one between RANK_TOL and the cutoff
+    RANK_TOL * max(shape) (relative to the largest), so its rank is known.
+    "weak" keeps one singular value just above the cutoff and puts rhs
+    along it, a consistent system whose b is tiny next to sigma_max * x.
+    rank is the expected rank, or None where only the references know it.
+    """
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 8))
+    rank = draw(st.integers(0, min(rows, cols)))
+    width = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["consistent", "random", "zero", "graded", "weak"]))
+    scale = 10.0 ** draw(st.floats(-6, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("graded", "weak") and rank:
+        edge = field_module.RANK_TOL * np.sqrt(max(rows, cols))
+        if kind == "graded":
+            sigma = [1.0] + draw(st.lists(st.sampled_from([1e-4, 1e-8, edge, 1e-14]),
+                                          min_size=rank - 1, max_size=rank - 1))
+        else:
+            sigma = [1.0] * (rank - 1) + [3e-9]
+        u = np.linalg.qr(rng.standard_normal((rows, rank)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
+        a = scale * (u * sigma) @ v.T
+        if kind == "graded":
+            rhs = a @ rng.standard_normal((cols, width))
+        else:
+            rhs = a @ np.outer(v[:, -1], rng.standard_normal(width))
+        return a, rhs, kind, sum(x > edge for x in sigma)
+    a = scale * (rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols)))
+    if kind == "zero":
+        a = np.zeros((rows, cols))
+    if kind in ("consistent", "graded", "weak"):
+        rhs = a @ rng.standard_normal((cols, width))
+    else:
+        rhs = scale * rng.standard_normal((rows, width))
+    return a, rhs, kind, 0 if kind == "zero" or a.size == 0 else None
+
+
+def _same_solution(got, want):
+    return (got is None and want is None) or (
+        got is not None and want is not None and np.array_equal(got, want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_real_systems())
+def test_real_solve_matches_lstsq_and_svd_reference(oracle_lstsq, system):
+    lstsq_solve, svd_rank = oracle_lstsq
+    a, rhs, kind, want_rank = system
+    re = RealField()
+    x, rank = re._solve(a, rhs)
+    assert rank == svd_rank(a) == re.rank(a)
+    assert want_rank is None or rank == want_rank
+    assert _same_solution(x, lstsq_solve(a, rhs))
+    assert _same_solution(re.solve_consistent(a, rhs), lstsq_solve(a, rhs))
+    if rhs.shape[1]:
+        assert _same_solution(re.solve_consistent(a, rhs[:, 0]), lstsq_solve(a, rhs[:, 0]))
+    if kind in ("consistent", "graded", "weak"):
+        assert x is not None
+    elif rhs.shape[1] and len(a) > rank and np.any(rhs):
+        assert x is None
+
+
 def test_primitive_root_orders():
     for p in (7, 257, 65537):
         gf = PrimeField(p)
