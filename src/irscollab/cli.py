@@ -26,7 +26,7 @@ from .harness import (
     pf_bound,
     run_monte_carlo,
 )
-from .polycode import PolyCodeParams, choose_exponents
+from .polycode import PolyCodeParams
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -36,12 +36,13 @@ EXIT_DECODE_FAILURE = 3
 def _parse_field(text: str):
     if text == "real":
         return RealField()
-    if text.startswith("gf:"):
-        p = int(text[len("gf:"):])
-        if not is_prime(p):
-            raise InvalidParameters(f"gf:{p} is not a prime field")
-        return PrimeField(p)
-    raise InvalidParameters(f"field must be 'real' or 'gf:<p>', got {text!r}")
+    digits = text[len("gf:"):]
+    if not (text.startswith("gf:") and digits.isdecimal()):
+        raise InvalidParameters(f"field must be 'real' or 'gf:<p>', got {text!r}")
+    p = int(digits)
+    if not is_prime(p):
+        raise InvalidParameters(f"gf:{p} is not a prime field")
+    return PrimeField(p)
 
 
 def _parse_range(text: str) -> tuple:
@@ -70,7 +71,7 @@ def _print_report(report: Report) -> None:
 
 def _cmd_simulate(args) -> int:
     fld = _parse_field(args.field)
-    model = args.model or ("uref" if isinstance(fld, PrimeField) else "gre")
+    model = "uref" if isinstance(fld, PrimeField) else "gre"
     config = ExperimentConfig(
         field=fld, n=args.n, k=args.k, l_values=(args.l,),
         t_values=_parse_range(args.t), trials=args.trials, model=model,
@@ -111,11 +112,9 @@ def _cmd_condnum(args) -> int:
 
 def _cmd_demo_matmul(args) -> int:
     fld = _parse_field(args.field)
-    exp_a, exp_b = choose_exponents(args.m, args.nblocks)
     xs = make_alphas(fld, args.workers, args.alphas)
     params = PolyCodeParams(field=fld, m=args.m, n=args.nblocks,
-                            num_workers=args.workers, xs=xs,
-                            exp_a=exp_a, exp_b=exp_b)
+                            num_workers=args.workers, xs=xs)
     report = demo_matmul(params, args.t, args.seed)
     if not report.success:
         reason = getattr(report.reason, "value", report.reason)
@@ -139,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--l", type=int, required=True, help="interleaving depth L")
     sim.add_argument("--t", required=True, help="error weight or range min:max")
     sim.add_argument("--trials", type=int, default=2000)
-    sim.add_argument("--model", choices=["uref", "gre"], default=None,
-                     help="error model (default: uref for gf, gre for real)")
     sim.add_argument("--alphas", default="primitive",
                      help="pow:<base> | linear | primitive")
     sim.add_argument("--decoder", choices=["cpda", "mssr", "both"], default="cpda")

@@ -407,8 +407,20 @@ def recover_error_values(code: GrsCode, locations, synd: SyndromeSet):
     sum_i u_{j_i} e_{j_i} alpha_{j_i}^k = S_k over all N - K syndromes;
     returns the L x t value matrix, or None when any layer's system is
     inconsistent (so the locations cannot explain the received word).
+    Raises InvalidParameters unless the locations are distinct integers in
+    [0, N) and the syndromes form an L x (N - K) matrix.
     """
-    return _error_values(code, locations, code.field.array(synd.values))
+    values = code.field.array(synd.values)
+    if values.ndim != 2 or values.shape[1] != code.n - code.k:
+        raise InvalidParameters(
+            f"expected an L x {code.n - code.k} syndrome matrix, got shape {values.shape}")
+    locations = list(locations)
+    if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+               and 0 <= j < code.n for j in locations):
+        raise InvalidParameters(f"locations must be integers in [0, {code.n}), got {locations}")
+    if len(set(locations)) != len(locations):
+        raise InvalidParameters(f"locations must be distinct, got {locations}")
+    return _error_values(code, locations, values)
 
 
 def _error_values(code: GrsCode, locations, values: np.ndarray):

@@ -3,8 +3,10 @@
 An error matrix E (L x N) hits t worker columns: the support is uniform over
 the t-subsets of columns, and supported columns are filled either with
 uniform nonzero vectors over GF(q)^L (UREF, finite fields) or with i.i.d.
-Gaussian entries (GRE, reals).  The burst weight of E is the number of
-nonzero columns, matching column-level Hamming distance on interleaved words.
+standard normal entries (GRE, reals; the paper's Gaussian result does not
+depend on the noise's mean or variance).  The burst weight of E is the
+number of nonzero columns, matching column-level Hamming distance on
+interleaved words.
 """
 
 from __future__ import annotations
@@ -23,22 +25,16 @@ _KINDS = ("uref", "gre")
 
 @dataclass(frozen=True)
 class ErrorModelSpec:
-    """What to inject: model kind, burst weight t, Gaussian parameters."""
+    """What to inject: model kind and burst weight t."""
 
     kind: str
     t: int
-    mean: float = 0.0
-    variance: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidParameters(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not isinstance(self.t, (int, np.integer)) or self.t < 0:
             raise InvalidParameters(f"t must be a non-negative integer, got {self.t!r}")
-        if not np.isfinite(self.mean):
-            raise InvalidParameters("mean must be finite")
-        if not (np.isfinite(self.variance) and self.variance > 0):
-            raise InvalidParameters("variance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -71,12 +67,10 @@ def sample_error(spec: ErrorModelSpec, field: Field, l: int, n: int, rng) -> Err
     support = np.sort(rng.choice(n, size=spec.t, replace=False)) if spec.t else np.empty(0, dtype=int)
     e = field.zeros((l, n))
     if spec.t:
-        std = float(np.sqrt(spec.variance))
-
         def draw(cols):
             if spec.kind == "uref":
                 return field.rand_elements(rng, (l, cols))
-            return spec.mean + std * rng.standard_normal((l, cols))
+            return rng.standard_normal((l, cols))
 
         vals = draw(spec.t)
         while (dead := ~vals.any(axis=0)).any():

@@ -1,11 +1,11 @@
-"""Generalized Reed-Solomon codes with explicit dual (syndrome) multipliers.
+"""Reed-Solomon codes on given evaluation points, with dual multipliers.
 
-A GRS(N, K) code over a field F is the set of words c with
-c_i = v_i * m(alpha_i) for polynomials m of degree < K, where the alpha_i are
-distinct evaluation points and the v_i are nonzero column multipliers.  The
-dual multipliers u_i, defined by u_i^-1 = v_i * prod_{j != i} (alpha_i -
-alpha_j), make the N - K syndrome functionals S_i(r) = sum_j u_j r_j
-alpha_j^i vanish exactly on codewords.
+A code GRS(N, K) over a field F is the set of words c with c_i = m(alpha_i)
+for polynomials m of degree < K, where the alpha_i are distinct evaluation
+points (the column multipliers of a general GRS code are all 1 here, as they
+are for the words of a polynomial code).  The dual multipliers u_i, defined
+by u_i^-1 = prod_{j != i} (alpha_i - alpha_j), make the N - K syndrome
+functionals S_i(r) = sum_j u_j r_j alpha_j^i vanish exactly on codewords.
 """
 
 from __future__ import annotations
@@ -21,17 +21,16 @@ __all__ = ["GrsCode", "make_grs", "classical_code", "encode", "syndromes", "inte
 class GrsCode:
     """Immutable GRS code parameters plus cached evaluation/syndrome matrices."""
 
-    __slots__ = ("field", "n", "k", "alphas", "v", "u",
+    __slots__ = ("field", "n", "k", "alphas", "u",
                  "_enc_mat", "_synd_mat", "_synd_mat_abs", "_cand_gaps", "_inv_pows")
 
-    def __init__(self, field: Field, n: int, k: int, alphas, v, u):
+    def __init__(self, field: Field, n: int, k: int, alphas, u):
         self.field = field
         self.n = n
         self.k = k
         self.alphas = np.array(alphas, copy=True)
-        self.v = np.array(v, copy=True)
         self.u = np.array(u, copy=True)
-        for arr in (self.alphas, self.v, self.u):
+        for arr in (self.alphas, self.u):
             arr.setflags(write=False)
         self._enc_mat = None
         self._synd_mat = None
@@ -50,10 +49,9 @@ class GrsCode:
     # Cached matrices -------------------------------------------------------
 
     def encoding_matrix(self) -> np.ndarray:
-        """N x K matrix G with G[i, j] = v_i * alpha_i**j, so c = G @ m."""
+        """N x K matrix G with G[i, j] = alpha_i**j, so c = G @ m."""
         if self._enc_mat is None:
-            powers = self.field.power_matrix(self.alphas, self.k)
-            mat = self.field.mul(powers, self.v[:, None])
+            mat = self.field.power_matrix(self.alphas, self.k)
             mat.setflags(write=False)
             self._enc_mat = mat
         return self._enc_mat
@@ -115,11 +113,10 @@ def _product_of_differences(field: Field, alphas: np.ndarray) -> np.ndarray:
     return np.prod(diffs, axis=1)
 
 
-def make_grs(field: Field, n: int, k: int, alphas, v=None) -> GrsCode:
-    """Build a GRS(n, k) code; dual multipliers are derived from alphas and v.
+def make_grs(field: Field, n: int, k: int, alphas) -> GrsCode:
+    """Build a GRS(n, k) code; dual multipliers are derived from alphas.
 
-    alphas must be distinct; v defaults to all ones and must be nonzero
-    entrywise.  Raises InvalidParameters on any violation.
+    alphas must be distinct.  Raises InvalidParameters on any violation.
     """
     if not isinstance(n, (int, np.integer)) or not isinstance(k, (int, np.integer)):
         raise InvalidParameters("n and k must be integers")
@@ -131,34 +128,32 @@ def make_grs(field: Field, n: int, k: int, alphas, v=None) -> GrsCode:
         raise InvalidParameters(f"alphas must be a length-{n} vector")
     if len(set(alphas.tolist())) != n:
         raise InvalidParameters("evaluation points must be pairwise distinct")
-    if v is None:
-        v = field.ones(n)
-    else:
-        v = field.array(v)
-        if v.ndim != 1 or v.shape[0] != n:
-            raise InvalidParameters(f"v must be a length-{n} vector")
-    if np.any(v == 0):
-        raise InvalidParameters("column multipliers v must be nonzero")
     prods = _product_of_differences(field, alphas)
     if isinstance(field, RealField) and np.any(prods == 0.0):
         raise InvalidParameters("evaluation points must be pairwise distinct")
-    u = field.inv(field.mul(v, prods))
-    return GrsCode(field, n, k, alphas, v, u)
+    return GrsCode(field, n, k, alphas, field.inv(prods))
+
+
+def _primitive_points(field: Field, n: int) -> np.ndarray:
+    """The n points g**j, j in [0, n), g the smallest primitive root of GF(p).
+
+    They are distinct exactly when n <= p - 1; a longer request, or any other
+    field, raises InvalidParameters.
+    """
+    if not isinstance(field, PrimeField):
+        raise InvalidParameters("primitive points need a prime field")
+    if n > field.p - 1:
+        raise InvalidParameters(f"need n <= p - 1 = {field.p - 1} distinct powers, got n={n}")
+    return field.power_matrix(field.array([field.primitive_root()]), n)[0]
 
 
 def classical_code(field: PrimeField, n: int, k: int) -> GrsCode:
-    """GRS code on the points g**j (g a primitive root), v = 1, over GF(p)."""
-    if not isinstance(field, PrimeField):
-        raise InvalidParameters("classical_code is defined over prime fields only")
-    if n > field.p - 1:
-        raise InvalidParameters(f"need n <= p - 1 = {field.p - 1} distinct powers, got n={n}")
-    g = field.primitive_root()
-    alphas = field.power_matrix(field.array([g]), n)[0]
-    return make_grs(field, n, k, alphas)
+    """GRS code on the points g**j (g a primitive root) over GF(p)."""
+    return make_grs(field, n, k, _primitive_points(field, n))
 
 
 def encode(code: GrsCode, msg) -> np.ndarray:
-    """Codeword c with c_i = v_i * m(alpha_i), m the polynomial with coeffs msg."""
+    """Codeword c with c_i = m(alpha_i), m the polynomial with coeffs msg."""
     msg = code.field.array(msg)
     if msg.ndim != 1 or msg.shape[0] != code.k:
         raise InvalidParameters(f"message must be a length-{code.k} coefficient vector")

@@ -30,7 +30,7 @@ from .decoder import (FailureReason, _batch_elements, _decode_batch, build_stack
 from .errmodel import ErrorModelSpec, inject, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
 from .field import Field, PrimeField, RealField
-from .grs import make_grs
+from .grs import _primitive_points, make_grs
 from .polycode import PolyCodeParams, assemble_irs, encode_tasks, recover_product, worker_compute
 
 __all__ = [
@@ -65,26 +65,29 @@ _BATCH_ELEMENTS = 2**18
 def make_alphas(field: Field, n: int, rule: str):
     """Evaluation points from a rule string.
 
-    pow:<base>   alpha_i = base**i for i = 1..n
+    pow:<base>   alpha_i = base**i for i = 1..n (an integer base over GF(p))
     linear       alpha_i = i for i = 1..n
-    primitive    alpha_j = g**j for j = 0..n-1, g a primitive root (GF only)
+    primitive    alpha_j = g**j for j = 0..n-1, g a primitive root (GF only,
+                 n <= p - 1)
+
+    A malformed rule raises InvalidParameters.
     """
     if n < 1:
         raise InvalidParameters(f"need n >= 1, got {n}")
     if rule.startswith("pow:"):
         raw = rule[len("pow:"):]
-        if isinstance(field, PrimeField):
-            base = field.element(int(raw))
-            return field.array([pow(int(base), i, field.p) for i in range(1, n + 1)])
-        base = float(raw)
-        return field.array([base ** i for i in range(1, n + 1)])
+        try:
+            if isinstance(field, PrimeField):
+                base = field.element(int(raw))
+                return field.array([pow(int(base), i, field.p) for i in range(1, n + 1)])
+            base = float(raw)
+            return field.array([base ** i for i in range(1, n + 1)])
+        except (ValueError, OverflowError) as exc:
+            raise InvalidParameters(f"bad alpha rule {rule!r}: {exc}") from None
     if rule == "linear":
         return field.array(np.arange(1, n + 1))
     if rule == "primitive":
-        if not isinstance(field, PrimeField):
-            raise InvalidParameters("the primitive rule needs a prime field")
-        g = field.primitive_root()
-        return field.array([pow(g, j, field.p) for j in range(n)])
+        return _primitive_points(field, n)
     raise InvalidParameters(f"unknown alpha rule {rule!r}")
 
 

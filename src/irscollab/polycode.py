@@ -7,16 +7,17 @@ into m and n column blocks and each worker i receives the block combinations
 
 The worker's product C~_i = A~_i^T B~_i is then the evaluation at x_i of a
 matrix polynomial whose mn coefficients are exactly the blocks A_j^T B_k.
-With the default exponents (1, m) the exponent j + k*m sweeps 0..mn-1, so
-each scalar entry of the worker outputs, traced across workers, is a codeword
-of a GRS code of dimension mn on the points x_i.  Stacking all rr'/(mn) such
-entries gives an interleaved GRS word that the decoders in
-:mod:`irscollab.decoder` repair collaboratively.
+The exponents are always (1, m), the layout of Yu, Maddah-Ali and
+Avestimehr's polynomial codes: j + k*m sweeps 0..mn-1, so each scalar entry
+of the worker outputs, traced across workers, is a codeword of an RS code of
+dimension mn on the points x_i.  Stacking all rr'/(mn) such entries gives an
+interleaved word that the decoders in :mod:`irscollab.decoder` repair
+collaboratively.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -47,25 +48,23 @@ def choose_exponents(m: int, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PolyCodeParams:
-    """Parameters of a polynomial code for N workers and m x n block products."""
+    """Parameters of a polynomial code for N workers and m x n block products.
+
+    The exponents exp_a, exp_b are derived, not given: choose_exponents(m, n).
+    """
 
     field: Field
     m: int
     n: int
     num_workers: int
     xs: np.ndarray
-    exp_a: int | None = None
-    exp_b: int | None = None
+    exp_a: int = dataclass_field(init=False)
+    exp_b: int = dataclass_field(init=False)
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise InvalidParameters("block counts m, n must be positive")
-        if (self.exp_a is None) != (self.exp_b is None):
-            raise InvalidParameters("give both exponents or neither")
-        if self.exp_a is None:
-            ea, eb = choose_exponents(self.m, self.n)
-            object.__setattr__(self, "exp_a", ea)
-            object.__setattr__(self, "exp_b", eb)
+        ea, eb = choose_exponents(self.m, self.n)
+        object.__setattr__(self, "exp_a", ea)
+        object.__setattr__(self, "exp_b", eb)
         xs = np.array(self.field.array(self.xs), copy=True)
         if xs.ndim != 1 or xs.shape[0] != self.num_workers:
             raise InvalidParameters(f"xs must be a length-{self.num_workers} vector")
@@ -74,12 +73,6 @@ class PolyCodeParams:
         if self.num_workers < self.m * self.n:
             raise InvalidParameters(
                 f"need at least m*n = {self.m * self.n} workers, got {self.num_workers}"
-            )
-        exps = {j * self.exp_a + k * self.exp_b for j in range(self.m) for k in range(self.n)}
-        if exps != set(range(self.m * self.n)):
-            raise InvalidParameters(
-                "exponents j*exp_a + k*exp_b must cover 0..m*n-1 exactly; "
-                "the recovery threshold m*n requires a dense coefficient layout"
             )
         xs.setflags(write=False)
         object.__setattr__(self, "xs", xs)

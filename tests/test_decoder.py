@@ -14,6 +14,7 @@ from irscollab.decoder import (
     DecodeOutcome,
     ErrorLocator,
     FailureReason,
+    SyndromeSet,
     build_stacked,
     cpda_decode,
     is_t_valid,
@@ -460,6 +461,24 @@ def test_recover_error_values_empty_support():
     synd = layer_syndromes(code, fld.zeros((3, 6)))
     got = recover_error_values(code, (), synd)
     assert got.shape == (3, 0)
+
+
+@pytest.mark.parametrize("locations", [[-1], [12], [1, 1], [1.0], [True], ["1"]])
+def test_recover_error_values_rejects_bad_locations(locations):
+    fld = PrimeField(257)
+    code = classical_code(fld, 12, 5)
+    synd = layer_syndromes(code, fld.zeros((2, 12)))
+    with pytest.raises(InvalidParameters, match="locations must be"):
+        recover_error_values(code, locations, synd)
+
+
+@pytest.mark.parametrize("shape", [(2, 6), (2, 8), (7,), (2, 7, 1)])
+def test_recover_error_values_rejects_wrong_syndrome_shape(shape):
+    fld = PrimeField(257)
+    code = classical_code(fld, 12, 5)  # N - K = 7 syndromes per layer
+    synd = SyndromeSet(values=fld.zeros(shape))
+    with pytest.raises(InvalidParameters, match="syndrome matrix"):
+        recover_error_values(code, [0, 1], synd)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ RE = RealField()
 
 
 def gf7_reference_code():
-    # alpha_j = 3**j mod 7 = (1, 3, 2, 6, 4, 5); v = 1
+    # alpha_j = 3**j mod 7 = (1, 3, 2, 6, 4, 5)
     return make_grs(GF7, 6, 2, [1, 3, 2, 6, 4, 5])
 
 
@@ -27,7 +27,7 @@ def test_gf7_encode_frozen_example():
 
 
 def test_real_dual_multiplier_frozen_example():
-    # alphas (1,2,3), v = 1: u_i = 1 / prod_{j != i}(alpha_i - alpha_j)
+    # alphas (1,2,3): u_i = 1 / prod_{j != i}(alpha_i - alpha_j)
     code = make_grs(RE, 3, 1, [1.0, 2.0, 3.0])
     assert np.allclose(code.u, [0.5, -1.0, 0.5], atol=1e-15)
 
@@ -40,7 +40,7 @@ def test_dual_multiplier_invariant_holds_at_construction():
         for j in range(code.n):
             if j != i:
                 prod = prod * (int(a[i]) - int(a[j])) % 7
-        assert (int(code.u[i]) * int(code.v[i]) * prod) % 7 == 1
+        assert (int(code.u[i]) * prod) % 7 == 1
 
 
 def test_make_grs_validation():
@@ -52,8 +52,6 @@ def test_make_grs_validation():
         make_grs(GF7, 4, 2, [1, 2, 3, 1])  # repeated point
     with pytest.raises(InvalidParameters):
         make_grs(GF7, 4, 2, [1, 2, 3, 8])  # 8 = 1 mod 7
-    with pytest.raises(InvalidParameters):
-        make_grs(GF7, 4, 2, [1, 2, 3, 4], v=[1, 0, 1, 1])  # zero multiplier
 
 
 def test_classical_code_points_are_generator_powers():

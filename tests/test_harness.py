@@ -61,6 +61,25 @@ def test_make_alphas_bad_rule():
         make_alphas(RealField(), 4, "geometric")
 
 
+@pytest.mark.parametrize("field, rule", [
+    (PrimeField(257), "pow:abc"),
+    (PrimeField(257), "pow:2.5"),  # GF(p) bases are integers
+    (RealField(), "pow:abc"),
+    (RealField(), "pow:nan"),
+    (RealField(), "pow:1e200"),  # base**2 overflows
+])
+def test_make_alphas_malformed_pow(field, rule):
+    with pytest.raises(InvalidParameters, match="bad alpha rule"):
+        make_alphas(field, 4, rule)
+
+
+def test_make_alphas_primitive_needs_distinct_powers():
+    # GF(5) has only p - 1 = 4 distinct powers of its generator.
+    assert make_alphas(PrimeField(5), 4, "primitive").tolist() == [1, 2, 4, 3]
+    with pytest.raises(InvalidParameters, match="p - 1 = 4"):
+        make_alphas(PrimeField(5), 6, "primitive")
+
+
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
@@ -387,7 +406,7 @@ def test_cli_simulate_writes_csv(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     rc = main(["simulate", "--field", "gf:257", "--n", "10", "--k", "4",
                "--l", "2", "--t", "0:2", "--trials", "10",
-               "--model", "uref", "--alphas", "primitive",
+               "--alphas", "primitive",
                "--decoder", "cpda", "--seed", "1", "--out", str(out)])
     assert rc == 0
     report = load_csv(out)
@@ -439,6 +458,20 @@ def test_cli_simulate_rejects_bad_params(capsys):
     rc = main(["simulate", "--field", "gf:257", "--n", "8", "--k", "8",
                "--l", "1", "--t", "1", "--trials", "5"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("opts, message", [
+    (["--field", "gf:abc"], "error: field must be 'real' or 'gf:<p>', got 'gf:abc'"),
+    (["--field", "gf:257", "--alphas", "pow:abc"], "error: bad alpha rule 'pow:abc'"),
+    (["--field", "real", "--alphas", "pow:abc"], "error: bad alpha rule 'pow:abc'"),
+    (["--field", "gf:257", "--alphas", "pow:2.5"], "error: bad alpha rule 'pow:2.5'"),
+    (["--field", "gf:7", "--alphas", "primitive"], "error: need n <= p - 1 = 6"),
+])
+def test_cli_simulate_rejects_malformed_rules(capsys, opts, message):
+    rc = main(["simulate", *opts, "--n", "8", "--k", "2", "--l", "1", "--t", "1",
+               "--trials", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_cli_bound(tmp_path, capsys):

@@ -52,14 +52,6 @@ def test_params_validation():
         make_params(GF, 2, 2, 3)  # fewer workers than m*n
     with pytest.raises(InvalidParameters):
         PolyCodeParams(field=GF, m=2, n=2, num_workers=5, xs=[1, 2, 3, 4, 4])
-    with pytest.raises(InvalidParameters):
-        # exponents collide: j + k for m = n = 2 hits 1 twice
-        PolyCodeParams(field=GF, m=2, n=2, num_workers=5, xs=[1, 2, 3, 4, 5],
-                       exp_a=1, exp_b=1)
-    with pytest.raises(InvalidParameters):
-        # distinct but sparse exponents (max > mn - 1) break the mn threshold
-        PolyCodeParams(field=GF, m=2, n=2, num_workers=5, xs=[1, 2, 3, 4, 5],
-                       exp_a=2, exp_b=4)
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +108,19 @@ def _encode_per_worker(params, a, b):
 
 @pytest.mark.parametrize("field, m, n, exps", [
     (GF, 3, 2, None),
-    (GF, 2, 3, (3, 1)),  # exp_a = n, exp_b = 1
-    (GF, 1, 3, (0, 1)),  # a single A block may take any exponent
+    (GF, 2, 3, (1, 2)),  # the derived exponents: exp_a = 1, exp_b = m
+    (GF, 1, 3, (1, 1)),
     (PrimeField(2**61 - 1), 3, 2, None),
-    (PrimeField(2**61 - 1), 2, 3, (3, 1)),
+    (PrimeField(2**61 - 1), 2, 3, (1, 2)),
     (RE, 3, 2, None),
-    (RE, 2, 3, (3, 1)),
+    (RE, 2, 3, (1, 2)),
 ])
 def test_encode_tasks_matches_per_worker_loop(field, m, n, exps):
     rng = np.random.default_rng(11)
     xs = make_params(field, m, n, m * n + 4).xs
-    exp_a, exp_b = exps if exps else (None, None)
-    params = PolyCodeParams(field=field, m=m, n=n, num_workers=len(xs), xs=xs,
-                            exp_a=exp_a, exp_b=exp_b)
+    params = PolyCodeParams(field=field, m=m, n=n, num_workers=len(xs), xs=xs)
+    if exps:
+        assert (params.exp_a, params.exp_b) == exps
     a = field.rand_elements(rng, (5, 4 * m))
     b = field.rand_elements(rng, (5, 2 * n))
     tasks = encode_tasks(params, a, b)
