@@ -25,7 +25,8 @@ from .decoder import (
     synthesize_recurrence,
     t_max,
 )
-from .errmodel import ErrorMatrix, ErrorModelSpec, hamming_weight, inject, sample_error
+from .errmodel import (ErrorMatrix, ErrorModelSpec, hamming_weight, inject, model_for,
+                       sample_error)
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
 from .field import Field, PrimeField, RealField, is_prime
 from .grs import GrsCode, classical_code, encode, interpolate, make_grs, syndromes
@@ -96,6 +97,7 @@ __all__ = [
     "load_csv",
     "make_alphas",
     "make_grs",
+    "model_for",
     "mssr_decode",
     "outcomes_equal",
     "pf_bound",

@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .errmodel import model_for
 from .errors import InvalidParameters
-from .field import PrimeField, RealField, is_prime
+from .field import PrimeField, RealField
 from .harness import (
     ExperimentConfig,
     Report,
@@ -39,10 +40,7 @@ def _parse_field(text: str):
     digits = text[len("gf:"):]
     if not (text.startswith("gf:") and digits.isdecimal()):
         raise InvalidParameters(f"field must be 'real' or 'gf:<p>', got {text!r}")
-    p = int(digits)
-    if not is_prime(p):
-        raise InvalidParameters(f"gf:{p} is not a prime field")
-    return PrimeField(p)
+    return PrimeField(int(digits))
 
 
 def _parse_range(text: str) -> tuple:
@@ -71,10 +69,9 @@ def _print_report(report: Report) -> None:
 
 def _cmd_simulate(args) -> int:
     fld = _parse_field(args.field)
-    model = "uref" if isinstance(fld, PrimeField) else "gre"
     config = ExperimentConfig(
         field=fld, n=args.n, k=args.k, l_values=(args.l,),
-        t_values=_parse_range(args.t), trials=args.trials, model=model,
+        t_values=_parse_range(args.t), trials=args.trials, model=model_for(fld),
         alphas=args.alphas, decoder=args.decoder, seed=args.seed)
     report = run_monte_carlo(config)
     if args.out:
@@ -99,9 +96,10 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_condnum(args) -> int:
+    fld = RealField()
     config = ExperimentConfig(
-        field=RealField(), n=args.n, k=args.k, l_values=_parse_range(args.l),
-        t_values=_parse_range(args.t), trials=args.trials, model="gre",
+        field=fld, n=args.n, k=args.k, l_values=_parse_range(args.l),
+        t_values=_parse_range(args.t), trials=args.trials, model=model_for(fld),
         alphas=args.alphas, seed=args.seed)
     report = condnum_study(config)
     if args.out:

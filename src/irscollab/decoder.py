@@ -23,7 +23,12 @@ row basis, at most N - K rows, by the blocked scan of PrimeField._scan, and
 stack, eliminate and synthesize on that basis; only the error-value solve
 keeps all L layers.  Sequences sharing a recurrence of length t span at
 most t dimensions, so cpda_decode starts its scan at the rank of S.  Real
-words keep all L layers: the conditioning of the real decoder depends on L.
+words keep all L layers.  With S = QR the least-squares problem would not
+change (the Gram matrix, solution and residual from R's rows equal those
+from S's), but RealField's rank cutoff and residual bound scale with
+max(shape) of the stacked system, which compression shrinks, and mssr's real
+refit tests the discrepancy of each row against that row's own magnitude,
+which R's rows do not keep.
 
 The Monte Carlo harness decodes GF(p) words only in batches, through
 _decode_batch: it gives every word of a (B, L, N) stack the outcome that
@@ -477,10 +482,9 @@ def _attempt(code: GrsCode, synd: SyndromeSet, seqs: np.ndarray, r: np.ndarray, 
     """Try to decode with exactly t errors.
 
     The stacked system is built from seqs, the rows of _row_space(synd).
-    Returns ("skip", None) when it is inconsistent, ("fail", reason) when it
-    is consistent but a downstream check rejects it, or ("success",
-    outcome).  When coeffs is given (from recurrence synthesis) the stacked
-    solve gives only the rank.
+    Returns None when it is inconsistent, and otherwise the outcome at t.
+    When coeffs is given (from recurrence synthesis) the stacked solve gives
+    only the rank.
     """
     system = _stack(seqs, t, code.field)
     # One solve gives the solution and the rank; the stack is consistent
@@ -489,14 +493,11 @@ def _attempt(code: GrsCode, synd: SyndromeSet, seqs: np.ndarray, r: np.ndarray, 
     sol, rank = code.field._solve(system.matrix, rhs if coeffs is None else rhs[:, :0])
     if coeffs is None:
         if sol is None:
-            return "skip", None
+            return None
         coeffs = sol[::-1, 0]
     if rank < t:
-        return "fail", FailureReason.RANK_DEFICIENT
-    outcome = _finish(code, synd, r, coeffs)
-    if outcome.success:
-        return "success", outcome
-    return "fail", outcome.reason
+        return DecodeOutcome.fail(FailureReason.RANK_DEFICIENT)
+    return _finish(code, synd, r, coeffs)
 
 
 def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
@@ -548,16 +549,15 @@ def _decode(code: GrsCode, r, decoder: str) -> DecodeOutcome:
         # Sequences with a common recurrence of length t span at most t
         # dimensions, so no t below the rank of a basis can be consistent.
         first = len(seqs)
-    first_reason = None
+    first_failure = None
     for t in range(first, t_max(code.n, code.k, r.shape[0]) + 1):
-        kind, res = _attempt(code, synd, seqs, r, t, coeffs if t == first else None)
-        if kind == "success":
-            return res
-        if kind == "fail":
-            if isinstance(fld, PrimeField):
-                return DecodeOutcome.fail(res)
-            first_reason = first_reason or res
-    return DecodeOutcome.fail(first_reason or FailureReason.NO_CONSISTENT_T)
+        outcome = _attempt(code, synd, seqs, r, t, coeffs if t == first else None)
+        if outcome is None:
+            continue
+        if outcome.success or isinstance(fld, PrimeField):
+            return outcome
+        first_failure = first_failure or outcome
+    return first_failure or DecodeOutcome.fail(FailureReason.NO_CONSISTENT_T)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ uniform nonzero vectors over GF(q)^L (UREF, finite fields) or with i.i.d.
 standard normal entries (GRE, reals; the paper's Gaussian result does not
 depend on the noise's mean or variance).  The burst weight of E is the
 number of nonzero columns, matching column-level Hamming distance on
-interleaved words.
+interleaved words.  Each field takes one model, the one model_for names;
+sample_error and the harness's ExperimentConfig reject any other.
 """
 
 from __future__ import annotations
@@ -18,9 +19,27 @@ import numpy as np
 from .errors import InvalidParameters
 from .field import Field, PrimeField, RealField
 
-__all__ = ["ErrorModelSpec", "ErrorMatrix", "sample_error", "hamming_weight", "inject"]
+__all__ = ["ErrorModelSpec", "ErrorMatrix", "model_for", "sample_error", "hamming_weight",
+           "inject"]
 
 _KINDS = ("uref", "gre")
+
+
+def model_for(field: Field) -> str:
+    """The one error model defined over field: "uref" over GF(p), "gre" over
+    the reals."""
+    if isinstance(field, PrimeField):
+        return "uref"
+    if isinstance(field, RealField):
+        return "gre"
+    raise InvalidParameters(f"no error model is defined over {field!r}")
+
+
+def _check_model(kind: str, field: Field) -> None:
+    """Raise InvalidParameters unless kind is the error model of field."""
+    if kind != model_for(field):
+        raise InvalidParameters(f"the {kind!r} error model is not defined over {field!r};"
+                                f" it takes {model_for(field)!r}")
 
 
 @dataclass(frozen=True)
@@ -60,21 +79,13 @@ def sample_error(spec: ErrorModelSpec, field: Field, l: int, n: int, rng) -> Err
         raise InvalidParameters("need l >= 1 and n >= 1")
     if spec.t > n:
         raise InvalidParameters(f"burst weight t={spec.t} exceeds the column count {n}")
-    if spec.kind == "uref" and not isinstance(field, PrimeField):
-        raise InvalidParameters("the uniform-nonzero model is defined over finite fields only")
-    if spec.kind == "gre" and not isinstance(field, RealField):
-        raise InvalidParameters("the Gaussian model is defined over the reals only")
+    _check_model(spec.kind, field)
     support = np.sort(rng.choice(n, size=spec.t, replace=False)) if spec.t else np.empty(0, dtype=int)
     e = field.zeros((l, n))
     if spec.t:
-        def draw(cols):
-            if spec.kind == "uref":
-                return field.rand_elements(rng, (l, cols))
-            return rng.standard_normal((l, cols))
-
-        vals = draw(spec.t)
+        vals = field.rand_elements(rng, (l, spec.t))
         while (dead := ~vals.any(axis=0)).any():
-            vals[:, dead] = draw(int(dead.sum()))
+            vals[:, dead] = field.rand_elements(rng, (l, int(dead.sum())))
         e[:, support] = vals
     return ErrorMatrix(e=e, support=tuple(int(j) for j in support))
 
@@ -98,13 +109,11 @@ def inject(d, e, field: Field) -> np.ndarray:
     """Entrywise field addition of an error matrix onto a word.
 
     Each operand is validated once by field.array; the sum of the canonical
-    arrays is then one raw add (and one reduction mod p over GF(p)).
+    arrays is then one raw add, put in canonical form by field._reduce (one
+    reduction mod p in place over GF(p)).
     """
     d = field.array(d)
     e = field.array(e)
     if d.shape != e.shape:
         raise InvalidParameters(f"shape mismatch: {d.shape} vs {e.shape}")
-    out = d + e
-    if isinstance(field, PrimeField):
-        out %= field.p
-    return out
+    return field._reduce(d + e)

@@ -6,9 +6,13 @@ lives in numpy arrays.  The field object owns the arithmetic, the zero test,
 and the linear algebra the decoders rely on.
 
 Arrays are validated once, at the public methods (array, matmul, rank,
-solve_consistent, ...).  Inside, both fields provide the same raw kernels on
-canonical arrays, so the decoders run one body over either field:
+solve_consistent, ...), which the base class Field gives both fields.
+Inside, both fields provide the same raw kernels on canonical arrays, so the
+public methods and the decoders run one body over either field:
 
+    _reduce(x)       a fresh arithmetic result in canonical form (reduced mod p
+                     in place over GF(p); a 0-d result as a scalar);
+    _invert(x)       the inverse of a canonical value without zeros;
     _matmul(a, b)    the product a @ b (b 1-D or 2-D);
     _sub(a, b)       the difference a - b, elementwise;
     _solve(a, rhs)   (x, rank) for 2-D a and rhs: x solves a @ x = rhs, or
@@ -132,42 +136,89 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rank(field, m) -> int:
-    """Rank of a 2-D matrix, from field._solve: exact over GF(p), where the
-    blocked elimination stops once ncols independent rows are found; over the
-    reals, the count of singular values above RANK_TOL * sigma_max *
-    max(m.shape)."""
-    m = field.array(m)
-    if m.ndim != 2:
-        raise InvalidParameters("rank expects a 2-D matrix")
-    return field._solve(m, m[:, :0])[1]
+class Field:
+    """What both fields share: the public methods, which validate their
+    operands once and then run the field's raw kernels.
 
-
-def _solve_consistent(field, a, b):
-    """Solution of a @ x = b by field._solve, or None when inconsistent.
-
-    b may be a vector or a matrix of stacked right-hand sides (then every
-    column must be consistent).  Over GF(p) the solution is exact, with free
-    variables set to zero, and a tall full-rank system costs
-    O(rows * ncols * (ncols + width)) multiply-adds; over the reals it is the
-    least-squares solution, accepted by the residual test of
-    RealField._solve.
+    A subclass gives its element handling (_coerce, array, dtype, is_zero,
+    power_matrix, rand_elements), its identity, and the raw kernels listed
+    in the module docstring.
     """
-    a = field.array(a)
-    if a.ndim != 2:
-        raise InvalidParameters("solve_consistent expects a 2-D coefficient matrix")
-    b = field.array(b)
-    one_d = b.ndim == 1
-    rhs = b[:, None] if one_d else b
-    if rhs.shape[0] != a.shape[0]:
-        raise InvalidParameters("right-hand side length does not match the matrix")
-    x = field._solve(a, rhs)[0]
-    if x is None:
-        return None
-    return x[:, 0] if one_d else x
+
+    __slots__ = ()
+
+    def element(self, x):
+        """Canonical representative of a scalar x."""
+        val = self._coerce(x)
+        if isinstance(val, np.ndarray):
+            raise TypeError("element() takes a scalar; use array() for bulk data")
+        return val
+
+    def zeros(self, shape):
+        return np.zeros(shape, dtype=self.dtype)
+
+    def ones(self, shape):
+        return np.ones(shape, dtype=self.dtype)
+
+    def add(self, a, b):
+        return self._reduce(self._coerce(a) + self._coerce(b))
+
+    def sub(self, a, b):
+        return self._reduce(self._coerce(a) - self._coerce(b))
+
+    def mul(self, a, b):
+        return self._reduce(self._coerce(a) * self._coerce(b))
+
+    def neg(self, a):
+        return self._reduce(-self._coerce(a))
+
+    def inv(self, a):
+        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        val = self._coerce(a)
+        if np.any(val == 0):
+            raise ZeroDivisionError(f"zero has no inverse in {self!r}")
+        return self._invert(val)
+
+    def matmul(self, a, b):
+        """Matrix product (see _matmul); a 0-d result is a canonical scalar."""
+        out = self._matmul(self.array(a), self.array(b))
+        return out if np.ndim(out) else self._reduce(out)
+
+    def rank(self, m) -> int:
+        """Rank of a 2-D matrix, from _solve: exact over GF(p), where the
+        blocked elimination stops once ncols independent rows are found; over
+        the reals, the count of singular values above RANK_TOL * sigma_max *
+        max(m.shape)."""
+        m = self.array(m)
+        if m.ndim != 2:
+            raise InvalidParameters("rank expects a 2-D matrix")
+        return self._solve(m, m[:, :0])[1]
+
+    def solve_consistent(self, a, b):
+        """Solution of a @ x = b by _solve, or None when inconsistent.
+
+        b may be a vector or a matrix of stacked right-hand sides (then every
+        column must be consistent).  Over GF(p) the solution is exact, with
+        free variables set to zero, and a tall full-rank system costs
+        O(rows * ncols * (ncols + width)) multiply-adds; over the reals it is
+        the least-squares solution, accepted by the residual test of
+        RealField._solve.
+        """
+        a = self.array(a)
+        if a.ndim != 2:
+            raise InvalidParameters("solve_consistent expects a 2-D coefficient matrix")
+        b = self.array(b)
+        one_d = b.ndim == 1
+        rhs = b[:, None] if one_d else b
+        if rhs.shape[0] != a.shape[0]:
+            raise InvalidParameters("right-hand side length does not match the matrix")
+        x = self._solve(a, rhs)[0]
+        if x is None:
+            return None
+        return x[:, 0] if one_d else x
 
 
-class PrimeField:
+class PrimeField(Field):
     """The prime field GF(p).  Elements are canonical ints in [0, p)."""
 
     __slots__ = ("p", "_primitive_root", "_inv_table")
@@ -225,13 +276,6 @@ class PrimeField:
             return arr.copy()
         return arr % self.p
 
-    def element(self, x) -> int:
-        """Canonical representative of x in [0, p)."""
-        val = self._coerce(x)
-        if isinstance(val, np.ndarray):
-            raise TypeError("element() takes a scalar; use array() for bulk data")
-        return val
-
     def array(self, xs) -> np.ndarray:
         """Array of canonical representatives (int64, or object for huge p)."""
         arr = np.asarray(self._coerce(xs))
@@ -239,45 +283,22 @@ class PrimeField:
             arr = arr.astype(self.dtype)
         return arr
 
-    def zeros(self, shape):
-        return np.zeros(shape, dtype=np.int64) if self.dtype is np.int64 else np.full(shape, 0, dtype=object)
-
-    def ones(self, shape):
-        return np.ones(shape, dtype=np.int64) if self.dtype is np.int64 else np.full(shape, 1, dtype=object)
-
     def rand_elements(self, rng, shape):
         """Uniform field elements drawn from rng (p must fit in int64)."""
         if self.p > 2**63 - 1:
             raise InvalidParameters("uniform sampling supports moduli below 2**63 only")
-        return self.array(rng.integers(0, self.p, size=shape, dtype=np.int64))
+        return rng.integers(0, self.p, size=shape, dtype=np.int64).astype(self.dtype, copy=False)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _ret(self, out):
+    def _reduce(self, out):
+        """out mod p, reduced in place (callers pass a fresh result); a 0-d
+        result becomes an int."""
+        out %= self.p
         return int(out) if np.ndim(out) == 0 else out
 
-    def add(self, a, b):
-        return self._ret((self._coerce(a) + self._coerce(b)) % self.p)
-
-    def sub(self, a, b):
-        return self._ret((self._coerce(a) - self._coerce(b)) % self.p)
-
-    def mul(self, a, b):
-        return self._ret((self._coerce(a) * self._coerce(b)) % self.p)
-
-    def neg(self, a):
-        return self._ret((-self._coerce(a)) % self.p)
-
-    def inv(self, a):
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        val = self._coerce(a)
-        if isinstance(val, np.ndarray):
-            if np.any(val == 0):
-                raise ZeroDivisionError(f"zero has no inverse in GF({self.p})")
-            return self._inverse(val)
-        if val == 0:
-            raise ZeroDivisionError(f"zero has no inverse in GF({self.p})")
-        return pow(val, self.p - 2, self.p)
+    def _invert(self, val):
+        return self._inverse(val) if isinstance(val, np.ndarray) else pow(val, self.p - 2, self.p)
 
     def _inverse(self, a):
         """Elementwise inverse of a canonical array without zeros.
@@ -334,10 +355,6 @@ class PrimeField:
             col = (col * xs) % self.p
             out[:, i] = col
         return out
-
-    def matmul(self, a, b):
-        """Matrix product mod p (see _matmul); a 0-d result is a Python int."""
-        return self._ret(self._matmul(self.array(a), self.array(b)))
 
     def _matmul(self, a, b):
         """matmul of canonical arrays (b 1-D or 2-D), exact for every modulus.
@@ -542,8 +559,8 @@ class PrimeField:
             return None, r
         return x, r
 
-    rank = _rank
-    solve_consistent = _solve_consistent
+    # Bound in this class's own namespace, where perfbench/spans.py looks them up.
+    matmul, rank, solve_consistent = Field.matmul, Field.rank, Field.solve_consistent
 
     # -- number theory ---------------------------------------------------------
 
@@ -572,7 +589,7 @@ class PrimeField:
         raise RuntimeError("no primitive root found; modulus is not prime")
 
 
-class RealField:
+class RealField(Field):
     """The real numbers with the fixed numerical tolerances above.
 
     Elements are finite floats; zero tests are relative to a caller-provided
@@ -610,23 +627,11 @@ class RealField:
         arr = np.asarray(x, dtype=np.float64)
         return arr
 
-    def element(self, x) -> float:
-        val = self._coerce(x)
-        if isinstance(val, np.ndarray):
-            raise TypeError("element() takes a scalar; use array() for bulk data")
-        return val
-
     def array(self, xs) -> np.ndarray:
         arr = np.asarray(self._coerce(xs), dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("real-field arrays must be finite (no NaN or inf)")
         return arr
-
-    def zeros(self, shape):
-        return np.zeros(shape, dtype=np.float64)
-
-    def ones(self, shape):
-        return np.ones(shape, dtype=np.float64)
 
     def rand_elements(self, rng, shape):
         """Standard normal draws; the conventional generic element sampler."""
@@ -634,26 +639,10 @@ class RealField:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def add(self, a, b):
-        return self._coerce(a) + self._coerce(b)
+    def _reduce(self, out):
+        return out
 
-    def sub(self, a, b):
-        return self._coerce(a) - self._coerce(b)
-
-    def mul(self, a, b):
-        return self._coerce(a) * self._coerce(b)
-
-    def neg(self, a):
-        return -self._coerce(a)
-
-    def inv(self, a):
-        val = self._coerce(a)
-        if isinstance(val, np.ndarray):
-            if np.any(val == 0.0):
-                raise ZeroDivisionError("zero has no inverse")
-            return 1.0 / val
-        if val == 0.0:
-            raise ZeroDivisionError("zero has no inverse")
+    def _invert(self, val):
         return 1.0 / val
 
     def is_zero(self, a, scale=1.0):
@@ -670,9 +659,6 @@ class RealField:
     def power_matrix(self, xs, ncols: int) -> np.ndarray:
         xs = self.array(xs)
         return np.power.outer(xs, np.arange(ncols, dtype=np.float64))
-
-    def matmul(self, a, b):
-        return self._matmul(self.array(a), self.array(b))
 
     def _matmul(self, a, b):
         return a @ b
@@ -695,8 +681,5 @@ class RealField:
         ok = np.all(np.linalg.norm(a @ x - rhs, axis=0) <= bounds)
         return (x if ok else None), int(rank)
 
-    rank = _rank
-    solve_consistent = _solve_consistent
-
-
-Field = PrimeField | RealField
+    # Bound in this class's own namespace, where perfbench/spans.py looks them up.
+    matmul, rank, solve_consistent = Field.matmul, Field.rank, Field.solve_consistent

@@ -10,6 +10,8 @@ functionals S_i(r) = sum_j u_j r_j alpha_j^i vanish exactly on codewords.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InvalidParameters, NotACodeword
@@ -18,11 +20,27 @@ from .field import RANK_TOL, RESIDUAL_TOL, Field, PrimeField, RealField
 __all__ = ["GrsCode", "make_grs", "classical_code", "encode", "syndromes", "interpolate"]
 
 
+def _cached(build):
+    """Method decorator: the matrix build(code), built on first use, made
+    read-only and kept on the code."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def get(self):
+        mat = self._cache.get(name)
+        if mat is None:
+            mat = build(self)
+            mat.setflags(write=False)
+            self._cache[name] = mat
+        return mat
+
+    return get
+
+
 class GrsCode:
     """Immutable GRS code parameters plus cached evaluation/syndrome matrices."""
 
-    __slots__ = ("field", "n", "k", "alphas", "u",
-                 "_enc_mat", "_synd_mat", "_synd_mat_abs", "_cand_gaps", "_inv_pows")
+    __slots__ = ("field", "n", "k", "alphas", "u", "_cache")
 
     def __init__(self, field: Field, n: int, k: int, alphas, u):
         self.field = field
@@ -32,11 +50,7 @@ class GrsCode:
         self.u = np.array(u, copy=True)
         for arr in (self.alphas, self.u):
             arr.setflags(write=False)
-        self._enc_mat = None
-        self._synd_mat = None
-        self._synd_mat_abs = None
-        self._cand_gaps = None
-        self._inv_pows = None
+        self._cache = {}
 
     @property
     def d_min(self) -> int:
@@ -48,31 +62,23 @@ class GrsCode:
 
     # Cached matrices -------------------------------------------------------
 
+    @_cached
     def encoding_matrix(self) -> np.ndarray:
         """N x K matrix G with G[i, j] = alpha_i**j, so c = G @ m."""
-        if self._enc_mat is None:
-            mat = self.field.power_matrix(self.alphas, self.k)
-            mat.setflags(write=False)
-            self._enc_mat = mat
-        return self._enc_mat
+        return self.field.power_matrix(self.alphas, self.k)
 
+    @_cached
     def syndrome_matrix(self) -> np.ndarray:
         """N x (N-K) matrix H with H[j, i] = u_j * alpha_j**i, so s = r @ H."""
-        if self._synd_mat is None:
-            powers = self.field.power_matrix(self.alphas, self.n - self.k)
-            mat = self.field.mul(powers, self.u[:, None])
-            mat.setflags(write=False)
-            self._synd_mat = mat
-        return self._synd_mat
+        powers = self.field.power_matrix(self.alphas, self.n - self.k)
+        return self.field.mul(powers, self.u[:, None])
 
+    @_cached
     def syndrome_matrix_abs(self) -> np.ndarray:
         """Entrywise |syndrome matrix|; magnitude reference for zero tests."""
-        if self._synd_mat_abs is None:
-            mat = np.abs(self.syndrome_matrix())
-            mat.setflags(write=False)
-            self._synd_mat_abs = mat
-        return self._synd_mat_abs
+        return np.abs(self.syndrome_matrix())
 
+    @_cached
     def inverse_powers(self) -> np.ndarray:
         """N x (N-K+1) matrix W with W[j, i] = alpha_j**-i.
 
@@ -80,22 +86,15 @@ class GrsCode:
         of degree t <= N - K is evaluated at every candidate by one product
         with W[:, :t+1].  Built on first use; the points must be nonzero.
         """
-        if self._inv_pows is None:
-            mat = self.field.power_matrix(self.field.inv(self.alphas), self.n - self.k + 1)
-            mat.setflags(write=False)
-            self._inv_pows = mat
-        return self._inv_pows
+        return self.field.power_matrix(self.field.inv(self.alphas), self.n - self.k + 1)
 
+    @_cached
     def candidate_gaps(self) -> np.ndarray:
         """Per-candidate nearest-neighbour distance among the 1/alpha_j."""
-        if self._cand_gaps is None:
-            cands = 1.0 / np.asarray(self.alphas, dtype=np.float64)
-            diffs = np.abs(cands[:, None] - cands[None, :])
-            np.fill_diagonal(diffs, np.inf)
-            gaps = diffs.min(axis=1)
-            gaps.setflags(write=False)
-            self._cand_gaps = gaps
-        return self._cand_gaps
+        cands = 1.0 / np.asarray(self.alphas, dtype=np.float64)
+        diffs = np.abs(cands[:, None] - cands[None, :])
+        np.fill_diagonal(diffs, np.inf)
+        return diffs.min(axis=1)
 
 
 def _product_of_differences(field: Field, alphas: np.ndarray) -> np.ndarray:
@@ -113,6 +112,17 @@ def _product_of_differences(field: Field, alphas: np.ndarray) -> np.ndarray:
     return np.prod(diffs, axis=1)
 
 
+def _check_points(field: Field, alphas, n: int) -> np.ndarray:
+    """alphas as a canonical 1-D array of n pairwise distinct points, or
+    InvalidParameters."""
+    alphas = field.array(alphas)
+    if alphas.ndim != 1 or alphas.shape[0] != n:
+        raise InvalidParameters(f"evaluation points must be a length-{n} vector")
+    if len(set(alphas.tolist())) != n:
+        raise InvalidParameters("evaluation points must be pairwise distinct")
+    return alphas
+
+
 def make_grs(field: Field, n: int, k: int, alphas) -> GrsCode:
     """Build a GRS(n, k) code; dual multipliers are derived from alphas.
 
@@ -123,11 +133,7 @@ def make_grs(field: Field, n: int, k: int, alphas) -> GrsCode:
     n, k = int(n), int(k)
     if not 1 <= k < n:
         raise InvalidParameters(f"need 1 <= k < n, got n={n}, k={k}")
-    alphas = field.array(alphas)
-    if alphas.ndim != 1 or alphas.shape[0] != n:
-        raise InvalidParameters(f"alphas must be a length-{n} vector")
-    if len(set(alphas.tolist())) != n:
-        raise InvalidParameters("evaluation points must be pairwise distinct")
+    alphas = _check_points(field, alphas, n)
     prods = _product_of_differences(field, alphas)
     if isinstance(field, RealField) and np.any(prods == 0.0):
         raise InvalidParameters("evaluation points must be pairwise distinct")

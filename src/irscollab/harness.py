@@ -27,10 +27,10 @@ import numpy as np
 
 from .decoder import (FailureReason, _batch_elements, _decode_batch, build_stacked, cpda_decode,
                       mssr_decode, outcomes_equal, t_max)
-from .errmodel import ErrorModelSpec, inject, sample_error
+from .errmodel import ErrorModelSpec, _check_model, inject, model_for, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
 from .field import Field, PrimeField, RealField
-from .grs import _primitive_points, make_grs
+from .grs import _check_points, _primitive_points, make_grs
 from .polycode import PolyCodeParams, assemble_irs, encode_tasks, recover_product, worker_compute
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
 CLASSIFY_RTOL = 1e-6
 
 _DECODERS = ("cpda", "mssr", "both")
-_MODELS = ("uref", "gre")
 
 # Elements in the largest array of the batch decoder for one batch of trials
 # (decoder._batch_elements per trial): 2 MB of int64, whatever the code and
@@ -70,7 +69,8 @@ def make_alphas(field: Field, n: int, rule: str):
     primitive    alpha_j = g**j for j = 0..n-1, g a primitive root (GF only,
                  n <= p - 1)
 
-    A malformed rule raises InvalidParameters.
+    A malformed rule, or one whose n points are not pairwise distinct and
+    nonzero (the decoders invert them), raises InvalidParameters.
     """
     if n < 1:
         raise InvalidParameters(f"need n >= 1, got {n}")
@@ -79,16 +79,22 @@ def make_alphas(field: Field, n: int, rule: str):
         try:
             if isinstance(field, PrimeField):
                 base = field.element(int(raw))
-                return field.array([pow(int(base), i, field.p) for i in range(1, n + 1)])
-            base = float(raw)
-            return field.array([base ** i for i in range(1, n + 1)])
+                points = [pow(int(base), i, field.p) for i in range(1, n + 1)]
+            else:
+                base = float(raw)
+                points = field.array([base ** i for i in range(1, n + 1)])
         except (ValueError, OverflowError) as exc:
             raise InvalidParameters(f"bad alpha rule {rule!r}: {exc}") from None
-    if rule == "linear":
-        return field.array(np.arange(1, n + 1))
-    if rule == "primitive":
-        return _primitive_points(field, n)
-    raise InvalidParameters(f"unknown alpha rule {rule!r}")
+    elif rule == "linear":
+        points = np.arange(1, n + 1)
+    elif rule == "primitive":
+        points = _primitive_points(field, n)
+    else:
+        raise InvalidParameters(f"unknown alpha rule {rule!r}")
+    points = _check_points(field, points, n)
+    if not points.all():
+        raise InvalidParameters(f"rule {rule!r} gives a zero evaluation point at n={n}")
+    return points
 
 
 @dataclass(frozen=True)
@@ -117,14 +123,9 @@ class ExperimentConfig:
             raise InvalidParameters(f"t_values must lie in [0, {self.n}]")
         if self.trials < 1:
             raise InvalidParameters("trials must be positive")
-        if self.model not in _MODELS:
-            raise InvalidParameters(f"model must be one of {_MODELS}, got {self.model!r}")
+        _check_model(self.model, self.field)
         if self.decoder not in _DECODERS:
             raise InvalidParameters(f"decoder must be one of {_DECODERS}, got {self.decoder!r}")
-        if self.model == "uref" and not isinstance(self.field, PrimeField):
-            raise InvalidParameters("the uref model requires a prime field")
-        if self.model == "gre" and not isinstance(self.field, RealField):
-            raise InvalidParameters("the gre model requires the real field")
         if self.seed < 0:
             raise InvalidParameters("seed must be nonnegative")
 
@@ -364,8 +365,8 @@ def demo_matmul(params: PolyCodeParams, t: int, seed: int = 0) -> DemoReport:
     outputs = [worker_compute(task) for task in tasks]
     word = assemble_irs(params, outputs)
     if t > 0:
-        kind = "uref" if isinstance(fld, PrimeField) else "gre"
-        err = sample_error(ErrorModelSpec(kind=kind, t=t), fld, l, params.num_workers, rng)
+        spec = ErrorModelSpec(kind=model_for(fld), t=t)
+        err = sample_error(spec, fld, l, params.num_workers, rng)
         word = replace(word, d=inject(word.d, err.e, fld))
     outcome = cpda_decode(word.code, word.d)
     reason = outcome.reason

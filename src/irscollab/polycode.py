@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameters
 from .field import Field
-from .grs import GrsCode, _interpolate_rows, make_grs
+from .grs import GrsCode, _check_points, _interpolate_rows, make_grs
 
 __all__ = [
     "PolyCodeParams",
@@ -65,11 +65,7 @@ class PolyCodeParams:
         ea, eb = choose_exponents(self.m, self.n)
         object.__setattr__(self, "exp_a", ea)
         object.__setattr__(self, "exp_b", eb)
-        xs = np.array(self.field.array(self.xs), copy=True)
-        if xs.ndim != 1 or xs.shape[0] != self.num_workers:
-            raise InvalidParameters(f"xs must be a length-{self.num_workers} vector")
-        if len(set(xs.tolist())) != self.num_workers:
-            raise InvalidParameters("worker evaluation points must be distinct")
+        xs = np.array(_check_points(self.field, self.xs, self.num_workers), copy=True)
         if self.num_workers < self.m * self.n:
             raise InvalidParameters(
                 f"need at least m*n = {self.m * self.n} workers, got {self.num_workers}"
@@ -165,18 +161,13 @@ def assemble_irs(params: PolyCodeParams, worker_outputs) -> IrsWord:
 def recover_product(params: PolyCodeParams, word: IrsWord) -> np.ndarray:
     """Reassemble A^T B from a clean (or repaired) interleaved word.
 
-    Each row of word.d is interpolated to its mn polynomial coefficients; the
-    coefficient with exponent j*exp_a + k*exp_b is entry (p, q) of the block
-    A_j^T B_k, where row index l = p * block_cols + q.
+    Each row of word.d is interpolated to its mn polynomial coefficients;
+    coefficient j + k*m (the exponent j*exp_a + k*exp_b) is entry (p, q) of
+    the block A_j^T B_k, where row index l = p * block_cols + q.
     """
     br, bc = word.block_rows, word.block_cols
     if word.d.shape != (br * bc, params.num_workers):
         raise InvalidParameters("interleaved word shape does not match its block layout")
     msgs = _interpolate_rows(word.code, word.d)
-    out = params.field.zeros((params.m * br, params.n * bc))
-    for j in range(params.m):
-        for k in range(params.n):
-            e = j * params.exp_a + k * params.exp_b
-            block = msgs[:, e].reshape(br, bc)
-            out[j * br:(j + 1) * br, k * bc:(k + 1) * bc] = block
-    return out
+    blocks = msgs.reshape(br, bc, params.n, params.m).transpose(3, 0, 2, 1)
+    return blocks.reshape(params.m * br, params.n * bc)

@@ -73,6 +73,17 @@ def test_make_alphas_malformed_pow(field, rule):
         make_alphas(field, 4, rule)
 
 
+@pytest.mark.parametrize("field, n, rule", [
+    (PrimeField(7), 8, "linear"),  # 1..6, 0, 1: a repeat and a zero
+    (PrimeField(7), 7, "linear"),  # 1..6, 0: distinct, with a zero
+    (PrimeField(7), 6, "pow:2"),  # 2 has order 3: 2, 4, 1, 2, 4, 1
+    (RealField(), 4, "pow:1"),
+])
+def test_make_alphas_rejects_repeated_or_zero_points(field, n, rule):
+    with pytest.raises(InvalidParameters):
+        make_alphas(field, n, rule)
+
+
 def test_make_alphas_primitive_needs_distinct_powers():
     # GF(5) has only p - 1 = 4 distinct powers of its generator.
     assert make_alphas(PrimeField(5), 4, "primitive").tolist() == [1, 2, 4, 3]
@@ -105,6 +116,8 @@ def test_config_validation():
         _config(model="gre")  # gre needs the real field
     with pytest.raises(InvalidParameters):
         _config(field=RealField(), model="uref", alphas="pow:0.9")
+    with pytest.raises(InvalidParameters):
+        _config(field=None)
     with pytest.raises(InvalidParameters):
         _config(decoder="fastest")
 
