@@ -25,10 +25,8 @@ keeps all L layers.  Sequences sharing a recurrence of length t span at
 most t dimensions, so cpda_decode starts its scan at the rank of S.  Real
 words keep all L layers.  With S = QR the least-squares problem would not
 change (the Gram matrix, solution and residual from R's rows equal those
-from S's), but RealField's rank cutoff and residual bound scale with
-max(shape) of the stacked system, which compression shrinks, and mssr's real
-refit tests the discrepancy of each row against that row's own magnitude,
-which R's rows do not keep.
+from S's), but RealField's rank cutoff scales with max(shape) of the
+stacked system, which compression shrinks.
 
 The Monte Carlo harness decodes GF(p) words only in batches, through
 _decode_batch: it gives every word of a (B, L, N) stack the outcome that
@@ -58,8 +56,9 @@ delta was outside their span, and otherwise replaces the used record of
 lowest m - ell_B when its own j - ell is higher.  The records thus stay a
 basis of their span with the greatest m - ell_B, which makes every length
 the least possible.  With L = 1 this is the classical algorithm.  Over the
-reals, where Berlekamp-Massey is numerically unstable, the register is
-refit by least squares instead.
+reals, where Berlekamp-Massey is numerically unstable, the least length is
+found by cpda_decode's own scan instead: the first t whose stacked system
+is consistent.
 """
 
 from __future__ import annotations
@@ -291,7 +290,7 @@ def _synthesize_gf(field: PrimeField, seqs: np.ndarray):
     return ell, c[1:]
 
 
-def synthesize_recurrence(field: Field, seqs, scales=None):
+def synthesize_recurrence(field: Field, seqs):
     """Minimal-length common linear recurrence over the rows of seqs.
 
     Returns (t, coeffs) with coeffs = (c_1, ..., c_t) such that every row s
@@ -314,11 +313,11 @@ def synthesize_recurrence(field: Field, seqs, scales=None):
     checked on every row by one residual product, and an exchange updates
     that inverse by one pivot: no elimination runs inside the pass.
 
-    Over the reals, where that pass is numerically unstable, the register
-    is refit at each nonzero discrepancy: the smallest length whose
-    least-squares system over the processed prefix is consistent.
-    Discrepancy zero tests there are scale-relative; scales (same shape as
-    seqs) supplies per-syndrome magnitude references.
+    Over the reals, where that pass is numerically unstable, t is the least
+    length whose whole stacked system passes RealField._solve, by the very
+    solve cpda_decode runs at each t, so the two decoders agree exactly; n
+    (with zero coefficients) when no t < n passes.  Sequences that are zero
+    within EQ_TOL give t = 0.
     """
     seqs = field.array(seqs)
     if seqs.ndim != 2:
@@ -326,29 +325,14 @@ def synthesize_recurrence(field: Field, seqs, scales=None):
     if isinstance(field, PrimeField):
         return _synthesize_gf(field, seqs)
     n = seqs.shape[1]
-    mags = np.abs(seqs)
-    if scales is not None:
-        mags = np.maximum(mags, np.asarray(scales, dtype=np.float64))
-    t = 0
-    coeffs = field.zeros(0)
-    for j in range(n):
-        if j < t:
-            continue
-        window = seqs[:, j - t:j][:, ::-1]
-        delta = seqs[:, j] + (window @ coeffs if t else 0)
-        base = mags[:, j] + (np.abs(window) @ np.abs(coeffs) if t else 0)
-        if np.all(field.is_zero(delta, scale=base)):
-            continue
-        for t2 in range(max(t, 1), j + 2):
-            if t2 > j:
-                t, coeffs = t2, field.zeros(t2)
-                break
-            system = _stack(seqs[:, :j + 1], t2, field)
-            sol = field._solve(np.ascontiguousarray(system.matrix[:, ::-1]), system.rhs[:, None])[0]
-            if sol is not None:
-                t, coeffs = t2, sol[:, 0]
-                break
-    return t, coeffs
+    if np.all(field.is_zero(seqs)):
+        return 0, field.zeros(0)
+    for t in range(1, n):
+        system = _stack(seqs, t, field)
+        sol = field._solve(system.matrix, system.rhs[:, None])[0]
+        if sol is not None:
+            return t, sol[::-1, 0]
+    return n, field.zeros(n)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +494,8 @@ def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
     Over the reals the scan continues past it - a near-degenerate error
     pattern can look consistent at too small a t within tolerance - and
     the first failure is reported if no t succeeds.  Never raises on a
-    decoding impasse; all failure modes are reported in the outcome.
+    decoding impasse; all failure modes are reported in the outcome.  The
+    outcome is identical to mssr_decode's on every input, over either field.
     """
     return _decode(code, r, "cpda")
 
@@ -521,8 +506,8 @@ def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
     Synthesizes the minimal-length common recurrence of the L syndrome
     sequences, then applies the same validity, uniqueness, and value
     checks as cpda_decode (including the real-field rescan at larger t
-    after a downstream rejection); the two decoders agree on every input
-    (exactly over GF(p), to numerical tolerance over the reals).
+    after a downstream rejection); the two decoders give identical outcomes
+    on every input, over either field.
     """
     return _decode(code, r, "mssr")
 
@@ -542,9 +527,7 @@ def _decode(code: GrsCode, r, decoder: str) -> DecodeOutcome:
     seqs = _row_space(fld, synd.values)
     first, coeffs = 1, None
     if decoder == "mssr":
-        first, coeffs = synthesize_recurrence(fld, seqs, scales=synd.scale)
-        if first == 0:
-            return _clean_outcome(fld, r)
+        first, coeffs = synthesize_recurrence(fld, seqs)
     elif len(seqs) < len(synd.values):
         # Sequences with a common recurrence of length t span at most t
         # dimensions, so no t below the rank of a basis can be consistent.

@@ -123,6 +123,15 @@ def _check_points(field: Field, alphas, n: int) -> np.ndarray:
     return alphas
 
 
+def _check_nonzero_points(field: Field, alphas, n: int) -> np.ndarray:
+    """_check_points for points a decoder will use: it inverts them, so a
+    zero point also raises InvalidParameters."""
+    alphas = _check_points(field, alphas, n)
+    if not alphas.all():
+        raise InvalidParameters("evaluation points must be nonzero (the decoders invert them)")
+    return alphas
+
+
 def make_grs(field: Field, n: int, k: int, alphas) -> GrsCode:
     """Build a GRS(n, k) code; dual multipliers are derived from alphas.
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -30,7 +29,7 @@ from .decoder import (FailureReason, _batch_elements, _decode_batch, build_stack
 from .errmodel import ErrorModelSpec, _check_model, inject, model_for, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
 from .field import Field, PrimeField, RealField
-from .grs import _check_points, _primitive_points, make_grs
+from .grs import _check_nonzero_points, _primitive_points, make_grs
 from .polycode import PolyCodeParams, assemble_irs, encode_tasks, recover_product, worker_compute
 
 __all__ = [
@@ -91,10 +90,7 @@ def make_alphas(field: Field, n: int, rule: str):
         points = _primitive_points(field, n)
     else:
         raise InvalidParameters(f"unknown alpha rule {rule!r}")
-    points = _check_points(field, points, n)
-    if not points.all():
-        raise InvalidParameters(f"rule {rule!r} gives a zero evaluation point at n={n}")
-    return points
+    return _check_nonzero_points(field, points, n)
 
 
 @dataclass(frozen=True)
@@ -195,19 +191,16 @@ def _words_differ(fld: Field, got, want) -> bool:
 def _checked(config: ExperimentConfig, decode) -> list:
     """decode(name), a list of outcomes, for the configured decoder.
 
-    With "both", the cpda outcomes after comparing each with mssr's: over
-    GF(p) any difference raises DecoderMismatch, over the reals one beyond
-    CLASSIFY_RTOL warns.
+    With "both", the cpda outcomes after comparing each with mssr's: the
+    two decoders give identical outcomes over either field, so any
+    difference raises DecoderMismatch.
     """
     if config.decoder != "both":
         return decode(config.decoder)
     cpda, mssr = decode("cpda"), decode("mssr")
     for a, b in zip(cpda, mssr):
-        if isinstance(config.field, PrimeField):
-            if not outcomes_equal(config.field, a, b):
-                raise DecoderMismatch(f"decoders disagree: {a.reason} vs {b.reason}")
-        elif not outcomes_equal(config.field, a, b, rtol=CLASSIFY_RTOL):
-            warnings.warn("cpda and mssr disagree beyond tolerance; keeping the cpda outcome")
+        if not outcomes_equal(config.field, a, b):
+            raise DecoderMismatch(f"decoders disagree: {a.reason} vs {b.reason}")
     return cpda
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameters
 from .field import Field
-from .grs import GrsCode, _check_points, _interpolate_rows, make_grs
+from .grs import GrsCode, _check_nonzero_points, _interpolate_rows, make_grs
 
 __all__ = [
     "PolyCodeParams",
@@ -51,6 +51,8 @@ class PolyCodeParams:
     """Parameters of a polynomial code for N workers and m x n block products.
 
     The exponents exp_a, exp_b are derived, not given: choose_exponents(m, n).
+    The points xs must be pairwise distinct and nonzero, since the decoders
+    invert them; anything else raises InvalidParameters.
     """
 
     field: Field
@@ -65,7 +67,7 @@ class PolyCodeParams:
         ea, eb = choose_exponents(self.m, self.n)
         object.__setattr__(self, "exp_a", ea)
         object.__setattr__(self, "exp_b", eb)
-        xs = np.array(_check_points(self.field, self.xs, self.num_workers), copy=True)
+        xs = np.array(_check_nonzero_points(self.field, self.xs, self.num_workers), copy=True)
         if self.num_workers < self.m * self.n:
             raise InvalidParameters(
                 f"need at least m*n = {self.m * self.n} workers, got {self.num_workers}"

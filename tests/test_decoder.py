@@ -29,6 +29,7 @@ from irscollab.errmodel import ErrorModelSpec, inject, sample_error
 from irscollab.errors import InvalidParameters
 from irscollab.field import PrimeField, RealField
 from irscollab.grs import classical_code, encode, make_grs, syndromes
+from irscollab.harness import make_alphas
 
 
 def _random_word(code, l, rng):
@@ -226,7 +227,7 @@ def test_synthesis_real_with_scales():
     fld = RealField()
     a, b = 0.9, 0.5
     seqs = np.array([[a ** i for i in range(8)], [b ** i for i in range(8)]])
-    t, coeffs = synthesize_recurrence(fld, seqs, scales=np.abs(seqs))
+    t, coeffs = synthesize_recurrence(fld, seqs)
     assert t == 2
     assert np.allclose(coeffs, [-(a + b), a * b], atol=1e-9)
 
@@ -552,6 +553,28 @@ def test_real_decode_takes_rank_and_solution_from_one_factorisation(monkeypatch,
     assert svd_calls == []
 
 
+def test_real_mssr_solves_at_most_once_more_than_cpda(monkeypatch):
+    # mssr over the reals runs cpda's scan to find the first consistent t,
+    # then solves that stack once more for its rank; nothing else.
+    fld = RealField()
+    code = make_grs(fld, 8, 2, [0.9 ** i for i in range(1, 9)])
+    rng = np.random.default_rng(61)
+    calls = []
+    solve = RealField._solve
+
+    def counting_solve(self, a, rhs):
+        calls[-1] += 1
+        return solve(self, a, rhs)
+
+    monkeypatch.setattr(RealField, "_solve", counting_solve)
+    for l, t in [(1, 1), (1, 3), (2, 4), (6, 5)]:
+        _, received, err = _planted_instance(code, l, t, rng)
+        for decode in (cpda_decode, mssr_decode):
+            calls.append(0)
+            assert decode(code, received).locations == err.support
+        assert calls[-1] <= calls[-2] + 1, (l, t, calls[-2:])
+
+
 @pytest.mark.parametrize("decode", [cpda_decode, mssr_decode])
 def test_decode_single_error_locator_structure(decode):
     fld = PrimeField(257)
@@ -605,6 +628,42 @@ def test_decode_input_validation():
         mssr_decode(code, fld.zeros((2, 5)))  # wrong length
 
 
+@st.composite
+def _codes_and_words(draw):
+    """(code, codeword) over GF(p) (points g**j) or the reals (pow:0.9),
+    N in [2, 12], L in [1, 6]."""
+    real = draw(st.booleans())
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n - 1))
+    l = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if real:
+        code = make_grs(RealField(), n, k, [0.9 ** i for i in range(1, n + 1)])
+    else:
+        code = classical_code(PrimeField(draw(st.sampled_from([13, 257, 65537]))), n, k)
+    return code, _random_word(code, l, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_codes_and_words(), data=st.data())
+def test_decoders_reject_non_finite_and_non_integer_words(case, data):
+    # Robustness: the public decoders check the word's entries before any
+    # arithmetic.  A real word with NaN or +-inf anywhere raises ValueError;
+    # a GF(p) word of float or bool dtype raises TypeError.
+    code, word = case
+    if isinstance(code.field, RealField):
+        i = data.draw(st.integers(0, word.shape[0] - 1))
+        j = data.draw(st.integers(0, word.shape[1] - 1))
+        word[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        error = ValueError
+    else:
+        word = word.astype(data.draw(st.sampled_from([np.float64, np.bool_])))
+        error = TypeError
+    for decode in (cpda_decode, mssr_decode):
+        with pytest.raises(error):
+            decode(code, word)
+
+
 # ---------------------------------------------------------------------------
 # Decoder agreement
 # ---------------------------------------------------------------------------
@@ -650,6 +709,47 @@ def test_cpda_mssr_agree_real():
         a = cpda_decode(code, received)
         b = mssr_decode(code, received)
         assert outcomes_equal(fld, a, b, rtol=1e-6)
+
+
+REAL_POINT_RULES = ["pow:0.9", "pow:0.8", "pow:0.95", "linear"]
+
+
+@st.composite
+def _real_words(draw):
+    """(code, received): a real codeword on N in [4, 16] points of one rule
+    and L in [1, 8] layers, plus errors in t in [0, t_max + 1] columns at a
+    scale of 10**U(-6, 3); one word in five has layers that are multiples of
+    one row, or error values that are."""
+    fld = RealField()
+    n = draw(st.integers(4, 16))
+    k = draw(st.integers(1, n - 1))
+    l = draw(st.integers(1, 8))
+    t = draw(st.integers(0, t_max(n, k, l) + 1))
+    rule = draw(st.sampled_from(REAL_POINT_RULES))
+    rank_one = draw(st.sampled_from([None] * 8 + ["layers", "errors"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    code = make_grs(fld, n, k, make_alphas(fld, n, rule))
+    word = _random_word(code, l, rng)
+    if rank_one == "layers":
+        word = np.outer(rng.standard_normal(l), word[0])
+    vals = rng.standard_normal((l, t))
+    if rank_one == "errors":
+        vals = np.outer(rng.standard_normal(l), vals[0])
+    e = fld.zeros((l, n))
+    e[:, rng.choice(n, t, replace=False)] = vals * 10 ** rng.uniform(-6, 3)
+    return code, word + e
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_real_words())
+def test_real_cpda_and_mssr_are_identical(case):
+    code, received = case
+    a, b = cpda_decode(code, received), mssr_decode(code, received)
+    assert (a.success, a.reason, a.locations) == (b.success, b.reason, b.locations)
+    if a.success:
+        assert np.array_equal(a.corrected, b.corrected)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.locator.coeffs, b.locator.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,17 @@ def test_run_monte_carlo_both_mode_raises_on_a_disagreement(monkeypatch):
         run_monte_carlo(_config(decoder="both", trials=5, t_values=(1,)))
 
 
+def test_run_monte_carlo_both_mode_raises_on_a_real_disagreement(monkeypatch):
+    # Real cpda and mssr give identical outcomes, so "both" holds the reals
+    # to the rule it holds GF(p) to: any difference raises.
+    monkeypatch.setattr(harness, "mssr_decode",
+                        lambda code, r: DecodeOutcome.fail(FailureReason.NOT_T_VALID))
+    cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(2,), t_values=(1,),
+                           trials=3, model="gre", alphas="pow:0.9", decoder="both")
+    with pytest.raises(DecoderMismatch):
+        run_monte_carlo(cfg)
+
+
 @pytest.mark.parametrize("decoder", ["cpda", "mssr"])
 def test_run_monte_carlo_does_not_depend_on_the_batch_size(monkeypatch, decoder):
     # Batches of one trial, of three and of a whole cell give the same report.
@@ -315,6 +326,17 @@ def test_condnum_study_rejects_bad_configs():
 def _demo_params(fld, workers):
     xs = make_alphas(fld, workers, "primitive" if isinstance(fld, PrimeField) else "pow:0.9")
     return PolyCodeParams(field=fld, m=2, n=2, num_workers=workers, xs=xs)
+
+
+@pytest.mark.parametrize("field, xs", [
+    (PrimeField(7), [0, 1, 2, 3, 4, 5]),
+    (RealField(), [0.0, 0.9, 0.81, 0.729, 0.6561, 0.59049]),
+])
+def test_demo_matmul_params_refuse_a_zero_point(field, xs):
+    # The decoders invert every point, so a zero point is refused when the
+    # parameters are built, not when a clean word reaches the decoder.
+    with pytest.raises(InvalidParameters, match="points must be nonzero"):
+        demo_matmul(PolyCodeParams(field=field, m=1, n=2, num_workers=6, xs=xs), 0)
 
 
 def test_demo_matmul_no_errors_exact():
