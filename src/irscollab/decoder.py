@@ -35,12 +35,14 @@ the whole stack: row bases for every L, and for mssr one Berlekamp-Massey
 pass (below) over all the words, one loop over the positions.  The public
 decoders take one word, so a deep word keeps the blocked scan above.
 
-Two decoders are provided and produce identical outcomes: cpda_decode scans
-t = 1, 2, ... and accepts the first t whose stacked system is consistent
-(with a unique solution), while mssr_decode synthesizes the minimal-length
-common recurrence of the L syndrome sequences directly and validates it.
-Both certify the result through the same location and value-recovery checks,
-so a Success is always the closest (maximum-likelihood) explanation of R.
+Two decoders are provided and produce identical outcomes.  Both scan t
+upward and accept the first t whose stacked system is consistent, where the
+solve that checks uniqueness (full column rank) also gives the locator.
+cpda_decode starts at most at the rank of S, below which no system is
+consistent, and mssr_decode at the length of the minimal common recurrence
+of the L syndrome sequences, the least consistent t.  Both certify the result through the same location and value-recovery
+checks, so a Success is always the closest (maximum-likelihood) explanation
+of R.
 
 Over GF(p) the synthesis is one multi-sequence Berlekamp-Massey pass (Feng
 and Tzeng, IEEE T-IT 1991; Schmidt, Sidorenko and Bossert, IEEE T-IT 2009).
@@ -461,36 +463,30 @@ def _validated_word(code: GrsCode, r):
     return r
 
 
-def _attempt(code: GrsCode, synd: SyndromeSet, seqs: np.ndarray, r: np.ndarray, t: int,
-             coeffs=None):
+def _attempt(code: GrsCode, synd: SyndromeSet, seqs: np.ndarray, r: np.ndarray, t: int):
     """Try to decode with exactly t errors.
 
     The stacked system is built from seqs, the rows of _row_space(synd).
-    Returns None when it is inconsistent, and otherwise the outcome at t.
-    When coeffs is given (from recurrence synthesis) the stacked solve gives
-    only the rank.
+    Returns None when it is inconsistent, and otherwise the outcome at t:
+    one solve gives the rank and, when that is full, the unique locator.
     """
     system = _stack(seqs, t, code.field)
-    # One solve gives the solution and the rank; the stack is consistent
-    # with synthesized coeffs, so then only the rank is needed.
-    rhs = system.rhs[:, None]
-    sol, rank = code.field._solve(system.matrix, rhs if coeffs is None else rhs[:, :0])
-    if coeffs is None:
-        if sol is None:
-            return None
-        coeffs = sol[::-1, 0]
+    sol, rank = code.field._solve(system.matrix, system.rhs[:, None])
+    if sol is None:
+        return None
     if rank < t:
         return DecodeOutcome.fail(FailureReason.RANK_DEFICIENT)
-    return _finish(code, synd, r, coeffs)
+    return _finish(code, synd, r, sol[::-1, 0])
 
 
 def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
     """Collaborative Peterson-style decoder.
 
-    Scans t = 1, ..., t_max and accepts the first t whose stacked syndrome
-    system is consistent; the solution must be unique (full column rank),
-    t-valid, and able to reproduce every syndrome.  Over GF(p) a failed
-    check at the accepted t is final (larger t provably cannot recover).
+    Scans t up to t_max, from the rank of the syndromes' row basis where
+    one is computed, and accepts the first t whose stacked syndrome system
+    is consistent; the solution must be unique (full column rank), t-valid,
+    and able to reproduce every syndrome.  Over GF(p) a failed check at the
+    accepted t is final (larger t provably cannot recover).
     Over the reals the scan continues past it - a near-degenerate error
     pattern can look consistent at too small a t within tolerance - and
     the first failure is reported if no t succeeds.  Never raises on a
@@ -504,10 +500,10 @@ def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
     """Multi-sequence shift-register decoder.
 
     Synthesizes the minimal-length common recurrence of the L syndrome
-    sequences, then applies the same validity, uniqueness, and value
-    checks as cpda_decode (including the real-field rescan at larger t
-    after a downstream rejection); the two decoders give identical outcomes
-    on every input, over either field.
+    sequences and starts cpda_decode's scan at that length, the least
+    consistent t, whose uniqueness check also gives the locator.  The rest,
+    including the real-field rescan at larger t, is cpda_decode's, so the
+    two decoders give identical outcomes on every input, over either field.
     """
     return _decode(code, r, "mssr")
 
@@ -515,9 +511,9 @@ def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
 def _decode(code: GrsCode, r, decoder: str) -> DecodeOutcome:
     """cpda_decode or mssr_decode (decoder "cpda" or "mssr") of one word.
 
-    Both scan t upward from a first t to t_max: cpda from the rank of the
-    row basis, mssr from the length of the synthesized recurrence, whose
-    coefficients stand in for the stacked solve at that first t.
+    Both scan t upward from a first t to t_max and differ only in that
+    first t: cpda starts at the rank of the row basis, mssr at the length
+    of the synthesized recurrence.
     """
     r = _validated_word(code, r)
     fld = code.field
@@ -525,16 +521,15 @@ def _decode(code: GrsCode, r, decoder: str) -> DecodeOutcome:
     if _all_syndromes_zero(synd, fld):
         return _clean_outcome(fld, r)
     seqs = _row_space(fld, synd.values)
-    first, coeffs = 1, None
     if decoder == "mssr":
-        first, coeffs = synthesize_recurrence(fld, seqs)
-    elif len(seqs) < len(synd.values):
+        first = synthesize_recurrence(fld, seqs)[0]
+    else:
         # Sequences with a common recurrence of length t span at most t
         # dimensions, so no t below the rank of a basis can be consistent.
-        first = len(seqs)
+        first = len(seqs) if len(seqs) < len(synd.values) else 1
     first_failure = None
     for t in range(first, t_max(code.n, code.k, r.shape[0]) + 1):
-        outcome = _attempt(code, synd, seqs, r, t, coeffs if t == first else None)
+        outcome = _attempt(code, synd, seqs, r, t)
         if outcome is None:
             continue
         if outcome.success or isinstance(fld, PrimeField):
@@ -554,15 +549,13 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     Each stage runs on the whole stack: the syndromes are one product, the
     clean words one zero test, and the RREF row bases of the syndrome
     matrices one masked Gauss-Jordan elimination (PrimeField._reduce_batch),
-    each basis padded with zero rows to min(L, N - K).  cpda then runs one
-    elimination per t over the stacked systems of the words still scanning;
-    a word joins the scan at the rank of its basis and leaves it at its
-    first consistent t, where over GF(p) the outcome is final: rank
-    deficient, or on to the tail.  mssr synthesizes the recurrences of all
-    words from their padded bases in one pass (_synthesize_batch), groups
-    the words by length and checks each group's rank by one elimination.
-    The tail, _finish_batch, runs once per t on the words accepted at that
-    t.
+    each basis padded with zero rows to min(L, N - K).  Then one elimination
+    per t runs over the stacked systems of the words still scanning.  A word
+    joins the scan at the rank of its basis for cpda, and for mssr at its
+    recurrence length, synthesized for all words in one pass
+    (_synthesize_batch).  It leaves at its first consistent t, where over
+    GF(p) the outcome is final: rank deficient, or on to the tail,
+    _finish_batch, which runs once per t on the words accepted at that t.
     """
     _require_invertible_points(code)
     fld, p = code.field, code.field.p
@@ -580,35 +573,26 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
         for j in pos:
             outcomes[dirty[j]] = DecodeOutcome.fail(reason)
 
-    def finish(pos, coeffs):
-        if pos.size:
-            trials = dirty[pos]
+    # No t below the rank of a basis is consistent (see _decode), nor any
+    # below the least common-recurrence length.
+    start = rank if decoder == "cpda" else _synthesize_batch(fld, basis)[0]
+    scanning = np.ones(len(dirty), dtype=bool)
+    for t in range(1, tm + 1):
+        pos = np.flatnonzero(scanning & (start <= t))
+        if not pos.size:
+            continue
+        # Every window of t + 1 syndromes is a row [A | -b] of the stack.
+        red, r, done = fld._reduce_batch(sliding_window_view(basis[pos], t + 1, axis=2), t)
+        scanning[pos[done]] = False
+        fail(pos[done & (r < t)], FailureReason.RANK_DEFICIENT)
+        full = done & (r == t)
+        if full.any():
+            trials = dirty[pos[full]]
+            # The pivots are columns 0..t-1, and the solution is -(c_t, ..., c_1).
+            coeffs = (p - red[full, :t, t])[:, ::-1] % p
             for i, out in zip(trials, _finish_batch(code, words[trials], synd[trials], coeffs)):
                 outcomes[i] = out
-
-    if decoder == "cpda":
-        scanning = np.arange(len(dirty))
-        for t in range(1, tm + 1):
-            # No t below the rank of a basis is consistent (see cpda_decode).
-            pos = scanning[rank[scanning] <= t]
-            if not pos.size:
-                continue
-            # Every window of t + 1 syndromes is a row [A | -b] of the stack.
-            red, r, done = fld._reduce_batch(sliding_window_view(basis[pos], t + 1, axis=2), t)
-            scanning = np.setdiff1d(scanning, pos[done])
-            fail(pos[done & (r < t)], FailureReason.RANK_DEFICIENT)
-            full = done & (r == t)
-            # The pivots are columns 0..t-1, and the solution is -(c_t, ..., c_1).
-            finish(pos[full], (p - red[full, :t, t])[:, ::-1] % p)
-        fail(scanning, FailureReason.NO_CONSISTENT_T)
-        return outcomes
-    ell, coeffs = _synthesize_batch(fld, basis)
-    fail(np.flatnonzero(ell > tm), FailureReason.NO_CONSISTENT_T)
-    for t in np.unique(ell[ell <= tm]):
-        pos = np.flatnonzero(ell == t)
-        r = fld._reduce_batch(sliding_window_view(basis[pos], t + 1, axis=2), t)[1]
-        fail(pos[r < t], FailureReason.RANK_DEFICIENT)
-        finish(pos[r == t], coeffs[pos[r == t], :t])
+    fail(np.flatnonzero(scanning), FailureReason.NO_CONSISTENT_T)
     return outcomes
 
 

@@ -184,7 +184,7 @@ def syndromes(code: GrsCode, received) -> np.ndarray:
 
 
 def _interpolate_rows(code: GrsCode, rows: np.ndarray) -> np.ndarray:
-    """Message coefficients for each row of a stack of codewords.
+    """Message coefficients for each row of a canonical stack of codewords.
 
     Over GF(p) the first K positions determine the message exactly and the
     remaining positions are verified by re-encoding; over the reals a full
@@ -194,10 +194,10 @@ def _interpolate_rows(code: GrsCode, rows: np.ndarray) -> np.ndarray:
     field = code.field
     gmat = code.encoding_matrix()
     if isinstance(field, PrimeField):
-        head = field.solve_consistent(gmat[: code.k], rows[:, : code.k].T)
+        head = field._solve(gmat[: code.k], rows[:, : code.k].T)[0]
         if head is None:
             raise RuntimeError("leading square system must be invertible")
-        reenc = field.matmul(gmat, head)
+        reenc = field._matmul(gmat, head)
         if np.any(reenc.T != rows):
             raise NotACodeword("symbols are not consistent with any codeword")
         return head.T

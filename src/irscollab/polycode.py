@@ -163,13 +163,15 @@ def assemble_irs(params: PolyCodeParams, worker_outputs) -> IrsWord:
 def recover_product(params: PolyCodeParams, word: IrsWord) -> np.ndarray:
     """Reassemble A^T B from a clean (or repaired) interleaved word.
 
-    Each row of word.d is interpolated to its mn polynomial coefficients;
+    Each row of word.d, canonicalized once here (a real NaN or inf raises
+    ValueError), is interpolated to its mn polynomial coefficients;
     coefficient j + k*m (the exponent j*exp_a + k*exp_b) is entry (p, q) of
     the block A_j^T B_k, where row index l = p * block_cols + q.
     """
     br, bc = word.block_rows, word.block_cols
-    if word.d.shape != (br * bc, params.num_workers):
+    d = params.field.array(word.d)
+    if d.shape != (br * bc, params.num_workers):
         raise InvalidParameters("interleaved word shape does not match its block layout")
-    msgs = _interpolate_rows(word.code, word.d)
+    msgs = _interpolate_rows(word.code, d)
     blocks = msgs.reshape(br, bc, params.n, params.m).transpose(3, 0, 2, 1)
     return blocks.reshape(params.m * br, params.n * bc)

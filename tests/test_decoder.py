@@ -555,7 +555,8 @@ def test_real_decode_takes_rank_and_solution_from_one_factorisation(monkeypatch,
 
 def test_real_mssr_solves_at_most_once_more_than_cpda(monkeypatch):
     # mssr over the reals runs cpda's scan to find the first consistent t,
-    # then solves that stack once more for its rank; nothing else.
+    # then starts cpda's scan there, solving that stack once more for its
+    # rank and locator; nothing else.
     fld = RealField()
     code = make_grs(fld, 8, 2, [0.9 ** i for i in range(1, 9)])
     rng = np.random.default_rng(61)
@@ -1079,13 +1080,18 @@ BATCH_PRIMES = [3, 17, 257, 65537, 3037000493, 2**61 - 1]
 
 def _batch_matches_single_words(code, words):
     """cpda and mssr outcomes of the batch decoder, asserted equal to
-    cpda_decode's and mssr_decode's word by word; returns cpda's."""
+    cpda_decode's and mssr_decode's word by word, and cpda's to mssr's;
+    returns cpda's."""
     fld = code.field
+    both = []
     for name, decode in (("mssr", mssr_decode), ("cpda", cpda_decode)):
         got = decoder_module._decode_batch(code, words, name)
         assert len(got) == len(words)
         for outcome, word in zip(got, words):
             assert outcomes_equal(fld, outcome, decode(code, word))
+        both.append(got)
+    for mssr, cpda in zip(*both):
+        assert outcomes_equal(fld, mssr, cpda)
     return got
 
 
@@ -1110,21 +1116,48 @@ def test_batch_decoding_matches_single_words(case):
     _batch_matches_single_words(*case)
 
 
-@pytest.mark.parametrize("l", [4, 20])
-def test_batch_decoding_reaches_every_outcome(l):
-    # One fixed GF(17) batch, L below and above N - K = 12, whose words
-    # leave the scan at different t and between them succeed and fail with
-    # every reason that can occur over GF(p).
+def _every_outcome_batch(l):
+    """(code, words): a fixed GF(17) batch of 120 words, L = l, N = 16, K = 4."""
     fld = PrimeField(17)
     rng = np.random.default_rng(900 + l)
     pairs = [_collab_word(fld, 16, 4, l, WORD_KINDS[i % len(WORD_KINDS)], rng)
              for i in range(120)]
-    code, words = pairs[0][0], np.stack([word for _, word in pairs])
-    outcomes = _batch_matches_single_words(code, words)
+    return pairs[0][0], np.stack([word for _, word in pairs])
+
+
+@pytest.mark.parametrize("l", [4, 20])
+def test_batch_decoding_reaches_every_outcome(l):
+    # L below and above N - K = 12; the words leave the scan at different t
+    # and between them succeed and fail with every reason that can occur
+    # over GF(p).
+    outcomes = _batch_matches_single_words(*_every_outcome_batch(l))
     seen = {out.reason if not out.success else len(out.locations) > 0 for out in outcomes}
     assert seen == {True, False, FailureReason.NO_CONSISTENT_T, FailureReason.NOT_T_VALID,
                     FailureReason.RANK_DEFICIENT}
     assert len({len(out.locations) for out in outcomes if out.success}) > 3
+
+
+@pytest.mark.parametrize("l", [4, 20])
+def test_mssr_takes_only_the_length_from_the_synthesis(monkeypatch, l):
+    # The synthesized length picks where mssr's scan starts; the locator
+    # comes from the stacked elimination there, so scrambled coefficients
+    # leave every outcome equal to cpda's.
+    code, words = _every_outcome_batch(l)
+    p = code.field.p
+    cpda = decoder_module._decode_batch(code, words, "cpda")
+    synthesize, synthesize_batch = synthesize_recurrence, decoder_module._synthesize_batch
+
+    def scrambled(length, coeffs):
+        return length, (coeffs + 1 + np.arange(coeffs.shape[-1])) % p
+
+    monkeypatch.setattr(decoder_module, "synthesize_recurrence",
+                        lambda field, seqs: scrambled(*synthesize(field, seqs)))
+    monkeypatch.setattr(decoder_module, "_synthesize_batch",
+                        lambda field, seqs: scrambled(*synthesize_batch(field, seqs)))
+    batch = decoder_module._decode_batch(code, words, "mssr")
+    for word, want, got in zip(words, cpda, batch):
+        assert outcomes_equal(code.field, got, want)
+        assert outcomes_equal(code.field, mssr_decode(code, word), want)
 
 
 def test_batch_decoding_of_an_empty_stack():

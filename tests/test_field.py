@@ -211,7 +211,9 @@ def _real_systems(draw):
     at the scale of a (inconsistent once rows exceed the rank), and "zero"
     makes a the zero matrix.  "graded" gives a chosen singular values: 1,
     then 1e-4, 1e-8, 1e-14 or one between RANK_TOL and the cutoff
-    RANK_TOL * max(shape) (relative to the largest), so its rank is known.
+    RANK_TOL * max(shape) (relative to the largest), so its rank is known,
+    and takes rhs from the singular directions above the cutoff, so that
+    truncating the others leaves no residual.
     "weak" keeps one singular value just above the cutoff and puts rhs
     along it, a consistent system whose b is tiny next to sigma_max * x.
     rank is the expected rank, or None where only the references know it.
@@ -233,7 +235,8 @@ def _real_systems(draw):
         v = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
         a = scale * (u * sigma) @ v.T
         if kind == "graded":
-            rhs = a @ rng.standard_normal((cols, width))
+            above = np.array(sigma) > edge
+            rhs = scale * (u * sigma)[:, above] @ rng.standard_normal((above.sum(), width))
         else:
             rhs = a @ np.outer(v[:, -1], rng.standard_normal(width))
         return a, rhs, kind, sum(x > edge for x in sigma)
@@ -269,6 +272,21 @@ def test_real_solve_matches_lstsq_and_svd_reference(oracle_lstsq, system):
         assert x is not None
     elif rhs.shape[1] and len(a) > rank and np.any(rhs):
         assert x is None
+
+
+def test_real_solve_rejects_b_along_a_direction_under_the_cutoff(oracle_lstsq):
+    # b = a x is consistent, but its part along the singular direction just
+    # under the rank cutoff is truncated away and exceeds the residual bound.
+    lstsq_solve, _ = oracle_lstsq
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.standard_normal((11, 2)))[0]
+    v = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    sigma = np.array([1.0, field_module.RANK_TOL * np.sqrt(11)])
+    a = (u * sigma) @ v.T
+    b = a @ (v[:, :1] * 1e-2 + v[:, 1:] * 1e6)
+    x, rank = RealField()._solve(a, b)
+    assert rank == 1
+    assert x is None and lstsq_solve(a, b) is None
 
 
 def test_primitive_root_orders():

@@ -1,5 +1,7 @@
 """Polynomial-coded matmul: expansion oracles, interleaving, recovery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,29 @@ def test_recover_product_real_tolerance():
     got = recover_product(params, assemble_irs(params, outs))
     ref = a.T @ b
     assert np.max(np.abs(got - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
+
+
+def _product_word(field, rng):
+    params = make_params(field, 2, 2, 6)
+    a, b = field.rand_elements(rng, (3, 4)), field.rand_elements(rng, (3, 4))
+    outs = [worker_compute(t) for t in encode_tasks(params, a, b)]
+    return params, assemble_irs(params, outs)
+
+
+def test_recover_product_rejects_a_non_finite_real_word():
+    params, word = _product_word(RE, np.random.default_rng(24))
+    d = word.d.copy()
+    d[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        recover_product(params, replace(word, d=d))
+
+
+def test_recover_product_reduces_a_shifted_gf_word():
+    # Entries shifted by +-p are the same codeword, as the decoders read them.
+    params, word = _product_word(GF, np.random.default_rng(25))
+    shift = np.random.default_rng(26).integers(-1, 2, word.d.shape) * GF.p
+    got = recover_product(params, replace(word, d=word.d + shift))
+    assert np.array_equal(got, recover_product(params, word))
 
 
 def test_interleaving_depth_formula():
