@@ -40,9 +40,9 @@ upward and accept the first t whose stacked system is consistent, where the
 solve that checks uniqueness (full column rank) also gives the locator.
 cpda_decode starts at most at the rank of S, below which no system is
 consistent, and mssr_decode at the length of the minimal common recurrence
-of the L syndrome sequences, the least consistent t.  Both certify the result through the same location and value-recovery
-checks, so a Success is always the closest (maximum-likelihood) explanation
-of R.
+of the L syndrome sequences, the least consistent t.  Both certify the
+result through the same location and value-recovery checks, so a Success
+is always the closest (maximum-likelihood) explanation of R.
 
 Over GF(p) the synthesis is one multi-sequence Berlekamp-Massey pass (Feng
 and Tzeng, IEEE T-IT 1991; Schmidt, Sidorenko and Bossert, IEEE T-IT 2009).
@@ -223,12 +223,12 @@ def build_stacked(code: GrsCode, r, t: int) -> StackedSystem:
     if not isinstance(t, (int, np.integer)) or t < 1:
         raise InvalidParameters(f"t must be a positive integer, got {t!r}")
     r = code.field.array(r)
-    if r.ndim != 2:
-        raise InvalidParameters("expected an L x N matrix")
+    if r.ndim != 2 or r.shape[1] != code.n:
+        raise InvalidParameters(f"expected an L x {code.n} matrix, got shape {r.shape}")
     tm = t_max(code.n, code.k, r.shape[0])
     if t > tm:
         raise InvalidParameters(f"t={t} exceeds the decoding radius t_max={tm}")
-    return _stack(layer_syndromes(code, r).values, int(t), code.field)
+    return _stack(_syndromes(code, r).values, int(t), code.field)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +236,14 @@ def build_stacked(code: GrsCode, r, t: int) -> StackedSystem:
 # ---------------------------------------------------------------------------
 
 def _synthesize_gf(field: PrimeField, seqs: np.ndarray):
-    """Multi-sequence Berlekamp-Massey over canonical GF(p) rows.
+    """The module docstring's Berlekamp-Massey pass over canonical GF(p) rows.
 
-    c holds the register (c[0] = 1) of length ell.  Record i, (b, ell_b, m),
-    is an earlier register of length ell_b that held through position m - 1
-    and failed at m with the discrepancy vector in column i of disc.  These
-    r columns stay linearly independent (at most min(L, n) of them); on the
-    rows sel they form an invertible r x r matrix whose inverse is
-    inv[:r, :r].
+    c holds the register C (c[0] = 1) of length ell, and record i is
+    (B, ell_B, m) with its D in column i of disc.  These r columns stay
+    linearly independent (at most min(L, n) of them); on the rows sel they
+    form an invertible r x r matrix whose inverse is inv[:r, :r].  So writing
+    delta in the D is one small product, checked on every row by one
+    residual product, and an exchange updates inv by one pivot.
     """
     p = field.p
     rows, n = seqs.shape
@@ -297,29 +297,13 @@ def synthesize_recurrence(field: Field, seqs):
 
     Returns (t, coeffs) with coeffs = (c_1, ..., c_t) such that every row s
     obeys s[i] + sum_k c_k s[i-k] = 0 for t <= i < len(s); t is the least
-    length for which any such recurrence exists (c_t may be zero).
-
-    Over GF(p) this is one multi-sequence Berlekamp-Massey pass (see the
-    module docstring).  At each position j with a nonzero discrepancy
-    vector, the register subtracts the combination of records (earlier
-    registers B that failed at a position m) whose discrepancy vectors sum
-    to it, each shifted by x^(j-m); the length grows to the largest
-    j - m + ell_B of the records used, or to j + 1 when the vector is outside
-    their span.  Record exchange: the old register then joins the records,
-    and otherwise replaces the used record of lowest m - ell_B when its own
-    j - ell is higher, which is exactly when the length grows.  The final
-    length is the least common-recurrence length, and the coefficients are
-    the unique ones whenever the t-stack has full column rank.  The records'
-    discrepancy vectors are kept with the inverse of their restriction to as
-    many chosen rows, so writing a discrepancy in them is one small product
-    checked on every row by one residual product, and an exchange updates
-    that inverse by one pivot: no elimination runs inside the pass.
-
-    Over the reals, where that pass is numerically unstable, t is the least
-    length whose whole stacked system passes RealField._solve, by the very
-    solve cpda_decode runs at each t, so the two decoders agree exactly; n
-    (with zero coefficients) when no t < n passes.  Sequences that are zero
-    within EQ_TOL give t = 0.
+    length for which any such recurrence exists (c_t may be zero), and the
+    coefficients are the unique ones whenever the t-stack has full column
+    rank.  Over GF(p) this is the module docstring's Berlekamp-Massey pass.
+    Over the reals t is the least length whose whole stacked system passes
+    RealField._solve, the solve cpda_decode runs at each t, so the two
+    decoders agree exactly; n (with zero coefficients) when no t < n passes,
+    and 0 for sequences that are zero within EQ_TOL.
     """
     seqs = field.array(seqs)
     if seqs.ndim != 2:
@@ -341,11 +325,6 @@ def synthesize_recurrence(field: Field, seqs):
 # Locator validation and error-value recovery
 # ---------------------------------------------------------------------------
 
-def _require_invertible_points(code: GrsCode):
-    if np.any(np.asarray(code.alphas) == 0):
-        raise InvalidParameters("decoding requires nonzero evaluation points")
-
-
 def is_t_valid(code: GrsCode, locator: ErrorLocator):
     """Check that Lambda has exactly t distinct roots among the 1/alpha_j.
 
@@ -356,16 +335,15 @@ def is_t_valid(code: GrsCode, locator: ErrorLocator):
     perturbed by solver noise are recognized while off-grid or coalescing
     roots are rejected.
     """
-    _require_invertible_points(code)
     fld = code.field
     t = locator.t
     if t == 0:
         return True, ()
+    cands = code.inverse_powers()[:, 1]
     if isinstance(fld, PrimeField):
         coeffs = fld.array(locator.coeffs)
         if coeffs[-1] == 0:
             return False, ()
-        cands = code.inverse_powers()[:, 1]
         acc = fld.zeros(code.n)
         for c in list(coeffs[::-1]) + [1]:
             acc = (acc * cands + c) % fld.p
@@ -376,7 +354,6 @@ def is_t_valid(code: GrsCode, locator: ErrorLocator):
     if fld.is_zero(coeffs[-1], scale=lead_scale):
         return False, ()
     roots = np.roots(np.concatenate([coeffs[::-1], [1.0]]))
-    cands = 1.0 / np.asarray(code.alphas, dtype=np.float64)
     gaps = code.candidate_gaps()
     matched = set()
     for root in roots:
@@ -456,7 +433,6 @@ def _finish(code: GrsCode, synd: SyndromeSet, r: np.ndarray, coeffs) -> DecodeOu
 
 
 def _validated_word(code: GrsCode, r):
-    _require_invertible_points(code)
     r = code.field.array(r)
     if r.ndim != 2 or r.shape[1] != code.n or r.shape[0] < 1:
         raise InvalidParameters(f"expected an L x {code.n} received matrix")
@@ -557,7 +533,6 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     GF(p) the outcome is final: rank deficient, or on to the tail,
     _finish_batch, which runs once per t on the words accepted at that t.
     """
-    _require_invertible_points(code)
     fld, p = code.field, code.field.p
     count, l, n = words.shape
     m, tm = n - code.k, t_max(n, code.k, l)
@@ -615,16 +590,14 @@ def _synthesize_batch(field: PrimeField, seqs: np.ndarray):
     padded with zero rows gives the same result as its nonzero rows.
 
     One loop over the n positions, each step array operations over the
-    words whose discrepancy is nonzero, with the same rules as
-    _synthesize_gf.  Every word keeps its register c (zero past ell), and
-    cap = min(R, n) record slots (unused ones zero): rec[:, i] holds the
-    record's register already shifted, x^(j - m) B at position j (every
-    record moves up one place per position), key[:, i] its m - ell_B, and
-    disc, inv and sel are _synthesize_gf's, padded to cap.  A word whose
-    discrepancy is outside the span adds a record at slot r; one inside
-    combines the used records and, when its length grows, replaces the used
-    record of lowest key (the first such slot on a tie).  Products go
-    through _dot, so they stay exact for every modulus.
+    words whose discrepancy is nonzero.  Every word keeps its register c
+    (zero past ell), and cap = min(R, n) record slots (unused ones zero):
+    rec[:, i] holds the record's register already shifted, x^(j - m) B at
+    position j (every record moves up one place per position), key[:, i]
+    its m - ell_B, and disc, inv and sel are _synthesize_gf's, padded to
+    cap.  A new record takes slot nrec; an exchange replaces the used record
+    of lowest key, the first such slot on a tie.  Products go through _dot,
+    so they stay exact for every modulus.
 
     On one word this is about three times slower than _synthesize_gf (the
     4 x 12 bases of N = 16, L = 4 words with 9 errors over GF(257): 0.77 ms

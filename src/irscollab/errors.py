@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InvalidParameters", "NotACodeword", "DecoderMismatch"]
+
 
 class InvalidParameters(ValueError):
     """Construction or operation parameters are out of domain or inconsistent."""

@@ -84,49 +84,44 @@ class GrsCode:
 
         Row j holds the powers of the candidate root 1/alpha_j, so a locator
         of degree t <= N - K is evaluated at every candidate by one product
-        with W[:, :t+1].  Built on first use; the points must be nonzero.
+        with W[:, :t+1], and column 1 holds the candidates themselves.  Built
+        on first use; make_grs has checked that the points are nonzero.
         """
         return self.field.power_matrix(self.field.inv(self.alphas), self.n - self.k + 1)
 
     @_cached
     def candidate_gaps(self) -> np.ndarray:
-        """Per-candidate nearest-neighbour distance among the 1/alpha_j."""
-        cands = 1.0 / np.asarray(self.alphas, dtype=np.float64)
+        """Per-candidate nearest-neighbour distance among the real candidates
+        1/alpha_j (inverse_powers' column 1); a real-field quantity."""
+        cands = self.inverse_powers()[:, 1]
         diffs = np.abs(cands[:, None] - cands[None, :])
         np.fill_diagonal(diffs, np.inf)
         return diffs.min(axis=1)
 
 
 def _product_of_differences(field: Field, alphas: np.ndarray) -> np.ndarray:
-    """prod_{j != i} (alpha_i - alpha_j) for every i."""
-    n = alphas.shape[0]
-    if isinstance(field, PrimeField):
-        out = field.ones(n)
-        for j in range(n):
-            diff = (alphas - alphas[j]) % field.p
-            diff[j] = 1
-            out = (out * diff) % field.p
-        return out
-    diffs = alphas[:, None] - alphas[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    return np.prod(diffs, axis=1)
+    """prod_{j != i} (alpha_i - alpha_j) for every i, one factor j at a time."""
+    out = field.ones(alphas.shape[0])
+    for j, alpha in enumerate(alphas):
+        diff = field._sub(alphas, alpha)
+        diff[j] = 1
+        out = field._reduce(out * diff)
+    return out
 
 
 def _check_points(field: Field, alphas, n: int) -> np.ndarray:
-    """alphas as a canonical 1-D array of n pairwise distinct points, or
-    InvalidParameters."""
+    """alphas as a canonical 1-D array of n pairwise distinct nonzero points,
+    or InvalidParameters.
+
+    The one point rule of the package: make_grs, PolyCodeParams and
+    make_alphas all apply it.  The decoders locate errors at the inverses
+    1/alpha_j, so a zero point would make a code that cannot be decoded.
+    """
     alphas = field.array(alphas)
     if alphas.ndim != 1 or alphas.shape[0] != n:
         raise InvalidParameters(f"evaluation points must be a length-{n} vector")
     if len(set(alphas.tolist())) != n:
         raise InvalidParameters("evaluation points must be pairwise distinct")
-    return alphas
-
-
-def _check_nonzero_points(field: Field, alphas, n: int) -> np.ndarray:
-    """_check_points for points a decoder will use: it inverts them, so a
-    zero point also raises InvalidParameters."""
-    alphas = _check_points(field, alphas, n)
     if not alphas.all():
         raise InvalidParameters("evaluation points must be nonzero (the decoders invert them)")
     return alphas
@@ -135,7 +130,9 @@ def _check_nonzero_points(field: Field, alphas, n: int) -> np.ndarray:
 def make_grs(field: Field, n: int, k: int, alphas) -> GrsCode:
     """Build a GRS(n, k) code; dual multipliers are derived from alphas.
 
-    alphas must be distinct.  Raises InvalidParameters on any violation.
+    alphas must be pairwise distinct and nonzero (_check_points), so every
+    code built here can be decoded.  Raises InvalidParameters on any
+    violation.
     """
     if not isinstance(n, (int, np.integer)) or not isinstance(k, (int, np.integer)):
         raise InvalidParameters("n and k must be integers")

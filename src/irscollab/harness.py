@@ -26,10 +26,10 @@ import numpy as np
 
 from .decoder import (FailureReason, _batch_elements, _decode_batch, build_stacked, cpda_decode,
                       mssr_decode, outcomes_equal, t_max)
-from .errmodel import ErrorModelSpec, _check_model, inject, model_for, sample_error
+from .errmodel import ErrorModelSpec, _check_model, model_for, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
 from .field import Field, PrimeField, RealField
-from .grs import _check_nonzero_points, _primitive_points, make_grs
+from .grs import _check_points, _primitive_points, make_grs
 from .polycode import PolyCodeParams, assemble_irs, encode_tasks, recover_product, worker_compute
 
 __all__ = [
@@ -90,7 +90,7 @@ def make_alphas(field: Field, n: int, rule: str):
         points = _primitive_points(field, n)
     else:
         raise InvalidParameters(f"unknown alpha rule {rule!r}")
-    return _check_nonzero_points(field, points, n)
+    return _check_points(field, points, n)
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,7 @@ def _trials(config: ExperimentConfig, code, l: int, t: int):
 
     Each trial draws random messages and, for t >= 1, a weight-t error from
     its own stream, so a cell's trials do not depend on what ran before.
+    Both are canonical, so the error is added by one raw sum.
     """
     fld = config.field
     enc = code.encoding_matrix().T  # k x n, word = messages @ enc
@@ -219,7 +220,7 @@ def _trials(config: ExperimentConfig, code, l: int, t: int):
         if spec is None:
             yield word, word
         else:
-            yield word, inject(word, sample_error(spec, fld, l, config.n, rng).e, fld)
+            yield word, fld._reduce(word + sample_error(spec, fld, l, config.n, rng).e)
 
 
 def _decoded(config: ExperimentConfig, code, l: int, t: int):
@@ -360,7 +361,7 @@ def demo_matmul(params: PolyCodeParams, t: int, seed: int = 0) -> DemoReport:
     if t > 0:
         spec = ErrorModelSpec(kind=model_for(fld), t=t)
         err = sample_error(spec, fld, l, params.num_workers, rng)
-        word = replace(word, d=inject(word.d, err.e, fld))
+        word = replace(word, d=fld._reduce(word.d + err.e))
     outcome = cpda_decode(word.code, word.d)
     reason = outcome.reason
     if outcome.success:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameters
 from .field import Field
-from .grs import GrsCode, _check_nonzero_points, _interpolate_rows, make_grs
+from .grs import GrsCode, _check_points, _interpolate_rows, make_grs
 
 __all__ = [
     "PolyCodeParams",
@@ -51,8 +51,9 @@ class PolyCodeParams:
     """Parameters of a polynomial code for N workers and m x n block products.
 
     The exponents exp_a, exp_b are derived, not given: choose_exponents(m, n).
-    The points xs must be pairwise distinct and nonzero, since the decoders
-    invert them; anything else raises InvalidParameters.
+    The points xs must pass make_grs's point rule (pairwise distinct and
+    nonzero), and the N workers must outnumber K = m*n, as the induced
+    GRS(N, K) code needs; anything else raises InvalidParameters.
     """
 
     field: Field
@@ -67,10 +68,10 @@ class PolyCodeParams:
         ea, eb = choose_exponents(self.m, self.n)
         object.__setattr__(self, "exp_a", ea)
         object.__setattr__(self, "exp_b", eb)
-        xs = np.array(_check_nonzero_points(self.field, self.xs, self.num_workers), copy=True)
-        if self.num_workers < self.m * self.n:
+        xs = np.array(_check_points(self.field, self.xs, self.num_workers), copy=True)
+        if self.num_workers <= self.k:
             raise InvalidParameters(
-                f"need at least m*n = {self.m * self.n} workers, got {self.num_workers}"
+                f"need more workers than K = m*n = {self.k}, got {self.num_workers}"
             )
         xs.setflags(write=False)
         object.__setattr__(self, "xs", xs)

@@ -613,10 +613,11 @@ def test_decode_beyond_radius_fails_not_crashes():
 
 def test_decoders_require_nonzero_points():
     fld = PrimeField(7)
-    code = make_grs(fld, 4, 2, [0, 1, 2, 3])
     with pytest.raises(InvalidParameters):
+        code = make_grs(fld, 4, 2, [0, 1, 2, 3])
         cpda_decode(code, fld.zeros((1, 4)))
     with pytest.raises(InvalidParameters):
+        code = make_grs(fld, 4, 2, [0, 1, 2, 3])
         mssr_decode(code, fld.zeros((1, 4)))
 
 
@@ -1167,8 +1168,8 @@ def test_batch_decoding_of_an_empty_stack():
 
 def test_batch_decoding_requires_nonzero_points():
     fld = PrimeField(257)
-    code = make_grs(fld, 8, 2, list(range(8)))
     with pytest.raises(InvalidParameters):
+        code = make_grs(fld, 8, 2, list(range(8)))
         decoder_module._decode_batch(code, fld.zeros((3, 2, 8)), "cpda")
 
 

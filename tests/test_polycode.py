@@ -56,6 +56,15 @@ def test_params_validation():
         PolyCodeParams(field=GF, m=2, n=2, num_workers=5, xs=[1, 2, 3, 4, 4])
 
 
+@pytest.mark.parametrize("field", [GF, RE])
+def test_params_need_more_workers_than_k(field):
+    # N = K workers leave the induced GRS(N, K) code no redundancy, so
+    # assemble_irs could not build it: the params are refused up front.
+    with pytest.raises(InvalidParameters, match="K = m\\*n = 4"):
+        make_params(field, 2, 2, 4)
+    assert make_params(field, 2, 2, 5).k == 4
+
+
 # ---------------------------------------------------------------------------
 # Task encoding
 # ---------------------------------------------------------------------------
