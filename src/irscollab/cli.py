@@ -6,7 +6,8 @@ Subcommands:
   condnum      measure conditioning of the stacked syndrome system
   demo-matmul  run the coded distributed matmul pipeline end to end
 
-Exit codes: 0 success, 2 invalid parameters, 3 decode failure in demo mode.
+Exit codes: 0 success, 2 invalid parameters or an unwritable --out path,
+3 decode failure in demo mode.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .field import PrimeField, RealField
 from .harness import (
     ExperimentConfig,
     Report,
+    _write_lines,
     condnum_study,
     demo_matmul,
     emit_csv,
@@ -59,12 +61,16 @@ def _parse_range(text: str) -> tuple:
     raise InvalidParameters(f"bad range {text!r}")
 
 
-def _print_report(report: Report) -> None:
+def _report(report: Report, out) -> int:
+    """Write the report to out as CSV, when out is given, then print it."""
+    if out:
+        emit_csv(report, out)
     print("   t   L    trials  failures  undetected       p_f      p_ml       p_e")
     for c in report.cells:
         print(f"{c.t:4d} {c.l:3d} {c.trials:9d} {c.failures:9d} {c.undetected:11d} "
               f"{c.p_f:9.5f} {c.p_ml:9.5f} {c.p_e:9.5f}"
               + (f"  cond {c.mean_cond:.4e}" if c.mean_cond is not None else ""))
+    return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
@@ -73,23 +79,16 @@ def _cmd_simulate(args) -> int:
         field=fld, n=args.n, k=args.k, l_values=(args.l,),
         t_values=_parse_range(args.t), trials=args.trials, model=model_for(fld),
         alphas=args.alphas, decoder=args.decoder, seed=args.seed)
-    report = run_monte_carlo(config)
-    if args.out:
-        emit_csv(report, args.out)
-    _print_report(report)
-    return EXIT_OK
+    return _report(run_monte_carlo(config), args.out)
 
 
 def _cmd_bound(args) -> int:
-    rows = []
-    for t in _parse_range(args.t):
-        rows.append((t, args.l, pf_bound(args.q, args.n, args.k, args.l, t)))
     lines = ["t,L,q,n,k,pf_bound"]
-    for t, l, b in rows:
-        lines.append(f"{t},{l},{args.q},{args.n},{args.k},{b!r}")
+    for t in _parse_range(args.t):
+        bound = pf_bound(args.q, args.n, args.k, args.l, t)
+        lines.append(f"{t},{args.l},{args.q},{args.n},{args.k},{bound!r}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(args.out, lines)
     for line in lines:
         print(line)
     return EXIT_OK
@@ -101,11 +100,7 @@ def _cmd_condnum(args) -> int:
         field=fld, n=args.n, k=args.k, l_values=_parse_range(args.l),
         t_values=_parse_range(args.t), trials=args.trials, model=model_for(fld),
         alphas=args.alphas, seed=args.seed)
-    report = condnum_study(config)
-    if args.out:
-        emit_csv(report, args.out)
-    _print_report(report)
-    return EXIT_OK
+    return _report(condnum_study(config), args.out)
 
 
 def _cmd_demo_matmul(args) -> int:
@@ -184,7 +179,7 @@ def main(argv=None) -> int:
         args.alphas = "primitive" if args.field.startswith("gf:") else "pow:0.9"
     try:
         return args.func(args)
-    except InvalidParameters as exc:
+    except (InvalidParameters, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

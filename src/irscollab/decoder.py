@@ -179,12 +179,17 @@ def t_max(n: int, k: int, l: int) -> int:
     return (l * (n - k)) // (l + 1)
 
 
-def layer_syndromes(code: GrsCode, r) -> SyndromeSet:
-    """Syndromes of every layer of an L x N word, with magnitude references."""
+def _validated_word(code: GrsCode, r) -> np.ndarray:
+    """r as a canonical L x N word, L >= 1: the one check of a word's shape."""
     r = code.field.array(r)
-    if r.ndim != 2 or r.shape[1] != code.n:
-        raise InvalidParameters(f"expected an L x {code.n} matrix, got shape {r.shape}")
-    return _syndromes(code, r)
+    if r.ndim != 2 or r.shape[1] != code.n or r.shape[0] < 1:
+        raise InvalidParameters(f"expected an L x {code.n} matrix, L >= 1, got shape {r.shape}")
+    return r
+
+
+def layer_syndromes(code: GrsCode, r) -> SyndromeSet:
+    """Syndromes of every layer of an L x N word (L >= 1), with magnitude references."""
+    return _syndromes(code, _validated_word(code, r))
 
 
 def _syndromes(code: GrsCode, r: np.ndarray) -> SyndromeSet:
@@ -215,16 +220,14 @@ def _stack(values: np.ndarray, t: int, field: Field) -> StackedSystem:
 
 
 def build_stacked(code: GrsCode, r, t: int) -> StackedSystem:
-    """Stacked syndrome system for trial error count t.
+    """Stacked syndrome system of an L x N word (L >= 1) for trial error count t.
 
     Per layer, row i pairs the window (S_i, ..., S_{i+t-1}) with the
     right-hand side -S_{t+i}; the unknown vector is (c_t, ..., c_1).
     """
     if not isinstance(t, (int, np.integer)) or t < 1:
         raise InvalidParameters(f"t must be a positive integer, got {t!r}")
-    r = code.field.array(r)
-    if r.ndim != 2 or r.shape[1] != code.n:
-        raise InvalidParameters(f"expected an L x {code.n} matrix, got shape {r.shape}")
+    r = _validated_word(code, r)
     tm = t_max(code.n, code.k, r.shape[0])
     if t > tm:
         raise InvalidParameters(f"t={t} exceeds the decoding radius t_max={tm}")
@@ -430,13 +433,6 @@ def _finish(code: GrsCode, synd: SyndromeSet, r: np.ndarray, coeffs) -> DecodeOu
     locs = list(locations)
     corrected[:, locs] = fld._sub(corrected[:, locs], values)
     return DecodeOutcome.ok(corrected, locator, locations, values)
-
-
-def _validated_word(code: GrsCode, r):
-    r = code.field.array(r)
-    if r.ndim != 2 or r.shape[1] != code.n or r.shape[0] < 1:
-        raise InvalidParameters(f"expected an L x {code.n} received matrix")
-    return r
 
 
 def _attempt(code: GrsCode, synd: SyndromeSet, seqs: np.ndarray, r: np.ndarray, t: int):

@@ -38,16 +38,28 @@ def _cached(build):
 
 
 class GrsCode:
-    """Immutable GRS code parameters plus cached evaluation/syndrome matrices."""
+    """Immutable GRS(n, k) code plus cached evaluation/syndrome matrices.
+
+    The constructor derives the dual multipliers u from alphas, which must
+    pass the point rule (_check_points), so every code that can be built can
+    be decoded; it raises InvalidParameters unless also 1 <= k < n.
+    """
 
     __slots__ = ("field", "n", "k", "alphas", "u", "_cache")
 
-    def __init__(self, field: Field, n: int, k: int, alphas, u):
-        self.field = field
-        self.n = n
-        self.k = k
-        self.alphas = np.array(alphas, copy=True)
-        self.u = np.array(u, copy=True)
+    def __init__(self, field: Field, n: int, k: int, alphas):
+        if not isinstance(n, (int, np.integer)) or not isinstance(k, (int, np.integer)):
+            raise InvalidParameters("n and k must be integers")
+        n, k = int(n), int(k)
+        if not 1 <= k < n:
+            raise InvalidParameters(f"need 1 <= k < n, got n={n}, k={k}")
+        # Copy: field.array passes a canonical input through, and it must not be frozen.
+        alphas = np.array(_check_points(field, alphas, n), copy=True)
+        prods = _product_of_differences(field, alphas)
+        if isinstance(field, RealField) and np.any(prods == 0.0):
+            raise InvalidParameters("evaluation points must be pairwise distinct")
+        self.field, self.n, self.k = field, n, k
+        self.alphas, self.u = alphas, field.inv(prods)
         for arr in (self.alphas, self.u):
             arr.setflags(write=False)
         self._cache = {}
@@ -85,7 +97,7 @@ class GrsCode:
         Row j holds the powers of the candidate root 1/alpha_j, so a locator
         of degree t <= N - K is evaluated at every candidate by one product
         with W[:, :t+1], and column 1 holds the candidates themselves.  Built
-        on first use; make_grs has checked that the points are nonzero.
+        on first use; the constructor has checked that the points are nonzero.
         """
         return self.field.power_matrix(self.field.inv(self.alphas), self.n - self.k + 1)
 
@@ -113,7 +125,7 @@ def _check_points(field: Field, alphas, n: int) -> np.ndarray:
     """alphas as a canonical 1-D array of n pairwise distinct nonzero points,
     or InvalidParameters.
 
-    The one point rule of the package: make_grs, PolyCodeParams and
+    The one point rule of the package: GrsCode, PolyCodeParams and
     make_alphas all apply it.  The decoders locate errors at the inverses
     1/alpha_j, so a zero point would make a code that cannot be decoded.
     """
@@ -128,22 +140,8 @@ def _check_points(field: Field, alphas, n: int) -> np.ndarray:
 
 
 def make_grs(field: Field, n: int, k: int, alphas) -> GrsCode:
-    """Build a GRS(n, k) code; dual multipliers are derived from alphas.
-
-    alphas must be pairwise distinct and nonzero (_check_points), so every
-    code built here can be decoded.  Raises InvalidParameters on any
-    violation.
-    """
-    if not isinstance(n, (int, np.integer)) or not isinstance(k, (int, np.integer)):
-        raise InvalidParameters("n and k must be integers")
-    n, k = int(n), int(k)
-    if not 1 <= k < n:
-        raise InvalidParameters(f"need 1 <= k < n, got n={n}, k={k}")
-    alphas = _check_points(field, alphas, n)
-    prods = _product_of_differences(field, alphas)
-    if isinstance(field, RealField) and np.any(prods == 0.0):
-        raise InvalidParameters("evaluation points must be pairwise distinct")
-    return GrsCode(field, n, k, alphas, field.inv(prods))
+    """GrsCode(field, n, k, alphas): the code, checked, with derived u."""
+    return GrsCode(field, n, k, alphas)
 
 
 def _primitive_points(field: Field, n: int) -> np.ndarray:

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decoder import (FailureReason, _batch_elements, _decode_batch, build_stacked, cpda_decode,
-                      mssr_decode, outcomes_equal, t_max)
+from .decoder import (FailureReason, _batch_elements, _decode_batch, _stack, _syndromes,
+                      cpda_decode, mssr_decode, outcomes_equal, t_max)
 from .errmodel import ErrorModelSpec, _check_model, model_for, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
 from .field import Field, PrimeField, RealField
@@ -128,9 +128,6 @@ class ExperimentConfig:
     def code(self):
         return make_grs(self.field, self.n, self.k, make_alphas(self.field, self.n, self.alphas))
 
-    def error_spec(self, t: int) -> ErrorModelSpec:
-        return ErrorModelSpec(kind=self.model, t=t)
-
 
 @dataclass(frozen=True)
 class CellStats:
@@ -181,6 +178,15 @@ def _trial_rng(seed: int, l: int, t: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, l, t, trial))))
 
 
+def _corrupted(fld: Field, word: np.ndarray, t: int, rng) -> np.ndarray:
+    """A canonical L x N word plus a weight-t error of the field's model
+    drawn from rng, by one raw sum; the word itself for t = 0."""
+    if t == 0:
+        return word
+    spec = ErrorModelSpec(kind=model_for(fld), t=t)
+    return fld._reduce(word + sample_error(spec, fld, *word.shape, rng).e)
+
+
 def _words_differ(fld: Field, got, want) -> bool:
     if isinstance(fld, PrimeField):
         return not np.array_equal(got, want)
@@ -207,20 +213,15 @@ def _checked(config: ExperimentConfig, decode) -> list:
 def _trials(config: ExperimentConfig, code, l: int, t: int):
     """(word, received) for every trial of the (L, t) cell.
 
-    Each trial draws random messages and, for t >= 1, a weight-t error from
+    Each trial draws random messages and then its error (_corrupted) from
     its own stream, so a cell's trials do not depend on what ran before.
-    Both are canonical, so the error is added by one raw sum.
     """
     fld = config.field
     enc = code.encoding_matrix().T  # k x n, word = messages @ enc
-    spec = None if t == 0 else config.error_spec(t)
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, l, t, trial)
         word = fld._matmul(fld.rand_elements(rng, (l, config.k)), enc)
-        if spec is None:
-            yield word, word
-        else:
-            yield word, fld._reduce(word + sample_error(spec, fld, l, config.n, rng).e)
+        yield word, _corrupted(fld, word, t, rng)
 
 
 def _decoded(config: ExperimentConfig, code, l: int, t: int):
@@ -246,9 +247,9 @@ def _decoded(config: ExperimentConfig, code, l: int, t: int):
         yield from zip(words, outcomes)
 
 
-def _gram_cond(code, received, t: int) -> float:
-    """2-norm condition number of S^T S, S the stacked system at t."""
-    s = build_stacked(code, received, t).matrix
+def _gram_cond(code, received: np.ndarray, t: int) -> float:
+    """2-norm condition number of S^T S, S the stacked system at a checked t."""
+    s = _stack(_syndromes(code, received).values, t, code.field).matrix
     return float(np.linalg.cond(s.T @ s))
 
 
@@ -352,16 +353,11 @@ def demo_matmul(params: PolyCodeParams, t: int, seed: int = 0) -> DemoReport:
     tm = t_max(params.num_workers, params.k, l)
     if not 0 <= t <= tm:
         raise InvalidParameters(f"need 0 <= t <= t_max={tm}, got t={t}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, l, t, 0))))
+    rng = _trial_rng(seed, l, t, 0)
     a = fld.rand_elements(rng, (s, r))
     b = fld.rand_elements(rng, (s, rp))
-    tasks = encode_tasks(params, a, b)
-    outputs = [worker_compute(task) for task in tasks]
-    word = assemble_irs(params, outputs)
-    if t > 0:
-        spec = ErrorModelSpec(kind=model_for(fld), t=t)
-        err = sample_error(spec, fld, l, params.num_workers, rng)
-        word = replace(word, d=fld._reduce(word.d + err.e))
+    word = assemble_irs(params, [worker_compute(task) for task in encode_tasks(params, a, b)])
+    word = replace(word, d=_corrupted(fld, word.d, t, rng))
     outcome = cpda_decode(word.code, word.d)
     reason = outcome.reason
     if outcome.success:
@@ -401,6 +397,11 @@ def emit_csv(report: Report, path) -> None:
         cond = "" if c.mean_cond is None else repr(c.mean_cond)
         lines.append(f"{c.t},{c.l},{c.trials},{c.failures},{c.undetected},"
                      f"{c.p_f!r},{c.p_ml!r},{c.p_e!r},{cond}")
+    _write_lines(path, lines)
+
+
+def _write_lines(path, lines) -> None:
+    """Write lines to path, each ended by a newline: the one file writer."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

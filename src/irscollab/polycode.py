@@ -51,7 +51,7 @@ class PolyCodeParams:
     """Parameters of a polynomial code for N workers and m x n block products.
 
     The exponents exp_a, exp_b are derived, not given: choose_exponents(m, n).
-    The points xs must pass make_grs's point rule (pairwise distinct and
+    The points xs must pass the point rule of GrsCode (pairwise distinct and
     nonzero), and the N workers must outnumber K = m*n, as the induced
     GRS(N, K) code needs; anything else raises InvalidParameters.
     """

@@ -1247,3 +1247,31 @@ def test_is_t_valid_uses_the_cached_inverse_points(monkeypatch):
     locator = cpda_decode(code, received).locator
     monkeypatch.setattr(PrimeField, "inv", lambda *args: pytest.fail("inverted the points"))
     assert is_t_valid(code, locator) == (True, err.support)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([3, 5, 7]), l=st.integers(1, 2), uniform=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_success_is_a_nearest_codeword_brute_force(q, l, uniform, seed, data):
+    # Criterion 6 at random small parameters: at most q**(K L) = 2401 codewords,
+    # all listed, so a success can be checked against every one of them.
+    fld = PrimeField(q)
+    n = data.draw(st.integers(2, min(6, q - 1)))
+    k = data.draw(st.integers(1, min(2, n - 1)))
+    points = data.draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n, unique=True))
+    code = make_grs(fld, n, k, points)
+    layers = fld.matmul(list(itertools.product(range(q), repeat=k)), code.encoding_matrix().T)
+    table = np.array(list(itertools.product(layers, repeat=l)))  # (q**(k l), l, n)
+    rng = np.random.default_rng(seed)
+    if uniform:
+        received = fld.rand_elements(rng, (l, n))
+    else:
+        received = table[rng.integers(len(table))].copy()
+        cols = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+        received[:, cols] = (received[:, cols] + fld.rand_elements(rng, (l, len(cols)))) % q
+    cpda, mssr = cpda_decode(code, received), mssr_decode(code, received)
+    assert outcomes_equal(fld, cpda, mssr)
+    if cpda.success:
+        assert np.all(table == cpda.corrected, axis=(1, 2)).any()
+        distance = np.count_nonzero(np.any(cpda.corrected != received, axis=0))
+        assert distance == np.any(table != received, axis=1).sum(axis=1).min()

@@ -524,6 +524,21 @@ def test_cli_bound(tmp_path, capsys):
     assert rc == 2  # beyond t_max = 9
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--field", "gf:257", "--n", "8", "--k", "2", "--l", "2", "--t", "1",
+     "--trials", "3"],
+    ["condnum", "--n", "8", "--k", "2", "--l", "1", "--t", "1", "--trials", "3"],
+    ["bound", "--q", "257", "--n", "16", "--k", "4", "--l", "4", "--t", "7:9"],
+], ids=lambda argv: argv[0])
+def test_cli_unwritable_out_path_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_condnum(tmp_path):
     out = tmp_path / "cond.csv"
     rc = main(["condnum", "--n", "8", "--k", "2", "--l", "1:2", "--t", "1:2",

@@ -1,12 +1,13 @@
 """The point rule: one check of the evaluation points, wherever they enter.
 
-make_grs, PolyCodeParams and make_alphas all apply grs._check_points, so a
-point vector with a defect is refused by each with the same message, and
-every code that can be built can also be decoded: its candidate roots
-1/alpha_j exist.  make_alphas is fed a drawn vector by standing it in for
-the points its "primitive" rule computes.
+The GrsCode constructor (and so make_grs), PolyCodeParams and make_alphas
+all apply grs._check_points, so a point vector with a defect is refused by
+each with the same message, and every code that can be built can also be
+decoded: its candidate roots 1/alpha_j exist.  make_alphas is fed a drawn
+vector by standing it in for the points its "primitive" rule computes.
 """
 
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -15,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irscollab import harness
-from irscollab.decoder import _decode_batch, cpda_decode, mssr_decode
+from irscollab.decoder import (_decode_batch, build_stacked, cpda_decode, layer_syndromes,
+                               mssr_decode)
 from irscollab.errors import InvalidParameters
 from irscollab.field import PrimeField, RealField
-from irscollab.grs import make_grs
+from irscollab.grs import GrsCode, make_grs
 from irscollab.harness import make_alphas
 from irscollab.polycode import PolyCodeParams
 
@@ -69,8 +71,9 @@ def _alphas_from(field, n, points):
 
 
 def _entry_points(field, n, points):
-    """The three places where evaluation points enter the package."""
+    """The four places where evaluation points enter the package."""
     return (
+        lambda: GrsCode(field, n, 1, points),
         lambda: make_grs(field, n, 1, points),
         lambda: PolyCodeParams(field=field, m=1, n=1, num_workers=n, xs=points),
         lambda: _alphas_from(field, n, points),
@@ -95,6 +98,24 @@ def test_every_entry_point_rejects_a_defect_alike(field, defect, data):
     assert DEFECTS[defect] in message
 
 
+@pytest.mark.parametrize("alphas, message", [
+    ([0, 2, 3, 4, 5, 6], "must be nonzero"),
+    ([1, 1, 3, 4, 5, 6], "pairwise distinct"),
+])
+def test_grs_code_constructor_applies_the_point_rule(alphas, message):
+    # A zero point has no inverse for the decoders to locate, and a repeated
+    # one leaves the dual multipliers undefined: both must fail at once.
+    with pytest.raises(InvalidParameters, match=message):
+        GrsCode(PrimeField(7), 6, 2, alphas)
+
+
+def test_grs_code_freezes_a_copy_of_the_points():
+    alphas = np.array([0.5, 1.0, 2.0, 4.0])
+    code = GrsCode(RealField(), 4, 2, alphas)
+    assert alphas.flags.writeable and not code.alphas.flags.writeable
+    assert np.array_equal(code.alphas, alphas) and code.alphas is not alphas
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -117,9 +138,10 @@ def test_valid_points_have_their_inverses_as_candidates(field, data):
 def test_decoders_reject_a_word_without_layers(field, data):
     n, points = data.draw(_points(field))
     code = make_grs(field, n, data.draw(st.integers(1, n - 1)), points)
-    for decode in (cpda_decode, mssr_decode):
-        with pytest.raises(InvalidParameters):
-            decode(code, field.zeros((0, n)))
+    # The one word check (decoder._validated_word) refuses it everywhere.
+    for take in (cpda_decode, mssr_decode, layer_syndromes, partial(build_stacked, t=1)):
+        with pytest.raises(InvalidParameters, match=r"L >= 1, got shape \(0, "):
+            take(code, field.zeros((0, n)))
     if isinstance(field, PrimeField):  # the batch decoder takes GF(p) stacks only
         count = data.draw(st.integers(0, 3))
         for name in ("cpda", "mssr"):

@@ -4,7 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from irscollab.decoder import cpda_decode, t_max
+from irscollab.errmodel import ErrorModelSpec, inject, sample_error
 from irscollab.errors import InvalidParameters
 from irscollab.field import EQ_TOL, PrimeField, RealField
 from irscollab.grs import syndromes
@@ -294,6 +298,39 @@ def test_recover_product_reduces_a_shifted_gf_word():
     shift = np.random.default_rng(26).integers(-1, 2, word.d.shape) * GF.p
     got = recover_product(params, replace(word, d=word.d + shift))
     assert np.array_equal(got, recover_product(params, word))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([7, 257, 65537, 3037000493, 2**61 - 1]), m=st.integers(1, 3),
+       n=st.integers(1, 3), extra=st.integers(1, 6), rows=st.integers(1, 3),
+       block_rows=st.integers(1, 2), block_cols=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_recover_product_is_exact_clean_and_after_correction(
+        p, m, n, extra, rows, block_rows, block_cols, seed, data):
+    # p = 3037000493 is the largest prime whose products of two residues fit
+    # in int64; 2**61 - 1 runs on Python ints.
+    fld = PrimeField(p)
+    workers = m * n + extra
+    assume(workers <= p - 1)
+    xs = data.draw(st.lists(st.integers(1, p - 1), min_size=workers, max_size=workers,
+                            unique=True))
+    params = PolyCodeParams(field=fld, m=m, n=n, num_workers=workers, xs=xs)
+    rng = np.random.default_rng(seed)
+    a = fld.rand_elements(rng, (rows, m * block_rows))
+    b = fld.rand_elements(rng, (rows, n * block_cols))
+    want = ((a.astype(object).T @ b.astype(object)) % p).tolist()
+    word = assemble_irs(params, [worker_compute(t) for t in encode_tasks(params, a, b)])
+    assert recover_product(params, word).tolist() == want
+
+    l = word.d.shape[0]
+    t = data.draw(st.integers(0, t_max(workers, params.k, l)))
+    err = sample_error(ErrorModelSpec(kind="uref", t=t), fld, l, workers, rng)
+    outcome = cpda_decode(word.code, inject(word.d, err.e, fld))
+    if 2 * t <= workers - params.k:  # within half the minimum distance
+        assert outcome.success
+    if outcome.success:
+        got = recover_product(params, replace(word, d=outcome.corrected))
+        assert got.tolist() == want
 
 
 def test_interleaving_depth_formula():
