@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid parameters or an unwritable --out path,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errmodel import model_for
@@ -20,7 +21,6 @@ from .errors import InvalidParameters
 from .field import PrimeField, RealField
 from .harness import (
     ExperimentConfig,
-    Report,
     _write_lines,
     condnum_study,
     demo_matmul,
@@ -61,8 +61,27 @@ def _parse_range(text: str) -> tuple:
     raise InvalidParameters(f"bad range {text!r}")
 
 
-def _report(report: Report, out) -> int:
-    """Write the report to out as CSV, when out is given, then print it."""
+def _check_writable(path) -> None:
+    """Raise OSError unless path can be written.
+
+    An existing file is opened for appending and left as it is; a new one is
+    created and removed again, so a study that then stops on a bad parameter
+    leaves no file behind.
+    """
+    new = not os.path.exists(path)
+    with open(path, "x" if new else "a", encoding="utf-8"):
+        pass
+    if new:
+        os.remove(path)
+
+
+def _report(study, config: ExperimentConfig, out) -> int:
+    """Run study(config), write its report to out as CSV when out is given,
+    then print it.  out is checked first, so an unwritable path costs no
+    study."""
+    if out:
+        _check_writable(out)
+    report = study(config)
     if out:
         emit_csv(report, out)
     print("   t   L    trials  failures  undetected       p_f      p_ml       p_e")
@@ -79,7 +98,7 @@ def _cmd_simulate(args) -> int:
         field=fld, n=args.n, k=args.k, l_values=(args.l,),
         t_values=_parse_range(args.t), trials=args.trials, model=model_for(fld),
         alphas=args.alphas, decoder=args.decoder, seed=args.seed)
-    return _report(run_monte_carlo(config), args.out)
+    return _report(run_monte_carlo, config, args.out)
 
 
 def _cmd_bound(args) -> int:
@@ -100,7 +119,7 @@ def _cmd_condnum(args) -> int:
         field=fld, n=args.n, k=args.k, l_values=_parse_range(args.l),
         t_values=_parse_range(args.t), trials=args.trials, model=model_for(fld),
         alphas=args.alphas, seed=args.seed)
-    return _report(condnum_study(config), args.out)
+    return _report(condnum_study, config, args.out)
 
 
 def _cmd_demo_matmul(args) -> int:

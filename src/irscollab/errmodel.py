@@ -19,8 +19,7 @@ import numpy as np
 from .errors import InvalidParameters
 from .field import Field, PrimeField, RealField
 
-__all__ = ["ErrorModelSpec", "ErrorMatrix", "model_for", "sample_error", "hamming_weight",
-           "inject"]
+__all__ = ["ErrorModelSpec", "ErrorMatrix", "model_for", "sample_error", "inject"]
 
 _KINDS = ("uref", "gre")
 
@@ -88,21 +87,6 @@ def sample_error(spec: ErrorModelSpec, field: Field, l: int, n: int, rng) -> Err
             vals[:, dead] = field.rand_elements(rng, (l, int(dead.sum())))
         e[:, support] = vals
     return ErrorMatrix(e=e, support=tuple(int(j) for j in support))
-
-
-def hamming_weight(e, field: Field, scale=None) -> int:
-    """Number of nonzero columns (column-burst weight).
-
-    A column counts as nonzero when any entry fails the field's is_zero
-    test: exact over GF(p), and over the reals at the given per-column scale
-    (default 1).
-    """
-    e = field.array(e)
-    if e.ndim != 2:
-        raise InvalidParameters("hamming_weight expects an L x N matrix")
-    col_scale = 1.0 if scale is None else np.asarray(scale, dtype=np.float64)
-    nonzero = ~field.is_zero(e, scale=col_scale)
-    return int(np.count_nonzero(np.any(nonzero, axis=0)))
 
 
 def inject(d, e, field: Field) -> np.ndarray:

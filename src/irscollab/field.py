@@ -63,7 +63,6 @@ __all__ = [
     "PrimeField",
     "RealField",
     "Field",
-    "is_prime",
 ]
 
 # The real field's tolerances: the scale-relative zero and equality test,
@@ -110,7 +109,7 @@ _INV_TABLE_P = 2**16
 _FIRST_BLOCK = 64
 
 
-def is_prime(n: int) -> bool:
+def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
     if n < 2:
         return False
@@ -163,14 +162,8 @@ class Field:
     def add(self, a, b):
         return self._reduce(self._coerce(a) + self._coerce(b))
 
-    def sub(self, a, b):
-        return self._reduce(self._coerce(a) - self._coerce(b))
-
     def mul(self, a, b):
         return self._reduce(self._coerce(a) * self._coerce(b))
-
-    def neg(self, a):
-        return self._reduce(-self._coerce(a))
 
     def inv(self, a):
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
@@ -227,7 +220,7 @@ class PrimeField(Field):
         if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
             raise InvalidParameters(f"field modulus must be an integer, got {p!r}")
         p = int(p)
-        if not is_prime(p):
+        if not _is_prime(p):
             raise InvalidParameters(f"field modulus must be prime, got {p}")
         self.p = p
         self._primitive_root = None

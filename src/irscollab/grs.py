@@ -6,6 +6,11 @@ points (the column multipliers of a general GRS code are all 1 here, as they
 are for the words of a polynomial code).  The dual multipliers u_i, defined
 by u_i^-1 = prod_{j != i} (alpha_i - alpha_j), make the N - K syndrome
 functionals S_i(r) = sum_j u_j r_j alpha_j^i vanish exactly on codewords.
+
+The public names are the code (GrsCode, or make_grs, which returns one) and
+encode.  The syndromes of a word are decoder.layer_syndromes; the
+interpolation of codewords back to messages is _interpolate_rows, which
+polycode.recover_product calls.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from .errors import InvalidParameters, NotACodeword
 from .field import RANK_TOL, RESIDUAL_TOL, Field, PrimeField, RealField
 
-__all__ = ["GrsCode", "make_grs", "classical_code", "encode", "syndromes", "interpolate"]
+__all__ = ["GrsCode", "make_grs", "encode"]
 
 
 def _cached(build):
@@ -42,7 +47,9 @@ class GrsCode:
 
     The constructor derives the dual multipliers u from alphas, which must
     pass the point rule (_check_points), so every code that can be built can
-    be decoded; it raises InvalidParameters unless also 1 <= k < n.
+    be decoded; it raises InvalidParameters unless also 1 <= k < n.  Past
+    that check the points are canonical, distinct and nonzero, so u and the
+    cached matrices come from the field's raw kernels.
     """
 
     __slots__ = ("field", "n", "k", "alphas", "u", "_cache")
@@ -59,15 +66,10 @@ class GrsCode:
         if isinstance(field, RealField) and np.any(prods == 0.0):
             raise InvalidParameters("evaluation points must be pairwise distinct")
         self.field, self.n, self.k = field, n, k
-        self.alphas, self.u = alphas, field.inv(prods)
+        self.alphas, self.u = alphas, field._invert(prods)
         for arr in (self.alphas, self.u):
             arr.setflags(write=False)
         self._cache = {}
-
-    @property
-    def d_min(self) -> int:
-        """Minimum distance N - K + 1 (GRS codes are MDS)."""
-        return self.n - self.k + 1
 
     def __repr__(self):
         return f"GrsCode(n={self.n}, k={self.k}, field={self.field!r})"
@@ -83,7 +85,7 @@ class GrsCode:
     def syndrome_matrix(self) -> np.ndarray:
         """N x (N-K) matrix H with H[j, i] = u_j * alpha_j**i, so s = r @ H."""
         powers = self.field.power_matrix(self.alphas, self.n - self.k)
-        return self.field.mul(powers, self.u[:, None])
+        return self.field._reduce(powers * self.u[:, None])
 
     @_cached
     def syndrome_matrix_abs(self) -> np.ndarray:
@@ -99,7 +101,7 @@ class GrsCode:
         with W[:, :t+1], and column 1 holds the candidates themselves.  Built
         on first use; the constructor has checked that the points are nonzero.
         """
-        return self.field.power_matrix(self.field.inv(self.alphas), self.n - self.k + 1)
+        return self.field.power_matrix(self.field._invert(self.alphas), self.n - self.k + 1)
 
     @_cached
     def candidate_gaps(self) -> np.ndarray:
@@ -125,9 +127,10 @@ def _check_points(field: Field, alphas, n: int) -> np.ndarray:
     """alphas as a canonical 1-D array of n pairwise distinct nonzero points,
     or InvalidParameters.
 
-    The one point rule of the package: GrsCode, PolyCodeParams and
-    make_alphas all apply it.  The decoders locate errors at the inverses
-    1/alpha_j, so a zero point would make a code that cannot be decoded.
+    The one point rule of the package: GrsCode (and so PolyCodeParams,
+    which builds one) and make_alphas apply it.  The decoders locate errors
+    at the inverses 1/alpha_j, so a zero point would make a code that cannot
+    be decoded.
     """
     alphas = field.array(alphas)
     if alphas.ndim != 1 or alphas.shape[0] != n:
@@ -157,25 +160,12 @@ def _primitive_points(field: Field, n: int) -> np.ndarray:
     return field.power_matrix(field.array([field.primitive_root()]), n)[0]
 
 
-def classical_code(field: PrimeField, n: int, k: int) -> GrsCode:
-    """GRS code on the points g**j (g a primitive root) over GF(p)."""
-    return make_grs(field, n, k, _primitive_points(field, n))
-
-
 def encode(code: GrsCode, msg) -> np.ndarray:
     """Codeword c with c_i = m(alpha_i), m the polynomial with coeffs msg."""
     msg = code.field.array(msg)
     if msg.ndim != 1 or msg.shape[0] != code.k:
         raise InvalidParameters(f"message must be a length-{code.k} coefficient vector")
     return code.field.matmul(code.encoding_matrix(), msg)
-
-
-def syndromes(code: GrsCode, received) -> np.ndarray:
-    """The N - K syndromes S_i = sum_j u_j r_j alpha_j**i, i in [0, N-K)."""
-    r = code.field.array(received)
-    if r.ndim != 1 or r.shape[0] != code.n:
-        raise InvalidParameters(f"received word must have length {code.n}")
-    return code.field.matmul(r, code.syndrome_matrix())
 
 
 def _interpolate_rows(code: GrsCode, rows: np.ndarray) -> np.ndarray:
@@ -202,11 +192,3 @@ def _interpolate_rows(code: GrsCode, rows: np.ndarray) -> np.ndarray:
     if np.any(bad):
         raise NotACodeword("least-squares residual exceeds the codeword tolerance")
     return msgs.T
-
-
-def interpolate(code: GrsCode, symbols) -> np.ndarray:
-    """Message coefficients of a (possibly noisy) codeword; see _interpolate_rows."""
-    symbols = code.field.array(symbols)
-    if symbols.ndim != 1 or symbols.shape[0] != code.n:
-        raise InvalidParameters(f"symbols must have length {code.n}")
-    return _interpolate_rows(code, symbols[None, :])[0]

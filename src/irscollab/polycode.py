@@ -3,16 +3,16 @@
 To multiply A^T B with A (s x r) and B (s x r') on N workers, A and B are cut
 into m and n column blocks and each worker i receives the block combinations
 
-    A~_i = sum_j A_j x_i^(j * exp_a),    B~_i = sum_k B_k x_i^(k * exp_b).
+    A~_i = sum_j A_j x_i^j,    B~_i = sum_k B_k x_i^(k*m),
 
-The worker's product C~_i = A~_i^T B~_i is then the evaluation at x_i of a
-matrix polynomial whose mn coefficients are exactly the blocks A_j^T B_k.
-The exponents are always (1, m), the layout of Yu, Maddah-Ali and
-Avestimehr's polynomial codes: j + k*m sweeps 0..mn-1, so each scalar entry
-of the worker outputs, traced across workers, is a codeword of an RS code of
-dimension mn on the points x_i.  Stacking all rr'/(mn) such entries gives an
-interleaved word that the decoders in :mod:`irscollab.decoder` repair
-collaboratively.
+the exponent layout (1, m) of Yu, Maddah-Ali and Avestimehr's polynomial
+codes, which encode_tasks fixes.  The worker's product C~_i = A~_i^T B~_i is
+then the evaluation at x_i of a matrix polynomial whose coefficient of degree
+j + k*m is the block A_j^T B_k.  These degrees sweep 0..mn-1 once, so each
+scalar entry of the worker outputs, traced across workers, is a codeword of
+the RS code of dimension mn on the points x_i, PolyCodeParams.code.  Stacking
+all rr'/(mn) such entries gives an interleaved word that the decoders in
+:mod:`irscollab.decoder` repair collaboratively.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ import numpy as np
 
 from .errors import InvalidParameters
 from .field import Field
-from .grs import GrsCode, _check_points, _interpolate_rows, make_grs
+from .grs import GrsCode, _interpolate_rows
 
 __all__ = [
     "PolyCodeParams",
     "WorkerTask",
     "IrsWord",
-    "choose_exponents",
     "encode_tasks",
     "worker_compute",
     "assemble_irs",
@@ -37,23 +36,15 @@ __all__ = [
 ]
 
 
-def choose_exponents(m: int, n: int) -> tuple[int, int]:
-    """Exponent pair (1, m): j + k*m is a bijection onto 0..mn-1."""
-    if not (isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer))):
-        raise InvalidParameters("block counts must be integers")
-    if m < 1 or n < 1:
-        raise InvalidParameters(f"block counts must be positive, got m={m}, n={n}")
-    return 1, int(m)
-
-
 @dataclass(frozen=True)
 class PolyCodeParams:
     """Parameters of a polynomial code for N workers and m x n block products.
 
-    The exponents exp_a, exp_b are derived, not given: choose_exponents(m, n).
-    The points xs must pass the point rule of GrsCode (pairwise distinct and
-    nonzero), and the N workers must outnumber K = m*n, as the induced
-    GRS(N, K) code needs; anything else raises InvalidParameters.
+    The block counts m and n must be positive integers, and the N workers
+    must outnumber K = m*n.  code, derived and not given, is the induced
+    GRS(N, K) code on the points xs, built once here: its constructor
+    applies the point rule (pairwise distinct and nonzero), and xs becomes
+    its frozen copy of the points.  Anything else raises InvalidParameters.
     """
 
     field: Field
@@ -61,20 +52,20 @@ class PolyCodeParams:
     n: int
     num_workers: int
     xs: np.ndarray
-    exp_a: int = dataclass_field(init=False)
-    exp_b: int = dataclass_field(init=False)
+    code: GrsCode = dataclass_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ea, eb = choose_exponents(self.m, self.n)
-        object.__setattr__(self, "exp_a", ea)
-        object.__setattr__(self, "exp_b", eb)
-        xs = np.array(_check_points(self.field, self.xs, self.num_workers), copy=True)
+        if not all(isinstance(v, (int, np.integer)) for v in (self.m, self.n, self.num_workers)):
+            raise InvalidParameters("block counts and the worker count must be integers")
+        if self.m < 1 or self.n < 1:
+            raise InvalidParameters(f"block counts must be positive, got m={self.m}, n={self.n}")
         if self.num_workers <= self.k:
             raise InvalidParameters(
                 f"need more workers than K = m*n = {self.k}, got {self.num_workers}"
             )
-        xs.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
+        code = GrsCode(self.field, self.num_workers, self.k, self.xs)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "xs", code.alphas)
 
     @property
     def k(self) -> int:
@@ -115,8 +106,10 @@ def _split_columns(mat: np.ndarray, parts: int) -> list[np.ndarray]:
 def encode_tasks(params: PolyCodeParams, a, b) -> list[WorkerTask]:
     """Encode A (s x r) and B (s x r') into one task per worker.
 
-    Each input is encoded by one matmul: the N x m matrix of the powers
-    x_i^(j * exp_a) times the m blocks stacked as rows.
+    The one place the layout (1, m) is set: A's block j goes at degree j and
+    B's block k at degree k*m.  Each input is encoded by one matmul: the
+    matrix of the powers x_i^degree, one column per block, times the blocks
+    stacked as rows.
     """
     fld = params.field
     a = fld.array(a)
@@ -124,9 +117,9 @@ def encode_tasks(params: PolyCodeParams, a, b) -> list[WorkerTask]:
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise InvalidParameters("A and B must be 2-D with the same row count")
     coded = []
-    for mat, parts, exp in ((a, params.m, params.exp_a), (b, params.n, params.exp_b)):
+    for mat, parts, step in ((a, params.m, 1), (b, params.n, params.m)):
         blocks = np.stack(_split_columns(mat, parts))
-        degrees = exp * np.arange(parts)
+        degrees = step * np.arange(parts)
         powers = fld.power_matrix(params.xs, degrees[-1] + 1)[:, degrees]
         coded.append(fld.matmul(powers, blocks.reshape(parts, -1)).reshape(-1, *blocks.shape[1:]))
     return [WorkerTask(i, a_i, b_i, fld) for i, (a_i, b_i) in enumerate(zip(*coded))]
@@ -141,8 +134,8 @@ def assemble_irs(params: PolyCodeParams, worker_outputs) -> IrsWord:
     """Stack the flattened worker outputs into an L x N interleaved word.
 
     Row l of the result collects entry l (row-major) of every worker's output
-    matrix; each row is a codeword of the returned GRS(N, mn) code when no
-    worker erred.
+    matrix; each row is a codeword of params.code, which the word carries,
+    when no worker erred.
     """
     outputs = list(worker_outputs)
     if len(outputs) != params.num_workers:
@@ -157,8 +150,7 @@ def assemble_irs(params: PolyCodeParams, worker_outputs) -> IrsWord:
         raise InvalidParameters("worker outputs must be 2-D matrices")
     cols = [params.field.array(o).reshape(-1) for o in outputs]
     d = np.stack(cols, axis=1)
-    code = make_grs(params.field, params.num_workers, params.k, params.xs)
-    return IrsWord(d=d, code=code, block_rows=shape[0], block_cols=shape[1])
+    return IrsWord(d=d, code=params.code, block_rows=shape[0], block_cols=shape[1])
 
 
 def recover_product(params: PolyCodeParams, word: IrsWord) -> np.ndarray:
@@ -166,8 +158,8 @@ def recover_product(params: PolyCodeParams, word: IrsWord) -> np.ndarray:
 
     Each row of word.d, canonicalized once here (a real NaN or inf raises
     ValueError), is interpolated to its mn polynomial coefficients;
-    coefficient j + k*m (the exponent j*exp_a + k*exp_b) is entry (p, q) of
-    the block A_j^T B_k, where row index l = p * block_cols + q.
+    coefficient j + k*m is entry (p, q) of the block A_j^T B_k, where row
+    index l = p * block_cols + q.
     """
     br, bc = word.block_rows, word.block_cols
     d = params.field.array(word.d)

@@ -1,5 +1,9 @@
 """Shared test fixtures: reference GF(p) elimination and recurrence synthesis.
 
+classical_code builds the GF(p) code that most tests decode over, on the
+primitive points g**j, and brute_syndromes_gf is a double-loop oracle for
+the syndrome map; tests import both from this module.
+
 gauss_jordan_solve is an unblocked exact solver: one Gauss-Jordan pass over
 the whole augmented matrix, with a whole-matrix update per pivot.  It is slow
 on tall stacks but simple, so the blocked PrimeField._solve is checked against
@@ -24,6 +28,26 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from irscollab.field import RANK_TOL, RESIDUAL_TOL
+from irscollab.grs import make_grs
+from irscollab.harness import make_alphas
+
+
+def classical_code(field, n, k):
+    """GRS(n, k) over GF(p) on the points g**j, j in [0, n), g a primitive root."""
+    return make_grs(field, n, k, make_alphas(field, n, "primitive"))
+
+
+def brute_syndromes_gf(code, r):
+    """The N - K syndromes sum_j u_j r_j alpha_j**i of a GF(p) word r, by a
+    double loop over Python ints."""
+    p = code.field.p
+    out = []
+    for i in range(code.n - code.k):
+        acc = 0
+        for j in range(code.n):
+            acc = (acc + int(code.u[j]) * int(r[j]) * pow(int(code.alphas[j]), i, p)) % p
+        out.append(acc)
+    return out
 
 
 def _row_reduce(field, m, ncols):

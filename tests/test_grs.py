@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import brute_syndromes_gf, classical_code
+from irscollab.decoder import layer_syndromes
 from irscollab.errors import InvalidParameters, NotACodeword
 from irscollab.field import PrimeField, RealField
-from irscollab.grs import classical_code, encode, interpolate, make_grs, syndromes
+from irscollab.grs import _interpolate_rows, encode, make_grs
 
 GF7 = PrimeField(7)
 RE = RealField()
@@ -14,6 +16,11 @@ RE = RealField()
 def gf7_reference_code():
     # alpha_j = 3**j mod 7 = (1, 3, 2, 6, 4, 5)
     return make_grs(GF7, 6, 2, [1, 3, 2, 6, 4, 5])
+
+
+def syndromes(code, r):
+    """The syndromes of one word, as the one-layer case of layer_syndromes."""
+    return layer_syndromes(code, np.asarray(r)[None]).values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -63,26 +70,9 @@ def test_classical_code_points_are_generator_powers():
         classical_code(PrimeField(7), 7, 2)  # only p - 1 = 6 powers available
 
 
-def test_d_min():
-    assert gf7_reference_code().d_min == 5
-    assert make_grs(RE, 8, 2, 0.9 ** np.arange(1, 9)).d_min == 7
-
-
 # ---------------------------------------------------------------------------
 # Syndromes
 # ---------------------------------------------------------------------------
-
-def brute_syndromes_gf(code, r):
-    """Independent double-loop oracle for the syndrome map."""
-    p = code.field.p
-    out = []
-    for i in range(code.n - code.k):
-        acc = 0
-        for j in range(code.n):
-            acc = (acc + int(code.u[j]) * int(r[j]) * pow(int(code.alphas[j]), i, p)) % p
-        out.append(acc)
-    return out
-
 
 def test_syndromes_of_codewords_vanish_gf():
     code = gf7_reference_code()
@@ -117,9 +107,9 @@ def test_syndromes_of_codewords_vanish_real():
     habs = code.syndrome_matrix_abs()
     for _ in range(1000):
         c = encode(code, rng.standard_normal(2))
-        s = syndromes(code, c)
-        scale = np.abs(c) @ habs
-        assert np.all(RE.is_zero(s, scale=scale))
+        synd = layer_syndromes(code, c[None])
+        assert np.array_equal(synd.scale[0], np.abs(c) @ habs)
+        assert np.all(RE.is_zero(synd.values, scale=synd.scale))
 
 
 def test_duality_random_messages_many_fields():
@@ -131,37 +121,36 @@ def test_duality_random_messages_many_fields():
 
 
 # ---------------------------------------------------------------------------
-# Interpolation
+# Interpolation (_interpolate_rows, behind polycode.recover_product)
 # ---------------------------------------------------------------------------
 
 def test_interpolate_roundtrip_gf():
     code = gf7_reference_code()
-    assert interpolate(code, [2, 4, 3, 0, 5, 6]).tolist() == [1, 1]
+    assert _interpolate_rows(code, GF7.array([[2, 4, 3, 0, 5, 6]])).tolist() == [[1, 1]]
     rng = np.random.default_rng(29)
-    for _ in range(100):
-        m = GF7.rand_elements(rng, 2)
-        assert np.array_equal(interpolate(code, encode(code, m)), m)
+    msgs = GF7.rand_elements(rng, (100, 2))
+    rows = np.stack([encode(code, m) for m in msgs])
+    assert np.array_equal(_interpolate_rows(code, rows), msgs)
 
 
 def test_interpolate_rejects_corrupted_word_gf():
     code = gf7_reference_code()
-    c = encode(code, [1, 1])
-    c[2] = (c[2] + 1) % 7
+    rows = np.stack([encode(code, [1, 1]), encode(code, [2, 5])])
+    rows[1, 2] = (rows[1, 2] + 1) % 7  # one bad row fails the whole stack
     with pytest.raises(NotACodeword):
-        interpolate(code, c)
+        _interpolate_rows(code, rows)
 
 
 def test_interpolate_roundtrip_and_rejection_real():
     code = make_grs(RE, 8, 3, 0.9 ** np.arange(1, 9))
     rng = np.random.default_rng(31)
-    for _ in range(100):
-        m = rng.standard_normal(3)
-        got = interpolate(code, encode(code, m))
-        assert np.allclose(got, m, atol=1e-9)
+    msgs = rng.standard_normal((100, 3))
+    got = _interpolate_rows(code, np.stack([encode(code, m) for m in msgs]))
+    assert np.allclose(got, msgs, atol=1e-9)
     c = encode(code, rng.standard_normal(3))
     c[5] += 1.0
     with pytest.raises(NotACodeword):
-        interpolate(code, c)
+        _interpolate_rows(code, c[None])
 
 
 def test_min_distance_exhaustive_gf7():
@@ -174,7 +163,7 @@ def test_min_distance_exhaustive_gf7():
             w = int(np.count_nonzero(c))
             if w:
                 weights.append(w)
-    assert min(weights) == code.d_min == 5
+    assert min(weights) == code.n - code.k + 1 == 5
 
 
 def test_shape_validation():
@@ -182,9 +171,7 @@ def test_shape_validation():
     with pytest.raises(InvalidParameters):
         encode(code, [1, 2, 3])
     with pytest.raises(InvalidParameters):
-        syndromes(code, [1, 2, 3])
-    with pytest.raises(InvalidParameters):
-        interpolate(code, [1, 2, 3])
+        layer_syndromes(code, [[1, 2, 3]])
 
 
 def test_inverse_powers_are_built_on_first_use_and_cached():

@@ -539,6 +539,38 @@ def test_cli_unwritable_out_path_is_an_error_not_a_traceback(tmp_path, capsys, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, study", [
+    (["simulate", "--field", "gf:257", "--n", "16", "--k", "4", "--l", "4", "--t", "7:9",
+      "--trials", "50"], "run_monte_carlo"),
+    (["condnum", "--n", "8", "--k", "2", "--l", "1", "--t", "1", "--trials", "3"],
+     "condnum_study"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+@pytest.mark.parametrize("where", ["missing dir", "a dir"])
+def test_cli_unwritable_out_path_is_found_before_the_study(tmp_path, capsys, monkeypatch,
+                                                           argv, study, where):
+    def never(config):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(f"irscollab.cli.{study}", never)
+    out = tmp_path / "missing" / "x.csv" if where == "missing dir" else tmp_path
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--field", "gf:257", "--n", "8", "--k", "2", "--l", "1", "--t", "1",
+     "--trials", "3", "--alphas", "pow:abc"],  # the rule is read by the study
+    ["condnum", "--n", "8", "--k", "2", "--l", "1", "--t", "5", "--trials", "3"],  # t_max = 3
+], ids=lambda argv: argv[0])
+def test_cli_out_is_left_alone_when_the_study_refuses_a_parameter(tmp_path, capsys, argv):
+    existing, fresh = tmp_path / "old.csv", tmp_path / "new.csv"
+    existing.write_text("keep\n")
+    for out in (existing, fresh):
+        assert main([*argv, "--out", str(out)]) == 2
+    assert existing.read_text() == "keep\n" and not fresh.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_condnum(tmp_path):
     out = tmp_path / "cond.csv"
     rc = main(["condnum", "--n", "8", "--k", "2", "--l", "1:2", "--t", "1:2",

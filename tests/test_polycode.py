@@ -7,15 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irscollab.decoder import cpda_decode, t_max
+from irscollab.decoder import cpda_decode, layer_syndromes, t_max
 from irscollab.errmodel import ErrorModelSpec, inject, sample_error
 from irscollab.errors import InvalidParameters
 from irscollab.field import EQ_TOL, PrimeField, RealField
-from irscollab.grs import syndromes
+from irscollab.grs import _interpolate_rows
 from irscollab.polycode import (
     PolyCodeParams,
     assemble_irs,
-    choose_exponents,
     encode_tasks,
     recover_product,
     worker_compute,
@@ -34,23 +33,25 @@ def make_params(field, m, n, num_workers):
 
 
 # ---------------------------------------------------------------------------
-# Exponents and parameter validation
+# The exponent layout (1, m) and parameter validation
 # ---------------------------------------------------------------------------
 
-def test_choose_exponents_examples():
-    assert choose_exponents(2, 2) == (1, 2)
-    assert choose_exponents(1, 1) == (1, 1)
-    assert choose_exponents(3, 4) == (1, 3)
-    with pytest.raises(InvalidParameters):
-        choose_exponents(0, 2)
-
-
 def test_exponent_map_is_bijection_default():
+    # With 1 x 1 blocks each worker output is one entry, and interpolating
+    # it gives every product A_j^T B_k once, at degree j + k*m.
+    rng = np.random.default_rng(3)
     for m in range(1, 5):
         for n in range(1, 5):
-            ea, eb = choose_exponents(m, n)
-            exps = sorted(j * ea + k * eb for j in range(m) for k in range(n))
-            assert exps == list(range(m * n))
+            params = make_params(GF, m, n, m * n + 1)
+            a = GF.rand_elements(rng, (2, m))
+            b = GF.rand_elements(rng, (2, n))
+            word = assemble_irs(params, [worker_compute(t) for t in encode_tasks(params, a, b)])
+            (msg,) = _interpolate_rows(word.code, word.d)
+            want = [0] * (m * n)
+            for j in range(m):
+                for k in range(n):
+                    want[j + k * m] = int(a[:, j] @ b[:, k]) % 257
+            assert msg.tolist() == want
 
 
 def test_params_validation():
@@ -58,6 +59,32 @@ def test_params_validation():
         make_params(GF, 2, 2, 3)  # fewer workers than m*n
     with pytest.raises(InvalidParameters):
         PolyCodeParams(field=GF, m=2, n=2, num_workers=5, xs=[1, 2, 3, 4, 4])
+
+
+@pytest.mark.parametrize("m, n, num_workers, message", [
+    (0, 2, 5, "must be positive, got m=0, n=2"),
+    (2, 0, 5, "must be positive, got m=2, n=0"),
+    (-1, 1, 5, "must be positive"),
+    (2.0, 2, 5, "must be integers"),
+    (2, "2", 5, "must be integers"),
+    (2, 2, 5.0, "must be integers"),
+])
+def test_params_need_positive_integer_block_counts(m, n, num_workers, message):
+    with pytest.raises(InvalidParameters, match=message):
+        PolyCodeParams(field=GF, m=m, n=n, num_workers=num_workers,
+                       xs=list(range(1, 6)))
+
+
+@pytest.mark.parametrize("field", [GF, RE])
+def test_params_build_their_code_once(field):
+    # The induced GRS(N, mn) code is built with the params and shared by
+    # every word assembled from them, with its cached matrices.
+    params = make_params(field, 2, 2, 6)
+    assert (params.code.n, params.code.k) == (6, 4)
+    assert params.xs is params.code.alphas and not params.xs.flags.writeable
+    outs = [field.zeros((1, 1))] * 6
+    first, second = assemble_irs(params, outs), assemble_irs(params, outs)
+    assert first.code is params.code and second.code is params.code
 
 
 @pytest.mark.parametrize("field", [GF, RE])
@@ -83,7 +110,7 @@ def test_encode_tasks_identity_for_single_blocks():
 
 
 def test_encode_tasks_expansion_oracle():
-    """A~_i must equal sum_j A_j x^(j*ea) computed by an explicit loop."""
+    """A~_i = sum_j A_j x^j and B~_i = sum_k B_k x^(k*m), by an explicit loop."""
     rng = np.random.default_rng(42)
     params = make_params(GF, 3, 2, 8)
     a = GF.rand_elements(rng, (4, 6))
@@ -93,37 +120,40 @@ def test_encode_tasks_expansion_oracle():
     b_blocks = np.hsplit(b, 2)
     for i, task in enumerate(tasks):
         x = int(params.xs[i])
-        a_ref = sum(blk * pow(x, j * params.exp_a, 257) for j, blk in enumerate(a_blocks)) % 257
-        b_ref = sum(blk * pow(x, k * params.exp_b, 257) for k, blk in enumerate(b_blocks)) % 257
+        a_ref = sum(blk * pow(x, j, 257) for j, blk in enumerate(a_blocks)) % 257
+        b_ref = sum(blk * pow(x, k * params.m, 257) for k, blk in enumerate(b_blocks)) % 257
         assert np.array_equal(task.a_tilde, a_ref)
         assert np.array_equal(task.b_tilde, b_ref)
 
 
-def _encode_per_worker(params, a, b):
+def _encode_per_worker(params, a, b, exps):
     """The per-worker loop encode_tasks used before it became one matmul per
-    input: (A~_i, B~_i) for every worker, as a reference."""
+    input: (A~_i, B~_i) for every worker, A's block j at degree j * exps[0]
+    and B's block k at degree k * exps[1], as a reference."""
     fld = params.field
+    exp_a, exp_b = exps
     a_blocks = np.hsplit(fld.array(a), params.m)
     b_blocks = np.hsplit(fld.array(b), params.n)
-    pow_a = fld.power_matrix(params.xs, (params.m - 1) * params.exp_a + 1)
-    pow_b = fld.power_matrix(params.xs, (params.n - 1) * params.exp_b + 1)
+    pow_a = fld.power_matrix(params.xs, (params.m - 1) * exp_a + 1)
+    pow_b = fld.power_matrix(params.xs, (params.n - 1) * exp_b + 1)
     out = []
     for i in range(params.num_workers):
         a_tilde = None
         for j, blk in enumerate(a_blocks):
-            term = fld.mul(blk, pow_a[i, j * params.exp_a])
+            term = fld.mul(blk, pow_a[i, j * exp_a])
             a_tilde = term if a_tilde is None else fld.add(a_tilde, term)
         b_tilde = None
         for k, blk in enumerate(b_blocks):
-            term = fld.mul(blk, pow_b[i, k * params.exp_b])
+            term = fld.mul(blk, pow_b[i, k * exp_b])
             b_tilde = term if b_tilde is None else fld.add(b_tilde, term)
         out.append((a_tilde, b_tilde))
     return out
 
 
+# exps is the layout (1, m) written out, or None to take it as (1, m).
 @pytest.mark.parametrize("field, m, n, exps", [
     (GF, 3, 2, None),
-    (GF, 2, 3, (1, 2)),  # the derived exponents: exp_a = 1, exp_b = m
+    (GF, 2, 3, (1, 2)),
     (GF, 1, 3, (1, 1)),
     (PrimeField(2**61 - 1), 3, 2, None),
     (PrimeField(2**61 - 1), 2, 3, (1, 2)),
@@ -131,16 +161,16 @@ def _encode_per_worker(params, a, b):
     (RE, 2, 3, (1, 2)),
 ])
 def test_encode_tasks_matches_per_worker_loop(field, m, n, exps):
+    # The fixed layout: A_j at degree j and B_k at degree k*m.
     rng = np.random.default_rng(11)
     xs = make_params(field, m, n, m * n + 4).xs
     params = PolyCodeParams(field=field, m=m, n=n, num_workers=len(xs), xs=xs)
-    if exps:
-        assert (params.exp_a, params.exp_b) == exps
     a = field.rand_elements(rng, (5, 4 * m))
     b = field.rand_elements(rng, (5, 2 * n))
     tasks = encode_tasks(params, a, b)
     assert [task.worker_id for task in tasks] == list(range(params.num_workers))
-    for task, want in zip(tasks, _encode_per_worker(params, a, b), strict=True):
+    want = _encode_per_worker(params, a, b, exps or (1, m))
+    for task, want in zip(tasks, want, strict=True):
         for got, ref in zip((task.a_tilde, task.b_tilde), want):
             assert got.shape == ref.shape and got.dtype == ref.dtype
             if isinstance(field, PrimeField):
@@ -159,7 +189,7 @@ def test_encode_tasks_shape_validation():
 
 
 def test_worker_compute_matches_polynomial_expansion():
-    """C~_i = sum_{j,k} (A_j^T B_k) x^(j*ea + k*eb), checked term by term."""
+    """C~_i = sum_{j,k} (A_j^T B_k) x^(j + k*m), checked term by term."""
     rng = np.random.default_rng(7)
     params = make_params(GF, 2, 2, 6)
     a = GF.rand_elements(rng, (3, 4))
@@ -172,7 +202,7 @@ def test_worker_compute_matches_polynomial_expansion():
         for j in range(2):
             for k in range(2):
                 coef = (a_blocks[j].T @ b_blocks[k]) % 257
-                ref = (ref + coef * pow(x, j * params.exp_a + k * params.exp_b, 257)) % 257
+                ref = (ref + coef * pow(x, j + k * params.m, 257)) % 257
         assert np.array_equal(worker_compute(task), ref)
 
 
@@ -195,8 +225,7 @@ def test_assemble_irs_rows_are_codewords_gf():
     word = assemble_irs(params, outs)
     assert word.d.shape == (2 * 3, 7)  # L = (r/m)(r'/n) = 2*3
     assert word.code.k == params.k == 4
-    for l in range(word.d.shape[0]):
-        assert np.all(syndromes(word.code, word.d[l]) == 0)
+    assert not layer_syndromes(word.code, word.d).values.any()
 
 
 def test_assemble_irs_row_entry_index_map():
@@ -223,15 +252,13 @@ def test_assemble_irs_rows_evaluate_product_polynomial():
     word = assemble_irs(params, outs)
     a_blocks = np.hsplit(a, 2)
     b_blocks = np.hsplit(b, 2)
-    from irscollab.grs import interpolate
-
-    for l in range(word.d.shape[0]):
-        msg = interpolate(word.code, word.d[l])
+    msgs = _interpolate_rows(word.code, word.d)
+    for l, msg in enumerate(msgs):
         p_, q_ = divmod(l, word.block_cols)
         for j in range(2):
             for k in range(2):
                 coef = (a_blocks[j].T @ b_blocks[k]) % 257
-                assert msg[j * params.exp_a + k * params.exp_b] == coef[p_, q_]
+                assert msg[j + k * params.m] == coef[p_, q_]
 
 
 def test_assemble_irs_validation():
