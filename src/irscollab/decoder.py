@@ -316,12 +316,21 @@ def synthesize_recurrence(field: Field, seqs):
     n = seqs.shape[1]
     if np.all(field.is_zero(seqs)):
         return 0, field.zeros(0)
-    for t in range(1, n):
+    found = _least_consistent(field, seqs, 1, n - 1)
+    return (n, field.zeros(n)) if found is None else found[:2]
+
+
+def _least_consistent(field: Field, seqs: np.ndarray, first: int, last: int):
+    """The least t in [first, last] whose stacked system of the rows seqs is
+    consistent, as (t, coeffs, rank) from that system's one solve: coeffs =
+    (c_1, ..., c_t) and rank the system's rank.  None when no t there is.
+    """
+    for t in range(first, last + 1):
         system = _stack(seqs, t, field)
-        sol = field._solve(system.matrix, system.rhs[:, None])[0]
+        sol, rank = field._solve(system.matrix, system.rhs[:, None])
         if sol is not None:
-            return t, sol[::-1, 0]
-    return n, field.zeros(n)
+            return t, sol[::-1, 0], rank
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +345,14 @@ def is_t_valid(code: GrsCode, locator: ErrorLocator):
     nearest candidates, each match accepted only within a window of
     max(ROOT_TOL * |candidate|, 0.45 * nearest-candidate gap) so that roots
     perturbed by solver noise are recognized while off-grid or coalescing
-    roots are rejected.
+    roots are rejected, by _locate_batch on a stack of one.
     """
     fld = code.field
     t = locator.t
     if t == 0:
         return True, ()
-    cands = code.inverse_powers()[:, 1]
     if isinstance(fld, PrimeField):
+        cands = code.inverse_powers()[:, 1]
         coeffs = fld.array(locator.coeffs)
         if coeffs[-1] == 0:
             return False, ()
@@ -352,23 +361,8 @@ def is_t_valid(code: GrsCode, locator: ErrorLocator):
             acc = (acc * cands + c) % fld.p
         locations = np.nonzero(acc == 0)[0]
         return (locations.shape[0] == t), tuple(int(j) for j in locations)
-    coeffs = np.asarray(locator.coeffs, dtype=np.float64)
-    lead_scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if fld.is_zero(coeffs[-1], scale=lead_scale):
-        return False, ()
-    roots = np.roots(np.concatenate([coeffs[::-1], [1.0]]))
-    gaps = code.candidate_gaps()
-    matched = set()
-    for root in roots:
-        dists = np.abs(root - cands)
-        j1 = int(np.argmin(dists))
-        window = max(ROOT_TOL * max(abs(cands[j1]), 1.0), 0.45 * gaps[j1])
-        if dists[j1] > window:
-            return False, ()
-        matched.add(j1)
-    if len(matched) != t:
-        return False, ()
-    return True, tuple(sorted(matched))
+    valid, locs = _locate_batch(code, np.asarray(locator.coeffs, dtype=np.float64)[None])
+    return (True, tuple(int(j) for j in locs[0])) if valid.size else (False, ())
 
 
 def recover_error_values(code: GrsCode, locations, synd: SyndromeSet):
@@ -408,10 +402,12 @@ def _error_values(code: GrsCode, locations, values: np.ndarray):
 # The two decoders
 # ---------------------------------------------------------------------------
 
-def _all_syndromes_zero(synd: SyndromeSet, field: Field) -> bool:
+def _all_syndromes_zero(field: Field, synd: SyndromeSet):
+    """Whether each word's syndromes are all zero (within the real zero
+    test's scale): one bool per word of a (..., L, N - K) stack."""
     if isinstance(field, PrimeField):
-        return bool(np.all(synd.values == 0))
-    return bool(np.all(field.is_zero(synd.values, scale=synd.scale)))
+        return ~synd.values.any(axis=(-2, -1))
+    return field.is_zero(synd.values, scale=synd.scale).all(axis=(-2, -1))
 
 
 def _clean_outcome(field: Field, r: np.ndarray) -> DecodeOutcome:
@@ -433,22 +429,6 @@ def _finish(code: GrsCode, synd: SyndromeSet, r: np.ndarray, coeffs) -> DecodeOu
     locs = list(locations)
     corrected[:, locs] = fld._sub(corrected[:, locs], values)
     return DecodeOutcome.ok(corrected, locator, locations, values)
-
-
-def _attempt(code: GrsCode, synd: SyndromeSet, seqs: np.ndarray, r: np.ndarray, t: int):
-    """Try to decode with exactly t errors.
-
-    The stacked system is built from seqs, the rows of _row_space(synd).
-    Returns None when it is inconsistent, and otherwise the outcome at t:
-    one solve gives the rank and, when that is full, the unique locator.
-    """
-    system = _stack(seqs, t, code.field)
-    sol, rank = code.field._solve(system.matrix, system.rhs[:, None])
-    if sol is None:
-        return None
-    if rank < t:
-        return DecodeOutcome.fail(FailureReason.RANK_DEFICIENT)
-    return _finish(code, synd, r, sol[::-1, 0])
 
 
 def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
@@ -490,7 +470,7 @@ def _decode(code: GrsCode, r, decoder: str) -> DecodeOutcome:
     r = _validated_word(code, r)
     fld = code.field
     synd = _syndromes(code, r)
-    if _all_syndromes_zero(synd, fld):
+    if _all_syndromes_zero(fld, synd):
         return _clean_outcome(fld, r)
     seqs = _row_space(fld, synd.values)
     if decoder == "mssr":
@@ -499,72 +479,111 @@ def _decode(code: GrsCode, r, decoder: str) -> DecodeOutcome:
         # Sequences with a common recurrence of length t span at most t
         # dimensions, so no t below the rank of a basis can be consistent.
         first = len(seqs) if len(seqs) < len(synd.values) else 1
-    first_failure = None
-    for t in range(first, t_max(code.n, code.k, r.shape[0]) + 1):
-        outcome = _attempt(code, synd, seqs, r, t)
-        if outcome is None:
-            continue
+    first_failure, tm = None, t_max(code.n, code.k, r.shape[0])
+    # At each consistent t one solve gives the rank and, when that is full,
+    # the unique locator.
+    while (found := _least_consistent(fld, seqs, first, tm)) is not None:
+        t, coeffs, rank = found
+        if rank < t:
+            outcome = DecodeOutcome.fail(FailureReason.RANK_DEFICIENT)
+        else:
+            outcome = _finish(code, synd, r, coeffs)
         if outcome.success or isinstance(fld, PrimeField):
             return outcome
         first_failure = first_failure or outcome
+        first = t + 1
     return first_failure or DecodeOutcome.fail(FailureReason.NO_CONSISTENT_T)
 
 
 # ---------------------------------------------------------------------------
-# Batch decoding of many small GF(p) words
+# Batch decoding of many small words
 # ---------------------------------------------------------------------------
 
 def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     """Outcomes of cpda_decode or mssr_decode (decoder "cpda" or "mssr") for
-    every word of a canonical (B, L, N) GF(p) stack.
+    every word of a canonical (B, L, N) stack, over either field.
 
-    Each stage runs on the whole stack: the syndromes are one product, the
-    clean words one zero test, and the RREF row bases of the syndrome
-    matrices one masked Gauss-Jordan elimination (PrimeField._reduce_batch),
-    each basis padded with zero rows to min(L, N - K).  Then one elimination
-    per t runs over the stacked systems of the words still scanning.  A word
-    joins the scan at the rank of its basis for cpda, and for mssr at its
-    recurrence length, synthesized for all words in one pass
-    (_synthesize_batch).  It leaves at its first consistent t, where over
-    GF(p) the outcome is final: rank deficient, or on to the tail,
-    _finish_batch, which runs once per t on the words accepted at that t.
+    Each stage runs on the whole stack: the syndromes are one product and
+    the clean words one zero test.  Then one solve per t runs over the
+    stacked systems of the words still scanning (_scan_batch), and the
+    tail, _finish_batch, once per t on the words whose system there is
+    consistent with full rank.
+
+    Over GF(p) the rows scanned are the RREF row bases of the syndrome
+    matrices, found by one masked Gauss-Jordan elimination
+    (PrimeField._reduce_batch) and padded with zero rows to min(L, N - K).
+    A word joins the scan at the rank of its basis for cpda, and for mssr
+    at its recurrence length, synthesized for all words in one pass
+    (_synthesize_batch).  It leaves at its first consistent t, where the
+    outcome is final.  Over the reals every word scans all L layers from
+    t = 1 under either name, since real mssr's synthesis is cpda's scan,
+    and keeps _decode's policy: a failed check at a consistent t records
+    the word's first failure and the word scans on; it leaves on success.
     """
-    fld, p = code.field, code.field.p
+    fld = code.field
     count, l, n = words.shape
-    m, tm = n - code.k, t_max(n, code.k, l)
-    synd = fld._matmul(words, code.syndrome_matrix())
+    exact = isinstance(fld, PrimeField)
+    tm = t_max(n, code.k, l)
+    synd = _syndromes(code, words)
     outcomes = [None] * count
-    dirty = np.flatnonzero(synd.any(axis=(1, 2)))
+    dirty = np.flatnonzero(~_all_syndromes_zero(fld, synd))
     for i in np.setdiff1d(np.arange(count), dirty):
         outcomes[i] = _clean_outcome(fld, words[i])
-    basis, rank, _ = fld._reduce_batch(synd[dirty], m)
-    basis = basis[:, :min(l, m)]
+    seqs = synd.values[dirty]
+    if exact:
+        m = n - code.k
+        basis, rank, _ = fld._reduce_batch(seqs, m)
+        seqs = basis[:, :min(l, m)]
+        # No t below the rank of a basis is consistent (see _decode), nor
+        # any below the least common-recurrence length.
+        start = rank if decoder == "cpda" else _synthesize_batch(fld, seqs)[0]
+    else:
+        start = np.ones(len(dirty), dtype=np.intp)
 
-    def fail(pos, reason):
-        for j in pos:
-            outcomes[dirty[j]] = DecodeOutcome.fail(reason)
+    def record(j, outcome):
+        # A success replaces a recorded failure; a failure keeps the first.
+        if outcome.success or outcomes[dirty[j]] is None:
+            outcomes[dirty[j]] = outcome
 
-    # No t below the rank of a basis is consistent (see _decode), nor any
-    # below the least common-recurrence length.
-    start = rank if decoder == "cpda" else _synthesize_batch(fld, basis)[0]
     scanning = np.ones(len(dirty), dtype=bool)
     for t in range(1, tm + 1):
         pos = np.flatnonzero(scanning & (start <= t))
         if not pos.size:
             continue
-        # Every window of t + 1 syndromes is a row [A | -b] of the stack.
-        red, r, done = fld._reduce_batch(sliding_window_view(basis[pos], t + 1, axis=2), t)
-        scanning[pos[done]] = False
-        fail(pos[done & (r < t)], FailureReason.RANK_DEFICIENT)
-        full = done & (r == t)
+        coeffs, rank, consistent = _scan_batch(fld, seqs[pos], t)
+        if exact:
+            scanning[pos[consistent]] = False
+        for j in pos[consistent & (rank < t)]:
+            record(j, DecodeOutcome.fail(FailureReason.RANK_DEFICIENT))
+        full = consistent & (rank == t)
         if full.any():
             trials = dirty[pos[full]]
-            # The pivots are columns 0..t-1, and the solution is -(c_t, ..., c_1).
-            coeffs = (p - red[full, :t, t])[:, ::-1] % p
-            for i, out in zip(trials, _finish_batch(code, words[trials], synd[trials], coeffs)):
-                outcomes[i] = out
-    fail(np.flatnonzero(scanning), FailureReason.NO_CONSISTENT_T)
+            finished = _finish_batch(code, words[trials], synd.values[trials], coeffs[full])
+            for j, out in zip(pos[full], finished):
+                record(j, out)
+                scanning[j] &= not out.success
+    for j in np.flatnonzero(scanning):
+        record(j, DecodeOutcome.fail(FailureReason.NO_CONSISTENT_T))
     return outcomes
+
+
+def _scan_batch(field: Field, seqs: np.ndarray, t: int):
+    """The stacked systems at t of a (B, R, n) stack of syndrome rows, solved.
+
+    Every window of t + 1 syndromes is a row [A | -b] of a word's stack.
+    Returns (coeffs, rank, consistent): coeffs[b] = (c_1, ..., c_t) is
+    word b's solution, meaningful where consistent[b] and rank[b] == t.
+    Over GF(p) one masked elimination, whose pivots are then columns
+    0..t-1 with the solution -(c_t, ..., c_1) beside them; over the reals
+    one stacked SVD solve (RealField._solve_batch).
+    """
+    win = sliding_window_view(seqs, t + 1, axis=2)
+    if isinstance(field, PrimeField):
+        red, rank, consistent = field._reduce_batch(win, t)
+        return (field.p - red[:, :t, t])[:, ::-1] % field.p, rank, consistent
+    rows = win.reshape(len(seqs), -1, t + 1)
+    x, rank, consistent = field._solve_batch(rows[:, :, :t], -rows[:, :, t:])
+    return x[:, ::-1, 0], rank, consistent
 
 
 def _dot(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -646,41 +665,80 @@ def _synthesize_batch(field: PrimeField, seqs: np.ndarray):
     return ell, c[:, 1:]
 
 
-def _batch_elements(n: int, k: int, l: int) -> int:
+def _batch_elements(field: Field, n: int, k: int, l: int) -> int:
     """Elements per word in the largest array _decode_batch builds for
-    (B, l, n) words of a GRS(n, k) code.
+    (B, l, n) words of a GRS(n, k) code over field.
 
-    That is the received word, a scan stack (min(l, n - k) basis rows of
-    n - k - t windows of t + 1 syndromes, at most (n - k + 1)**2 / 4
-    elements per row) or a value solve (n - k rows of t + l entries).  Both
-    grow with the square of n - k, so they, not the received word, bound a
-    batch of long codes with few layers.
+    That is the received word, a scan stack (rows of n - k - t windows of
+    t + 1 syndromes, at most (n - k + 1)**2 / 4 elements per row: the
+    min(l, n - k) basis rows over GF(p), all l layers over the reals) or a
+    value solve (n - k rows of t + l entries).  Both grow with the square
+    of n - k, so they, not the received word, bound a batch of long codes
+    with few layers.
     """
     m = n - k
-    return max(l * n, min(l, m) * ((m + 1) ** 2 // 4), m * (t_max(n, k, l) + l))
+    rows = min(l, m) if isinstance(field, PrimeField) else l
+    return max(l * n, rows * ((m + 1) ** 2 // 4), m * (t_max(n, k, l) + l))
+
+
+def _locate_batch(code: GrsCode, coeffs: np.ndarray):
+    """is_t_valid for a (B, t) stack of locator coefficients, t >= 1.
+
+    Returns (valid, locs): the indices of the t-valid locators, and their
+    locations as a (len(valid), t) array in column order.  Over GF(p) a
+    Chien search evaluates every locator (1, c_1, ..., c_t) at every
+    candidate 1/alpha_j by one product with the cached power table; a
+    locator is t-valid when exactly t candidates are roots.  Over the reals
+    the roots are the eigenvalues of a stack of companion matrices, built
+    as np.roots builds them, and each is matched to its nearest candidate
+    within is_t_valid's window.
+    """
+    fld = code.field
+    count, t = coeffs.shape
+    if isinstance(fld, PrimeField):
+        locators = np.hstack([fld.ones((count, 1)), coeffs])
+        roots = fld._matmul(locators, code.inverse_powers()[:, :t + 1].T) == 0
+        valid = np.flatnonzero(roots.sum(axis=1) == t)
+        return valid, np.nonzero(roots[valid])[1].reshape(-1, t)
+    lead_scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
+    valid = np.flatnonzero(~fld.is_zero(coeffs[:, -1], scale=lead_scale))
+    # np.roots' companion matrix of c_t z^t + ... + c_1 z + 1: ones below
+    # the diagonal, and -(c_{t-1}, ..., c_1, 1) / c_t in the first row.
+    lead = coeffs[valid, -1:]
+    companion = np.repeat(np.eye(t, k=-1)[None], len(valid), axis=0)
+    companion[:, 0, :-1] = -coeffs[valid, -2::-1] / lead
+    companion[:, 0, -1] = -1.0 / lead[:, 0]
+    cands = code.inverse_powers()[:, 1]
+    window = np.maximum(ROOT_TOL * np.maximum(np.abs(cands), 1.0), 0.45 * code.candidate_gaps())
+    dists = np.abs(np.linalg.eigvals(companion)[:, :, None] - cands)
+    nearest = dists.argmin(axis=2)
+    locs = np.sort(nearest, axis=1)
+    ok = ((dists.min(axis=2) <= window[nearest]).all(axis=1)
+          & (locs[:, 1:] != locs[:, :-1]).all(axis=1))
+    return valid[ok], locs[ok]
 
 
 def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, coeffs: np.ndarray):
     """_finish for a stack of words with locators of one length t.
 
-    The Chien search evaluates every locator (1, c_1, ..., c_t) at every
-    candidate 1/alpha_j by one product with the cached power table; a word
-    is t-valid when exactly t candidates are roots, listed in column order.
-    The value solves are one masked elimination of the (B, N - K, t + L)
-    stack [H_t^T | S^T], and the subtraction writes every word at once.
+    The locators are checked by _locate_batch.  The value solves run over
+    the (B, N - K, t) stack H_t^T with the L syndrome columns S^T as
+    right-hand sides: over GF(p) one masked elimination of [H_t^T | S^T],
+    over the reals one stacked SVD solve.  The subtraction writes every
+    word at once.
     """
     fld = code.field
     count, t = coeffs.shape
     outcomes = [DecodeOutcome.fail(FailureReason.NOT_T_VALID)] * count
-    locators = np.hstack([fld.ones((count, 1)), coeffs])
-    roots = fld._matmul(locators, code.inverse_powers()[:, :t + 1].T) == 0
-    valid = np.flatnonzero(roots.sum(axis=1) == t)
-    locs = np.nonzero(roots[valid])[1].reshape(-1, t)
-    system = np.concatenate([code.syndrome_matrix()[locs].transpose(0, 2, 1),
-                             synd[valid].transpose(0, 2, 1)], axis=2)
-    red, _, solved = fld._reduce_batch(system, t)
-    # H_t has full column rank t (distinct nonzero points), so x = red[:t].
-    values = red[:, :t, t:].transpose(0, 2, 1)
+    valid, locs = _locate_batch(code, coeffs)
+    h_t, rhs = code.syndrome_matrix()[locs].transpose(0, 2, 1), synd[valid].transpose(0, 2, 1)
+    if isinstance(fld, PrimeField):
+        red, _, solved = fld._reduce_batch(np.concatenate([h_t, rhs], axis=2), t)
+        # H_t has full column rank t (distinct nonzero points), so x = red[:t].
+        values = red[:, :t, t:].transpose(0, 2, 1)
+    else:
+        x, _, solved = fld._solve_batch(h_t, rhs)
+        values = x.transpose(0, 2, 1)
     cols = np.broadcast_to(locs[:, None, :], values.shape)
     corrected = words[valid]
     fixed = fld._sub(np.take_along_axis(corrected, cols, axis=2), values)

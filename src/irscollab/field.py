@@ -674,5 +674,27 @@ class RealField(Field):
         ok = np.all(np.linalg.norm(a @ x - rhs, axis=0) <= bounds)
         return (x if ok else None), int(rank)
 
+    def _solve_batch(self, a, rhs):
+        """_solve for every system of a (B, rows, cols) stack a, cols >= 1,
+        with the (B, rows, width) right-hand sides rhs, by one stacked SVD.
+
+        Returns (x, rank, consistent): x the (B, cols, width) minimum-norm
+        solutions from the singular values above RANK_TOL * sigma_max *
+        max(rows, cols), rank their count, and consistent whether every
+        column passes _solve's residual test.  This is the batch counterpart
+        of _solve for many small systems of one shape, as _reduce_batch is
+        _row_reduce's: lstsq takes one system a call, and its singular
+        values and solutions differ from these only in the last bits.
+        """
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        smax = s[:, :1]
+        keep = s > RANK_TOL * max(a.shape[1:]) * smax
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        x = vt.transpose(0, 2, 1) @ (inv[:, :, None] * (u.transpose(0, 2, 1) @ rhs))
+        bounds = RESIDUAL_TOL * np.maximum(np.linalg.norm(rhs, axis=1),
+                                           smax * np.linalg.norm(x, axis=1))
+        consistent = np.all(np.linalg.norm(a @ x - rhs, axis=1) <= bounds, axis=1)
+        return x, keep.sum(axis=1), consistent
+
     # Bound in this class's own namespace, where perfbench/spans.py looks them up.
     matmul, rank, solve_consistent = Field.matmul, Field.rank, Field.solve_consistent

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .decoder import (FailureReason, _batch_elements, _decode_batch, _stack, _syndromes,
-                      cpda_decode, mssr_decode, outcomes_equal, t_max)
+                      cpda_decode, outcomes_equal, t_max)
 from .errmodel import ErrorModelSpec, _check_model, model_for, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
 from .field import Field, PrimeField, RealField
@@ -228,22 +228,15 @@ def _decoded(config: ExperimentConfig, code, l: int, t: int):
     """(word, outcome) for every trial of the (L, t) cell, in order.
 
     The trials go in batches whose largest decoder array holds at most
-    _BATCH_ELEMENTS elements.  A GF(p) batch is stacked and decoded by the
-    batch decoder.  Real trials are decoded one at a time: batched least
-    squares would sum in another order.
+    _BATCH_ELEMENTS elements, and each batch is stacked and decoded by the
+    batch decoder, over either field.
     """
     trials = _trials(config, code, l, t)
-    size = max(1, _BATCH_ELEMENTS // _batch_elements(config.n, config.k, l))
+    size = max(1, _BATCH_ELEMENTS // _batch_elements(config.field, config.n, config.k, l))
     while batch := list(itertools.islice(trials, size)):
         words, received = zip(*batch)
-        if isinstance(config.field, PrimeField):
-            stack = np.stack(received)
-            outcomes = _checked(config, lambda name: _decode_batch(code, stack, name))
-        else:
-            # Looked up per batch, not bound at import, so that a rebound
-            # cpda_decode or mssr_decode is the one called.
-            single = {"cpda": cpda_decode, "mssr": mssr_decode}
-            outcomes = _checked(config, lambda name: [single[name](code, r) for r in received])
+        stack = np.stack(received)
+        outcomes = _checked(config, lambda name: _decode_batch(code, stack, name))
         yield from zip(words, outcomes)
 
 

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyCodeParams:
     """Parameters of a polynomial code for N workers and m x n block products.
 
@@ -45,6 +45,8 @@ class PolyCodeParams:
     GRS(N, K) code on the points xs, built once here: its constructor
     applies the point rule (pairwise distinct and nonzero), and xs becomes
     its frozen copy of the points.  Anything else raises InvalidParameters.
+    Two params are equal when their field, counts and points are, and
+    equal params hash alike.
     """
 
     field: Field
@@ -66,6 +68,15 @@ class PolyCodeParams:
         code = GrsCode(self.field, self.num_workers, self.k, self.xs)
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "xs", code.alphas)
+
+    def _key(self):
+        return self.field, self.m, self.n, self.num_workers, tuple(self.xs.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, PolyCodeParams) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def k(self) -> int:

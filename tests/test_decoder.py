@@ -30,7 +30,7 @@ from irscollab.errmodel import ErrorModelSpec, inject, sample_error
 from irscollab.errors import InvalidParameters
 from irscollab.field import PrimeField, RealField
 from irscollab.grs import encode, make_grs
-from irscollab.harness import make_alphas
+from irscollab.harness import CLASSIFY_RTOL, make_alphas
 
 
 def _random_word(code, l, rng):
@@ -1117,6 +1117,35 @@ def test_batch_decoding_matches_single_words(case):
     _batch_matches_single_words(*case)
 
 
+# The primes on each side of field._INT64_SAFE_P (3037000499), where the
+# elements turn from int64 to object dtype, and 2**61 - 1.
+BOUNDARY_PRIMES = [3037000493, 3037000507, 2**61 - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(BOUNDARY_PRIMES), n=st.integers(2, 9), data=st.data())
+def test_decoders_at_the_moduli_boundaries(p, n, data):
+    # cpda_decode, mssr_decode and the batch decoder agree on every word of
+    # small codes at random points, and within the radius every decode finds
+    # the planted support of uniform errors: a decode fails with probability
+    # below about 1/p there (criterion 3's bound).
+    fld = PrimeField(p)
+    k = data.draw(st.integers(1, n - 1))
+    l = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    points = random.Random(int(rng.integers(2**32))).sample(range(1, p), n)
+    code = make_grs(fld, n, k, points)
+    tm = t_max(n, k, l)
+    ts = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=6))
+    planted = [_planted_instance(code, l, t, rng) for t in ts]
+    words = np.stack([received for _, received, _ in planted])
+    outcomes = _batch_matches_single_words(code, words)
+    for t, (word, _, err), out in zip(ts, planted, outcomes):
+        if t <= tm:
+            assert out.success and out.locations == err.support
+            assert np.array_equal(out.corrected, word)
+
+
 def _every_outcome_batch(l):
     """(code, words): a fixed GF(17) batch of 120 words, L = l, N = 16, K = 4."""
     fld = PrimeField(17)
@@ -1238,6 +1267,124 @@ def test_monte_carlo_mssr_cell_synthesizes_once_per_batch(monkeypatch):
     assert cell.failures == cell.undetected == 0
     assert not single
     assert batches == [100] and syntheses == [100]
+
+
+# ---------------------------------------------------------------------------
+# Batch decoding of real words, against the single-word decoders
+# ---------------------------------------------------------------------------
+
+REAL_ERROR_KINDS = ["gaussian", "rank_one", "duplicated", "tiny", "huge"]
+
+
+def _real_error(l, n, t, kind, rng):
+    """An L x n real error in t random columns: gaussian values; rank_one,
+    layers that are multiples of one row; duplicated, two columns with equal
+    values; tiny, gaussian at 10**U(-12, -6); huge, gaussian times 10**6."""
+    vals = rng.standard_normal((l, t))
+    if kind == "rank_one":
+        vals = np.outer(rng.standard_normal(l), vals[0])
+    elif kind == "duplicated" and t >= 2:
+        vals[:, 1] = vals[:, 0]
+    elif kind == "tiny":
+        vals *= 10 ** rng.uniform(-12, -6)
+    elif kind == "huge":
+        vals *= 1e6
+    e = np.zeros((l, n))
+    e[:, rng.choice(n, t, replace=False)] = vals
+    return e
+
+
+def _real_batch_matches_single_words(code, words, kinds):
+    """The cpda and mssr outcomes of the batch decoder, asserted equal to
+    cpda_decode's and mssr_decode's word by word at CLASSIFY_RTOL; returns
+    cpda's.  Words hit by huge errors are compared at the received word's
+    scale: their corrections agree to about 1e-12 of it, which is far more
+    than CLASSIFY_RTOL of the codeword left after subtracting the errors."""
+    fld = code.field
+    for name, decode in (("mssr", mssr_decode), ("cpda", cpda_decode)):
+        got = decoder_module._decode_batch(code, words, name)
+        assert len(got) == len(words)
+        for outcome, word, kind in zip(got, words, kinds):
+            scale = float(np.max(np.abs(word))) if kind == "huge" else 1.0
+            assert outcomes_equal(fld, outcome, decode(code, word), rtol=CLASSIFY_RTOL * scale)
+    return got
+
+
+@pytest.mark.parametrize("n, k, rule", [(8, 2, "pow:0.9"), (8, 2, "linear"), (12, 4, "pow:0.9"),
+                                        (20, 12, "linear"), (10, 7, "linear")])
+def test_real_batch_decoding_matches_single_words(n, k, rule):
+    # Every t from 0 to t_max + 2 (at most N - K) and every error kind, on
+    # L below, at and above N - K, each (L, t) with words of several seeds.
+    fld = RealField()
+    code = make_grs(fld, n, k, make_alphas(fld, n, rule))
+    for l in sorted({1, 2, n - k, n - k + 3}):
+        rng = np.random.default_rng([n, k, l])
+        kinds = [REAL_ERROR_KINDS[i % len(REAL_ERROR_KINDS)]
+                 for i in range(4 * len(REAL_ERROR_KINDS))]
+        words = []
+        for t in range(0, min(t_max(n, k, l) + 2, n - k) + 1):
+            for kind in kinds:
+                word = rng.standard_normal((l, k)) @ code.encoding_matrix().T
+                words.append(word + _real_error(l, n, t, kind, rng))
+        _real_batch_matches_single_words(code, np.stack(words),
+                                         kinds * (len(words) // len(kinds)))
+
+
+@st.composite
+def _real_word_batches(draw):
+    """(code, (B, L, N) stack, kinds): real words of one code on pow:0.9 or
+    linear points, each a codeword plus errors of a drawn kind in t in
+    [0, t_max + 1] columns."""
+    fld = RealField()
+    n = draw(st.integers(3, 14))
+    k = draw(st.integers(1, n - 1))
+    l = draw(st.integers(1, 2 * (n - k) + 2))
+    rule = draw(st.sampled_from(["pow:0.9", "linear"]))
+    kinds = draw(st.lists(st.sampled_from(REAL_ERROR_KINDS), min_size=1, max_size=10))
+    ts = draw(st.lists(st.integers(0, min(t_max(n, k, l) + 1, n)),
+                       min_size=len(kinds), max_size=len(kinds)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    code = make_grs(fld, n, k, make_alphas(fld, n, rule))
+    words = [rng.standard_normal((l, k)) @ code.encoding_matrix().T
+             + _real_error(l, n, t, kind, rng) for t, kind in zip(ts, kinds)]
+    return code, np.stack(words), kinds
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_real_word_batches())
+def test_real_batch_decoding_matches_single_words_property(case):
+    _real_batch_matches_single_words(*case)
+
+
+def test_real_batch_decoding_reaches_every_outcome():
+    # N = 10, K = 3 on pow:0.9 points, L = 4: words leave the scan at
+    # different t, and between them succeed and fail with every reason.
+    fld = RealField()
+    code = make_grs(fld, 10, 3, make_alphas(fld, 10, "pow:0.9"))
+    rng = np.random.default_rng(31)
+    words, kinds = [], []
+    for t in range(8):
+        for kind in REAL_ERROR_KINDS:
+            for _ in range(6):
+                word = rng.standard_normal((4, 3)) @ code.encoding_matrix().T
+                words.append(word + _real_error(4, 10, t, kind, rng))
+                kinds.append(kind)
+    outcomes = _real_batch_matches_single_words(code, np.stack(words), kinds)
+    seen = {out.reason if not out.success else len(out.locations) for out in outcomes}
+    assert seen == set(range(6)) | set(FailureReason)
+
+
+def test_real_monte_carlo_cell_makes_no_per_word_solve(monkeypatch):
+    # A criterion-1 cell is decoded by stacked solves alone: lstsq, the
+    # single-word solve, is never called.
+    from irscollab.harness import ExperimentConfig, run_monte_carlo
+
+    monkeypatch.setattr(RealField, "_solve", lambda *args: pytest.fail("per-word solve"))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: pytest.fail("lstsq"))
+    config = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(1, 6), t_values=(0, 3, 6),
+                              trials=50, model="gre", alphas="pow:0.9", seed=5, decoder="both")
+    report = run_monte_carlo(config)
+    assert [c.p_e for c in report.cells] == [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]
 
 
 def test_is_t_valid_uses_the_cached_inverse_points(monkeypatch):

@@ -170,8 +170,15 @@ def test_run_monte_carlo_both_mode_raises_on_a_disagreement(monkeypatch):
 def test_run_monte_carlo_both_mode_raises_on_a_real_disagreement(monkeypatch):
     # Real cpda and mssr give identical outcomes, so "both" holds the reals
     # to the rule it holds GF(p) to: any difference raises.
-    monkeypatch.setattr(harness, "mssr_decode",
-                        lambda code, r: DecodeOutcome.fail(FailureReason.NOT_T_VALID))
+    decode_batch = harness._decode_batch
+
+    def skewed(code, words, name):
+        outcomes = decode_batch(code, words, name)
+        if name == "mssr":
+            outcomes[0] = DecodeOutcome.fail(FailureReason.NOT_T_VALID)
+        return outcomes
+
+    monkeypatch.setattr(harness, "_decode_batch", skewed)
     cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(2,), t_values=(1,),
                            trials=3, model="gre", alphas="pow:0.9", decoder="both")
     with pytest.raises(DecoderMismatch):
@@ -183,7 +190,7 @@ def test_run_monte_carlo_does_not_depend_on_the_batch_size(monkeypatch, decoder)
     # Batches of one trial, of three and of a whole cell give the same report.
     cfg = _config(decoder=decoder, trials=10, t_values=(0, 2, 3))
     whole = run_monte_carlo(cfg)
-    for elements in (1, 3 * _batch_elements(10, 4, 2)):
+    for elements in (1, 3 * _batch_elements(cfg.field, 10, 4, 2)):
         monkeypatch.setattr(harness, "_BATCH_ELEMENTS", elements)
         assert run_monte_carlo(cfg) == whole
 
@@ -228,21 +235,21 @@ def test_run_monte_carlo_real_field():
 
 
 def test_run_monte_carlo_real_field_calls_each_decoder_by_name(monkeypatch):
-    # Real trials go through the module's cpda_decode and mssr_decode as they
-    # are bound when the cell runs, so a wrapper installed later sees them.
-    calls = {"cpda": 0, "mssr": 0}
-    for name in calls:
-        decode = getattr(harness, f"{name}_decode")
+    # A real cell, like a GF(p) one, is one batch per decoder name through the
+    # module's _decode_batch as it is bound when the cell runs, so a wrapper
+    # installed later sees it.
+    calls = []
+    decode_batch = harness._decode_batch
 
-        def counting(code, r, name=name, decode=decode):
-            calls[name] += 1
-            return decode(code, r)
+    def counting(code, words, name):
+        calls.append((name, len(words)))
+        return decode_batch(code, words, name)
 
-        monkeypatch.setattr(harness, f"{name}_decode", counting)
+    monkeypatch.setattr(harness, "_decode_batch", counting)
     cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(6,), t_values=(2,),
                            trials=7, model="gre", alphas="pow:0.9", decoder="both")
     assert run_monte_carlo(cfg).cell(6, 2).p_e == 0.0
-    assert calls == {"cpda": 7, "mssr": 7}
+    assert calls == [("cpda", 7), ("mssr", 7)]
 
 
 # ---------------------------------------------------------------------------

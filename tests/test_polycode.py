@@ -87,6 +87,23 @@ def test_params_build_their_code_once(field):
     assert first.code is params.code and second.code is params.code
 
 
+@pytest.mark.parametrize("field", [GF, RE, PrimeField(2**61 - 1)], ids=repr)
+def test_params_compare_and_hash_by_value(field):
+    # Params with equal fields, counts and points are equal and hash alike,
+    # whatever the points' container; any differing setting makes them differ.
+    params = make_params(field, 2, 2, 6)
+    same = PolyCodeParams(field=field, m=2, n=2, num_workers=6, xs=tuple(params.xs.tolist()))
+    assert params == same and hash(params) == hash(same)
+    assert len({params, same}) == 1
+    moved = params.xs.copy()
+    moved[-1] = moved[-1] + 1
+    for other in (make_params(field, 1, 2, 6), make_params(field, 2, 2, 7),
+                  PolyCodeParams(field=field, m=2, n=2, num_workers=6, xs=moved)):
+        assert params != other
+    assert params != make_params(PrimeField(7) if field == RE else RE, 2, 2, 6)
+    assert params != "params"
+
+
 @pytest.mark.parametrize("field", [GF, RE])
 def test_params_need_more_workers_than_k(field):
     # N = K workers leave the induced GRS(N, K) code no redundancy, so
