@@ -28,12 +28,16 @@ change (the Gram matrix, solution and residual from R's rows equal those
 from S's), but RealField's rank cutoff scales with max(shape) of the
 stacked system, which compression shrinks.
 
-The Monte Carlo harness decodes GF(p) words only in batches, through
-_decode_batch: it gives every word of a (B, L, N) stack the outcome that
-cpda_decode or mssr_decode would, with each stage one array operation over
-the whole stack: row bases for every L, and for mssr one Berlekamp-Massey
-pass (below) over all the words, one loop over the positions.  The public
-decoders take one word, so a deep word keeps the blocked scan above.
+The Monte Carlo harness decodes words only in batches, over either field,
+through _decode_batch: it gives every word of a (B, L, N) stack the outcome
+that cpda_decode or mssr_decode would, with each stage one array operation
+over the whole stack.  Over GF(p) that is row bases for every L, and for
+mssr one Berlekamp-Massey pass (below) over all the words, one loop over
+the positions; over the reals, one stacked SVD solve per t
+(RealField._solve_batch) and one eigenvalue stack for the locator roots.
+Real outcomes then agree with the single-word decoders' to within
+rounding, not bit for bit.  The public decoders take one word, so a deep
+word keeps the blocked scan above.
 
 Two decoders are provided and produce identical outcomes.  Both scan t
 upward and accept the first t whose stacked system is consistent, where the
@@ -345,7 +349,8 @@ def is_t_valid(code: GrsCode, locator: ErrorLocator):
     nearest candidates, each match accepted only within a window of
     max(ROOT_TOL * |candidate|, 0.45 * nearest-candidate gap) so that roots
     perturbed by solver noise are recognized while off-grid or coalescing
-    roots are rejected, by _locate_batch on a stack of one.
+    roots are rejected.  Over the reals this is _locate_batch on a stack of
+    one, so the batch decoder matches roots by the same rule.
     """
     fld = code.field
     t = locator.t
@@ -561,7 +566,7 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
             finished = _finish_batch(code, words[trials], synd.values[trials], coeffs[full])
             for j, out in zip(pos[full], finished):
                 record(j, out)
-                scanning[j] &= not out.success
+            scanning[pos[full][[out.success for out in finished]]] = False
     for j in np.flatnonzero(scanning):
         record(j, DecodeOutcome.fail(FailureReason.NO_CONSISTENT_T))
     return outcomes

@@ -8,10 +8,11 @@ deterministic CSV reports.
 
 Every trial draws from its own counter-based RNG stream keyed by
 (master seed, L, t, trial index), so runs are reproducible cell by cell and
-independent of execution order.  Over GF(p) a cell's trials are then
-stacked and decoded together by the batch decoder (decoder._decode_batch,
-the one GF(p) decode path here), which gives each trial the outcome of the
-single-word decoder; over the reals each trial is decoded on its own.
+independent of execution order.  A cell's trials are then stacked and
+decoded together by the batch decoder (decoder._decode_batch, the one
+decode path here, over either field), which gives each trial the outcome
+of the single-word decoder: exactly over GF(p), and over the reals to
+within rounding.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ CLASSIFY_RTOL = 1e-6
 _DECODERS = ("cpda", "mssr", "both")
 
 # Elements in the largest array of the batch decoder for one batch of trials
-# (decoder._batch_elements per trial): 2 MB of int64, whatever the code and
-# the trial count.  The elimination holds about three arrays of this size.
+# (decoder._batch_elements per trial): 2 MB of int64 or float64, whatever
+# the code and the trial count.  The elimination or the SVD holds about
+# three arrays of this size.
 _BATCH_ELEMENTS = 2**18
 
 

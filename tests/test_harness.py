@@ -195,6 +195,16 @@ def test_run_monte_carlo_does_not_depend_on_the_batch_size(monkeypatch, decoder)
         assert run_monte_carlo(cfg) == whole
 
 
+def test_real_run_monte_carlo_does_not_depend_on_the_batch_size(monkeypatch):
+    # The same over the reals, with cells inside and beyond the radius.
+    cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(1, 6), t_values=(0, 3, 6),
+                           trials=12, model="gre", alphas="pow:0.9", decoder="both", seed=2)
+    whole = run_monte_carlo(cfg)
+    for elements in (1, 5 * _batch_elements(cfg.field, 8, 2, 6)):
+        monkeypatch.setattr(harness, "_BATCH_ELEMENTS", elements)
+        assert run_monte_carlo(cfg) == whole
+
+
 def test_run_monte_carlo_bounds_the_batch_arrays_of_long_codes(monkeypatch):
     # N - K = 60 with L = 1: a value solve holds 60 x 30 elements per trial
     # and a scan stack up to 930, where the received word holds 64, so
@@ -212,6 +222,26 @@ def test_run_monte_carlo_bounds_the_batch_arrays_of_long_codes(monkeypatch):
     monkeypatch.setattr(PrimeField, "_reduce_batch", recording)
     report = run_monte_carlo(_config(n=64, k=4, l_values=(1,), t_values=(29,), trials=40))
     assert report.cell(1, 29).failures < 40
+    assert limit // 2 < max(sizes) <= limit
+
+
+def test_real_run_monte_carlo_bounds_the_batch_arrays_of_deep_words(monkeypatch):
+    # Real words keep all L = 20 layers, more than N - K = 10: a scan stack
+    # [A | -b] holds up to 20 x 30 elements per trial, where a basis of
+    # min(L, N - K) rows would hold 10 x 30, and the received word 240.
+    limit = 2**13
+    monkeypatch.setattr(harness, "_BATCH_ELEMENTS", limit)
+    sizes = []
+    solve_batch = RealField._solve_batch
+
+    def recording(self, a, rhs):
+        sizes.append(a.size + rhs.size)
+        return solve_batch(self, a, rhs)
+
+    monkeypatch.setattr(RealField, "_solve_batch", recording)
+    cfg = ExperimentConfig(field=RealField(), n=12, k=2, l_values=(20,), t_values=(6,),
+                           trials=30, model="gre", alphas="pow:0.9")
+    assert run_monte_carlo(cfg).cell(20, 6).p_e == 0.0
     assert limit // 2 < max(sizes) <= limit
 
 
