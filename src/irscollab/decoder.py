@@ -31,12 +31,14 @@ stacked system, which compression shrinks.
 The Monte Carlo harness decodes words only in batches, over either field,
 through _decode_batch: it gives every word of a (B, L, N) stack the outcome
 that cpda_decode or mssr_decode would, with each stage one array operation
-over the whole stack.  Over GF(p) that is row bases for every L, and for
-mssr one Berlekamp-Massey pass (below) over all the words, one loop over
-the positions; over the reals, one stacked SVD solve per t
-(RealField._solve_batch) and one eigenvalue stack for the locator roots.
-Real outcomes then agree with the single-word decoders' to within
-rounding, not bit for bit.  The public decoders take one word, so a deep
+over the whole stack.  The stacked systems of each t and the value solves
+go through the field's _solve_batch (one masked elimination over GF(p), one
+stacked SVD over the reals), and the locators through _locate_batch, the
+rule is_t_valid applies to one locator.  Over GF(p) the scan runs on row
+bases for every L, and mssr starts it after one Berlekamp-Massey pass
+(below) over all the words, one loop over the positions.  Real outcomes
+then agree with the single-word decoders' to within rounding, not bit for
+bit.  The public decoders take one word, so a deep
 word keeps the blocked scan above.
 
 Two decoders are provided and produce identical outcomes.  Both scan t
@@ -76,7 +78,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameters
-from .field import EQ_TOL, ROOT_TOL, Field, PrimeField
+from .field import EQ_TOL, ROOT_TOL, Field, PrimeField, _is_int
 from .grs import GrsCode
 
 __all__ = [
@@ -114,12 +116,18 @@ class FailureReason(enum.Enum):
 
 @dataclass(frozen=True)
 class ErrorLocator:
-    """Lambda(z) = 1 + coeffs[0] z + ... + coeffs[t-1] z^t."""
+    """Lambda(z) = 1 + coeffs[0] z + ... + coeffs[t-1] z^t.
+
+    coeffs is a vector (a scalar becomes one of length 1); any other shape
+    raises InvalidParameters.
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         arr = np.atleast_1d(np.array(self.coeffs, copy=True))
+        if arr.ndim != 1:
+            raise InvalidParameters(f"locator coefficients must be a vector, got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -229,7 +237,7 @@ def build_stacked(code: GrsCode, r, t: int) -> StackedSystem:
     Per layer, row i pairs the window (S_i, ..., S_{i+t-1}) with the
     right-hand side -S_{t+i}; the unknown vector is (c_t, ..., c_1).
     """
-    if not isinstance(t, (int, np.integer)) or t < 1:
+    if not _is_int(t) or t < 1:
         raise InvalidParameters(f"t must be a positive integer, got {t!r}")
     r = _validated_word(code, r)
     tm = t_max(code.n, code.k, r.shape[0])
@@ -344,29 +352,20 @@ def _least_consistent(field: Field, seqs: np.ndarray, first: int, last: int):
 def is_t_valid(code: GrsCode, locator: ErrorLocator):
     """Check that Lambda has exactly t distinct roots among the 1/alpha_j.
 
-    Returns (valid, locations).  Over GF(p) the candidates are evaluated
-    exactly; over the reals the t polynomial roots are matched to their
-    nearest candidates, each match accepted only within a window of
-    max(ROOT_TOL * |candidate|, 0.45 * nearest-candidate gap) so that roots
-    perturbed by solver noise are recognized while off-grid or coalescing
-    roots are rejected.  Over the reals this is _locate_batch on a stack of
-    one, so the batch decoder matches roots by the same rule.
+    Returns (True, locations), the locations sorted, or (False, ()).  This
+    is _locate_batch on a stack of one, so the batch decoder locates by the
+    same rule: over GF(p) every candidate is evaluated exactly; over the
+    reals the t polynomial roots are matched to their nearest candidates,
+    each match accepted only within a window of max(ROOT_TOL * |candidate|,
+    0.45 * nearest-candidate gap) so that roots perturbed by solver noise
+    are recognized while off-grid or coalescing roots are rejected.  No
+    locator of degree t > N has t distinct roots among the N candidates.
+    Real coefficients must be finite (ValueError otherwise).
     """
-    fld = code.field
-    t = locator.t
-    if t == 0:
-        return True, ()
-    if isinstance(fld, PrimeField):
-        cands = code.inverse_powers()[:, 1]
-        coeffs = fld.array(locator.coeffs)
-        if coeffs[-1] == 0:
-            return False, ()
-        acc = fld.zeros(code.n)
-        for c in list(coeffs[::-1]) + [1]:
-            acc = (acc * cands + c) % fld.p
-        locations = np.nonzero(acc == 0)[0]
-        return (locations.shape[0] == t), tuple(int(j) for j in locations)
-    valid, locs = _locate_batch(code, np.asarray(locator.coeffs, dtype=np.float64)[None])
+    coeffs, t = code.field.array(locator.coeffs), locator.t
+    if not 0 < t <= code.n:
+        return t == 0, ()
+    valid, locs = _locate_batch(code, coeffs[None])
     return (True, tuple(int(j) for j in locs[0])) if valid.size else (False, ())
 
 
@@ -385,8 +384,7 @@ def recover_error_values(code: GrsCode, locations, synd: SyndromeSet):
         raise InvalidParameters(
             f"expected an L x {code.n - code.k} syndrome matrix, got shape {values.shape}")
     locations = list(locations)
-    if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
-               and 0 <= j < code.n for j in locations):
+    if not all(_is_int(j) and 0 <= j < code.n for j in locations):
         raise InvalidParameters(f"locations must be integers in [0, {code.n}), got {locations}")
     if len(set(locations)) != len(locations):
         raise InvalidParameters(f"locations must be distinct, got {locations}")
@@ -575,20 +573,14 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
 def _scan_batch(field: Field, seqs: np.ndarray, t: int):
     """The stacked systems at t of a (B, R, n) stack of syndrome rows, solved.
 
-    Every window of t + 1 syndromes is a row [A | -b] of a word's stack.
-    Returns (coeffs, rank, consistent): coeffs[b] = (c_1, ..., c_t) is
-    word b's solution, meaningful where consistent[b] and rank[b] == t.
-    Over GF(p) one masked elimination, whose pivots are then columns
-    0..t-1 with the solution -(c_t, ..., c_1) beside them; over the reals
-    one stacked SVD solve (RealField._solve_batch).
+    Every window of t + 1 syndromes is a row [A | b] of a word's stack, and
+    one _solve_batch over the (B, R, n - t, t + 1) window stack solves
+    A x = b, so x = -(c_t, ..., c_1).  Returns (coeffs, rank, consistent):
+    coeffs[b] = (c_1, ..., c_t) is word b's solution, meaningful where
+    consistent[b] and rank[b] == t.
     """
-    win = sliding_window_view(seqs, t + 1, axis=2)
-    if isinstance(field, PrimeField):
-        red, rank, consistent = field._reduce_batch(win, t)
-        return (field.p - red[:, :t, t])[:, ::-1] % field.p, rank, consistent
-    rows = win.reshape(len(seqs), -1, t + 1)
-    x, rank, consistent = field._solve_batch(rows[:, :, :t], -rows[:, :, t:])
-    return x[:, ::-1, 0], rank, consistent
+    x, rank, consistent = field._solve_batch(sliding_window_view(seqs, t + 1, axis=2), t)
+    return field._sub(0, x[:, ::-1, 0]), rank, consistent
 
 
 def _dot(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -687,7 +679,7 @@ def _batch_elements(field: Field, n: int, k: int, l: int) -> int:
 
 
 def _locate_batch(code: GrsCode, coeffs: np.ndarray):
-    """is_t_valid for a (B, t) stack of locator coefficients, t >= 1.
+    """is_t_valid for a (B, t) stack of locator coefficients, 1 <= t <= N.
 
     Returns (valid, locs): the indices of the t-valid locators, and their
     locations as a (len(valid), t) array in column order.  Over GF(p) a
@@ -726,24 +718,19 @@ def _locate_batch(code: GrsCode, coeffs: np.ndarray):
 def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, coeffs: np.ndarray):
     """_finish for a stack of words with locators of one length t.
 
-    The locators are checked by _locate_batch.  The value solves run over
-    the (B, N - K, t) stack H_t^T with the L syndrome columns S^T as
-    right-hand sides: over GF(p) one masked elimination of [H_t^T | S^T],
-    over the reals one stacked SVD solve.  The subtraction writes every
-    word at once.
+    The locators are checked by _locate_batch.  The value solves are one
+    _solve_batch of the (B, N - K, t + L) stack [H_t^T | S^T], the L
+    syndrome columns as right-hand sides; H_t has full column rank t
+    (distinct nonzero points), so x is the solution wherever consistent.
+    The subtraction writes every word at once.
     """
     fld = code.field
     count, t = coeffs.shape
     outcomes = [DecodeOutcome.fail(FailureReason.NOT_T_VALID)] * count
     valid, locs = _locate_batch(code, coeffs)
-    h_t, rhs = code.syndrome_matrix()[locs].transpose(0, 2, 1), synd[valid].transpose(0, 2, 1)
-    if isinstance(fld, PrimeField):
-        red, _, solved = fld._reduce_batch(np.concatenate([h_t, rhs], axis=2), t)
-        # H_t has full column rank t (distinct nonzero points), so x = red[:t].
-        values = red[:, :t, t:].transpose(0, 2, 1)
-    else:
-        x, _, solved = fld._solve_batch(h_t, rhs)
-        values = x.transpose(0, 2, 1)
+    aug = np.concatenate([code.syndrome_matrix()[locs], synd[valid]], axis=1).transpose(0, 2, 1)
+    x, _, solved = fld._solve_batch(aug, t)
+    values = x.transpose(0, 2, 1)
     cols = np.broadcast_to(locs[:, None, :], values.shape)
     corrected = words[valid]
     fixed = fld._sub(np.take_along_axis(corrected, cols, axis=2), values)
@@ -758,23 +745,14 @@ def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, coeffs: np
 
 
 def outcomes_equal(field: Field, a: DecodeOutcome, b: DecodeOutcome, rtol=EQ_TOL) -> bool:
-    """Whether two outcomes agree (exactly over GF, within rtol over reals)."""
+    """Whether two outcomes agree: the same failure reason, or the same
+    locations with corrected words, values and locator coefficients that
+    field._agree accepts (exactly over GF(p), within rtol of the larger
+    magnitude over the reals)."""
     if a.success != b.success:
         return False
     if not a.success:
         return a.reason == b.reason
-    if a.locations != b.locations:
-        return False
-    if isinstance(field, PrimeField):
-        return (np.array_equal(a.corrected, b.corrected)
-                and np.array_equal(a.values, b.values)
-                and np.array_equal(a.locator.coeffs, b.locator.coeffs))
-    for x, y in ((a.corrected, b.corrected), (a.values, b.values),
-                 (a.locator.coeffs, b.locator.coeffs)):
-        if x.shape != y.shape:
-            return False
-        scale = max(1.0, float(np.max(np.abs(x), initial=0.0)),
-                    float(np.max(np.abs(y), initial=0.0)))
-        if not np.all(np.abs(x - y) <= rtol * scale):
-            return False
-    return True
+    return a.locations == b.locations and all(
+        field._agree(x, y, rtol) for x, y in ((a.corrected, b.corrected), (a.values, b.values),
+                                              (a.locator.coeffs, b.locator.coeffs)))

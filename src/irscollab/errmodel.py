@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters
-from .field import Field, PrimeField, RealField
+from .field import Field, PrimeField, RealField, _is_int
 
 __all__ = ["ErrorModelSpec", "ErrorMatrix", "model_for", "sample_error", "inject"]
 
@@ -51,7 +51,7 @@ class ErrorModelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidParameters(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not isinstance(self.t, (int, np.integer)) or self.t < 0:
+        if not _is_int(self.t) or self.t < 0:
             raise InvalidParameters(f"t must be a non-negative integer, got {self.t!r}")
 
 

@@ -17,7 +17,17 @@ public methods and the decoders run one body over either field:
     _sub(a, b)       the difference a - b, elementwise;
     _solve(a, rhs)   (x, rank) for 2-D a and rhs: x solves a @ x = rhs, or
                      is None when any column of rhs is inconsistent, and
-                     rank is the rank of a either way.
+                     rank is the rank of a either way;
+    _solve_batch(aug, ncols)
+                     (x, rank, consistent) for a stack aug = [a | rhs] of
+                     shape (B, ..., width), the axes between the first and
+                     the last counting as rows and the first ncols columns
+                     as a: per system its rank, whether every column of rhs
+                     is solvable, and, where rank[b] == ncols, its solution
+                     x[b];
+    _agree(x, y, rtol)
+                     whether two arrays agree: exactly over GF(p), within
+                     rtol of the larger magnitude (at least 1) over the reals.
 
 rank and solve_consistent validate their operands and call _solve.  Over
 GF(p) _solve is exact, a blocked elimination that sets free variables to
@@ -35,8 +45,9 @@ the cost of a tall stacked system grows linearly in its height.
 A system with more right-hand sides than its first block has rows reduces
 [a | I] instead and applies the row transform to every right-hand side with
 one matmul.  Many small systems of one shape, such as a Monte Carlo cell's,
-go through PrimeField._reduce_batch instead: one masked Gauss-Jordan step
-per column over the whole (B, rows, width) stack.
+go through _solve_batch instead: over GF(p) one masked Gauss-Jordan
+elimination of the whole stack (PrimeField._reduce_batch, one step per
+column), over the reals one stacked SVD.
 
 A GF(p) matmul that is not tiny runs on float64 BLAS (dgemm) for int64
 elements while inner * (p - 1)**2 < 2**53, reduced mod p once at the end;
@@ -107,6 +118,12 @@ _INV_TABLE_P = 2**16
 # Minimum height of the first row block of PrimeField._solve: systems this
 # short are eliminated in one dense pass.
 _FIRST_BLOCK = 64
+
+
+def _is_int(x) -> bool:
+    """Whether x is a Python or numpy integer and not a bool: the one check
+    of the package's integer parameters."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _is_prime(n: int) -> bool:
@@ -217,7 +234,7 @@ class PrimeField(Field):
     __slots__ = ("p", "_primitive_root", "_inv_table")
 
     def __init__(self, p: int):
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        if not _is_int(p):
             raise InvalidParameters(f"field modulus must be an integer, got {p!r}")
         p = int(p)
         if not _is_prime(p):
@@ -333,6 +350,10 @@ class PrimeField(Field):
         out = a + (self.p - b)
         out %= self.p
         return out
+
+    def _agree(self, x, y, rtol):
+        """Exact equality; rtol is ignored over a finite field."""
+        return np.array_equal(x, y)
 
     # -- bulk helpers --------------------------------------------------------
 
@@ -552,6 +573,14 @@ class PrimeField(Field):
             return None, r
         return x, r
 
+    def _solve_batch(self, aug, ncols):
+        """_solve for every system of an augmented stack, by one
+        _reduce_batch (see the module docstring for the contract): at full
+        column rank the first ncols rows of the RREF are [I | x].
+        """
+        red, rank, consistent = self._reduce_batch(aug, ncols)
+        return red[:, :ncols, ncols:], rank, consistent
+
     # Bound in this class's own namespace, where perfbench/spans.py looks them up.
     matmul, rank, solve_consistent = Field.matmul, Field.rank, Field.solve_consistent
 
@@ -647,6 +676,13 @@ class RealField(Field):
     def _sub(self, a, b):
         return a - b
 
+    def _agree(self, x, y, rtol):
+        """One shape, and |x - y| <= rtol * max(1, max |x|, max |y|) entrywise."""
+        if x.shape != y.shape:
+            return False
+        scale = max(1.0, np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0))
+        return bool(np.abs(x - y).max(initial=0.0) <= rtol * scale)
+
     # -- bulk helpers --------------------------------------------------------
 
     def power_matrix(self, xs, ncols: int) -> np.ndarray:
@@ -674,18 +710,23 @@ class RealField(Field):
         ok = np.all(np.linalg.norm(a @ x - rhs, axis=0) <= bounds)
         return (x if ok else None), int(rank)
 
-    def _solve_batch(self, a, rhs):
-        """_solve for every system of a (B, rows, cols) stack a, cols >= 1,
-        with the (B, rows, width) right-hand sides rhs, by one stacked SVD.
+    def _solve_batch(self, aug, ncols):
+        """_solve for every system of an augmented stack (see the module
+        docstring for the contract), ncols >= 1, by one stacked SVD.
 
-        Returns (x, rank, consistent): x the (B, cols, width) minimum-norm
-        solutions from the singular values above RANK_TOL * sigma_max *
-        max(rows, cols), rank their count, and consistent whether every
-        column passes _solve's residual test.  This is the batch counterpart
-        of _solve for many small systems of one shape, as _reduce_batch is
-        _row_reduce's: lstsq takes one system a call, and its singular
-        values and solutions differ from these only in the last bits.
+        x holds the minimum-norm solutions from the singular values above
+        RANK_TOL * sigma_max * max(rows, ncols), rank their count, and
+        consistent whether every right-hand side passes _solve's residual
+        test.  This is the batch counterpart of _solve for many small
+        systems of one shape: lstsq takes one system a call, and its
+        singular values and solutions differ from these only in the last
+        bits.
         """
+        aug = aug.reshape(len(aug), math.prod(aug.shape[1:-1]), aug.shape[-1])
+        # Each right-hand side is copied to contiguous memory: BLAS sums a
+        # strided column in another order, so x would depend on the layout
+        # of aug in its last bits.
+        a, rhs = aug[:, :, :ncols], aug[:, :, ncols:].transpose(0, 2, 1).copy().transpose(0, 2, 1)
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         smax = s[:, :1]
         keep = s > RANK_TOL * max(a.shape[1:]) * smax

@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from .errors import InvalidParameters, NotACodeword
-from .field import RANK_TOL, RESIDUAL_TOL, Field, PrimeField, RealField
+from .field import RANK_TOL, RESIDUAL_TOL, Field, PrimeField, RealField, _is_int
 
 __all__ = ["GrsCode", "make_grs", "encode"]
 
@@ -55,7 +55,7 @@ class GrsCode:
     __slots__ = ("field", "n", "k", "alphas", "u", "_cache")
 
     def __init__(self, field: Field, n: int, k: int, alphas):
-        if not isinstance(n, (int, np.integer)) or not isinstance(k, (int, np.integer)):
+        if not (_is_int(n) and _is_int(k)):
             raise InvalidParameters("n and k must be integers")
         n, k = int(n), int(k)
         if not 1 <= k < n:
@@ -94,14 +94,14 @@ class GrsCode:
 
     @_cached
     def inverse_powers(self) -> np.ndarray:
-        """N x (N-K+1) matrix W with W[j, i] = alpha_j**-i.
+        """N x (N+1) matrix W with W[j, i] = alpha_j**-i.
 
         Row j holds the powers of the candidate root 1/alpha_j, so a locator
-        of degree t <= N - K is evaluated at every candidate by one product
+        of any degree t <= N is evaluated at every candidate by one product
         with W[:, :t+1], and column 1 holds the candidates themselves.  Built
         on first use; the constructor has checked that the points are nonzero.
         """
-        return self.field.power_matrix(self.field._invert(self.alphas), self.n - self.k + 1)
+        return self.field.power_matrix(self.field._invert(self.alphas), self.n + 1)
 
     @_cached
     def candidate_gaps(self) -> np.ndarray:

@@ -29,7 +29,7 @@ from .decoder import (FailureReason, _batch_elements, _decode_batch, _stack, _sy
                       cpda_decode, outcomes_equal, t_max)
 from .errmodel import ErrorModelSpec, _check_model, model_for, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
-from .field import Field, PrimeField, RealField
+from .field import Field, PrimeField, RealField, _is_int
 from .grs import _check_points, _primitive_points, make_grs
 from .polycode import PolyCodeParams, assemble_irs, encode_tasks, recover_product, worker_compute
 
@@ -111,8 +111,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "l_values", tuple(int(l) for l in self.l_values))
-        object.__setattr__(self, "t_values", tuple(int(t) for t in self.t_values))
+        l_values, t_values = tuple(self.l_values), tuple(self.t_values)
+        if not all(map(_is_int, (self.n, self.k, self.trials, self.seed, *l_values, *t_values))):
+            raise InvalidParameters("n, k, trials, seed and the l and t values must be integers")
+        object.__setattr__(self, "l_values", tuple(map(int, l_values)))
+        object.__setattr__(self, "t_values", tuple(map(int, t_values)))
         if not 1 <= self.k < self.n:
             raise InvalidParameters(f"need 1 <= k < n, got n={self.n}, k={self.k}")
         if not self.l_values or any(l < 1 for l in self.l_values):
@@ -189,13 +192,6 @@ def _corrupted(fld: Field, word: np.ndarray, t: int, rng) -> np.ndarray:
     return fld._reduce(word + sample_error(spec, fld, *word.shape, rng).e)
 
 
-def _words_differ(fld: Field, got, want) -> bool:
-    if isinstance(fld, PrimeField):
-        return not np.array_equal(got, want)
-    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
-    return bool(np.max(np.abs(got - want)) > CLASSIFY_RTOL * scale)
-
-
 def _checked(config: ExperimentConfig, decode) -> list:
     """decode(name), a list of outcomes, for the configured decoder.
 
@@ -265,7 +261,7 @@ def run_monte_carlo(config: ExperimentConfig) -> Report:
             for word, outcome in _decoded(config, code, l, t):
                 if not outcome.success:
                     failures += 1
-                elif _words_differ(fld, outcome.corrected, word):
+                elif not fld._agree(outcome.corrected, word, CLASSIFY_RTOL):
                     undetected += 1
             cells.append(CellStats(t=t, l=l, trials=config.trials,
                                    failures=failures, undetected=undetected))

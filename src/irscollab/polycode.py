@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import InvalidParameters
-from .field import Field
+from .field import Field, _is_int
 from .grs import GrsCode, _interpolate_rows
 
 __all__ = [
@@ -57,7 +57,7 @@ class PolyCodeParams:
     code: GrsCode = dataclass_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) for v in (self.m, self.n, self.num_workers)):
+        if not all(map(_is_int, (self.m, self.n, self.num_workers))):
             raise InvalidParameters("block counts and the worker count must be integers")
         if self.m < 1 or self.n < 1:
             raise InvalidParameters(f"block counts must be positive, got m={self.m}, n={self.n}")

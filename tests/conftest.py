@@ -9,7 +9,8 @@ the whole augmented matrix, with a whole-matrix update per pivot.  It is slow
 on tall stacks but simple, so the blocked PrimeField._solve is checked against
 it, and it can be patched into PrimeField in its place to run whole decodes on
 the reference path.  Its RREF pass also checks the batched elimination
-PrimeField._reduce_batch, matrix by matrix.
+PrimeField._reduce_batch, and it checks the batch solver
+PrimeField._solve_batch, matrix by matrix.
 
 gaussian_synthesize is the GF(p) recurrence synthesis that decoder.py used
 before its Berlekamp-Massey pass: at every nonzero discrepancy it refits the
@@ -19,8 +20,8 @@ but direct, so synthesize_recurrence is checked against it.
 lstsq_solve and svd_rank are the real field's solve and rank as they were
 before RealField._solve took both from one factorisation: a least-squares
 solve accepted by its residual test, and a count of singular values above
-the cutoff.  RealField._solve, rank and solve_consistent are checked
-against them.
+the cutoff.  RealField._solve, rank, solve_consistent and _solve_batch
+are checked against them.
 """
 
 import numpy as np

@@ -420,6 +420,58 @@ def test_is_t_valid_empty_locator():
     assert valid and locs == ()
 
 
+def _locator_from_points(p, betas):
+    """(c_1, ..., c_t) of prod (1 - beta z) over the betas, by Python ints."""
+    poly = [1]
+    for beta in betas:
+        poly = [(a - beta * b) % p for a, b in zip(poly + [0], [0] + poly)]
+    return poly[1:]
+
+
+def test_is_t_valid_takes_locators_of_any_degree():
+    # Degrees past N - K = 6 need powers of the candidates beyond those the
+    # decoders use; past N = 8 no locator has t distinct candidate roots.
+    fld = PrimeField(257)
+    code = classical_code(fld, 8, 2)
+    alphas = [int(a) for a in code.alphas]
+    for t in (7, 8):
+        locator = ErrorLocator(np.array(_locator_from_points(257, alphas[:t])))
+        assert is_t_valid(code, locator) == (True, tuple(range(t)))
+    nine = ErrorLocator(np.array(_locator_from_points(257, alphas + [alphas[0]])))
+    assert is_t_valid(code, nine) == (False, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([13, 257, 65537, 2**61 - 1]), data=st.data())
+def test_gf_is_t_valid_matches_direct_evaluation(p, data):
+    # Lambda evaluated at every 1/alpha_j in Python ints: degrees 1..N+1,
+    # locators with c_t = 0, and roots that repeat or miss the candidates.
+    fld = PrimeField(p)
+    n = data.draw(st.integers(2, 12))
+    code = classical_code(fld, n, data.draw(st.integers(1, n - 1)))
+    alphas = [int(a) for a in code.alphas]
+    t = data.draw(st.integers(1, n + 1))
+    kind = data.draw(st.sampled_from(["random", "points", "low_degree"]))
+    if kind == "random":
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=t, max_size=t))
+    else:
+        degree = t if kind == "points" else data.draw(st.integers(0, t - 1))
+        point = st.one_of(st.sampled_from(alphas), st.integers(1, p - 1))
+        betas = data.draw(st.lists(point, min_size=degree, max_size=degree))
+        coeffs = _locator_from_points(p, betas) + [0] * (t - degree)
+    roots = tuple(j for j, a in enumerate(alphas)
+                  if (1 + sum(c * pow(a, -i, p) for i, c in enumerate(coeffs, 1))) % p == 0)
+    want = (True, roots) if len(roots) == t else (False, ())
+    assert is_t_valid(code, ErrorLocator(np.array(coeffs, dtype=np.int64))) == want
+
+
+def test_error_locator_rejects_coefficients_that_are_not_a_vector():
+    for coeffs in (np.ones((2, 2), dtype=np.int64), [[1], [2]], np.zeros((1, 1, 1))):
+        with pytest.raises(InvalidParameters, match="vector"):
+            ErrorLocator(coeffs)
+    assert ErrorLocator(5).coeffs.tolist() == [5]
+
+
 # ---------------------------------------------------------------------------
 # Error-value recovery
 # ---------------------------------------------------------------------------
@@ -652,18 +704,25 @@ def test_decoders_reject_non_finite_and_non_integer_words(case, data):
     # Robustness: the public decoders check the word's entries before any
     # arithmetic.  A real word with NaN or +-inf anywhere raises ValueError;
     # a GF(p) word of float or bool dtype raises TypeError.
+    # is_t_valid checks a locator's coefficients the same way.
     code, word = case
+    coeffs = code.field.ones(data.draw(st.integers(1, code.n)))
     if isinstance(code.field, RealField):
         i = data.draw(st.integers(0, word.shape[0] - 1))
         j = data.draw(st.integers(0, word.shape[1] - 1))
         word[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        coeffs[data.draw(st.integers(0, len(coeffs) - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
         error = ValueError
     else:
-        word = word.astype(data.draw(st.sampled_from([np.float64, np.bool_])))
+        dtype = data.draw(st.sampled_from([np.float64, np.bool_]))
+        word, coeffs = word.astype(dtype), coeffs.astype(dtype)
         error = TypeError
     for decode in (cpda_decode, mssr_decode):
         with pytest.raises(error):
             decode(code, word)
+    with pytest.raises(error):
+        is_t_valid(code, ErrorLocator(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import gauss_jordan_solve, lstsq_solve, svd_rank
 from irscollab import field as field_module
 from irscollab.errors import InvalidParameters
 from irscollab.field import PrimeField, RealField, _is_prime
@@ -723,6 +725,88 @@ def test_batch_reduce_matches_gauss_jordan_per_matrix(oracle_reduce, case):
         # The per-matrix kernel of _scan gives the same RREF and pivots.
         one, one_piv = fld._row_reduce(m, ncols)
         assert np.array_equal(one, want) and one_piv == piv
+
+
+@st.composite
+def _augmented_stacks(draw):
+    """(field, aug, ncols): B >= 0 augmented systems [a | rhs] over either
+    field, as a 3-D stack of random-rank matrices whose right-hand sides are
+    consistent or random, or as the 4-D window stack of sums of geometric
+    sequences (or random ones) that the batch decoder solves."""
+    real = draw(st.booleans())
+    fld = RealField() if real else PrimeField(draw(st.sampled_from(SOLVE_PRIMES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        layers, n = draw(st.integers(1, 4)), draw(st.integers(2, 10))
+        ncols = draw(st.integers(1, n - 1))
+        seqs = fld.zeros((count, layers, n))
+        for b in range(count):
+            terms = int(rng.integers(0, n + 1))
+            if terms > 4:  # no common recurrence of a short length
+                seqs[b] = fld.rand_elements(rng, (layers, n))
+                continue
+            if real:
+                ratios = rng.choice([0.5, 0.8, 1.1, 1.4, -0.7, -1.2], terms, replace=False)
+            else:
+                ratios = fld.rand_elements(rng, terms)
+            powers = fld.power_matrix(ratios, n)
+            seqs[b] = fld.matmul(fld.rand_elements(rng, (layers, terms)), powers)
+        return fld, sliding_window_view(seqs, ncols + 1, axis=2), ncols
+    rows, ncols, width = draw(st.integers(1, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    aug = fld.zeros((count, rows, ncols + width))
+    for b in range(count):
+        rank = int(rng.integers(0, min(rows, ncols) + 1))
+        a = fld.matmul(fld.rand_elements(rng, (rows, rank)), fld.rand_elements(rng, (rank, ncols)))
+        consistent = rng.random() < 0.5
+        rhs = (fld.matmul(a, fld.rand_elements(rng, (ncols, width))) if consistent
+               else fld.rand_elements(rng, (rows, width)))
+        aug[b] = np.hstack([a, rhs])
+    return fld, aug, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_augmented_stacks())
+def test_solve_batch_matches_the_single_system_references(case):
+    # Matrix by matrix against the unblocked Gauss-Jordan solve over GF(p)
+    # and the lstsq solve over the reals: the same rank and consistency,
+    # and the same solution wherever the rank is full.
+    fld, aug, ncols = case
+    x, rank, consistent = fld._solve_batch(aug, ncols)
+    count, width = len(aug), aug.shape[-1]
+    assert rank.shape == consistent.shape == (count,) and len(x) == count
+    for b in range(count):
+        m = aug[b].reshape(-1, width)
+        a, rhs = m[:, :ncols], m[:, ncols:]
+        if isinstance(fld, PrimeField):
+            want, want_rank = gauss_jordan_solve(fld, a, rhs)
+        else:
+            want, want_rank = lstsq_solve(a, rhs), svd_rank(a)
+        assert rank[b] == want_rank and consistent[b] == (want is not None)
+        if rank[b] == ncols and consistent[b]:
+            if isinstance(fld, PrimeField):
+                assert np.array_equal(x[b], want)
+            else:
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.allclose(x[b], want, rtol=0, atol=1e-9 * scale)
+    if isinstance(fld, RealField):
+        assert x.shape == (count, ncols, width - ncols)
+
+
+def test_agree_is_exact_over_gf_and_relative_over_the_reals():
+    gf = PrimeField(2**61 - 1)
+    a = gf.array([1, 2**60])
+    assert gf._agree(a, a.copy(), 1.0)
+    assert not gf._agree(a, gf.array([1, 2**60 + 1]), 1.0)
+    assert not gf._agree(a, a[:1], 1.0)
+    re = RealField()
+    x = np.array([1e6, 0.0])
+    assert re._agree(x, x + 0.5, 1e-6) and not re._agree(x, x + 2.0, 1e-6)
+    # The scale is the larger magnitude of either array, at least 1.
+    assert re._agree(np.zeros(1), np.array([2e6]), 1.0)
+    assert re._agree(np.array([2e6]), np.zeros(1), 1.0)
+    assert not re._agree(np.zeros(1), np.array([0.5]), 0.25)
+    assert not re._agree(x, x[:1], 1.0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 257, 65521, 65537, 3_037_000_493, 2**61 - 1])

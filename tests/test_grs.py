@@ -179,7 +179,7 @@ def test_inverse_powers_are_built_on_first_use_and_cached():
     code = make_grs(fld, 16, 4, [pow(3, i, 257) for i in range(16)])
     assert "inverse_powers" not in code._cache
     w = code.inverse_powers()
-    assert w.shape == (16, 13) and w.dtype == np.int64 and not w.flags.writeable
+    assert w.shape == (16, 17) and w.dtype == np.int64 and not w.flags.writeable
     assert code.inverse_powers() is w
     alphas = [int(a) for a in code.alphas]
-    assert w.tolist() == [[pow(a, -i, 257) for i in range(13)] for a in alphas]
+    assert w.tolist() == [[pow(a, -i, 257) for i in range(17)] for a in alphas]

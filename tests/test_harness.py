@@ -122,6 +122,23 @@ def test_config_validation():
         _config(decoder="fastest")
 
 
+@pytest.mark.parametrize("bad", [
+    dict(t_values=(1.9,)), dict(t_values=(True,)), dict(l_values=(2.0,)),
+    dict(l_values=(np.float64(2),)), dict(trials=2.5), dict(trials=True),
+    dict(seed=1.5), dict(seed=False), dict(n=10.0), dict(k=4.0), dict(k=True),
+])
+def test_config_rejects_non_integers(bad):
+    with pytest.raises(InvalidParameters, match="integers"):
+        _config(**bad)
+
+
+def test_config_takes_numpy_integers():
+    cfg = _config(n=np.int64(10), l_values=np.array([2, 3]), t_values=(np.int32(1),),
+                  trials=np.uint8(5), seed=np.int64(7))
+    assert cfg.l_values == (2, 3) and cfg.t_values == (1,)
+    assert all(type(v) is int for v in cfg.l_values + cfg.t_values)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo driver
 # ---------------------------------------------------------------------------
@@ -234,9 +251,9 @@ def test_real_run_monte_carlo_bounds_the_batch_arrays_of_deep_words(monkeypatch)
     sizes = []
     solve_batch = RealField._solve_batch
 
-    def recording(self, a, rhs):
-        sizes.append(a.size + rhs.size)
-        return solve_batch(self, a, rhs)
+    def recording(self, aug, ncols):
+        sizes.append(aug.size)
+        return solve_batch(self, aug, ncols)
 
     monkeypatch.setattr(RealField, "_solve_batch", recording)
     cfg = ExperimentConfig(field=RealField(), n=12, k=2, l_values=(20,), t_values=(6,),
