@@ -79,14 +79,28 @@ def sample_error(spec: ErrorModelSpec, field: Field, l: int, n: int, rng) -> Err
     if spec.t > n:
         raise InvalidParameters(f"burst weight t={spec.t} exceeds the column count {n}")
     _check_model(spec.kind, field)
-    support = np.sort(rng.choice(n, size=spec.t, replace=False)) if spec.t else np.empty(0, dtype=int)
+    support, vals = _draw_error(field, l, n, spec.t, rng)
+    support.sort()
     e = field.zeros((l, n))
-    if spec.t:
-        vals = field.rand_elements(rng, (l, spec.t))
-        while (dead := ~vals.any(axis=0)).any():
-            vals[:, dead] = field.rand_elements(rng, (l, int(dead.sum())))
-        e[:, support] = vals
+    e[:, support] = vals
     return ErrorMatrix(e=e, support=tuple(int(j) for j in support))
+
+
+def _draw_error(field: Field, l: int, n: int, t: int, rng):
+    """(support, values) of a weight-t error drawn from rng: the support,
+    uniform over the t-subsets of [0, n) and in draw order, then an l x t
+    block whose columns are redrawn until none is zero.  Column j of the
+    block belongs to the j-th smallest column of the support.  The one order
+    of an error's draws, for sample_error and the harness's trials; t = 0
+    draws nothing.
+    """
+    support = rng.choice(n, size=t, replace=False)
+    vals = field.rand_elements(rng, (l, t))
+    # count_nonzero first: it is a tenth of the cost of the column test, and
+    # a block without a zero entry has no zero column.
+    while np.count_nonzero(vals) < vals.size and (dead := ~vals.any(axis=0)).any():
+        vals[:, dead] = field.rand_elements(rng, (l, int(dead.sum())))
+    return support, vals
 
 
 def inject(d, e, field: Field) -> np.ndarray:

@@ -6,10 +6,14 @@ analytic finite-field failure bound; measures condition numbers of the
 stacked syndrome system; runs the end-to-end coded-matmul demo; and emits
 deterministic CSV reports.
 
-Every trial draws from its own counter-based RNG stream keyed by
-(master seed, L, t, trial index), so runs are reproducible cell by cell and
-independent of execution order.  A cell's trials are then stacked and
-decoded together by the batch decoder (decoder._decode_batch, the one
+Every trial draws from its own counter-based Philox stream, keyed as
+SeedSequence((master seed, L, t, trial index)) keys it, so runs are
+reproducible cell by cell and independent of execution order.  A cell's
+trials go in batches.  For each batch the keys are one array pass
+(_trial_keys), one Philox is re-keyed per trial, and only the draws of the
+messages and the error run trial by trial; the encode, the scatter of the
+error values and the sum are one array operation each.  The batch is then
+decoded as one stack by the batch decoder (decoder._decode_batch, the one
 decode path here, over either field), which gives each trial the outcome
 of the single-word decoder: exactly over GF(p), and over the reals to
 within rounding.
@@ -18,7 +22,6 @@ within rounding.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -27,7 +30,7 @@ import numpy as np
 
 from .decoder import (FailureReason, _batch_elements, _decode_batch, _stack, _syndromes,
                       cpda_decode, outcomes_equal, t_max)
-from .errmodel import ErrorModelSpec, _check_model, model_for, sample_error
+from .errmodel import ErrorModelSpec, _check_model, _draw_error, model_for, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
 from .field import Field, PrimeField, RealField, _is_int
 from .grs import _check_points, _primitive_points, make_grs
@@ -114,6 +117,8 @@ class ExperimentConfig:
         l_values, t_values = tuple(self.l_values), tuple(self.t_values)
         if not all(map(_is_int, (self.n, self.k, self.trials, self.seed, *l_values, *t_values))):
             raise InvalidParameters("n, k, trials, seed and the l and t values must be integers")
+        for name in ("n", "k", "trials", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "l_values", tuple(map(int, l_values)))
         object.__setattr__(self, "t_values", tuple(map(int, t_values)))
         if not 1 <= self.k < self.n:
@@ -179,17 +184,109 @@ class Report:
         raise KeyError(f"no cell for L={l}, t={t}")
 
 
-def _trial_rng(seed: int, l: int, t: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, l, t, trial))))
+# SeedSequence's constants (numpy/random/bit_generator.pyx): the pool of
+# four 32-bit words is filled by hashmix from a hash constant that starts
+# at INIT_A and is multiplied by MULT_A at every use, stirred by mix, and
+# read out by the same hash from INIT_B and MULT_B.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _corrupted(fld: Field, word: np.ndarray, t: int, rng) -> np.ndarray:
-    """A canonical L x N word plus a weight-t error of the field's model
-    drawn from rng, by one raw sum; the word itself for t = 0."""
-    if t == 0:
-        return word
-    spec = ErrorModelSpec(kind=model_for(fld), t=t)
-    return fld._reduce(word + sample_error(spec, fld, *word.shape, rng).e)
+def _trial_keys(seed: int, l: int, t: int, trials: range) -> np.ndarray:
+    """(B, 2) uint64: SeedSequence((seed, l, t, i)).generate_state(2, np.uint64),
+    the Philox key of each trial i of the range, computed for all at once.
+
+    This is SeedSequence's pool of four words over uint64 arrays of the
+    batch, each value masked to 32 bits; every operand is an array, so the
+    wraparound of the products and differences raises no warning.
+    """
+    lo, hi = trials.start, trials.stop
+    if lo < 2**32 < hi:  # the index takes a second word from 2**32 on
+        return np.concatenate([_trial_keys(seed, l, t, range(lo, 2**32)),
+                               _trial_keys(seed, l, t, range(2**32, hi))])
+    idx = np.arange(lo, hi, dtype=np.uint64)
+    # The 32-bit words of each int, least significant first, as SeedSequence
+    # splits its entropy.
+    entropy = [np.full(len(idx), x >> s & _MASK32, dtype=np.uint64)
+               for x in map(int, (seed, l, t)) for s in range(0, max(x.bit_length(), 1), 32)]
+    entropy += [idx & _MASK32] + ([idx >> 32] if lo >= 2**32 else [])
+    const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(idx)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:  # seeds of two or more words
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B  # generate_state: the pool read out by a second hash
+    out = [hashmix(value, _MULT_B) for value in pool]
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+
+
+def _trial_rngs(seed: int, l: int, t: int, trials: range):
+    """The generator of each trial of the range, in order.
+
+    One Philox is re-keyed before each trial to the trial's key, with
+    counter 0 and empty buffers: the stream of
+    Generator(Philox(SeedSequence((seed, l, t, trial)))), at a tenth of the
+    cost of building one.
+    """
+    bits = np.random.Philox(0)
+    state, rng = bits.state, np.random.Generator(bits)
+    for key in _trial_keys(seed, l, t, trials):
+        state["state"]["key"] = key
+        bits.state = state
+        yield rng
+
+
+def _draw(fld: Field, enc: np.ndarray, seed: int, l: int, t: int, trials: range):
+    """(words, received): (B, L, N) codewords and received words of the
+    trials of the (L, t) cell in the range, enc the K x N encoding matrix.
+
+    Each trial draws from its own stream, trial by trial, its messages and
+    then its error (errmodel._draw_error).  The encode, the scatter of the
+    error values and the sum are then one array operation each.
+    """
+    k, n = enc.shape
+    msgs = np.empty((len(trials), l, k), dtype=fld.dtype)
+    support = np.empty((len(trials), t), dtype=np.intp)
+    vals = np.empty((len(trials), l, t), dtype=fld.dtype)
+    for i, rng in enumerate(_trial_rngs(seed, l, t, trials)):
+        msgs[i] = fld.rand_elements(rng, (l, k))
+        support[i], vals[i] = _draw_error(fld, l, n, t, rng)
+    words = fld._matmul(msgs, enc)
+    if not t:
+        return words, words
+    support.sort(axis=1)
+    e = fld.zeros(words.shape)
+    e[np.arange(len(trials))[:, None, None], np.arange(l)[:, None], support[:, None]] = vals
+    return words, fld._reduce(words + e)
+
+
+def _batches(config: ExperimentConfig, code, l: int, t: int):
+    """(words, received) for each decode batch of the (L, t) cell, in trial
+    order: a batch's largest decoder array holds at most _BATCH_ELEMENTS
+    elements.  A trial's draws depend only on (seed, L, t, trial), not on
+    what ran before."""
+    size = max(1, _BATCH_ELEMENTS // _batch_elements(config.field, config.n, config.k, l))
+    enc = code.encoding_matrix().T
+    for start in range(0, config.trials, size):
+        trials = range(start, min(start + size, config.trials))
+        yield _draw(config.field, enc, config.seed, l, t, trials)
 
 
 def _checked(config: ExperimentConfig, decode) -> list:
@@ -208,34 +305,11 @@ def _checked(config: ExperimentConfig, decode) -> list:
     return cpda
 
 
-def _trials(config: ExperimentConfig, code, l: int, t: int):
-    """(word, received) for every trial of the (L, t) cell.
-
-    Each trial draws random messages and then its error (_corrupted) from
-    its own stream, so a cell's trials do not depend on what ran before.
-    """
-    fld = config.field
-    enc = code.encoding_matrix().T  # k x n, word = messages @ enc
-    for trial in range(config.trials):
-        rng = _trial_rng(config.seed, l, t, trial)
-        word = fld._matmul(fld.rand_elements(rng, (l, config.k)), enc)
-        yield word, _corrupted(fld, word, t, rng)
-
-
 def _decoded(config: ExperimentConfig, code, l: int, t: int):
-    """(word, outcome) for every trial of the (L, t) cell, in order.
-
-    The trials go in batches whose largest decoder array holds at most
-    _BATCH_ELEMENTS elements, and each batch is stacked and decoded by the
-    batch decoder, over either field.
-    """
-    trials = _trials(config, code, l, t)
-    size = max(1, _BATCH_ELEMENTS // _batch_elements(config.field, config.n, config.k, l))
-    while batch := list(itertools.islice(trials, size)):
-        words, received = zip(*batch)
-        stack = np.stack(received)
-        outcomes = _checked(config, lambda name: _decode_batch(code, stack, name))
-        yield from zip(words, outcomes)
+    """(word, outcome) for every trial of the (L, t) cell, in order: each
+    batch is decoded as one stack by the batch decoder, over either field."""
+    for words, received in _batches(config, code, l, t):
+        yield from zip(words, _checked(config, lambda name: _decode_batch(code, received, name)))
 
 
 def _gram_cond(code, received: np.ndarray, t: int) -> float:
@@ -288,7 +362,8 @@ def condnum_study(config: ExperimentConfig) -> Report:
     cells = []
     for l in config.l_values:
         for t in config.t_values:
-            conds = [_gram_cond(code, received, t) for _, received in _trials(config, code, l, t)]
+            conds = [_gram_cond(code, r, t) for _, received in _batches(config, code, l, t)
+                     for r in received]
             cells.append(CellStats(t=t, l=l, trials=config.trials, failures=0,
                                    undetected=0,
                                    mean_cond=math.fsum(conds) / len(conds)))
@@ -344,11 +419,14 @@ def demo_matmul(params: PolyCodeParams, t: int, seed: int = 0) -> DemoReport:
     tm = t_max(params.num_workers, params.k, l)
     if not 0 <= t <= tm:
         raise InvalidParameters(f"need 0 <= t <= t_max={tm}, got t={t}")
-    rng = _trial_rng(seed, l, t, 0)
+    if not _is_int(seed) or seed < 0:
+        raise InvalidParameters(f"seed must be a nonnegative integer, got {seed!r}")
+    rng = next(_trial_rngs(int(seed), l, t, range(1)))
     a = fld.rand_elements(rng, (s, r))
     b = fld.rand_elements(rng, (s, rp))
     word = assemble_irs(params, [worker_compute(task) for task in encode_tasks(params, a, b)])
-    word = replace(word, d=_corrupted(fld, word.d, t, rng))
+    err = sample_error(ErrorModelSpec(kind=model_for(fld), t=t), fld, *word.d.shape, rng)
+    word = replace(word, d=fld._reduce(word.d + err.e))
     outcome = cpda_decode(word.code, word.d)
     reason = outcome.reason
     if outcome.success:

@@ -22,12 +22,19 @@ before RealField._solve took both from one factorisation: a least-squares
 solve accepted by its residual test, and a count of singular values above
 the cutoff.  RealField._solve, rank, solve_consistent and _solve_batch
 are checked against them.
+
+per_trial_draws is the Monte Carlo trial recipe as the harness ran it before
+it drew whole batches: a fresh Generator(Philox(SeedSequence((seed, L, t,
+trial)))) per trial, its messages, then sample_error added to the codeword.
+The harness's batched draws (harness._draw) are checked against it element
+for element.
 """
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from irscollab.errmodel import ErrorModelSpec, inject, model_for, sample_error
 from irscollab.field import RANK_TOL, RESIDUAL_TOL
 from irscollab.grs import make_grs
 from irscollab.harness import make_alphas
@@ -177,3 +184,25 @@ def gaussian_synthesize(field, seqs):
 def reference_synthesize():
     """The refit synthesis, callable like synthesize_recurrence over GF(p)."""
     return gaussian_synthesize
+
+
+def per_trial_draws(field, enc, seed, l, t, trials):
+    """(words, received), each (B, l, N), for the trial indices in trials:
+    per trial, a fresh generator, l x K messages times the K x N encoding
+    matrix enc, then a weight-t sample_error (none at t = 0)."""
+    words, received = [], []
+    for trial in trials:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, l, t, trial))))
+        word = field.matmul(field.rand_elements(rng, (l, enc.shape[0])), enc)
+        words.append(word)
+        if t:
+            err = sample_error(ErrorModelSpec(model_for(field), t), field, l, enc.shape[1], rng)
+            word = inject(word, err.e, field)
+        received.append(word)
+    return np.stack(words), np.stack(received)
+
+
+@pytest.fixture(scope="session")
+def oracle_trials():
+    """The per-trial draws: oracle_trials(field, enc, seed, l, t, trials)."""
+    return per_trial_draws

@@ -137,6 +137,91 @@ def test_config_takes_numpy_integers():
                   trials=np.uint8(5), seed=np.int64(7))
     assert cfg.l_values == (2, 3) and cfg.t_values == (1,)
     assert all(type(v) is int for v in cfg.l_values + cfg.t_values)
+    assert all(type(v) is int for v in (cfg.n, cfg.k, cfg.trials, cfg.seed))
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3)])
+def test_numpy_integer_seeds_give_the_report_of_the_equal_int(seed):
+    cfg = _config(n=np.int64(10), k=np.uint16(4), trials=np.int32(6), seed=seed)
+    assert run_monte_carlo(cfg) == run_monte_carlo(_config(trials=6, seed=3))
+
+
+# ---------------------------------------------------------------------------
+# Trial draws
+# ---------------------------------------------------------------------------
+
+# A one-word seed, the largest one, the least two-word seed, and a four-word
+# seed, which takes SeedSequence's extra mixing loop.
+_SEEDS = (0, 2**32 - 1, 2**32, 10**30)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("l, t, trials", [
+    (1, 2, range(0, 40)),
+    (6, 0, range(17, 29)),
+    (2**32, 5, range(2**32 - 3, 2**32 + 3)),  # two-word L, and indices from 2**32 on
+])
+def test_trial_keys_are_the_seed_sequence_keys(seed, l, t, trials):
+    want = np.array([np.random.SeedSequence((seed, l, t, i)).generate_state(2, np.uint64)
+                     for i in trials])
+    got = harness._trial_keys(seed, l, t, trials)
+    assert got.dtype == np.uint64 and got.shape == (len(trials), 2)
+    assert np.array_equal(got, want)
+
+
+def test_trial_rngs_replay_a_fresh_generator_per_trial():
+    # Three 32-bit draws leave half a 64-bit word buffered; the next trial
+    # must not start from it.
+    def draws(rng):
+        return (rng.integers(0, 2**32, 3, dtype=np.uint32).tolist(),
+                rng.standard_normal(2).tolist(), rng.choice(9, 4, replace=False).tolist())
+    got = [draws(rng) for rng in harness._trial_rngs(5, 2, 3, range(3, 11))]
+    want = [draws(np.random.Generator(np.random.Philox(np.random.SeedSequence((5, 2, 3, i)))))
+            for i in range(3, 11)]
+    assert got == want
+
+
+def _identical(a, b):
+    """Same dtype and shape, and equal bit for bit (Python-int equal for
+    object arrays)."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    return np.array_equal(a, b) if a.dtype == object else a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("field, l, k, n, t", [
+    (RealField(), 6, 2, 8, 3),
+    (RealField(), 1, 2, 8, 0),
+    (PrimeField(2), 1, 1, 4, 2),  # half of all error columns are redrawn
+    (PrimeField(3), 1, 2, 5, 5),  # t = N
+    (PrimeField(257), 4, 4, 16, 9),
+    (PrimeField(2**61 - 1), 2, 3, 10, 4),  # object elements
+], ids=["real", "real-t0", "gf2-l1", "gf3-l1-tN", "gf257", "gf2^61-1"])
+def test_batched_draws_match_the_per_trial_draws(oracle_trials, seed, field, l, k, n, t):
+    enc = field.rand_elements(np.random.default_rng(n), (n, k)).T
+    for trials in (range(0, 25), range(11, 30)):  # a cell's start and a batch mid-cell
+        got = harness._draw(field, enc, seed, l, t, trials)
+        want = oracle_trials(field, enc, seed, l, t, trials)
+        assert all(map(_identical, got, want))
+
+
+@pytest.mark.parametrize("config", [
+    _config(t_values=(3,), trials=23, seed=10**30),
+    ExperimentConfig(field=RealField(), n=8, k=2, l_values=(6,), t_values=(4,), trials=23,
+                     model="gre", alphas="pow:0.9", seed=2**32),
+], ids=["gf257", "real"])
+def test_a_cell_is_drawn_in_decode_batches_of_the_per_trial_draws(monkeypatch, oracle_trials,
+                                                                 config):
+    fld, l, t = config.field, config.l_values[0], config.t_values[0]
+    monkeypatch.setattr(harness, "_BATCH_ELEMENTS",
+                        5 * _batch_elements(fld, config.n, config.k, l))
+    code = config.code()
+    batches = list(harness._batches(config, code, l, t))
+    assert [len(words) for words, _ in batches] == [5, 5, 5, 5, 3]
+    want = oracle_trials(fld, code.encoding_matrix().T, config.seed, l, t, range(23))
+    assert _identical(np.concatenate([w for w, _ in batches]), want[0])
+    assert _identical(np.concatenate([r for _, r in batches]), want[1])
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +509,25 @@ def test_demo_matmul_reports_a_word_the_interpolation_rejects():
     report = demo_matmul(params, t=2, seed=1)
     assert not report.success and report.reason == "not_a_codeword"
     assert report.max_rel_error is None and (report.t, report.num_workers) == (2, 24)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, True, "3"])
+def test_demo_matmul_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(InvalidParameters, match="seed must be a nonnegative integer"):
+        demo_matmul(_demo_params(PrimeField(257), 12), t=1, seed=seed)
+
+
+def test_demo_matmul_takes_numpy_integer_seeds():
+    params = _demo_params(PrimeField(257), 12)
+    assert demo_matmul(params, t=1, seed=np.uint64(3)) == demo_matmul(params, t=1, seed=3)
+
+
+def test_cli_demo_matmul_refuses_a_negative_seed(capsys):
+    rc = main(["demo-matmul", "--field", "gf:257", "--m", "2", "--nblocks", "2",
+               "--workers", "12", "--t", "1", "--seed", "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a nonnegative integer") and "Traceback" not in err
 
 
 def test_demo_matmul_rejects_t_beyond_radius():
