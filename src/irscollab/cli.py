@@ -150,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--l", type=int, required=True, help="interleaving depth L")
     sim.add_argument("--t", required=True, help="error weight or range min:max")
     sim.add_argument("--trials", type=int, default=2000)
-    sim.add_argument("--alphas", default="primitive",
-                     help="pow:<base> | linear | primitive")
+    sim.add_argument("--alphas", help="pow:<base> | linear | primitive (default by field)")
     sim.add_argument("--decoder", choices=["cpda", "mssr", "both"], default="cpda")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", default=None, help="CSV output path")
@@ -172,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     cnd.add_argument("--l", required=True, help="depth or range lmin:lmax")
     cnd.add_argument("--t", required=True, help="error weight or range min:max")
     cnd.add_argument("--trials", type=int, default=500)
-    cnd.add_argument("--alphas", default="pow:0.9", help="pow:<base>")
+    cnd.add_argument("--alphas", help="pow:<base> | linear (default by field)")
     cnd.add_argument("--seed", type=int, default=0)
     cnd.add_argument("--out", default=None, help="CSV output path")
     cnd.set_defaults(func=_cmd_condnum)
@@ -183,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--nblocks", type=int, required=True, help="column blocks of B")
     demo.add_argument("--workers", type=int, required=True, help="number of workers N")
     demo.add_argument("--t", type=int, required=True, help="faulty workers")
-    demo.add_argument("--alphas", default=None,
-                      help="pow:<base> | linear | primitive (default by field)")
+    demo.add_argument("--alphas", help="pow:<base> | linear | primitive (default by field)")
     demo.add_argument("--seed", type=int, default=0)
     demo.set_defaults(func=_cmd_demo_matmul)
 
@@ -194,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "demo-matmul" and args.alphas is None:
-        args.alphas = "primitive" if args.field.startswith("gf:") else "pow:0.9"
     try:
         return args.func(args)
     except (InvalidParameters, OSError) as exc:

@@ -78,8 +78,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameters
-from .field import EQ_TOL, ROOT_TOL, Field, PrimeField, _is_int
-from .grs import GrsCode
+from .field import EQ_TOL, ROOT_TOL, Field, PrimeField, _check_int, _is_int
+from .grs import GrsCode, _code_size
 
 __all__ = [
     "FailureReason",
@@ -183,12 +183,23 @@ class DecodeOutcome:
 
 
 def t_max(n: int, k: int, l: int) -> int:
-    """Collaborative decoding radius floor(l * (n - k) / (l + 1))."""
-    if not 1 <= k < n:
-        raise InvalidParameters(f"need 1 <= k < n, got n={n}, k={k}")
-    if l < 1:
-        raise InvalidParameters(f"need l >= 1, got l={l}")
+    """Collaborative decoding radius floor(l * (n - k) / (l + 1)).
+
+    The one check of (n, k, l): integers with 1 <= k < n and l >= 1, or
+    InvalidParameters.
+    """
+    n, k = _code_size(n, k)
+    l = _check_int("l", l, 1)
     return (l * (n - k)) // (l + 1)
+
+
+def _check_t(t, n: int, k: int, l: int, least: int = 0) -> int:
+    """t as a Python int, or InvalidParameters unless it is an integer in
+    [least, t_max(n, k, l)]: the one check of t against the radius."""
+    tm = t_max(n, k, l)
+    if not _is_int(t) or not least <= t <= tm:
+        raise InvalidParameters(f"t={t!r} is not an integer in [{least}, t_max={tm}] at L={l}")
+    return int(t)
 
 
 def _validated_word(code: GrsCode, r) -> np.ndarray:
@@ -237,13 +248,9 @@ def build_stacked(code: GrsCode, r, t: int) -> StackedSystem:
     Per layer, row i pairs the window (S_i, ..., S_{i+t-1}) with the
     right-hand side -S_{t+i}; the unknown vector is (c_t, ..., c_1).
     """
-    if not _is_int(t) or t < 1:
-        raise InvalidParameters(f"t must be a positive integer, got {t!r}")
     r = _validated_word(code, r)
-    tm = t_max(code.n, code.k, r.shape[0])
-    if t > tm:
-        raise InvalidParameters(f"t={t} exceeds the decoding radius t_max={tm}")
-    return _stack(_syndromes(code, r).values, int(t), code.field)
+    t = _check_t(t, code.n, code.k, r.shape[0], least=1)
+    return _stack(_syndromes(code, r).values, t, code.field)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters
-from .field import Field, PrimeField, RealField, _is_int
+from .field import Field, PrimeField, RealField, _check_int
 
 __all__ = ["ErrorModelSpec", "ErrorMatrix", "model_for", "sample_error", "inject"]
 
@@ -51,8 +51,7 @@ class ErrorModelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidParameters(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not _is_int(self.t) or self.t < 0:
-            raise InvalidParameters(f"t must be a non-negative integer, got {self.t!r}")
+        object.__setattr__(self, "t", _check_int("t", self.t, 0))
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,7 @@ def sample_error(spec: ErrorModelSpec, field: Field, l: int, n: int, rng) -> Err
     GF(q)^L minus zero; GRE columns are redrawn in the measure-zero event
     of being exactly zero).
     """
-    if l < 1 or n < 1:
-        raise InvalidParameters("need l >= 1 and n >= 1")
+    l, n = _check_int("l", l, 1), _check_int("n", n, 1)
     if spec.t > n:
         raise InvalidParameters(f"burst weight t={spec.t} exceeds the column count {n}")
     _check_model(spec.kind, field)

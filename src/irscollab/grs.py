@@ -55,11 +55,7 @@ class GrsCode:
     __slots__ = ("field", "n", "k", "alphas", "u", "_cache")
 
     def __init__(self, field: Field, n: int, k: int, alphas):
-        if not (_is_int(n) and _is_int(k)):
-            raise InvalidParameters("n and k must be integers")
-        n, k = int(n), int(k)
-        if not 1 <= k < n:
-            raise InvalidParameters(f"need 1 <= k < n, got n={n}, k={k}")
+        n, k = _code_size(n, k)
         # Copy: field.array passes a canonical input through, and it must not be frozen.
         alphas = np.array(_check_points(field, alphas, n), copy=True)
         prods = _product_of_differences(field, alphas)
@@ -111,6 +107,16 @@ class GrsCode:
         diffs = np.abs(cands[:, None] - cands[None, :])
         np.fill_diagonal(diffs, np.inf)
         return diffs.min(axis=1)
+
+
+def _code_size(n, k):
+    """(n, k) as Python ints, or InvalidParameters unless they are integers
+    with 1 <= k < n: the one size rule, of GrsCode and decoder.t_max."""
+    if not (_is_int(n) and _is_int(k)):
+        raise InvalidParameters(f"n and k must be integers, got n={n!r}, k={k!r}")
+    if not 1 <= k < n:
+        raise InvalidParameters(f"need 1 <= k < n, got n={n}, k={k}")
+    return int(n), int(k)
 
 
 def _product_of_differences(field: Field, alphas: np.ndarray) -> np.ndarray:

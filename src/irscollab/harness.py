@@ -28,11 +28,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decoder import (FailureReason, _batch_elements, _decode_batch, _stack, _syndromes,
-                      cpda_decode, outcomes_equal, t_max)
+from .decoder import (FailureReason, _batch_elements, _check_t, _decode_batch, _stack,
+                      _syndromes, cpda_decode, outcomes_equal, t_max)
 from .errmodel import ErrorModelSpec, _check_model, _draw_error, model_for, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
-from .field import Field, PrimeField, RealField, _is_int
+from .field import Field, PrimeField, RealField, _check_int, _is_int
 from .grs import _check_points, _primitive_points, make_grs
 from .polycode import PolyCodeParams, assemble_irs, encode_tasks, recover_product, worker_compute
 
@@ -65,19 +65,20 @@ _DECODERS = ("cpda", "mssr", "both")
 _BATCH_ELEMENTS = 2**18
 
 
-def make_alphas(field: Field, n: int, rule: str):
-    """Evaluation points from a rule string.
+def make_alphas(field: Field, n: int, rule: str | None = None):
+    """Evaluation points from a rule string, by default the field's rule
+    (_rule: primitive over GF(p), pow:0.9 over the reals).
 
     pow:<base>   alpha_i = base**i for i = 1..n (an integer base over GF(p))
     linear       alpha_i = i for i = 1..n
     primitive    alpha_j = g**j for j = 0..n-1, g a primitive root (GF only,
                  n <= p - 1)
 
-    A malformed rule, or one whose n points are not pairwise distinct and
-    nonzero (the decoders invert them), raises InvalidParameters.
+    A malformed rule, an n that is not a positive integer, or n points that
+    are not pairwise distinct and nonzero (the decoders invert them), raises
+    InvalidParameters.
     """
-    if n < 1:
-        raise InvalidParameters(f"need n >= 1, got {n}")
+    n, rule = _check_int("n", n, 1), _rule(field, rule)
     if rule.startswith("pow:"):
         raw = rule[len("pow:"):]
         try:
@@ -98,9 +99,26 @@ def make_alphas(field: Field, n: int, rule: str):
     return _check_points(field, points, n)
 
 
+def _rule(field: Field, rule: str | None) -> str:
+    """rule, or when it is None the field's default point rule."""
+    return rule if rule is not None else "primitive" if isinstance(field, PrimeField) else "pow:0.9"
+
+
+def _check_seed(seed) -> int:
+    """seed as a Python int, or InvalidParameters unless it is a nonnegative
+    integer."""
+    if not _is_int(seed) or seed < 0:
+        raise InvalidParameters(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo experiment: a grid of (L, t) cells over a fixed code."""
+    """One Monte Carlo experiment: a grid of (L, t) cells over a fixed code.
+
+    alphas is a make_alphas rule, None for the field's default; the config
+    stores the resolved rule, checked with every other field here.
+    """
 
     field: Field
     n: int
@@ -109,7 +127,7 @@ class ExperimentConfig:
     t_values: tuple
     trials: int
     model: str
-    alphas: str = "primitive"
+    alphas: str | None = None
     decoder: str = "cpda"
     seed: int = 0
 
@@ -121,10 +139,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "l_values", tuple(map(int, l_values)))
         object.__setattr__(self, "t_values", tuple(map(int, t_values)))
-        if not 1 <= self.k < self.n:
-            raise InvalidParameters(f"need 1 <= k < n, got n={self.n}, k={self.k}")
-        if not self.l_values or any(l < 1 for l in self.l_values):
-            raise InvalidParameters("l_values must be positive and nonempty")
+        if not self.l_values:
+            raise InvalidParameters("l_values must be nonempty")
+        for l in self.l_values:
+            t_max(self.n, self.k, l)
         if not self.t_values or any(not 0 <= t <= self.n for t in self.t_values):
             raise InvalidParameters(f"t_values must lie in [0, {self.n}]")
         if self.trials < 1:
@@ -132,8 +150,9 @@ class ExperimentConfig:
         _check_model(self.model, self.field)
         if self.decoder not in _DECODERS:
             raise InvalidParameters(f"decoder must be one of {_DECODERS}, got {self.decoder!r}")
-        if self.seed < 0:
-            raise InvalidParameters("seed must be nonnegative")
+        _check_seed(self.seed)
+        object.__setattr__(self, "alphas", _rule(self.field, self.alphas))
+        make_alphas(self.field, self.n, self.alphas)
 
     def code(self):
         return make_grs(self.field, self.n, self.k, make_alphas(self.field, self.n, self.alphas))
@@ -351,13 +370,9 @@ def condnum_study(config: ExperimentConfig) -> Report:
     """
     if not isinstance(config.field, RealField):
         raise InvalidParameters("conditioning is only studied over the real field")
-    if any(t < 1 for t in config.t_values):
-        raise InvalidParameters("conditioning needs t >= 1")
     for l in config.l_values:
-        tm = t_max(config.n, config.k, l)
-        bad = [t for t in config.t_values if t > tm]
-        if bad:
-            raise InvalidParameters(f"t={bad[0]} exceeds t_max={tm} for L={l}")
+        for t in config.t_values:
+            _check_t(t, config.n, config.k, l, least=1)
     code = config.code()
     cells = []
     for l in config.l_values:
@@ -374,14 +389,12 @@ def pf_bound(q: int, n: int, k: int, l: int, t: int) -> float:
     """Analytic upper bound on the failure rate under uniform errors.
 
     ((q^L - 1/q) / (q^L - 1)) * q^{-(L+1)(t_max - t)} / (q - 1), clamped to
-    [0, 1]; valid for 0 <= t <= t_max.  Evaluated in exact rational
-    arithmetic before conversion to float.
+    [0, 1], for integers q >= 2 and 0 <= t <= t_max (InvalidParameters
+    otherwise).  Evaluated in exact rational arithmetic on Python ints
+    before conversion to float.
     """
-    if q < 2:
-        raise InvalidParameters(f"need q >= 2, got {q}")
+    q, t, l = _check_int("q", q, 2), _check_t(t, n, k, l), int(l)
     tm = t_max(n, k, l)
-    if not 0 <= t <= tm:
-        raise InvalidParameters(f"need 0 <= t <= t_max={tm}, got t={t}")
     ql = Fraction(q) ** l
     bound = ((ql - Fraction(1, q)) / (ql - 1)) / (Fraction(q) ** ((l + 1) * (tm - t)) * (q - 1))
     return float(min(Fraction(1), max(Fraction(0), bound)))
@@ -416,12 +429,8 @@ def demo_matmul(params: PolyCodeParams, t: int, seed: int = 0) -> DemoReport:
     # interleaving depth of L = 4 regardless of the split counts.
     s, r, rp = 4, 2 * params.m, 2 * params.n
     l = (r * rp) // (params.m * params.n)
-    tm = t_max(params.num_workers, params.k, l)
-    if not 0 <= t <= tm:
-        raise InvalidParameters(f"need 0 <= t <= t_max={tm}, got t={t}")
-    if not _is_int(seed) or seed < 0:
-        raise InvalidParameters(f"seed must be a nonnegative integer, got {seed!r}")
-    rng = next(_trial_rngs(int(seed), l, t, range(1)))
+    t, seed = _check_t(t, params.num_workers, params.k, l), _check_seed(seed)
+    rng = next(_trial_rngs(seed, l, t, range(1)))
     a = fld.rand_elements(rng, (s, r))
     b = fld.rand_elements(rng, (s, rp))
     word = assemble_irs(params, [worker_compute(task) for task in encode_tasks(params, a, b)])

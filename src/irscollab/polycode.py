@@ -59,6 +59,8 @@ class PolyCodeParams:
     def __post_init__(self):
         if not all(map(_is_int, (self.m, self.n, self.num_workers))):
             raise InvalidParameters("block counts and the worker count must be integers")
+        for name in ("m", "n", "num_workers"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.m < 1 or self.n < 1:
             raise InvalidParameters(f"block counts must be positive, got m={self.m}, n={self.n}")
         if self.num_workers <= self.k:
@@ -168,14 +170,17 @@ def recover_product(params: PolyCodeParams, word: IrsWord) -> np.ndarray:
     """Reassemble A^T B from a clean (or repaired) interleaved word.
 
     Each row of word.d, canonicalized once here (a real NaN or inf raises
-    ValueError), is interpolated to its mn polynomial coefficients;
-    coefficient j + k*m is entry (p, q) of the block A_j^T B_k, where row
-    index l = p * block_cols + q.
+    ValueError), is interpolated on params.code to its mn polynomial
+    coefficients; coefficient j + k*m is entry (p, q) of the block
+    A_j^T B_k, where row index l = p * block_cols + q.  A word whose code
+    has another field, dimension or points raises InvalidParameters.
     """
-    br, bc = word.block_rows, word.block_cols
+    br, bc, code = word.block_rows, word.block_cols, word.code
+    if (code.field, code.k, code.alphas.tolist()) != (params.field, params.k, params.xs.tolist()):
+        raise InvalidParameters(f"the word's code is not the params' code: {code!r}")
     d = params.field.array(word.d)
     if d.shape != (br * bc, params.num_workers):
         raise InvalidParameters("interleaved word shape does not match its block layout")
-    msgs = _interpolate_rows(word.code, d)
+    msgs = _interpolate_rows(params.code, d)
     blocks = msgs.reshape(br, bc, params.n, params.m).transpose(3, 0, 2, 1)
     return blocks.reshape(params.m * br, params.n * bc)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -300,6 +301,51 @@ def test_primitive_root_orders():
             seen.add(x)
             x = (x * g) % p
         assert len(seen) == p - 1
+
+
+def _trial_division_root(p):
+    """The smallest primitive root of GF(p), p - 1 factored by trial division."""
+    factors, left, d = [], p - 1, 2
+    while d * d <= left:
+        if left % d == 0:
+            factors.append(d)
+            while left % d == 0:
+                left //= d
+        d += 1
+    factors += [left] if left > 1 else []
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // f, p) != 1 for f in factors))
+
+
+def test_primitive_root_matches_trial_division_below_2_16():
+    primes = [p for p in range(2, 2**16) if _is_prime(p)]
+    assert len(primes) == 6542
+    assert all(PrimeField(p).primitive_root() == _trial_division_root(p) for p in primes)
+
+
+@pytest.mark.parametrize("p", [4503599627370023, 4611686018427377339])
+def test_primitive_root_of_a_large_safe_prime_is_fast(p):
+    # p = 2q + 1 with q prime, 52 and 62 bits: trial division up to sqrt(q)
+    # took seconds and minutes.  g generates GF(p)* when g**2 and g**q are
+    # not 1, and no smaller g > 1 does.
+    q = (p - 1) // 2
+    assert _is_prime(p) and _is_prime(q)
+    start = time.perf_counter()
+    g = PrimeField(p).primitive_root()
+    assert time.perf_counter() - start < 1.0
+    assert pow(g, 2, p) != 1 and pow(g, q, p) != 1
+    assert all(pow(h, 2, p) == 1 or pow(h, q, p) == 1 for h in range(2, g))
+
+
+def test_prime_factors_split_two_30_bit_primes():
+    # p - 1 = 2 * a * b with a, b primes just above 2**30: the cofactor left
+    # after trial division is composite, so Pollard-Brent rho must split it.
+    a, b = 1073741827, 1073741987
+    p = 2 * a * b + 1
+    assert all(map(_is_prime, (a, b, p)))
+    assert field_module._prime_factors(p - 1) == {2, a, b}
+    g = PrimeField(p).primitive_root()
+    assert all(pow(g, (p - 1) // f, p) != 1 for f in (2, a, b))
+    assert all(any(pow(h, (p - 1) // f, p) == 1 for f in (2, a, b)) for h in range(2, g))
 
 
 def test_power_matrix_both_fields():

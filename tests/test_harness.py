@@ -132,6 +132,25 @@ def test_config_rejects_non_integers(bad):
         _config(**bad)
 
 
+@pytest.mark.parametrize("field, model, rule", [
+    (PrimeField(257), "uref", "primitive"), (RealField(), "gre", "pow:0.9")], ids=["gf257", "real"])
+def test_config_defaults_to_the_fields_point_rule(field, model, rule):
+    # The config stores the resolved rule, so both configs are equal.
+    grid = dict(field=field, n=10, k=4, l_values=(2,), t_values=(1, 3), trials=20, model=model,
+                seed=4)
+    default = ExperimentConfig(**grid)
+    assert default.alphas == rule and default == ExperimentConfig(**grid, alphas=rule)
+    assert run_monte_carlo(default) == run_monte_carlo(ExperimentConfig(**grid, alphas=rule))
+    assert make_alphas(field, 10).tolist() == make_alphas(field, 10, rule).tolist()
+
+
+@pytest.mark.parametrize("rule", ["geometric", "pow:abc", "linear"])
+def test_config_checks_its_rule_at_construction(rule):
+    # GF(7) has six nonzero points, so "linear" gives a zero among eight.
+    with pytest.raises(InvalidParameters):
+        _config(field=PrimeField(7), n=8, k=2, alphas=rule)
+
+
 def test_config_takes_numpy_integers():
     cfg = _config(n=np.int64(10), l_values=np.array([2, 3]), t_values=(np.int32(1),),
                   trials=np.uint8(5), seed=np.int64(7))
@@ -643,6 +662,20 @@ def test_cli_condnum_reproduces_golden_csv(tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("argv, rule", [
+    (["simulate", "--field", "real", "--n", "8", "--k", "2", "--l", "2", "--t", "1:2",
+      "--trials", "20"], "pow:0.9"),
+    (["simulate", "--field", "gf:257", "--n", "8", "--k", "2", "--l", "2", "--t", "1:2",
+      "--trials", "20"], "primitive"),
+    (["condnum", "--n", "8", "--k", "2", "--l", "2", "--t", "1:2", "--trials", "20"], "pow:0.9"),
+], ids=["simulate-real", "simulate-gf257", "condnum"])
+def test_cli_default_points_are_the_fields_rule(capsys, argv, rule):
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--alphas", rule]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_cli_simulate_rejects_bad_params(capsys):
     rc = main(["simulate", "--field", "gf:10", "--n", "8", "--k", "2",
                "--l", "1", "--t", "1", "--trials", "5"])
@@ -717,7 +750,7 @@ def test_cli_unwritable_out_path_is_found_before_the_study(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--field", "gf:257", "--n", "8", "--k", "2", "--l", "1", "--t", "1",
-     "--trials", "3", "--alphas", "pow:abc"],  # the rule is read by the study
+     "--trials", "3", "--alphas", "pow:abc"],  # the config checks the rule
     ["condnum", "--n", "8", "--k", "2", "--l", "1", "--t", "5", "--trials", "3"],  # t_max = 3
 ], ids=lambda argv: argv[0])
 def test_cli_out_is_left_alone_when_the_study_refuses_a_parameter(tmp_path, capsys, argv):

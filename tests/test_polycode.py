@@ -11,7 +11,7 @@ from irscollab.decoder import cpda_decode, layer_syndromes, t_max
 from irscollab.errmodel import ErrorModelSpec, inject, sample_error
 from irscollab.errors import InvalidParameters
 from irscollab.field import EQ_TOL, PrimeField, RealField
-from irscollab.grs import _interpolate_rows
+from irscollab.grs import _interpolate_rows, make_grs
 from irscollab.polycode import (
     PolyCodeParams,
     assemble_irs,
@@ -342,6 +342,30 @@ def test_recover_product_reduces_a_shifted_gf_word():
     shift = np.random.default_rng(26).integers(-1, 2, word.d.shape) * GF.p
     got = recover_product(params, replace(word, d=word.d + shift))
     assert np.array_equal(got, recover_product(params, word))
+
+
+@pytest.mark.parametrize("field, xs, moved", [
+    (GF, range(1, 9), range(2, 10)),
+    (RE, 0.9 ** np.arange(1, 9), 0.9 ** np.arange(2, 10)),
+], ids=["gf257", "real"])
+def test_recover_product_interpolates_on_the_params_code(field, xs, moved):
+    # A word of the code on xs that carries the code on moved points: over
+    # GF(p), with xs = 1..8, f(x) and f(x - 1) are both codewords, so
+    # interpolating on the carried code gave a wrong product and no error.
+    params = PolyCodeParams(field=field, m=2, n=2, num_workers=8, xs=xs)
+    rng = np.random.default_rng(27)
+    a, b = field.rand_elements(rng, (3, 4)), field.rand_elements(rng, (3, 4))
+    word = assemble_irs(params, [worker_compute(t) for t in encode_tasks(params, a, b)])
+    truth = field.matmul(a.T, b)
+    other_field = RE if field == GF else PrimeField(257)
+    for code in (make_grs(field, 8, 4, moved), make_grs(field, 8, 3, xs),
+                 make_grs(field, 9, 4, [*xs, 0.5 if field == RE else 100]),
+                 make_grs(other_field, 8, 4, range(1, 9))):
+        with pytest.raises(InvalidParameters, match="not the params' code"):
+            recover_product(params, replace(word, code=code))
+    # A code built anew on the same points is the params' code.
+    got = recover_product(params, replace(word, code=make_grs(field, 8, 4, xs)))
+    assert np.array_equal(got, truth) if field == GF else np.allclose(got, truth)
 
 
 @settings(max_examples=150, deadline=None)
