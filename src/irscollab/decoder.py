@@ -36,10 +36,11 @@ go through the field's _solve_batch (one masked elimination over GF(p), one
 stacked SVD over the reals), and the locators through _locate_batch, the
 rule is_t_valid applies to one locator.  Over GF(p) the scan runs on row
 bases for every L, and mssr starts it after one Berlekamp-Massey pass
-(below) over all the words, one loop over the positions.  Real outcomes
-then agree with the single-word decoders' to within rounding, not bit for
-bit.  The public decoders take one word, so a deep
-word keeps the blocked scan above.
+(below) over all the words, one loop over the positions.  A real word's
+systems go through the same stacked SVD either way (RealField._solve is
+_solve_batch on a stack of one), so its outcome is the single-word
+decoders' bit for bit.  The public decoders take one word, so a deep word
+keeps the blocked scan above.
 
 Two decoders are provided and produce identical outcomes.  Both scan t
 upward and accept the first t whose stacked system is consistent, where the
@@ -590,16 +591,6 @@ def _scan_batch(field: Field, seqs: np.ndarray, t: int):
     return field._sub(0, x[:, ::-1, 0]), rank, consistent
 
 
-def _dot(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum(a * b, axis=-1) mod p of canonical (broadcast) arrays, exact for
-    every modulus: the products are reduced before the sum when the sum of
-    int64 products could pass 2**63."""
-    prod = a * b
-    if prod.dtype != object and prod.shape[-1] * (field.p - 1) ** 2 >= 2**63:
-        prod %= field.p
-    return prod.sum(axis=-1) % field.p
-
-
 def _synthesize_batch(field: PrimeField, seqs: np.ndarray):
     """_synthesize_gf for every word of a canonical (B, R, n) stack.
 
@@ -615,8 +606,8 @@ def _synthesize_batch(field: PrimeField, seqs: np.ndarray):
     position j (every record moves up one place per position), key[:, i]
     its m - ell_B, and disc, inv and sel are _synthesize_gf's, padded to
     cap.  A new record takes slot nrec; an exchange replaces the used record
-    of lowest key, the first such slot on a tie.  Products go through _dot,
-    so they stay exact for every modulus.
+    of lowest key, the first such slot on a tie.  Products are stacked
+    _matmul calls, so they stay exact for every modulus.
 
     On one word this is about three times slower than _synthesize_gf (the
     4 x 12 bases of N = 16, L = 4 words with 9 errors over GF(257): 0.77 ms
@@ -633,12 +624,12 @@ def _synthesize_batch(field: PrimeField, seqs: np.ndarray):
     sel, nrec = np.zeros((count, cap), dtype=np.intp), np.zeros(count, dtype=np.intp)
     for j in range(n):
         # ell <= j, so the terms c[k] s[j - k] for k <= j hold the whole sum.
-        delta = _dot(field, seqs[:, :, j::-1], c[:, None, :j + 1])
+        delta = field._matmul(seqs[:, :, j::-1], c[:, :j + 1, None])[:, :, 0]
         w = np.flatnonzero((delta != 0).any(axis=1))
         if w.size:
             d, iv, each = delta[w], inv[w], np.arange(w.size)
-            x = _dot(field, iv, np.take_along_axis(d, sel[w], axis=1)[:, None, :])
-            resid = (d - _dot(field, disc[w], x[:, None, :])) % p
+            x = field._matmul(iv, np.take_along_axis(d, sel[w], axis=1)[:, :, None])[:, :, 0]
+            resid = (d - field._matmul(disc[w], x[:, :, None])[:, :, 0]) % p
             out, k = (resid != 0).any(axis=1), (resid != 0).argmax(axis=1)
             used = (x != 0) & ~out[:, None]
             low = np.where(used, key[w], n + 1).argmin(axis=1)
@@ -647,12 +638,11 @@ def _synthesize_batch(field: PrimeField, seqs: np.ndarray):
             # Outside the span, the new record's row of inv is
             # (-disc[k] inv, 1); inside, the row of the replaced record.
             row = np.where(out[:, None],
-                           (p - _dot(field, iv.transpose(0, 2, 1), disc[w, k][:, None, :])) % p,
+                           (p - field._matmul(disc[w, k][:, None, :], iv)[:, 0]) % p,
                            iv[each, low])
             row[out, slot[out]] = 1
             pivot = np.where(out, resid[each, k], x[each, low])
-            new_c = (c[w] - _dot(field, rec[w].transpose(0, 2, 1),
-                                 np.where(used, x, 0)[:, None, :])) % p
+            new_c = (c[w] - field._matmul(np.where(used, x, 0)[:, None, :], rec[w])[:, 0]) % p
             e = np.flatnonzero(new_ell > ell[w])
             we, se = w[e], slot[e]
             row = row[e] * field._inverse(pivot[e])[:, None] % p

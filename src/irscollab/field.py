@@ -13,7 +13,7 @@ public methods and the decoders run one body over either field:
     _reduce(x)       a fresh arithmetic result in canonical form (reduced mod p
                      in place over GF(p); a 0-d result as a scalar);
     _invert(x)       the inverse of a canonical value without zeros;
-    _matmul(a, b)    the product a @ b (b 1-D or 2-D);
+    _matmul(a, b)    the product a @ b (b 1-D, 2-D or a stack of matrices);
     _sub(a, b)       the difference a - b, elementwise;
     _solve(a, rhs)   (x, rank) for 2-D a and rhs: x solves a @ x = rhs, or
                      is None when any column of rhs is inconsistent, and
@@ -31,10 +31,8 @@ public methods and the decoders run one body over either field:
 
 rank and solve_consistent validate their operands and call _solve.  Over
 GF(p) _solve is exact, a blocked elimination that sets free variables to
-zero.  Over the reals it is one least-squares factorisation (np.linalg.lstsq)
-at the singular-value cutoff RANK_TOL * sigma_max * max(shape): it returns
-that rank, and the minimum-norm x when every column passes the RESIDUAL_TOL
-residual test.
+zero.  Over the reals _solve is _solve_batch on a stack of one system, so a
+single word and a Monte Carlo batch are solved by one kernel, bit for bit.
 
 The GF(p) row scan, PrimeField._scan, takes the rows in blocks that double
 in size, reduces each block against the RREF basis of the rows before it
@@ -47,7 +45,8 @@ A system with more right-hand sides than its first block has rows reduces
 one matmul.  Many small systems of one shape, such as a Monte Carlo cell's,
 go through _solve_batch instead: over GF(p) one masked Gauss-Jordan
 elimination of the whole stack (PrimeField._reduce_batch, one step per
-column), over the reals one stacked SVD.
+column), over the reals one stacked SVD.  The real residual tests take
+their norms from _column_norms, which stays finite and nonzero at any scale.
 
 A GF(p) matmul that is not tiny runs on float64 BLAS (dgemm) for int64
 elements while inner * (p - 1)**2 < 2**53, reduced mod p once at the end;
@@ -107,6 +106,11 @@ _BLAS_MIN_MACS = 2**14
 # single % pass is faster.
 _RANGE_CHECK_MIN = 2**12
 
+# np.linalg.norm squares the entries: while the largest magnitude of an array
+# lies in this range, no square overflows, and a column near that magnitude
+# loses nothing to underflow.
+_NORM_RANGE = (2.0**-400, 2.0**400)
+
 # Python int of every element of an object array (a scalar for 0-d input);
 # rejects non-integers such as floats.
 _as_int = np.frompyfunc(operator.index, 1, 1)
@@ -160,6 +164,25 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _column_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns (axis -2) of a float array, at any scale.
+
+    np.linalg.norm squares the entries, so the norm of a column above about
+    1e154 comes out inf, and below about 1e-154 it comes out 0.  When the
+    largest magnitude in v lies outside _NORM_RANGE, every column is divided
+    by its own largest magnitude and its norm multiplied back (Blue, ACM TOMS
+    1978).  Only then, so that at ordinary scales the norms, and with them
+    every residual test, are np.linalg.norm's bit for bit.  A column whose
+    entries all lie below 2**-511 beside one in range still underflows.
+    """
+    low, high = _NORM_RANGE
+    if low < np.abs(v).max(initial=0.0) < high:
+        return np.linalg.norm(v, axis=-2)
+    big = np.abs(v).max(axis=-2, keepdims=True, initial=0.0)
+    big[big == 0.0] = 1.0
+    return np.linalg.norm(v / big, axis=-2) * big[..., 0, :]
 
 
 class Field:
@@ -221,8 +244,8 @@ class Field:
         column must be consistent).  Over GF(p) the solution is exact, with
         free variables set to zero, and a tall full-rank system costs
         O(rows * ncols * (ncols + width)) multiply-adds; over the reals it is
-        the least-squares solution, accepted by the residual test of
-        RealField._solve.
+        the minimum-norm least-squares solution, accepted by the residual test
+        of RealField._solve_batch.
         """
         a = self.array(a)
         if a.ndim != 2:
@@ -379,23 +402,25 @@ class PrimeField(Field):
         return out
 
     def _matmul(self, a, b):
-        """matmul of canonical arrays (b 1-D or 2-D), exact for every modulus.
+        """matmul of canonical arrays (b 1-D, 2-D or a stack of matrices),
+        exact for every modulus.
 
-        With int64 elements and inner * (p - 1)**2 < 2**53, a product of at
-        least _BLAS_MIN_MACS multiply-adds runs on float64 BLAS (dgemm) and is
-        reduced mod p only at the end: every partial sum is an integer below
-        2**53, so it is exact whatever order or FMA the BLAS uses.  The rows
-        of a go through in slabs of about _FLOAT_SLAB elements, each cast to
-        float64 and written straight into the int64 result, so the float64
-        temporaries stay small even when a is a tall stacked system or the
-        result is a whole coded input.  Other int64 products are one int64
-        matmul while inner * (p - 1)**2 < 2**63, and int64 matmuls over inner
-        chunks whose sums stay below 2**63 beyond that.  Object elements (p
-        above _INT64_SAFE_P) use Python-int arithmetic.
+        With int64 elements, b at most 2-D and inner * (p - 1)**2 < 2**53, a
+        product of at least _BLAS_MIN_MACS multiply-adds runs on float64 BLAS
+        (dgemm) and is reduced mod p only at the end: every partial sum is an
+        integer below 2**53, so it is exact whatever order or FMA the BLAS
+        uses.  The rows of a go through in slabs of about _FLOAT_SLAB
+        elements, each cast to float64 and written straight into the int64
+        result, so the float64 temporaries stay small even when a is a tall
+        stacked system or the result is a whole coded input.  Other int64
+        products are one int64 matmul while inner * (p - 1)**2 < 2**63, and
+        int64 matmuls over inner chunks whose sums stay below 2**63 beyond
+        that.  Object elements (p above _INT64_SAFE_P) use Python-int
+        arithmetic.
         """
         inner = a.shape[-1]
-        macs = a.size * (b.shape[1] if b.ndim == 2 else 1)
-        if macs >= _BLAS_MIN_MACS and a.dtype != object and inner * (self.p - 1) ** 2 < 2**53:
+        if (b.ndim <= 2 and a.dtype != object and inner * (self.p - 1) ** 2 < 2**53
+                and a.size * (b.shape[1] if b.ndim == 2 else 1) >= _BLAS_MIN_MACS):
             rows = a.reshape(math.prod(a.shape[:-1]), inner)
             bf = b.astype(np.float64)
             out = np.empty((len(rows),) + b.shape[1:], dtype=np.int64)
@@ -409,7 +434,8 @@ class PrimeField(Field):
         chunk = max(1, (2**63 - self.p) // ((self.p - 1) ** 2))
         out = None
         for k0 in range(0, inner, chunk):
-            part = (a[..., k0:k0 + chunk] @ b[k0:k0 + chunk, ...]) % self.p
+            bk = b[k0:k0 + chunk] if b.ndim == 1 else b[..., k0:k0 + chunk, :]
+            part = (a[..., k0:k0 + chunk] @ bk) % self.p
             out = part if out is None else (out + part) % self.p
         return out
 
@@ -718,32 +744,23 @@ class RealField(Field):
     # -- linear algebra -------------------------------------------------------
 
     def _solve(self, a, rhs):
-        """One least-squares solve of a @ x = rhs for 2-D a and rhs.
-
-        Returns (x, rank) from one np.linalg.lstsq at rcond = RANK_TOL *
-        max(a.shape): rank counts the singular values above RANK_TOL *
-        sigma_max * max(a.shape), and x is the minimum-norm solution, or
-        None unless every column passes ||a x - b|| <= RESIDUAL_TOL *
-        max(||b||, sigma_max ||x||).
-        """
-        x, _, rank, sv = np.linalg.lstsq(a, rhs, rcond=RANK_TOL * max(a.shape))
-        smax = float(sv[0]) if sv.size else 0.0
-        bounds = RESIDUAL_TOL * np.maximum(np.linalg.norm(rhs, axis=0),
-                                           smax * np.linalg.norm(x, axis=0))
-        ok = np.all(np.linalg.norm(a @ x - rhs, axis=0) <= bounds)
-        return (x if ok else None), int(rank)
+        """(x, rank) of a @ x = rhs for 2-D a and rhs, from _solve_batch on the
+        stack of the one system [a | rhs]; x is None unless every column of
+        rhs is consistent."""
+        x, rank, consistent = self._solve_batch(np.hstack([a, rhs])[None], a.shape[1])
+        return (x[0] if consistent[0] else None), int(rank[0])
 
     def _solve_batch(self, aug, ncols):
         """_solve for every system of an augmented stack (see the module
-        docstring for the contract), ncols >= 1, by one stacked SVD.
+        docstring for the contract), by one stacked SVD.
 
         x holds the minimum-norm solutions from the singular values above
-        RANK_TOL * sigma_max * max(rows, ncols), rank their count, and
-        consistent whether every right-hand side passes _solve's residual
-        test.  This is the batch counterpart of _solve for many small
-        systems of one shape: lstsq takes one system a call, and its
-        singular values and solutions differ from these only in the last
-        bits.
+        RANK_TOL * sigma_max * max(rows, ncols), at every rank, and rank
+        their count.  consistent is whether every right-hand side b passes
+        ||a x - b|| <= RESIDUAL_TOL * max(||b||, sigma_max ||x||), with the
+        norms of _column_norms.  Systems without rows, coefficient columns
+        or right-hand sides are solved as well: sigma_max is 0 when there is
+        no singular value.
         """
         aug = aug.reshape(len(aug), math.prod(aug.shape[1:-1]), aug.shape[-1])
         # Each right-hand side is copied to contiguous memory: BLAS sums a
@@ -751,13 +768,12 @@ class RealField(Field):
         # of aug in its last bits.
         a, rhs = aug[:, :, :ncols], aug[:, :, ncols:].transpose(0, 2, 1).copy().transpose(0, 2, 1)
         u, s, vt = np.linalg.svd(a, full_matrices=False)
-        smax = s[:, :1]
+        smax = s.max(axis=1, keepdims=True, initial=0.0)
         keep = s > RANK_TOL * max(a.shape[1:]) * smax
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
         x = vt.transpose(0, 2, 1) @ (inv[:, :, None] * (u.transpose(0, 2, 1) @ rhs))
-        bounds = RESIDUAL_TOL * np.maximum(np.linalg.norm(rhs, axis=1),
-                                           smax * np.linalg.norm(x, axis=1))
-        consistent = np.all(np.linalg.norm(a @ x - rhs, axis=1) <= bounds, axis=1)
+        bounds = RESIDUAL_TOL * np.maximum(_column_norms(rhs), smax * _column_norms(x))
+        consistent = np.all(_column_norms(a @ x - rhs) <= bounds, axis=1)
         return x, keep.sum(axis=1), consistent
 
     # Bound in this class's own namespace, where perfbench/spans.py looks them up.

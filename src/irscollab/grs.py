@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from .errors import InvalidParameters, NotACodeword
-from .field import RANK_TOL, RESIDUAL_TOL, Field, PrimeField, RealField, _is_int
+from .field import RESIDUAL_TOL, Field, PrimeField, RealField, _column_norms, _is_int
 
 __all__ = ["GrsCode", "make_grs", "encode"]
 
@@ -178,9 +178,11 @@ def _interpolate_rows(code: GrsCode, rows: np.ndarray) -> np.ndarray:
     """Message coefficients for each row of a canonical stack of codewords.
 
     Over GF(p) the first K positions determine the message exactly and the
-    remaining positions are verified by re-encoding; over the reals a full
-    least-squares fit is used and judged by its relative residual.  Raises
-    NotACodeword when any row fails.
+    remaining positions are verified by re-encoding.  Over the reals the fit
+    is the field's least-squares _solve of all N positions, and each row must
+    also pass ||G m - r|| <= RESIDUAL_TOL * ||r||; that bound never exceeds
+    _solve's, so a row _solve rejects fails it too.  Raises NotACodeword when
+    any row fails.
     """
     field = code.field
     gmat = code.encoding_matrix()
@@ -192,9 +194,8 @@ def _interpolate_rows(code: GrsCode, rows: np.ndarray) -> np.ndarray:
         if np.any(reenc.T != rows):
             raise NotACodeword("symbols are not consistent with any codeword")
         return head.T
-    msgs, _, _, _ = np.linalg.lstsq(gmat, rows.T, rcond=RANK_TOL * max(gmat.shape))
-    resid = gmat @ msgs - rows.T
-    bad = np.linalg.norm(resid, axis=0) > RESIDUAL_TOL * np.linalg.norm(rows.T, axis=0)
-    if np.any(bad):
+    msgs = field._solve(gmat, rows.T)[0]
+    if msgs is None or np.any(_column_norms(gmat @ msgs - rows.T)
+                              > RESIDUAL_TOL * _column_norms(rows.T)):
         raise NotACodeword("least-squares residual exceeds the codeword tolerance")
     return msgs.T

@@ -17,11 +17,12 @@ before its Berlekamp-Massey pass: at every nonzero discrepancy it refits the
 register at lengths t, t + 1, ... by solving the prefix system.  It is slow
 but direct, so synthesize_recurrence is checked against it.
 
-lstsq_solve and svd_rank are the real field's solve and rank as they were
-before RealField._solve took both from one factorisation: a least-squares
-solve accepted by its residual test, and a count of singular values above
-the cutoff.  RealField._solve, rank, solve_consistent and _solve_batch
-are checked against them.
+lstsq_solve and svd_rank are references for the real field's solve and
+rank that do not share its kernel: np.linalg.lstsq accepted by the residual
+test, and a count of singular values above the cutoff.  RealField._solve,
+rank and solve_consistent all run _solve_batch, one stacked SVD, and are
+checked against them: the rank and consistency exactly, and the solution
+to within rounding, since lstsq sums in another order.
 
 per_trial_draws is the Monte Carlo trial recipe as the harness ran it before
 it drew whole batches: a fresh Generator(Philox(SeedSequence((seed, L, t,

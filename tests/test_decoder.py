@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_syndromes_gf, classical_code
@@ -30,7 +30,7 @@ from irscollab.errmodel import ErrorModelSpec, inject, sample_error
 from irscollab.errors import InvalidParameters
 from irscollab.field import PrimeField, RealField
 from irscollab.grs import encode, make_grs
-from irscollab.harness import CLASSIFY_RTOL, make_alphas
+from irscollab.harness import make_alphas
 
 
 def _random_word(code, l, rng):
@@ -585,24 +585,30 @@ def test_decode_corrects_planted_errors_real(decode, l, t):
 
 @pytest.mark.parametrize("decode", [cpda_decode, mssr_decode])
 def test_real_decode_takes_rank_and_solution_from_one_factorisation(monkeypatch, decode):
-    # Every stacked system's rank comes from its least-squares solve, so a
-    # decodable real word costs no separate SVD.
+    # Every stacked system's rank and solution come from one SVD in
+    # _solve_batch, so a decodable real word costs no separate factorisation.
     fld = RealField()
     code = make_grs(fld, 8, 2, [0.9 ** i for i in range(1, 9)])
     rng = np.random.default_rng(61)
-    svd_calls = []
-    svd = np.linalg.svd
+    calls = {"svd": 0, "solve_batch": 0}
+    svd, solve_batch = np.linalg.svd, RealField._solve_batch
 
     def counting_svd(*args, **kwargs):
-        svd_calls.append(np.shape(args[0]))
+        calls["svd"] += 1
         return svd(*args, **kwargs)
 
+    def counting_solve_batch(self, aug, ncols):
+        calls["solve_batch"] += 1
+        return solve_batch(self, aug, ncols)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(RealField, "_solve_batch", counting_solve_batch)
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: pytest.fail("lstsq"))
     for l, t in [(1, 1), (1, 3), (2, 4), (6, 5)]:
         _, received, err = _planted_instance(code, l, t, rng)
         out = decode(code, received)
         assert out.success and out.locations == err.support
-    assert svd_calls == []
+    assert calls["svd"] == calls["solve_batch"] > 0
 
 
 def test_real_mssr_solves_at_most_once_more_than_cpda(monkeypatch):
@@ -1355,17 +1361,15 @@ def _real_error(l, n, t, kind, rng):
 
 def _real_batch_matches_single_words(code, words, kinds):
     """The cpda and mssr outcomes of the batch decoder, asserted equal to
-    cpda_decode's and mssr_decode's word by word at CLASSIFY_RTOL; returns
-    cpda's.  Words hit by huge errors are compared at the received word's
-    scale: their corrections agree to about 1e-12 of it, which is far more
-    than CLASSIFY_RTOL of the codeword left after subtracting the errors."""
+    cpda_decode's and mssr_decode's word by word, bit for bit (rtol=0):
+    both solve through RealField._solve_batch; returns cpda's.  kinds names
+    each word's error kind, for the failure message."""
     fld = code.field
     for name, decode in (("mssr", mssr_decode), ("cpda", cpda_decode)):
         got = decoder_module._decode_batch(code, words, name)
         assert len(got) == len(words)
         for outcome, word, kind in zip(got, words, kinds):
-            scale = float(np.max(np.abs(word))) if kind == "huge" else 1.0
-            assert outcomes_equal(fld, outcome, decode(code, word), rtol=CLASSIFY_RTOL * scale)
+            assert outcomes_equal(fld, outcome, decode(code, word), rtol=0), kind
     return got
 
 
@@ -1433,9 +1437,41 @@ def test_real_batch_decoding_reaches_every_outcome():
     assert seen == set(range(6)) | set(FailureReason)
 
 
+@st.composite
+def _scaled_real_words(draw):
+    """(code, word, e): a real word of a code on pow:0.9 or linear points, a
+    codeword plus errors of a drawn kind in t <= N - K columns, whose
+    syndromes all have scale >= 1, and an exponent e in [0, 830]."""
+    fld = RealField()
+    n = draw(st.integers(3, 12))
+    k = draw(st.integers(1, n - 1))
+    l = draw(st.integers(1, 2 * (n - k) + 2))
+    rule = draw(st.sampled_from(["pow:0.9", "linear"]))
+    kind = draw(st.sampled_from(REAL_ERROR_KINDS))
+    t = draw(st.integers(0, n - k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    code = make_grs(fld, n, k, make_alphas(fld, n, rule))
+    word = rng.standard_normal((l, k)) @ code.encoding_matrix().T + _real_error(l, n, t, kind, rng)
+    assume(layer_syndromes(code, word).scale.min() >= 1.0)
+    return code, word, draw(st.integers(0, 830))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_scaled_real_words())
+def test_real_decoders_are_scale_invariant(case):
+    # Scaling a word by 2**e scales its syndromes and their zero-test
+    # scale exactly, so neither decoder may locate or reject differently;
+    # norms that square the entries would overflow past about 1e154.
+    code, word, e = case
+    for decode in (cpda_decode, mssr_decode):
+        want, got = decode(code, word), decode(code, word * 2.0**e)
+        assert got.success == want.success
+        assert (got.locations, got.reason) == (want.locations, want.reason)
+
+
 def test_real_monte_carlo_cell_makes_no_per_word_solve(monkeypatch):
-    # A criterion-1 cell is decoded by stacked solves alone: lstsq, the
-    # single-word solve, is never called.
+    # A criterion-1 cell is decoded by stacked solves alone: the
+    # single-word RealField._solve and lstsq are never called.
     from irscollab.harness import ExperimentConfig, run_monte_carlo
 
     monkeypatch.setattr(RealField, "_solve", lambda *args: pytest.fail("per-word solve"))

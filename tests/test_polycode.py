@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from irscollab.decoder import cpda_decode, layer_syndromes, t_max
 from irscollab.errmodel import ErrorModelSpec, inject, sample_error
-from irscollab.errors import InvalidParameters
+from irscollab.errors import InvalidParameters, NotACodeword
 from irscollab.field import EQ_TOL, PrimeField, RealField
 from irscollab.grs import _interpolate_rows, make_grs
 from irscollab.polycode import (
@@ -342,6 +342,22 @@ def test_recover_product_reduces_a_shifted_gf_word():
     shift = np.random.default_rng(26).integers(-1, 2, word.d.shape) * GF.p
     got = recover_product(params, replace(word, d=word.d + shift))
     assert np.array_equal(got, recover_product(params, word))
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=st.integers(-600, 830), seed=st.integers(0, 2**32 - 1))
+def test_recover_product_is_scale_invariant(e, seed):
+    # A clean real word scaled by 2**e gives 2**e times its product, and a
+    # scaled non-codeword is still rejected: norms that square the entries
+    # overflow to inf past about 1e154 and vanish below about 1e-154.
+    rng = np.random.default_rng(seed)
+    params, word = _product_word(RE, rng)
+    c = 2.0**e
+    assert np.array_equal(recover_product(params, replace(word, d=word.d * c)),
+                          recover_product(params, word) * c)
+    noise = rng.standard_normal(word.d.shape)
+    with pytest.raises(NotACodeword):
+        recover_product(params, replace(word, d=(word.d + noise) * c))
 
 
 @pytest.mark.parametrize("field, xs, moved", [
