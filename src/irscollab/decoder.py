@@ -19,37 +19,42 @@ solution set and the rank of each stacked system, the minimal common
 recurrence and, when unique, its coefficients (Metzner and Kapturowski,
 IEEE T-IT 1990, use the same fact for L >= t).  Over GF(p), with more
 layers than positions, both decoders therefore first reduce S to its RREF
-row basis, at most N - K rows, by the blocked scan of PrimeField._scan, and
-stack, eliminate and synthesize on that basis; only the error-value solve
-keeps all L layers.  Sequences sharing a recurrence of length t span at
-most t dimensions, so cpda_decode starts its scan at the rank of S.  Real
-words keep all L layers.  With S = QR the least-squares problem would not
-change (the Gram matrix, solution and residual from R's rows equal those
-from S's), but RealField's rank cutoff scales with max(shape) of the
-stacked system, which compression shrinks.
+row basis (_row_space, by the blocked PrimeField._reduce_batch, whose cost
+grows linearly in L), N - K rows with a zero row at each position that holds
+no pivot, and stack, eliminate and synthesize on that basis; only the
+error-value solve keeps all L layers.  Sequences sharing a recurrence of
+length t span at most t dimensions, so cpda_decode starts its scan at the
+rank of S.  Real words keep all L layers.  With S = QR the least-squares
+problem would not change (the Gram matrix, solution and residual from R's
+rows equal those from S's), but RealField's rank cutoff scales with
+max(shape) of the stacked system, which compression shrinks.
 
 The Monte Carlo harness decodes words only in batches, over either field,
 through _decode_batch: it gives every word of a (B, L, N) stack the outcome
 that cpda_decode or mssr_decode would, with each stage one array operation
 over the whole stack.  The stacked systems of each t and the value solves
-go through the field's _solve_batch (one masked elimination over GF(p), one
-stacked SVD over the reals), and the locators through _locate_batch, the
-rule is_t_valid applies to one locator.  Over GF(p) the scan runs on row
-bases for every L, and mssr starts it after one Berlekamp-Massey pass
-(below) over all the words, one loop over the positions.  A real word's
-systems go through the same stacked SVD either way (RealField._solve is
-_solve_batch on a stack of one), so its outcome is the single-word
-decoders' bit for bit.  The public decoders take one word, so a deep word
-keeps the blocked scan above.
+go through the field's _solve_batch, and the locators through
+_locate_batch, the rule is_t_valid applies to one locator.  The public
+decoders solve through the same _solve_batch, on stacks of one
+(Field._solve), so a word's outcome is the single-word decoders' bit for
+bit over either field.  Over GF(p) the batch scans the row bases of
+_row_space for every L, and mssr starts it after one Berlekamp-Massey pass
+(below) over all the words, one loop over the positions.
 
 Two decoders are provided and produce identical outcomes.  Both scan t
-upward and accept the first t whose stacked system is consistent, where the
-solve that checks uniqueness (full column rank) also gives the locator.
-cpda_decode starts at most at the rank of S, below which no system is
-consistent, and mssr_decode at the length of the minimal common recurrence
-of the L syndrome sequences, the least consistent t.  Both certify the
-result through the same location and value-recovery checks, so a Success
-is always the closest (maximum-likelihood) explanation of R.
+upward to t_max.  At each t whose stacked system is consistent, the solve
+that checks uniqueness (full column rank) also gives the locator, and the
+location and value-recovery checks certify the word.  The first t that
+passes ends the scan, so a Success is always the closest
+(maximum-likelihood) explanation of R; otherwise the first failure is
+reported.  Over the reals a near-degenerate error pattern can look
+consistent within tolerance at too small a t.  Over GF(p) the first failure
+is final: with Lambda_0 the locator at the least consistent t_0, every
+larger t is consistent (Lambda_0 padded with zeros) and rank-deficient
+(Lambda_0 (1 + a z) solves it too).  cpda_decode starts at most at the rank
+of S, below which no system is consistent, and mssr_decode at the length of
+the minimal common recurrence of the L syndrome sequences, the least
+consistent t.
 
 Over GF(p) the synthesis is one multi-sequence Berlekamp-Massey pass (Feng
 and Tzeng, IEEE T-IT 1991; Schmidt, Sidorenko and Bossert, IEEE T-IT 2009).
@@ -224,15 +229,17 @@ def _syndromes(code: GrsCode, r: np.ndarray) -> SyndromeSet:
     return SyndromeSet(values=r @ h, scale=np.abs(r) @ code.syndrome_matrix_abs())
 
 
-def _row_space(field: Field, values: np.ndarray) -> np.ndarray:
-    """The rows the decoders scan: an RREF basis of GF(p) syndromes.
+def _row_space(field: PrimeField, values: np.ndarray):
+    """(rows, rank) for a (B, L, m) stack of GF(p) syndromes: rank[b] is the
+    rank of word b's syndromes, and rows[b] the rows its scan runs on.
 
-    Only when there are more layers than positions, since the basis has at
-    most as many rows as positions.  Real syndromes keep every layer.
+    With more layers than positions these are the word's RREF row basis
+    from PrimeField._reduce_batch, m rows that hold the basis row with pivot
+    j at row j and zeros elsewhere; otherwise the syndromes themselves,
+    which span the same rows.
     """
-    if not isinstance(field, PrimeField) or values.shape[0] <= values.shape[1]:
-        return values
-    return field._scan(values, values[:, :0])[0]
+    basis, rank, _ = field._reduce_batch(values, values.shape[2])
+    return (basis if values.shape[1] > values.shape[2] else values), rank
 
 
 def _stack(values: np.ndarray, t: int, field: Field) -> StackedSystem:
@@ -324,7 +331,7 @@ def synthesize_recurrence(field: Field, seqs):
     coefficients are the unique ones whenever the t-stack has full column
     rank.  Over GF(p) this is the module docstring's Berlekamp-Massey pass.
     Over the reals t is the least length whose whole stacked system passes
-    RealField._solve, the solve cpda_decode runs at each t, so the two
+    _solve, the solve cpda_decode runs at each t, so the two
     decoders agree exactly; n (with zero coefficients) when no t < n passes,
     and 0 for sequences that are zero within EQ_TOL.
     """
@@ -446,15 +453,13 @@ def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
     """Collaborative Peterson-style decoder.
 
     Scans t up to t_max, from the rank of the syndromes' row basis where
-    one is computed, and accepts the first t whose stacked syndrome system
-    is consistent; the solution must be unique (full column rank), t-valid,
-    and able to reproduce every syndrome.  Over GF(p) a failed check at the
-    accepted t is final (larger t provably cannot recover).
-    Over the reals the scan continues past it - a near-degenerate error
-    pattern can look consistent at too small a t within tolerance - and
-    the first failure is reported if no t succeeds.  Never raises on a
-    decoding impasse; all failure modes are reported in the outcome.  The
-    outcome is identical to mssr_decode's on every input, over either field.
+    one is computed.  At each t whose stacked syndrome system is consistent
+    the solution must be unique (full column rank), t-valid, and able to
+    reproduce every syndrome; the first t where it is ends the scan.
+    Otherwise the scan goes on, and the first failure is reported if no t
+    succeeds (see the module docstring).  Never raises on a decoding
+    impasse; all failure modes are reported in the outcome.  The outcome is
+    identical to mssr_decode's on every input, over either field.
     """
     return _decode(code, r, "cpda")
 
@@ -465,8 +470,8 @@ def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
     Synthesizes the minimal-length common recurrence of the L syndrome
     sequences and starts cpda_decode's scan at that length, the least
     consistent t, whose uniqueness check also gives the locator.  The rest,
-    including the real-field rescan at larger t, is cpda_decode's, so the
-    two decoders give identical outcomes on every input, over either field.
+    including the scan on past a failed check, is cpda_decode's, so the two
+    decoders give identical outcomes on every input, over either field.
     """
     return _decode(code, r, "mssr")
 
@@ -483,13 +488,14 @@ def _decode(code: GrsCode, r, decoder: str) -> DecodeOutcome:
     synd = _syndromes(code, r)
     if _all_syndromes_zero(fld, synd):
         return _clean_outcome(fld, r)
-    seqs = _row_space(fld, synd.values)
-    if decoder == "mssr":
-        first = synthesize_recurrence(fld, seqs)[0]
-    else:
+    seqs, first = synd.values, 1
+    if isinstance(fld, PrimeField) and len(seqs) > seqs.shape[1]:
         # Sequences with a common recurrence of length t span at most t
         # dimensions, so no t below the rank of a basis can be consistent.
-        first = len(seqs) if len(seqs) < len(synd.values) else 1
+        basis, rank = _row_space(fld, seqs[None])
+        seqs, first = basis[0], int(rank[0])
+    if decoder == "mssr":
+        first = synthesize_recurrence(fld, seqs)[0]
     first_failure, tm = None, t_max(code.n, code.k, r.shape[0])
     # At each consistent t one solve gives the rank and, when that is full,
     # the unique locator.
@@ -499,7 +505,7 @@ def _decode(code: GrsCode, r, decoder: str) -> DecodeOutcome:
             outcome = DecodeOutcome.fail(FailureReason.RANK_DEFICIENT)
         else:
             outcome = _finish(code, synd, r, coeffs)
-        if outcome.success or isinstance(fld, PrimeField):
+        if outcome.success:
             return outcome
         first_failure = first_failure or outcome
         first = t + 1
@@ -520,20 +526,17 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     tail, _finish_batch, once per t on the words whose system there is
     consistent with full rank.
 
-    Over GF(p) the rows scanned are the RREF row bases of the syndrome
-    matrices, found by one masked Gauss-Jordan elimination
-    (PrimeField._reduce_batch) and padded with zero rows to min(L, N - K).
-    A word joins the scan at the rank of its basis for cpda, and for mssr
-    at its recurrence length, synthesized for all words in one pass
-    (_synthesize_batch).  It leaves at its first consistent t, where the
-    outcome is final.  Over the reals every word scans all L layers from
-    t = 1 under either name, since real mssr's synthesis is cpda's scan,
-    and keeps _decode's policy: a failed check at a consistent t records
-    the word's first failure and the word scans on; it leaves on success.
+    Over GF(p) the rows scanned are those of _row_space, from one
+    elimination of the whole stack.  A word joins the scan at the rank of
+    its syndromes for cpda, and for mssr at its recurrence length,
+    synthesized for all words in one pass (_synthesize_batch).  Over the
+    reals every word scans all L layers from t = 1 under either name, since
+    real mssr's synthesis is cpda's scan.  Either way a failed check at a
+    consistent t records the word's first failure and the word scans on; it
+    leaves on success.
     """
     fld = code.field
     count, l, n = words.shape
-    exact = isinstance(fld, PrimeField)
     tm = t_max(n, code.k, l)
     synd = _syndromes(code, words)
     outcomes = [None] * count
@@ -541,10 +544,8 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     for i in np.setdiff1d(np.arange(count), dirty):
         outcomes[i] = _clean_outcome(fld, words[i])
     seqs = synd.values[dirty]
-    if exact:
-        m = n - code.k
-        basis, rank, _ = fld._reduce_batch(seqs, m)
-        seqs = basis[:, :min(l, m)]
+    if isinstance(fld, PrimeField):
+        seqs, rank = _row_space(fld, seqs)
         # No t below the rank of a basis is consistent (see _decode), nor
         # any below the least common-recurrence length.
         start = rank if decoder == "cpda" else _synthesize_batch(fld, seqs)[0]
@@ -562,8 +563,6 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
         if not pos.size:
             continue
         coeffs, rank, consistent = _scan_batch(fld, seqs[pos], t)
-        if exact:
-            scanning[pos[consistent]] = False
         for j in pos[consistent & (rank < t)]:
             record(j, DecodeOutcome.fail(FailureReason.RANK_DEFICIENT))
         full = consistent & (rank == t)
@@ -612,7 +611,7 @@ def _synthesize_batch(field: PrimeField, seqs: np.ndarray):
     On one word this is about three times slower than _synthesize_gf (the
     4 x 12 bases of N = 16, L = 4 words with 9 errors over GF(257): 0.77 ms
     against 0.23 ms, 2-core x86), so the single-word decoders keep that
-    loop, as they keep _row_reduce beside _reduce_batch.
+    loop.
     """
     p = field.p
     count, rows, n = seqs.shape
@@ -665,14 +664,16 @@ def _batch_elements(field: Field, n: int, k: int, l: int) -> int:
 
     That is the received word, a scan stack (rows of n - k - t windows of
     t + 1 syndromes, at most (n - k + 1)**2 / 4 elements per row: the
-    min(l, n - k) basis rows over GF(p), all l layers over the reals) or a
-    value solve (n - k rows of t + l entries).  Both grow with the square
-    of n - k, so they, not the received word, bound a batch of long codes
-    with few layers.
+    min(l, n - k) basis rows over GF(p), all l layers over the reals), a
+    value solve (n - k rows of t + l entries) or, over GF(p), the n - k by
+    n - k row basis of _row_space.  These grow with the square of n - k, so
+    they, not the received word, bound a batch of long codes with few
+    layers.
     """
     m = n - k
-    rows = min(l, m) if isinstance(field, PrimeField) else l
-    return max(l * n, rows * ((m + 1) ** 2 // 4), m * (t_max(n, k, l) + l))
+    exact = isinstance(field, PrimeField)
+    rows = min(l, m) if exact else l
+    return max(l * n, rows * ((m + 1) ** 2 // 4), m * (t_max(n, k, l) + l), exact * m * m)
 
 
 def _locate_batch(code: GrsCode, coeffs: np.ndarray):

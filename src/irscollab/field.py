@@ -15,38 +15,29 @@ public methods and the decoders run one body over either field:
     _invert(x)       the inverse of a canonical value without zeros;
     _matmul(a, b)    the product a @ b (b 1-D, 2-D or a stack of matrices);
     _sub(a, b)       the difference a - b, elementwise;
-    _solve(a, rhs)   (x, rank) for 2-D a and rhs: x solves a @ x = rhs, or
-                     is None when any column of rhs is inconsistent, and
-                     rank is the rank of a either way;
     _solve_batch(aug, ncols)
                      (x, rank, consistent) for a stack aug = [a | rhs] of
                      shape (B, ..., width), the axes between the first and
                      the last counting as rows and the first ncols columns
                      as a: per system its rank, whether every column of rhs
-                     is solvable, and, where rank[b] == ncols, its solution
-                     x[b];
+                     is solvable, and a solution x[b] of shape (ncols, width
+                     - ncols) at every rank, meaningful where consistent[b]:
+                     over GF(p) the exact one with free variables zero, over
+                     the reals the minimum-norm least-squares one;
     _agree(x, y, rtol)
                      whether two arrays agree: exactly over GF(p), within
                      rtol of the larger magnitude (at least 1) over the reals.
 
-rank and solve_consistent validate their operands and call _solve.  Over
-GF(p) _solve is exact, a blocked elimination that sets free variables to
-zero.  Over the reals _solve is _solve_batch on a stack of one system, so a
-single word and a Monte Carlo batch are solved by one kernel, bit for bit.
+Field._solve(a, rhs) is _solve_batch on the stack of the one system
+[a | rhs], and rank and solve_consistent validate their operands and call
+it, so a single system and a Monte Carlo batch are solved by one kernel, bit
+for bit, over either field.  Over the reals that kernel is one stacked SVD,
+whose residual tests take their norms from _column_norms, which stays finite
+and nonzero at any scale.
 
-The GF(p) row scan, PrimeField._scan, takes the rows in blocks that double
-in size, reduces each block against the RREF basis of the rows before it
-with one matmul, and row-reduces only what is left; the decoders also use it
-alone, for the row basis of a deep syndrome matrix.  Once ncols independent
-rows are found, every remaining row is checked with one residual matmul, so
-the cost of a tall stacked system grows linearly in its height.
-A system with more right-hand sides than its first block has rows reduces
-[a | I] instead and applies the row transform to every right-hand side with
-one matmul.  Many small systems of one shape, such as a Monte Carlo cell's,
-go through _solve_batch instead: over GF(p) one masked Gauss-Jordan
-elimination of the whole stack (PrimeField._reduce_batch, one step per
-column), over the reals one stacked SVD.  The real residual tests take
-their norms from _column_norms, which stays finite and nonzero at any scale.
+Over GF(p) it is PrimeField._reduce_batch, the one exact elimination, in
+doubling row blocks; it also gives the decoders the row bases of their
+syndrome matrices.
 
 A GF(p) matmul that is not tiny runs on float64 BLAS (dgemm) for int64
 elements while inner * (p - 1)**2 < 2**53, reduced mod p once at the end;
@@ -122,8 +113,8 @@ _INV_TABLE_P = 2**16
 # _prime_factors tries every divisor below this bound before Pollard's rho.
 _TRIAL_BOUND = 2**10
 
-# Minimum height of the first row block of PrimeField._solve: systems this
-# short are eliminated in one dense pass.
+# Minimum height of the first row block of PrimeField._reduce_batch: systems
+# this short are eliminated in one pass.
 _FIRST_BLOCK = 64
 
 
@@ -229,8 +220,8 @@ class Field:
 
     def rank(self, m) -> int:
         """Rank of a 2-D matrix, from _solve: exact over GF(p), where the
-        blocked elimination stops once ncols independent rows are found; over
-        the reals, the count of singular values above RANK_TOL * sigma_max *
+        blocked elimination stops once every column holds a pivot; over the
+        reals, the count of singular values above RANK_TOL * sigma_max *
         max(m.shape)."""
         m = self.array(m)
         if m.ndim != 2:
@@ -259,6 +250,15 @@ class Field:
         if x is None:
             return None
         return x[:, 0] if one_d else x
+
+    def _solve(self, a, rhs):
+        """(x, rank) of a @ x = rhs for canonical 2-D a and rhs, from
+        _solve_batch on the stack of the one system [a | rhs]; x is None
+        unless every column of rhs is consistent."""
+        x, rank, consistent = self._solve_batch(np.concatenate((a, rhs), axis=1)[None], a.shape[1])
+        # x gets a buffer of its own: as a view it kept the whole product of a
+        # wide GF(p) solve alive, and matmul-deep's peak RSS rose by 3 MB.
+        return (x[0].copy(order="K") if consistent[0] else None), int(rank[0])
 
 
 class PrimeField(Field):
@@ -347,7 +347,7 @@ class PrimeField(Field):
         For p below _INV_TABLE_P, a lookup in a table of every inverse, built
         on first use.  Otherwise a**(p - 2) by square-and-multiply over the
         whole array: about 2 log2(p) array products, not one pow per entry.
-        _reduce_batch inverts one pivot vector per column, and the products
+        _eliminate inverts one pivot vector per column, and the products
         cost about 25 us a call at p = 257 even on a few elements, against
         0.4 us for the lookup (2-core x86); the criterion-3 cell decodes about
         10 % faster with the table.
@@ -403,7 +403,8 @@ class PrimeField(Field):
 
     def _matmul(self, a, b):
         """matmul of canonical arrays (b 1-D, 2-D or a stack of matrices),
-        exact for every modulus.
+        exact for every modulus.  A stack of one matrix b multiplies as that
+        matrix, which gives the same result.
 
         With int64 elements, b at most 2-D and inner * (p - 1)**2 < 2**53, a
         product of at least _BLAS_MIN_MACS multiply-adds runs on float64 BLAS
@@ -419,6 +420,8 @@ class PrimeField(Field):
         arithmetic.
         """
         inner = a.shape[-1]
+        if 2 < b.ndim <= a.ndim and math.prod(b.shape[:-2]) == 1:
+            b = b.reshape(b.shape[-2:])
         if (b.ndim <= 2 and a.dtype != object and inner * (self.p - 1) ** 2 < 2**53
                 and a.size * (b.shape[1] if b.ndim == 2 else 1) >= _BLAS_MIN_MACS):
             rows = a.reshape(math.prod(a.shape[:-1]), inner)
@@ -447,14 +450,15 @@ class PrimeField(Field):
         Returns (matrix, pivot_columns).  Pivots are searched only in the
         first ncols columns, so callers can append right-hand sides as extra
         columns of an augmented matrix.  Every pivot updates every row, so
-        _scan feeds this dense kernel one block at a time.  _reduce_batch
-        gives the same RREF, but its masked steps cost about three times as
-        much on one matrix (2-core x86, a 64 x 24 block of rank 20 at
-        p = 257: 1.1 ms against 0.37 ms); through it, cpda_decode of one
-        N = 16, L = 4 word took 3.1 ms instead of 1.3 ms.  Here and in _scan a subtraction adds
-        the negation instead, so that % only ever reduces non-negative sums:
-        numpy's int64 % is about 3.5 times slower when the signs are mixed
-        (197k elements at p = 257: 3.7 ms against 1.1 ms).
+        _reduce_batch feeds this dense kernel one block at a time.  It is
+        _eliminate's step for a stack of one: the masked steps cost about
+        three times as much on one matrix (2-core x86, a 64 x 24 block of
+        rank 20 at p = 257: 1.1 ms against 0.37 ms), and through them
+        cpda_decode of one N = 16, L = 4 word took 3.1 ms instead of 1.3 ms.
+        Here and in _eliminate a subtraction adds the negation instead, so
+        that % only ever reduces non-negative sums: numpy's int64 % is about
+        3.5 times slower when the signs are mixed (197k elements at p = 257:
+        3.7 ms against 1.1 ms).
         """
         m = np.array(m, order="C")  # a copy, with contiguous rows
         rows = m.shape[0]
@@ -473,33 +477,30 @@ class PrimeField(Field):
             m[r] = (m[r] * pivot_inv) % self.p
             factors = self.p - m[:, c]  # the negated column, plus p
             factors[r] = 0
-            m += np.outer(factors, m[r])
+            m += factors[:, None] * m[r]
             m %= self.p
             piv_cols.append(c)
             r += 1
         return m, piv_cols
 
-    def _reduce_batch(self, m, ncols):
-        """RREF mod p of every matrix in a canonical (B, rows, width) stack.
+    def _eliminate(self, m, ncols):
+        """(reduced, rank): the RREF mod p of every matrix in a canonical
+        (B, rows, width) stack, pivots searched only in the first ncols
+        columns, and the length-B array of their ranks.
 
-        Axes between the first and the last count as rows: a (B, R, n,
-        width) stack is reduced as (B, R * n, width), with one copy.  Pivots
-        are searched only in the first ncols columns, as in _row_reduce.
-        Returns (reduced, rank, consistent), the last two length-B arrays:
-        consistent is whether every row past the rank is zero, that is,
-        whether the columns after ncols, as right-hand sides, are solvable.
-
-        Each column is one masked Gauss-Jordan step over the whole stack:
-        every matrix with a pivot in that column at or below its rank swaps
-        the first such row up, scales it to 1 and clears the column in all
-        its other rows, and the other matrices are left as they are.  The
-        loop stops early once every matrix has full row rank.  This is the
-        batch counterpart of _row_reduce for many small systems of one
-        shape, where one step over the stack replaces a Python-level
-        elimination per matrix.
+        A stack of one goes through _row_reduce.  Otherwise each column is
+        one masked Gauss-Jordan step over the whole stack: every matrix with
+        a pivot in that column at or below its rank swaps the first such row
+        up, scales it to 1 and clears the column in all its other rows, and
+        the other matrices are left as they are.  The loop stops early once
+        every matrix has full row rank.  For many small systems of one
+        shape, one step over the stack replaces a Python-level elimination
+        per matrix.
         """
+        if len(m) == 1:
+            red, piv = self._row_reduce(m[0], ncols)
+            return red[None], np.array([len(piv)])
         m = np.array(m, order="C")  # a copy, with contiguous rows
-        m = m.reshape(len(m), math.prod(m.shape[1:-1]), m.shape[-1])
         count, rows, _ = m.shape
         p = self.p
         rank = np.zeros(count, dtype=np.intp)
@@ -528,92 +529,92 @@ class PrimeField(Field):
             work *= p
             m -= work
             rank += has
-        return m, rank, ~(m.any(axis=2) & (below >= rank[:, None])).any(axis=1)
+        return m, rank
 
-    def _scan(self, a, rhs):
-        """The blocked row scan behind _solve, for canonical 2-D a and rhs.
+    def _place(self, red, rank, ncols):
+        """The (B, ncols, width) stack that holds the first rank[b] rows of
+        each RREF red[b], every row at its pivot column, and zero rows at the
+        other columns: a view of red when every rank is ncols."""
+        if red.shape[1] >= ncols and rank.min(initial=ncols) == ncols:
+            return red[:, :ncols]
+        placed = self.zeros((len(red), ncols, red.shape[2]))
+        b, i = np.nonzero(np.arange(red.shape[1]) < rank[:, None])
+        placed[b, (red[b, i, :ncols] != 0).argmax(axis=1)] = red[b, i]
+        return placed
 
-        Returns (basis, piv, consistent, start): basis is the RREF of the
-        rows [a | rhs][:start] without its zero rows (only the coefficient
-        columns once consistent is False), piv its pivot columns, and
-        consistent whether those rows admit a solution.  The rows are taken
-        in blocks that double in size, the first of max(_FIRST_BLOCK,
-        2 * ncols) rows.  Each later block is reduced against the basis by one
-        matmul, and only what that leaves is row-reduced and folded in, so no
-        elimination ever sweeps the whole stack.  The scan stops early only
-        once the rank reaches ncols, so the coefficient columns of basis
-        always span the rows of a.
+    def _reduce_batch(self, m, ncols):
+        """The RREF basis mod p of every matrix in a canonical (B, rows,
+        width) stack, with pivots searched only in the first ncols columns.
 
-        When rhs is wider than the first block is tall, that block is reduced
-        as [a | I] instead: the identity columns end up holding the row
-        transform T, and one matmul T @ rhs applies it to every right-hand
-        side, where carrying them through the elimination would sweep all of
-        them once per pivot.
+        Axes between the first and the last count as rows: a (B, R, n,
+        width) stack is reduced as (B, R * n, width).  Returns (basis, rank,
+        consistent), the last two length-B arrays.  basis[b] is the RREF
+        basis of matrix b placed by _place, each row at its pivot column, and
+        consistent[b] whether every row past the rank is zero, that is,
+        whether the columns after ncols, as right-hand sides, are solvable;
+        basis[b, :, ncols:] is then their solution with free variables zero,
+        and otherwise depends on the order of elimination.
+
+        The rows go through in blocks, the first of max(_FIRST_BLOCK,
+        2 * ncols) rows and each later one twice the size of the one before.
+        A later block is first reduced against every basis by one stacked
+        matmul: with each row at its pivot column, blk - blk[:, :, :ncols] @
+        basis clears the block's pivot columns.  Only its rows left nonzero
+        go through _eliminate, and the new rows clear their pivot columns
+        from the basis by one more matmul.  Once every matrix has full column
+        rank, the remaining rows only have to satisfy x, which one residual
+        matmul checks.  The RREF of a row space is unique, so nothing depends
+        on the block boundaries.
+
+        When the first block has fewer rows than right-hand sides, it is
+        reduced as [a | I], whose identity columns end up holding the row
+        transform T, where carrying every right-hand side through the
+        elimination would sweep each of them once per pivot.  One matmul then
+        applies T's rows, placed, and its rows past the least rank, whose
+        products must be zero, to the block.  It is taken as (block^T T^T)^T,
+        so that _matmul casts the wide operand slab by slab.
         """
-        rows, n = a.shape
-        p = self.p
-        size = max(_FIRST_BLOCK, 2 * n)
-        head = rhs[:size]
-        if head.shape[1] > head.shape[0]:
-            eye = np.eye(len(head), dtype=self.dtype)
-            red, piv = self._row_reduce(np.hstack([a[:size], eye]), n)
-            red = np.hstack([red[:, :n], self._matmul(red[:, n:], head)])
+        m = m.reshape(len(m), math.prod(m.shape[1:-1]), m.shape[-1])
+        rows, width = m.shape[1:]
+        size = max(_FIRST_BLOCK, 2 * ncols)
+        head = m[:, :size]
+        if width - ncols > head.shape[1]:
+            h = head.shape[1]
+            eye = np.broadcast_to(np.eye(h, dtype=m.dtype), (len(m), h, h))
+            red, rank = self._eliminate(np.concatenate([head[:, :, :ncols], eye], axis=2), ncols)
+            low = rank.min(initial=h)
+            t = np.concatenate([self._place(red, rank, ncols), red[:, low:]], axis=1)[:, :, ncols:]
+            red = self._matmul(head.swapaxes(1, 2), t.swapaxes(1, 2)).swapaxes(1, 2)
+            basis, red = red[:, :ncols], red[:, ncols:]
         else:
-            red, piv = self._row_reduce(np.hstack([a[:size], head]), n)
-        r = len(piv)
-        consistent = not red[r:, n:].any()
-        basis = red[:r]
+            red, rank = self._eliminate(head, ncols)
+            low, basis = 0, self._place(red, rank, ncols)
+        # The rows from low on are the rest of each basis, then rows that
+        # must be zero.
+        consistent = red.any(axis=2).sum(axis=1) == rank - low
         start = size
-        while start < rows and r < n:
+        while start < rows and rank.min(initial=ncols) < ncols:
             size *= 2
-            stop = start + size
-            blk = np.hstack([a[start:stop], rhs[start:stop]]) if consistent else a[start:stop]
-            start = stop
-            width = blk.shape[1]
-            basis = basis[:, :width]
-            if r:
-                blk = (blk + (p - self._matmul(blk[:, piv], basis))) % p
-            red, new = self._row_reduce(blk, n)
-            consistent = consistent and not red[len(new):, n:].any()
-            if new:
-                red = red[:len(new)]
-                basis = np.vstack([(basis + (p - self._matmul(basis[:, new], red))) % p, red])
-                piv += new
-                r = len(piv)
-        return basis, piv, consistent, start
-
-    def _solve(self, a, rhs):
-        """Blocked exact solve of a @ x = rhs for canonical 2-D a and rhs.
-
-        Returns (x, rank): x is the solution with free variables set to zero,
-        or None when any column of rhs is inconsistent, and rank is the exact
-        rank of a either way.  The rows go through the blocked scan of _scan;
-        a row left with zero coefficients and a nonzero right-hand side makes
-        the system inconsistent, and the scan then carries only the
-        coefficients, to finish the rank.  Once the rank reaches ncols, the
-        remaining rows are checked against x by one residual matmul, so a
-        tall full-rank system costs O(rows * ncols * width) multiply-adds.
-        The RREF of a row space is unique, so x and the rank do not depend on
-        the block boundaries.
-        """
-        basis, piv, consistent, start = self._scan(a, rhs)
-        r = len(piv)
-        if not consistent:
-            return None, r
-        n = a.shape[1]
-        x = self.zeros((n, rhs.shape[1]))
-        x[piv] = basis[:, n:]
-        if start < len(a) and rhs.shape[1] and np.any(self._matmul(a[start:], x) != rhs[start:]):
-            return None, r
-        return x, r
+            blk = m[:, start:start + size]
+            start += size
+            blk = self._sub(blk, self._matmul(blk[:, :, :ncols], basis))
+            red, new = self._eliminate(blk[:, blk.any(axis=(0, 2))], ncols)
+            consistent &= red.any(axis=2).sum(axis=1) == new
+            if new.any():
+                placed = self._place(red, new, ncols)
+                basis = self._sub(basis + placed, self._matmul(basis[:, :, :ncols], placed))
+                rank += new
+        if start < rows and width > ncols:
+            rest = m[:, start:]
+            consistent &= (self._matmul(rest[:, :, :ncols], basis[:, :, ncols:])
+                           == rest[:, :, ncols:]).all(axis=(1, 2))
+        return basis, rank, consistent
 
     def _solve_batch(self, aug, ncols):
-        """_solve for every system of an augmented stack, by one
-        _reduce_batch (see the module docstring for the contract): at full
-        column rank the first ncols rows of the RREF are [I | x].
-        """
-        red, rank, consistent = self._reduce_batch(aug, ncols)
-        return red[:, :ncols, ncols:], rank, consistent
+        """The module docstring's _solve_batch, by one _reduce_batch: x is
+        the right-hand-side part of the basis."""
+        basis, rank, consistent = self._reduce_batch(aug, ncols)
+        return basis[:, :, ncols:], rank, consistent
 
     # Bound in this class's own namespace, where perfbench/spans.py looks them up.
     matmul, rank, solve_consistent = Field.matmul, Field.rank, Field.solve_consistent
@@ -743,16 +744,8 @@ class RealField(Field):
 
     # -- linear algebra -------------------------------------------------------
 
-    def _solve(self, a, rhs):
-        """(x, rank) of a @ x = rhs for 2-D a and rhs, from _solve_batch on the
-        stack of the one system [a | rhs]; x is None unless every column of
-        rhs is consistent."""
-        x, rank, consistent = self._solve_batch(np.hstack([a, rhs])[None], a.shape[1])
-        return (x[0] if consistent[0] else None), int(rank[0])
-
     def _solve_batch(self, aug, ncols):
-        """_solve for every system of an augmented stack (see the module
-        docstring for the contract), by one stacked SVD.
+        """The module docstring's _solve_batch, by one stacked SVD.
 
         x holds the minimum-norm solutions from the singular values above
         RANK_TOL * sigma_max * max(rows, ncols), at every rank, and rank

@@ -6,11 +6,12 @@ the syndrome map; tests import both from this module.
 
 gauss_jordan_solve is an unblocked exact solver: one Gauss-Jordan pass over
 the whole augmented matrix, with a whole-matrix update per pivot.  It is slow
-on tall stacks but simple, so the blocked PrimeField._solve is checked against
-it, and it can be patched into PrimeField in its place to run whole decodes on
-the reference path.  Its RREF pass also checks the batched elimination
-PrimeField._reduce_batch, and it checks the batch solver
-PrimeField._solve_batch, matrix by matrix.
+on tall stacks but simple, so GF(p) solves, which run the blocked
+elimination PrimeField._reduce_batch, are checked against it, and it can be
+patched into PrimeField as _solve to run whole decodes on the reference path.
+Its RREF pass also checks the basis rows, rank and consistency of
+_reduce_batch, and it checks the batch solver PrimeField._solve_batch,
+matrix by matrix.
 
 gaussian_synthesize is the GF(p) recurrence synthesis that decoder.py used
 before its Berlekamp-Massey pass: at every nonzero discrepancy it refits the
@@ -19,7 +20,7 @@ but direct, so synthesize_recurrence is checked against it.
 
 lstsq_solve and svd_rank are references for the real field's solve and
 rank that do not share its kernel: np.linalg.lstsq accepted by the residual
-test, and a count of singular values above the cutoff.  RealField._solve,
+test, and a count of singular values above the cutoff.  The real _solve,
 rank and solve_consistent all run _solve_batch, one stacked SVD, and are
 checked against them: the rank and consistency exactly, and the solution
 to within rounding, since lstsq sums in another order.

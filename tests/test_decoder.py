@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_syndromes_gf, classical_code
+from conftest import brute_syndromes_gf, classical_code, gauss_jordan_solve
 from irscollab import decoder as decoder_module
 from irscollab.decoder import (
     DecodeOutcome,
@@ -978,7 +978,8 @@ WORD_KINDS = ["clean", "planted", "identical", "past", "rank_one", "low_rank"]
 
 
 def _full_layers(field, values):
-    return values
+    """_row_space without compression: every layer, scanned from t = 1."""
+    return values, np.ones(len(values), dtype=np.intp)
 
 
 def _collab_word(fld, n, k, l, kind, rng):
@@ -1052,9 +1053,10 @@ def test_row_space_keeps_every_stacked_system(case):
     # solution and rank of the t-stack of all L rows, no t below the rank of
     # the basis is consistent, and the synthesized recurrence is the same.
     fld, s = case
-    basis = decoder_module._row_space(fld, s)
-    assert basis.dtype == s.dtype and len(basis) == fld.rank(s)
-    assert fld.rank(np.vstack([basis, s])) == len(basis)
+    basis, rank = decoder_module._row_space(fld, s[None])
+    basis, rank = basis[0], int(rank[0])
+    assert basis.dtype == s.dtype and np.count_nonzero(basis.any(axis=1)) == rank == fld.rank(s)
+    assert fld.rank(np.vstack([basis, s])) == rank
     for t in range(1, s.shape[1]):
         full, small = (decoder_module._stack(v, t, fld) for v in (s, basis))
         x_full, rank_full = fld._solve(full.matrix, full.rhs[:, None])
@@ -1062,7 +1064,7 @@ def test_row_space_keeps_every_stacked_system(case):
         assert rank_small == rank_full
         assert (x_small is None) == (x_full is None)
         assert x_full is None or np.array_equal(x_small, x_full)
-        if t < len(basis):
+        if t < rank:
             assert x_full is None
     t_full, c_full = synthesize_recurrence(fld, s)
     t_small, c_small = synthesize_recurrence(fld, basis)
@@ -1267,6 +1269,58 @@ def test_batch_decoding_requires_nonzero_points():
         decoder_module._decode_batch(code, fld.zeros((3, 2, 8)), "cpda")
 
 
+@pytest.mark.parametrize("name, decode", [("cpda", cpda_decode), ("mssr", mssr_decode)])
+def test_deep_batch_of_one_matches_the_single_word_decoders(name, decode):
+    # L = 1024 > N - K = 24: the row basis of a stack of one runs through
+    # several blocks of _reduce_batch, and the value solve's 1024
+    # right-hand sides outnumber the rows of its first block.
+    fld = PrimeField(257)
+    code = make_grs(fld, 40, 16, [pow(fld.primitive_root(), i, fld.p) for i in range(40)])
+    word, received, _ = _planted_instance(code, 1024, 20, np.random.default_rng(900))
+    want = decode(code, received)
+    assert want.success and np.array_equal(want.corrected, word)
+    got = decoder_module._decode_batch(code, received[None], name)[0]
+    assert outcomes_equal(fld, got, want, rtol=0)
+
+
+@st.composite
+def _small_field_words(draw):
+    """(code, received): a word over GF(5), GF(7), GF(13) or GF(257) on
+    primitive points, N <= 12 and L <= 5, plus errors in e <= t_max + 2
+    columns (at most N), uniform or with layers that are multiples of one
+    row (which fail at the least consistent t more often)."""
+    fld = PrimeField(draw(st.sampled_from([5, 7, 13, 257])))
+    n = draw(st.integers(2, min(fld.p - 1, 12)))
+    k, l = draw(st.integers(1, n - 1)), draw(st.integers(1, 5))
+    e = draw(st.integers(0, min(n, t_max(n, k, l) + 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    code = classical_code(fld, n, k)
+    if draw(st.booleans()):
+        err = _rank_one_errors(fld, l, n, e, rng)
+    else:
+        err = fld.zeros((l, n))
+        err[:, rng.choice(n, e, replace=False)] = rng.integers(1, fld.p, (l, e))
+    return code, fld.add(_random_word(code, l, rng), err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_small_field_words())
+def test_every_t_above_the_least_consistent_is_rank_deficient(case):
+    # Why a GF(p) word may scan on past a failed check and still report the
+    # failure of the least consistent t0: with Lambda_0 the locator there,
+    # every t in (t0, t_max] is consistent (Lambda_0 padded with zeros) and
+    # has the second solution Lambda_0 (1 + a z), so its rank is below t.
+    code, received = case
+    fld, least = code.field, None
+    for t in range(1, t_max(code.n, code.k, len(received)) + 1):
+        system = build_stacked(code, received, t)
+        x, rank = gauss_jordan_solve(fld, system.matrix, system.rhs[:, None])
+        if least is not None:
+            assert x is not None and rank < t, (least, t)
+        elif x is not None:
+            least = t
+
+
 def test_monte_carlo_cell_makes_one_batched_elimination_per_t(monkeypatch):
     # A 100-trial mc-gf257 cell (GF(257), N = 16, K = 4, L = 4, t = 9): one
     # elimination for the row bases, at most one scan elimination and one
@@ -1284,7 +1338,7 @@ def test_monte_carlo_cell_makes_one_batched_elimination_per_t(monkeypatch):
         return lambda *args: single.append(name)
 
     monkeypatch.setattr(PrimeField, "_reduce_batch", counting_reduce)
-    for name in ("_scan", "_solve", "_row_reduce"):
+    for name in ("_solve", "_row_reduce"):
         monkeypatch.setattr(PrimeField, name, per_word(name))
     config = ExperimentConfig(field=PrimeField(257), n=16, k=4, l_values=(4,), t_values=(9,),
                               trials=100, model="uref", alphas="primitive", seed=5)
@@ -1323,7 +1377,7 @@ def test_monte_carlo_mssr_cell_synthesizes_once_per_batch(monkeypatch):
     monkeypatch.setattr(harness, "_decode_batch", counting_decode)
     monkeypatch.setattr(decoder_module, "_synthesize_batch", counting_synthesize)
     monkeypatch.setattr(decoder_module, "_synthesize_gf", per_word("_synthesize_gf"))
-    for name in ("_scan", "_solve", "_row_reduce"):
+    for name in ("_solve", "_row_reduce"):
         monkeypatch.setattr(PrimeField, name, per_word(name))
     config = ExperimentConfig(field=PrimeField(257), n=16, k=4, l_values=(4,), t_values=(9,),
                               trials=100, model="uref", alphas="primitive", seed=5,

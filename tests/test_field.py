@@ -779,13 +779,29 @@ def test_array_reduces_other_integer_dtypes(dtype):
 # Batched elimination and array inverses
 # ---------------------------------------------------------------------------
 
+FIRST_BLOCK = field_module._FIRST_BLOCK
+
+
+def _late_inconsistent_row(fld, system, ncols, rng):
+    """Make a row past the first block a copy of row 0 whose first
+    right-hand side differs, so that the system turns inconsistent only in
+    a later block."""
+    row = rng.integers(FIRST_BLOCK, len(system))
+    system[row] = system[0]
+    system[row, ncols] = (system[row, ncols] + 1) % fld.p
+
+
 @st.composite
 def _stacks(draw):
     """(field, (B, rows, width) stack, ncols): matrices of random rank,
-    zero ones included, whose first rows may span less than the rest."""
+    zero ones included, whose first rows may span less than the rest.  Tall
+    stacks hold B >= 2 matrices taller than the first block of
+    _reduce_batch, some of which turn inconsistent only in a later block."""
     fld = PrimeField(draw(st.sampled_from(SOLVE_PRIMES)))
-    count = draw(st.integers(0, 6))
-    rows, width = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    tall = draw(st.booleans())
+    count = draw(st.integers(2, 4) if tall else st.integers(0, 6))
+    rows = draw(st.integers(FIRST_BLOCK + 1, 3 * FIRST_BLOCK + 5) if tall else st.integers(1, 10))
+    width = draw(st.integers(1, 10))
     ncols = draw(st.integers(0, width))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     stack = fld.zeros((count, rows, width))
@@ -795,6 +811,8 @@ def _stacks(draw):
             mix = fld.rand_elements(rng, (rows, rank))
             mix[:rng.integers(0, rows + 1), rng.integers(0, rank + 1):] = 0
             stack[b] = fld.matmul(mix, fld.rand_elements(rng, (rank, width)))
+        if tall and ncols < width and rng.random() < 0.5:
+            _late_inconsistent_row(fld, stack[b], ncols, rng)
     return fld, stack, ncols
 
 
@@ -802,14 +820,19 @@ def _stacks(draw):
 @given(_stacks())
 def test_batch_reduce_matches_gauss_jordan_per_matrix(oracle_reduce, case):
     fld, stack, ncols = case
-    red, rank, consistent = fld._reduce_batch(stack, ncols)
-    assert red.shape == stack.shape and red.dtype == stack.dtype
+    basis, rank, consistent = fld._reduce_batch(stack, ncols)
+    assert basis.shape == (len(stack), ncols, stack.shape[2]) and basis.dtype == stack.dtype
     assert rank.shape == consistent.shape == (len(stack),)
-    for got, r, ok, m in zip(red, rank, consistent, stack):
+    for got, r, ok, m in zip(basis, rank, consistent, stack):
         want, piv = oracle_reduce(fld, m, ncols)
-        assert np.array_equal(got, want) and r == len(piv)
+        # Each RREF row sits at its pivot column, and the other rows are zero.
+        # The right-hand sides of an inconsistent matrix's rows depend on
+        # the order of elimination, so only a consistent one's are compared.
+        cols = slice(None) if ok else slice(ncols)
+        assert r == len(piv) and np.array_equal(got[piv, cols], want[:r, cols])
+        assert not np.delete(got, piv, axis=0).any()
         assert ok == (oracle_reduce(fld, m, m.shape[1])[1] == piv)
-        # The per-matrix kernel of _scan gives the same RREF and pivots.
+        # The dense step for a stack of one gives the same RREF and pivots.
         one, one_piv = fld._row_reduce(m, ncols)
         assert np.array_equal(one, want) and one_piv == piv
 
@@ -819,11 +842,29 @@ def _augmented_stacks(draw):
     """(field, aug, ncols): B >= 0 augmented systems [a | rhs] over either
     field, as a 3-D stack of random-rank matrices whose right-hand sides are
     consistent or random, or as the 4-D window stack of sums of geometric
-    sequences (or random ones) that the batch decoder solves."""
+    sequences (or random ones) that the batch decoder solves.  Tall GF(p)
+    stacks hold B >= 2 systems of different ranks past the first block of
+    _reduce_batch, with right-hand sides narrow or wider than the rows, some
+    turning inconsistent only in a later block."""
     real = draw(st.booleans())
     fld = RealField() if real else PrimeField(draw(st.sampled_from(SOLVE_PRIMES)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     count = draw(st.integers(0, 5))
+    if not real and draw(st.booleans()):
+        count = draw(st.integers(2, 4))
+        rows = draw(st.integers(FIRST_BLOCK + 1, 3 * FIRST_BLOCK + 5))
+        ncols = draw(st.integers(1, 6))
+        width = draw(st.integers(1, 3) | st.integers(rows + 1, rows + 8))
+        aug = fld.zeros((count, rows, ncols + width))
+        for b in range(count):
+            rank = int(rng.integers(0, ncols + 1))
+            mix = fld.rand_elements(rng, (rows, rank))
+            mix[:rng.integers(0, rows + 1), rng.integers(0, rank + 1):] = 0
+            a = fld.matmul(mix, fld.rand_elements(rng, (rank, ncols)))
+            aug[b] = np.hstack([a, fld.matmul(a, fld.rand_elements(rng, (ncols, width)))])
+            if rng.random() < 0.5:
+                _late_inconsistent_row(fld, aug[b], ncols, rng)
+        return fld, aug, ncols
     if draw(st.booleans()):
         layers, n = draw(st.integers(1, 4)), draw(st.integers(2, 10))
         ncols = draw(st.integers(1, n - 1))
@@ -856,8 +897,9 @@ def _augmented_stacks(draw):
 @given(_augmented_stacks())
 def test_solve_batch_matches_the_single_system_references(case):
     # Matrix by matrix against the unblocked Gauss-Jordan solve over GF(p)
-    # and the lstsq solve over the reals: the same rank and consistency,
-    # and the same solution wherever the rank is full.
+    # and the lstsq solve over the reals: the same rank and consistency, and
+    # the same solution wherever the system is consistent, at any rank over
+    # GF(p) (free variables zero) and at full rank over the reals.
     fld, aug, ncols = case
     x, rank, consistent = fld._solve_batch(aug, ncols)
     count, width = len(aug), aug.shape[-1]
@@ -870,14 +912,12 @@ def test_solve_batch_matches_the_single_system_references(case):
         else:
             want, want_rank = lstsq_solve(a, rhs), svd_rank(a)
         assert rank[b] == want_rank and consistent[b] == (want is not None)
-        if rank[b] == ncols and consistent[b]:
-            if isinstance(fld, PrimeField):
-                assert np.array_equal(x[b], want)
-            else:
-                scale = max(1.0, float(np.max(np.abs(want))))
-                assert np.allclose(x[b], want, rtol=0, atol=1e-9 * scale)
-    if isinstance(fld, RealField):
-        assert x.shape == (count, ncols, width - ncols)
+        if consistent[b] and isinstance(fld, PrimeField):
+            assert np.array_equal(x[b], want)
+        elif rank[b] == ncols and consistent[b]:
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.allclose(x[b], want, rtol=0, atol=1e-9 * scale)
+    assert x.shape == (count, ncols, width - ncols)
 
 
 def test_agree_is_exact_over_gf_and_relative_over_the_reals():

@@ -327,18 +327,19 @@ def test_real_run_monte_carlo_does_not_depend_on_the_batch_size(monkeypatch):
 
 
 def test_run_monte_carlo_bounds_the_batch_arrays_of_long_codes(monkeypatch):
-    # N - K = 60 with L = 1: a value solve holds 60 x 30 elements per trial
-    # and a scan stack up to 930, where the received word holds 64, so
-    # batches sized by received symbols would build arrays several times
-    # the limit.
+    # N - K = 60 with L = 1: a value solve holds 60 x 30 elements per trial,
+    # a scan stack up to 930 and the row basis 60 x 60, where the received
+    # word holds 64, so batches sized by received symbols would build arrays
+    # several times the limit.
     limit = 2**14
     monkeypatch.setattr(harness, "_BATCH_ELEMENTS", limit)
     sizes = []
     reduce_batch = PrimeField._reduce_batch
 
     def recording(self, m, ncols):
-        sizes.append(m.size)
-        return reduce_batch(self, m, ncols)
+        out = reduce_batch(self, m, ncols)
+        sizes.append(max(m.size, out[0].size))
+        return out
 
     monkeypatch.setattr(PrimeField, "_reduce_batch", recording)
     report = run_monte_carlo(_config(n=64, k=4, l_values=(1,), t_values=(29,), trials=40))
