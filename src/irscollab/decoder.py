@@ -29,17 +29,19 @@ problem would not change (the Gram matrix, solution and residual from R's
 rows equal those from S's), but RealField's rank cutoff scales with
 max(shape) of the stacked system, which compression shrinks.
 
-The Monte Carlo harness decodes words only in batches, over either field,
-through _decode_batch: it gives every word of a (B, L, N) stack the outcome
-that cpda_decode or mssr_decode would, with each stage one array operation
-over the whole stack.  The stacked systems of each t and the value solves
-go through the field's _solve_batch, and the locators through
-_locate_batch, the rule is_t_valid applies to one locator.  The public
-decoders solve through the same _solve_batch, on stacks of one
-(Field._solve), so a word's outcome is the single-word decoders' bit for
-bit over either field.  Over GF(p) the batch scans the row bases of
-_row_space for every L, and mssr starts it after one Berlekamp-Massey pass
-(below) over all the words, one loop over the positions.
+Both entry points run one t-scan, _scan_words, over a (B, L, N) stack of
+words: per t one _scan_batch solves the stacked systems of the words still
+scanning, and the words of full rank share one tail, _finish_batch.  The
+public decoders run it on a stack of one, and the Monte Carlo harness on
+whole batches (_decode_batch), so a word's outcome is the same bit for bit.
+The stages around the scan are chosen by stack size, each the kernel that
+is faster there.  One word takes its start from synthesize_recurrence and,
+over GF(p), a row basis only when L > N - K; a batch from one elimination
+of all its syndrome matrices (_row_space, for cpda or when L > N - K) and,
+for mssr, one Berlekamp-Massey pass (below) over all its words
+(_synthesize_batch).  A tail of one word is _finish (is_t_valid, one value
+solve, one subtraction); of more, one _locate_batch, the rule is_t_valid
+applies to one locator, one stacked value solve and one subtraction.
 
 Two decoders are provided and produce identical outcomes.  Both scan t
 upward to t_max.  At each t whose stacked system is consistent, the solve
@@ -331,9 +333,9 @@ def synthesize_recurrence(field: Field, seqs):
     coefficients are the unique ones whenever the t-stack has full column
     rank.  Over GF(p) this is the module docstring's Berlekamp-Massey pass.
     Over the reals t is the least length whose whole stacked system passes
-    _solve, the solve cpda_decode runs at each t, so the two
-    decoders agree exactly; n (with zero coefficients) when no t < n passes,
-    and 0 for sequences that are zero within EQ_TOL.
+    _scan_batch, the solve cpda_decode runs at each t, so the two decoders
+    agree exactly; n (with zero coefficients) when no t < n passes, and 0
+    for sequences that are zero within EQ_TOL.
     """
     seqs = field.array(seqs)
     if seqs.ndim != 2:
@@ -343,21 +345,11 @@ def synthesize_recurrence(field: Field, seqs):
     n = seqs.shape[1]
     if np.all(field.is_zero(seqs)):
         return 0, field.zeros(0)
-    found = _least_consistent(field, seqs, 1, n - 1)
-    return (n, field.zeros(n)) if found is None else found[:2]
-
-
-def _least_consistent(field: Field, seqs: np.ndarray, first: int, last: int):
-    """The least t in [first, last] whose stacked system of the rows seqs is
-    consistent, as (t, coeffs, rank) from that system's one solve: coeffs =
-    (c_1, ..., c_t) and rank the system's rank.  None when no t there is.
-    """
-    for t in range(first, last + 1):
-        system = _stack(seqs, t, field)
-        sol, rank = field._solve(system.matrix, system.rhs[:, None])
-        if sol is not None:
-            return t, sol[::-1, 0], rank
-    return None
+    for t in range(1, n):
+        coeffs, _, consistent = _scan_batch(field, seqs[None], t)
+        if consistent[0]:
+            return t, coeffs[0]
+    return n, field.zeros(n)
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +425,15 @@ def _clean_outcome(field: Field, r: np.ndarray) -> DecodeOutcome:
     return DecodeOutcome.ok(np.array(r, copy=True), locator, (), field.zeros((r.shape[0], 0)))
 
 
-def _finish(code: GrsCode, synd: SyndromeSet, r: np.ndarray, coeffs) -> DecodeOutcome:
-    """Shared tail: validate the locator, recover values, subtract."""
+def _finish(code: GrsCode, synd: np.ndarray, r: np.ndarray, coeffs) -> DecodeOutcome:
+    """The tail for one word r with syndromes synd: validate the locator,
+    recover values, subtract."""
     fld = code.field
     locator = ErrorLocator(coeffs=coeffs)
     valid, locations = is_t_valid(code, locator)
     if not valid:
         return DecodeOutcome.fail(FailureReason.NOT_T_VALID)
-    values = _error_values(code, locations, synd.values)
+    values = _error_values(code, locations, synd)
     if values is None:
         return DecodeOutcome.fail(FailureReason.SYNDROME_RESIDUAL)
     corrected = np.array(r, copy=True)
@@ -477,39 +470,58 @@ def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
 
 
 def _decode(code: GrsCode, r, decoder: str) -> DecodeOutcome:
-    """cpda_decode or mssr_decode (decoder "cpda" or "mssr") of one word.
-
-    Both scan t upward from a first t to t_max and differ only in that
-    first t: cpda starts at the rank of the row basis, mssr at the length
-    of the synthesized recurrence.
+    """cpda_decode or mssr_decode (decoder "cpda" or "mssr") of one word:
+    _scan_words on the stack of one, from a first t that is the decoders'
+    only difference.  cpda starts at the rank of the row basis where one is
+    computed, mssr at the length of the synthesized recurrence.
     """
     r = _validated_word(code, r)
     fld = code.field
     synd = _syndromes(code, r)
     if _all_syndromes_zero(fld, synd):
         return _clean_outcome(fld, r)
-    seqs, first = synd.values, 1
-    if isinstance(fld, PrimeField) and len(seqs) > seqs.shape[1]:
+    rows, first = synd.values, 1
+    if isinstance(fld, PrimeField) and len(rows) > rows.shape[1]:
         # Sequences with a common recurrence of length t span at most t
         # dimensions, so no t below the rank of a basis can be consistent.
-        basis, rank = _row_space(fld, seqs[None])
-        seqs, first = basis[0], int(rank[0])
+        basis, rank = _row_space(fld, rows[None])
+        rows, first = basis[0], int(rank[0])
     if decoder == "mssr":
-        first = synthesize_recurrence(fld, seqs)[0]
-    first_failure, tm = None, t_max(code.n, code.k, r.shape[0])
-    # At each consistent t one solve gives the rank and, when that is full,
-    # the unique locator.
-    while (found := _least_consistent(fld, seqs, first, tm)) is not None:
-        t, coeffs, rank = found
-        if rank < t:
-            outcome = DecodeOutcome.fail(FailureReason.RANK_DEFICIENT)
-        else:
-            outcome = _finish(code, synd, r, coeffs)
-        if outcome.success:
-            return outcome
-        first_failure = first_failure or outcome
-        first = t + 1
-    return first_failure or DecodeOutcome.fail(FailureReason.NO_CONSISTENT_T)
+        first = synthesize_recurrence(fld, rows)[0]
+    return _scan_words(code, r[None], synd.values[None], rows[None], np.array([first]))[0]
+
+
+def _scan_words(code: GrsCode, words: np.ndarray, synd: np.ndarray, rows: np.ndarray,
+                start: np.ndarray) -> list:
+    """The t-scan of both decoders, for a (B, L, N) stack of words whose
+    syndromes synd are not all zero: their outcomes, in order.
+
+    Word b scans the stacked systems of its syndrome rows rows[b] from t =
+    start[b] up to t_max, one _scan_batch per t over the words still
+    scanning.  At a consistent t a rank below t records RANK_DEFICIENT, and
+    the words of full rank go through _finish_batch together.  A failure
+    is recorded only as a word's first, and the word scans on; it leaves on
+    success.  A word that never reaches a consistent t gets NO_CONSISTENT_T.
+    """
+    fld = code.field
+    tm = t_max(code.n, code.k, words.shape[1])
+    outcomes = [None] * len(words)
+    scanning = np.ones(len(words), dtype=bool)
+    for t in range(int(start.min(initial=tm + 1)), tm + 1):
+        pos = np.flatnonzero(scanning & (start <= t))
+        if not pos.size:
+            continue
+        coeffs, rank, consistent = _scan_batch(fld, rows[pos], t)
+        full = consistent & (rank == t)
+        for j in pos[consistent ^ full]:
+            outcomes[j] = outcomes[j] or DecodeOutcome.fail(FailureReason.RANK_DEFICIENT)
+        done = pos[full]
+        if done.size:
+            for j, out in zip(done, _finish_batch(code, words, synd, done, coeffs[full])):
+                if out.success or outcomes[j] is None:
+                    outcomes[j] = out
+                scanning[j] = not out.success
+    return [out or DecodeOutcome.fail(FailureReason.NO_CONSISTENT_T) for out in outcomes]
 
 
 # ---------------------------------------------------------------------------
@@ -521,59 +533,37 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     every word of a canonical (B, L, N) stack, over either field.
 
     Each stage runs on the whole stack: the syndromes are one product and
-    the clean words one zero test.  Then one solve per t runs over the
-    stacked systems of the words still scanning (_scan_batch), and the
-    tail, _finish_batch, once per t on the words whose system there is
-    consistent with full rank.
+    the clean words one zero test.  The other words go through _scan_words,
+    the scan of the single-word decoders, from a start computed for all of
+    them at once.
 
-    Over GF(p) the rows scanned are those of _row_space, from one
-    elimination of the whole stack.  A word joins the scan at the rank of
-    its syndromes for cpda, and for mssr at its recurrence length,
-    synthesized for all words in one pass (_synthesize_batch).  Over the
-    reals every word scans all L layers from t = 1 under either name, since
-    real mssr's synthesis is cpda's scan.  Either way a failed check at a
-    consistent t records the word's first failure and the word scans on; it
-    leaves on success.
+    Over GF(p) cpda eliminates the whole stack once (_row_space) and starts
+    each word at the rank of its syndromes, scanning the row bases when L >
+    N - K.  mssr starts each word at its recurrence length, synthesized for
+    all words in one pass (_synthesize_batch), and needs the elimination
+    only for the row bases.  Over the reals every word scans all L layers
+    from t = 1 under either name, since real mssr's synthesis is cpda's
+    scan.
     """
     fld = code.field
     count, l, n = words.shape
-    tm = t_max(n, code.k, l)
     synd = _syndromes(code, words)
     outcomes = [None] * count
     dirty = np.flatnonzero(~_all_syndromes_zero(fld, synd))
     for i in np.setdiff1d(np.arange(count), dirty):
         outcomes[i] = _clean_outcome(fld, words[i])
-    seqs = synd.values[dirty]
+    rows = synd.values[dirty]
+    start = np.ones(len(dirty), dtype=np.intp)
     if isinstance(fld, PrimeField):
-        seqs, rank = _row_space(fld, seqs)
         # No t below the rank of a basis is consistent (see _decode), nor
         # any below the least common-recurrence length.
-        start = rank if decoder == "cpda" else _synthesize_batch(fld, seqs)[0]
-    else:
-        start = np.ones(len(dirty), dtype=np.intp)
-
-    def record(j, outcome):
-        # A success replaces a recorded failure; a failure keeps the first.
-        if outcome.success or outcomes[dirty[j]] is None:
-            outcomes[dirty[j]] = outcome
-
-    scanning = np.ones(len(dirty), dtype=bool)
-    for t in range(1, tm + 1):
-        pos = np.flatnonzero(scanning & (start <= t))
-        if not pos.size:
-            continue
-        coeffs, rank, consistent = _scan_batch(fld, seqs[pos], t)
-        for j in pos[consistent & (rank < t)]:
-            record(j, DecodeOutcome.fail(FailureReason.RANK_DEFICIENT))
-        full = consistent & (rank == t)
-        if full.any():
-            trials = dirty[pos[full]]
-            finished = _finish_batch(code, words[trials], synd.values[trials], coeffs[full])
-            for j, out in zip(pos[full], finished):
-                record(j, out)
-            scanning[pos[full][[out.success for out in finished]]] = False
-    for j in np.flatnonzero(scanning):
-        record(j, DecodeOutcome.fail(FailureReason.NO_CONSISTENT_T))
+        if decoder == "cpda" or l > n - code.k:
+            rows, start = _row_space(fld, rows)
+        if decoder == "mssr":
+            start = _synthesize_batch(fld, rows)[0]
+    scanned = _scan_words(code, words[dirty], synd.values[dirty], rows, start)
+    for i, out in zip(dirty, scanned):
+        outcomes[i] = out
     return outcomes
 
 
@@ -586,7 +576,11 @@ def _scan_batch(field: Field, seqs: np.ndarray, t: int):
     coeffs[b] = (c_1, ..., c_t) is word b's solution, meaningful where
     consistent[b] and rank[b] == t.
     """
-    x, rank, consistent = field._solve_batch(sliding_window_view(seqs, t + 1, axis=2), t)
+    # One gather makes the contiguous stack _solve_batch copied a
+    # sliding_window_view into, without the view's 13 us fixed cost.
+    n = seqs.shape[2]
+    windows = seqs[:, :, np.arange(n - t)[:, None] + np.arange(t + 1)]
+    x, rank, consistent = field._solve_batch(windows, t)
     return field._sub(0, x[:, ::-1, 0]), rank, consistent
 
 
@@ -713,8 +707,11 @@ def _locate_batch(code: GrsCode, coeffs: np.ndarray):
     return valid[ok], locs[ok]
 
 
-def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, coeffs: np.ndarray):
-    """_finish for a stack of words with locators of one length t.
+def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, which: np.ndarray,
+                  coeffs: np.ndarray):
+    """_finish for the words `which` of a stack with syndromes synd, and
+    their locators coeffs, all of one length t.  A single word goes through
+    _finish, which costs less on one word, as a view of the stack.
 
     The locators are checked by _locate_batch.  The value solves are one
     _solve_batch of the (B, N - K, t + L) stack [H_t^T | S^T], the L
@@ -722,6 +719,9 @@ def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, coeffs: np
     (distinct nonzero points), so x is the solution wherever consistent.
     The subtraction writes every word at once.
     """
+    if len(which) == 1:
+        return [_finish(code, synd[which[0]], words[which[0]], coeffs[0])]
+    words, synd = words[which], synd[which]
     fld = code.field
     count, t = coeffs.shape
     outcomes = [DecodeOutcome.fail(FailureReason.NOT_T_VALID)] * count

@@ -7,11 +7,18 @@ the syndrome map; tests import both from this module.
 gauss_jordan_solve is an unblocked exact solver: one Gauss-Jordan pass over
 the whole augmented matrix, with a whole-matrix update per pivot.  It is slow
 on tall stacks but simple, so GF(p) solves, which run the blocked
-elimination PrimeField._reduce_batch, are checked against it, and it can be
-patched into PrimeField as _solve to run whole decodes on the reference path.
-Its RREF pass also checks the basis rows, rank and consistency of
-_reduce_batch, and it checks the batch solver PrimeField._solve_batch,
-matrix by matrix.
+elimination PrimeField._reduce_batch, are checked against it.  Its RREF pass
+also checks the basis rows, rank and consistency of _reduce_batch, and it
+checks the batch solver PrimeField._solve_batch, matrix by matrix.
+gauss_jordan_solve_batch runs it system by system, so that it can be
+patched into PrimeField as _solve_batch to run whole decodes, scan and value
+solves alike, on the reference path.
+
+reference_decode is cpda_decode written from scratch for GF(p): a scan over
+every t from 1 with build_stacked and gauss_jordan_solve, a locator check
+that evaluates Lambda at every 1/alpha_j in Python ints, and a
+gauss_jordan_solve of the error values.  It shares no scan, root search or
+value solve with the decoders, which are checked against it.
 
 gaussian_synthesize is the GF(p) recurrence synthesis that decoder.py used
 before its Berlekamp-Massey pass: at every nonzero discrepancy it refits the
@@ -36,6 +43,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from irscollab.decoder import DecodeOutcome, ErrorLocator, FailureReason, build_stacked, t_max
 from irscollab.errmodel import ErrorModelSpec, inject, model_for, sample_error
 from irscollab.field import RANK_TOL, RESIDUAL_TOL
 from irscollab.grs import make_grs
@@ -97,6 +105,20 @@ def gauss_jordan_solve(field, a, rhs):
     return x, nrank
 
 
+def gauss_jordan_solve_batch(field, aug, ncols):
+    """_solve_batch's (x, rank, consistent) for a stack of augmented GF(p)
+    systems, by gauss_jordan_solve on each; x is zero where inconsistent."""
+    aug = aug.reshape(len(aug), -1, aug.shape[-1])
+    x = field.zeros((len(aug), ncols, aug.shape[2] - ncols))
+    rank, consistent = np.zeros(len(aug), dtype=np.intp), np.zeros(len(aug), dtype=bool)
+    for b, m in enumerate(aug):
+        sol, rank[b] = gauss_jordan_solve(field, m[:, :ncols], m[:, ncols:])
+        consistent[b] = sol is not None
+        if consistent[b]:
+            x[b] = sol
+    return x, rank, consistent
+
+
 @pytest.fixture(scope="session")
 def oracle_reduce():
     """The reference RREF: oracle_reduce(field, m, ncols) -> (rref, pivots)."""
@@ -107,6 +129,55 @@ def oracle_reduce():
 def oracle_solve():
     """The reference solver, callable as a PrimeField method."""
     return gauss_jordan_solve
+
+
+@pytest.fixture(scope="session")
+def oracle_solve_batch():
+    """The reference batch solver, callable as a PrimeField method."""
+    return gauss_jordan_solve_batch
+
+
+def reference_decode(code, r):
+    """cpda_decode's outcome for an L x N word r over GF(p), from scratch.
+
+    For t = 1..t_max: solve the stacked system by gauss_jordan_solve; at a
+    consistent t a rank below t is RANK_DEFICIENT; otherwise the locator
+    1 + c_1 z + ... + c_t z^t must vanish at exactly t of the 1/alpha_j
+    (NOT_T_VALID), and the values at those columns must explain every
+    syndrome (SYNDROME_RESIDUAL).  The first t that passes is the outcome,
+    else the first failure, else NO_CONSISTENT_T.
+    """
+    fld, p = code.field, code.field.p
+    r = fld.array(r)
+    l, n = r.shape
+    alphas, u = [int(a) for a in code.alphas], [int(v) for v in code.u]
+    synd = fld.array([brute_syndromes_gf(code, row) for row in r])
+    if not synd.any():
+        return DecodeOutcome.ok(r.copy(), ErrorLocator(fld.zeros(0)), (), fld.zeros((l, 0)))
+    first = None
+    for t in range(1, t_max(n, code.k, l) + 1):
+        system = build_stacked(code, r, t)
+        x, rank = gauss_jordan_solve(fld, system.matrix, system.rhs[:, None])
+        if x is None:
+            continue
+        if rank < t:
+            first = first or DecodeOutcome.fail(FailureReason.RANK_DEFICIENT)
+            continue
+        coeffs = [int(c) for c in x[::-1, 0]]
+        locs = [j for j in range(n)
+                if (1 + sum(c * pow(alphas[j], -i, p) for i, c in enumerate(coeffs, 1))) % p == 0]
+        if len(locs) != t:
+            first = first or DecodeOutcome.fail(FailureReason.NOT_T_VALID)
+            continue
+        h = fld.array([[u[j] * pow(alphas[j], i, p) % p for j in locs] for i in range(n - code.k)])
+        values = gauss_jordan_solve(fld, h, synd.T)[0]
+        if values is None:
+            first = first or DecodeOutcome.fail(FailureReason.SYNDROME_RESIDUAL)
+            continue
+        corrected = r.copy()
+        corrected[:, locs] = (corrected[:, locs] - values.T) % p
+        return DecodeOutcome.ok(corrected, ErrorLocator(fld.array(coeffs)), locs, values.T)
+    return first or DecodeOutcome.fail(FailureReason.NO_CONSISTENT_T)
 
 
 def lstsq_solve(a, b):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_syndromes_gf, classical_code, gauss_jordan_solve
+from conftest import brute_syndromes_gf, classical_code, gauss_jordan_solve, reference_decode
 from irscollab import decoder as decoder_module
 from irscollab.decoder import (
     DecodeOutcome,
@@ -614,18 +614,19 @@ def test_real_decode_takes_rank_and_solution_from_one_factorisation(monkeypatch,
 def test_real_mssr_solves_at_most_once_more_than_cpda(monkeypatch):
     # mssr over the reals runs cpda's scan to find the first consistent t,
     # then starts cpda's scan there, solving that stack once more for its
-    # rank and locator; nothing else.
+    # rank and locator; nothing else.  Every solve, of a stacked system or
+    # of the error values, is one _solve_batch.
     fld = RealField()
     code = make_grs(fld, 8, 2, [0.9 ** i for i in range(1, 9)])
     rng = np.random.default_rng(61)
     calls = []
-    solve = RealField._solve
+    solve_batch = RealField._solve_batch
 
-    def counting_solve(self, a, rhs):
+    def counting_solve_batch(self, aug, ncols):
         calls[-1] += 1
-        return solve(self, a, rhs)
+        return solve_batch(self, aug, ncols)
 
-    monkeypatch.setattr(RealField, "_solve", counting_solve)
+    monkeypatch.setattr(RealField, "_solve_batch", counting_solve_batch)
     for l, t in [(1, 1), (1, 3), (2, 4), (6, 5)]:
         _, received, err = _planted_instance(code, l, t, rng)
         for decode in (cpda_decode, mssr_decode):
@@ -877,12 +878,14 @@ def test_outcomes_equal_discriminates():
 # Blocked elimination against the reference elimination, at depth
 # ---------------------------------------------------------------------------
 
-def _decode_both_ways(monkeypatch, oracle_solve, code, received):
-    """cpda and mssr outcomes, asserted equal on the blocked and reference paths."""
+def _decode_both_ways(monkeypatch, oracle_solve_batch, code, received):
+    """cpda and mssr outcomes, asserted equal on the blocked and reference
+    paths: the reference path runs every scan and value solve through
+    gauss_jordan_solve."""
     fld = code.field
     blocked = [cpda_decode(code, received), mssr_decode(code, received)]
     with monkeypatch.context() as patch:
-        patch.setattr(PrimeField, "_solve", oracle_solve)
+        patch.setattr(PrimeField, "_solve_batch", oracle_solve_batch)
         reference = [cpda_decode(code, received), mssr_decode(code, received)]
     for got, want in zip(blocked, reference):
         assert outcomes_equal(fld, got, want)
@@ -891,20 +894,20 @@ def _decode_both_ways(monkeypatch, oracle_solve, code, received):
 
 
 @pytest.mark.parametrize("t", [2, 7, 11])
-def test_blocked_decode_matches_reference_deep_random_words(monkeypatch, oracle_solve, t):
+def test_blocked_decode_matches_reference_deep_random_words(monkeypatch, oracle_solve_batch, t):
     fld = PrimeField(257)
     code = make_grs(fld, 16, 4, [fld.primitive_root() ** i % fld.p for i in range(16)])
     l = 2048
     assert t <= t_max(16, 4, l)
     word, received, err = _planted_instance(code, l, t, np.random.default_rng(100 + t))
-    out = _decode_both_ways(monkeypatch, oracle_solve, code, received)
+    out = _decode_both_ways(monkeypatch, oracle_solve_batch, code, received)
     assert out.success and np.array_equal(out.corrected, word)
     assert out.locations == tuple(int(j) for j in err.support)
 
 
 @pytest.mark.parametrize("t,t_early,split", [(5, 0, 1500), (9, 2, 1000), (11, 4, 2040)])
-def test_blocked_decode_matches_reference_late_errors(monkeypatch, oracle_solve, t, t_early,
-                                                      split):
+def test_blocked_decode_matches_reference_late_errors(monkeypatch, oracle_solve_batch, t,
+                                                      t_early, split):
     # The first `split` layers err only in t_early of the t faulty columns, so
     # the stack's leading blocks look consistent at too small a t and lack
     # pivots; the later blocks and the residual check must settle it.
@@ -913,13 +916,13 @@ def test_blocked_decode_matches_reference_late_errors(monkeypatch, oracle_solve,
     word, _, err = _planted_instance(code, 2048, t, np.random.default_rng(400 + t))
     e = np.array(err.e, copy=True)
     e[:split, list(err.support[t_early:])] = 0
-    out = _decode_both_ways(monkeypatch, oracle_solve, code, fld.add(word, e))
+    out = _decode_both_ways(monkeypatch, oracle_solve_batch, code, fld.add(word, e))
     assert out.success and np.array_equal(out.corrected, word)
     assert out.locations == tuple(int(j) for j in err.support)
 
 
 @pytest.mark.parametrize("t", [3, 6, 7, 9])
-def test_blocked_decode_matches_reference_identical_layers(monkeypatch, oracle_solve, t):
+def test_blocked_decode_matches_reference_identical_layers(monkeypatch, oracle_solve_batch, t):
     # L copies of one layer: every stacked system has the rank of a single
     # layer's, so above (N - K) / 2 it stays rank-deficient and the blocked
     # elimination scans every block.
@@ -927,11 +930,11 @@ def test_blocked_decode_matches_reference_identical_layers(monkeypatch, oracle_s
     code = classical_code(fld, 16, 4)
     _, one_layer, _ = _planted_instance(code, 1, t, np.random.default_rng(200 + t))
     received = np.repeat(one_layer, 2048, axis=0)
-    out = _decode_both_ways(monkeypatch, oracle_solve, code, received)
+    out = _decode_both_ways(monkeypatch, oracle_solve_batch, code, received)
     assert out.success == (t <= 6)
 
 
-def test_blocked_decode_matches_reference_past_t_max(monkeypatch, oracle_solve):
+def test_blocked_decode_matches_reference_past_t_max(monkeypatch, oracle_solve_batch):
     # Words with more errors than t_max, at a depth that spans several blocks.
     # Uniform errors give NO_CONSISTENT_T; errors whose layers are multiples
     # of one row act like a single layer and give NOT_T_VALID and, at this
@@ -954,7 +957,7 @@ def test_blocked_decode_matches_reference_past_t_max(monkeypatch, oracle_solve):
         else:
             err[:, cols] = fld.matmul(rng.integers(1, fld.p, (l, 1)), rng.integers(1, fld.p, (1, e)))
         received = fld.add(_random_word(code, l, rng), err)
-        out = _decode_both_ways(monkeypatch, oracle_solve, code, received)
+        out = _decode_both_ways(monkeypatch, oracle_solve_batch, code, received)
         if not out.success:
             seen.add(out.reason)
         if len(seen) == 3:
@@ -965,7 +968,7 @@ def test_blocked_decode_matches_reference_past_t_max(monkeypatch, oracle_solve):
     wrong = [j for j in range(16) if j not in cols][:3]
     assert recover_error_values(code, wrong, synd) is None
     with monkeypatch.context() as patch:
-        patch.setattr(PrimeField, "_solve", oracle_solve)
+        patch.setattr(PrimeField, "_solve_batch", oracle_solve_batch)
         assert recover_error_values(code, wrong, synd) is None
 
 
@@ -1112,31 +1115,31 @@ def test_compressed_decoding_reaches_every_outcome():
 
 @pytest.mark.parametrize("decode", [cpda_decode, mssr_decode])
 def test_deep_decode_stacks_at_most_positions_squared_rows(monkeypatch, decode):
-    # With L = 16384 layers the stacked systems and solves see the row space
-    # of the syndromes, not L (N - K - t) rows.
+    # With L = 16384 layers the stacked systems of the scan and the value
+    # solve see the row space of the syndromes, not L (N - K - t) rows.
     fld = PrimeField(257)
     n, k, l, t = 40, 16, 16384, 20
     code = make_grs(fld, n, k, [pow(fld.primitive_root(), i, fld.p) for i in range(n)])
     rng = np.random.default_rng(800)
     word = fld.matmul(fld.rand_elements(rng, (l, k)), code.encoding_matrix().T)
     err = sample_error(ErrorModelSpec(kind="uref", t=t), fld, l, n, rng)
-    rows = []
-    stack, solve = decoder_module._stack, PrimeField._solve
+    scans, solves = [], []
+    scan_batch, solve = decoder_module._scan_batch, PrimeField._solve
 
-    def counting_stack(values, t, field):
-        system = stack(values, t, field)
-        rows.append(system.matrix.shape[0])
-        return system
+    def counting_scan(field, seqs, t):
+        # Each of the R rows of a word gives n - t windows, one row each.
+        scans.append(seqs.shape[1] * (seqs.shape[2] - t))
+        return scan_batch(field, seqs, t)
 
     def counting_solve(self, a, rhs):
-        rows.append(a.shape[0])
+        solves.append(a.shape[0])
         return solve(self, a, rhs)
 
-    monkeypatch.setattr(decoder_module, "_stack", counting_stack)
+    monkeypatch.setattr(decoder_module, "_scan_batch", counting_scan)
     monkeypatch.setattr(PrimeField, "_solve", counting_solve)
     out = decode(code, inject(word, err.e, fld))
     assert out.success and np.array_equal(out.corrected, word)
-    assert rows and max(rows) <= (n - k) ** 2
+    assert scans and solves and max(scans + solves) <= (n - k) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -1283,6 +1286,56 @@ def test_deep_batch_of_one_matches_the_single_word_decoders(name, decode):
     assert outcomes_equal(fld, got, want, rtol=0)
 
 
+def _finish_cases(fld):
+    """(code, received, synd, coeffs) for 12 planted words with 1..3 errors
+    and the locators _scan_batch finds for them at their t, a few scrambled
+    so that they fail; N = 8, K = 2, L = 3 over fld."""
+    rule = "primitive" if isinstance(fld, PrimeField) else "pow:0.9"
+    code = make_grs(fld, 8, 2, make_alphas(fld, 8, rule))
+    rng = np.random.default_rng(1100)
+    cases = []
+    for i in range(12):
+        t = 1 + i % 3
+        _, received, _ = _planted_instance(code, 3, t, rng)
+        synd = layer_syndromes(code, received).values
+        coeffs = decoder_module._scan_batch(fld, synd[None], t)[0][0]
+        if i % 4 == 3:
+            coeffs = fld.add(coeffs, fld.ones(t))
+        cases.append((code, received, synd, coeffs))
+    return cases
+
+
+@pytest.mark.parametrize("fld", [PrimeField(257), RealField()], ids=["gf257", "real"])
+def test_finish_batch_of_one_is_the_single_word_tail(fld):
+    # A stack of one goes through _finish: the same outcome, bit for bit.
+    outcomes = set()
+    for code, received, synd, coeffs in _finish_cases(fld):
+        want = decoder_module._finish(code, synd, received, coeffs)
+        got, = decoder_module._finish_batch(code, received[None], synd[None], [0], coeffs[None])
+        assert outcomes_equal(fld, got, want, rtol=0)
+        outcomes.add(want.success)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("fld", [PrimeField(257), RealField()], ids=["gf257", "real"])
+def test_batch_with_one_word_at_full_rank_matches_the_single_word_decoders(fld):
+    # Word 0 has one error and reaches full rank at t = 1, alone: its tail
+    # is _finish on a stack of one.  Words 1 and 2 have three errors each
+    # and finish together at t = 3 through the stacked tail.
+    rule = "primitive" if isinstance(fld, PrimeField) else "pow:0.9"
+    code = make_grs(fld, 8, 2, make_alphas(fld, 8, rule))
+    rng = np.random.default_rng(1200)
+    planted = [_planted_instance(code, 3, t, rng) for t in (1, 3, 3)]
+    words = np.stack([received for _, received, _ in planted])
+    for name, decode in (("cpda", cpda_decode), ("mssr", mssr_decode)):
+        with mock.patch.object(decoder_module, "_finish", wraps=decoder_module._finish) as finish:
+            got = decoder_module._decode_batch(code, words, name)
+        assert finish.call_count == 1
+        for (word, received, err), out in zip(planted, got):
+            assert out.success and out.locations == err.support
+            assert outcomes_equal(fld, out, decode(code, received), rtol=0)
+
+
 @st.composite
 def _small_field_words(draw):
     """(code, received): a word over GF(5), GF(7), GF(13) or GF(257) on
@@ -1319,6 +1372,18 @@ def test_every_t_above_the_least_consistent_is_rank_deficient(case):
             assert x is not None and rank < t, (least, t)
         elif x is not None:
             least = t
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_small_field_words())
+def test_decoders_match_the_reference_decoder(case):
+    # Both entry points share one scan, so they are checked against a decode
+    # that shares none of it (conftest.reference_decode), bit for bit, on
+    # words with up to t_max + 2 errors, rank-deficient ones included.
+    code, received = case
+    want = reference_decode(code, received)
+    for decode in (cpda_decode, mssr_decode):
+        assert outcomes_equal(code.field, decode(code, received), want, rtol=0)
 
 
 def test_monte_carlo_cell_makes_one_batched_elimination_per_t(monkeypatch):
@@ -1386,6 +1451,32 @@ def test_monte_carlo_mssr_cell_synthesizes_once_per_batch(monkeypatch):
     assert cell.failures == cell.undetected == 0
     assert not single
     assert batches == [100] and syntheses == [100]
+
+
+@pytest.mark.parametrize("decoder, eliminations", [("cpda", 1), ("mssr", 0)])
+def test_monte_carlo_cell_eliminates_the_syndromes_only_where_used(monkeypatch, decoder,
+                                                                   eliminations):
+    # With L = 4 <= N - K = 12 mssr scans the syndromes themselves from its
+    # synthesized lengths, so it needs neither the row bases nor the ranks
+    # of the (0, N - K) elimination of all syndrome matrices; cpda still
+    # starts every word at the rank that elimination gives.
+    from irscollab.harness import ExperimentConfig, run_monte_carlo
+
+    calls = []
+    reduce_batch = PrimeField._reduce_batch
+
+    def counting_reduce(self, m, ncols):
+        calls.append((m.shape[-1] - ncols, ncols))
+        return reduce_batch(self, m, ncols)
+
+    monkeypatch.setattr(PrimeField, "_reduce_batch", counting_reduce)
+    config = ExperimentConfig(field=PrimeField(257), n=16, k=4, l_values=(4,), t_values=(9,),
+                              trials=100, model="uref", alphas="primitive", seed=5,
+                              decoder=decoder)
+    cell = run_monte_carlo(config).cell(4, 9)
+    assert cell.failures == cell.undetected == 0
+    assert calls.count((0, 12)) == eliminations
+    assert (1, 9) in calls and (4, 9) in calls  # the scan and value solves at t = 9
 
 
 # ---------------------------------------------------------------------------
