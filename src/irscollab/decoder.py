@@ -29,19 +29,24 @@ problem would not change (the Gram matrix, solution and residual from R's
 rows equal those from S's), but RealField's rank cutoff scales with
 max(shape) of the stacked system, which compression shrinks.
 
-Both entry points run one t-scan, _scan_words, over a (B, L, N) stack of
-words: per t one _scan_batch solves the stacked systems of the words still
-scanning, and the words of full rank share one tail, _finish_batch.  The
-public decoders run it on a stack of one, and the Monte Carlo harness on
-whole batches (_decode_batch), so a word's outcome is the same bit for bit.
-The stages around the scan are chosen by stack size, each the kernel that
-is faster there.  One word takes its start from synthesize_recurrence and,
-over GF(p), a row basis only when L > N - K; a batch from one elimination
-of all its syndrome matrices (_row_space, for cpda or when L > N - K) and,
-for mssr, one Berlekamp-Massey pass (below) over all its words
-(_synthesize_batch).  A tail of one word is _finish (is_t_valid, one value
-solve, one subtraction); of more, one _locate_batch, the rule is_t_valid
-applies to one locator, one stacked value solve and one subtraction.
+There is one decode path, _decode_batch over a (B, L, N) stack of words:
+the public decoders run it on a stack of one, and the Monte Carlo harness on
+whole batches, so a word's outcome is the same bit for bit.  Its syndromes
+are one product and its clean words one zero test.  Every other word starts
+its scan at a t below which none of its stacked systems is consistent:
+under cpda the rank of S over GF(p) (1, with no elimination, when L = 1) and
+1 over the reals; under mssr the synthesized recurrence length, the least
+consistent t.  Over GF(p) it scans the row basis when L > N - K.  One
+t-scan, _scan_words, then solves per t the stacked systems of the words
+still scanning (_scan_batch), and the words of full rank share one tail,
+_finish_batch.  Where a stage has two kernels, the size of the stack picks
+the faster.  mssr's length comes, for one word, from synthesize_recurrence
+(_synthesize_gf over GF(p)), and for more from one Berlekamp-Massey pass
+(below) over all of them over GF(p) (_synthesize_batch); more real words
+start at t = 1, as real synthesis is cpda's scan, which reaches the same
+least t.  A tail of one word is _finish (is_t_valid, one value solve, one
+subtraction), of more one _locate_batch, the rule is_t_valid applies to one
+locator, one stacked value solve and one subtraction.
 
 Two decoders are provided and produce identical outcomes.  Both scan t
 upward to t_max.  At each t whose stacked system is consistent, the solve
@@ -83,7 +88,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameters
 from .field import EQ_TOL, ROOT_TOL, Field, PrimeField, _check_int, _is_int
@@ -244,12 +248,23 @@ def _row_space(field: PrimeField, values: np.ndarray):
     return (basis if values.shape[1] > values.shape[2] else values), rank
 
 
+def _windows(seqs: np.ndarray, t: int) -> np.ndarray:
+    """The (..., n - t, t + 1) windows of t + 1 consecutive syndromes along
+    the last axis of seqs: window i is the row [S_i, ..., S_{i+t-1} | S_{i+t}]
+    of a stacked system at t, before the right-hand side is negated.
+
+    One gather makes the contiguous array that _solve_batch needs, without
+    sliding_window_view's fixed cost (13 us, a fifth of a one-word scan
+    step).
+    """
+    n = seqs.shape[-1]
+    return seqs[..., np.arange(n - t)[:, None] + np.arange(t + 1)]
+
+
 def _stack(values: np.ndarray, t: int, field: Field) -> StackedSystem:
-    nk = values.shape[1]
-    win = sliding_window_view(values, t, axis=1)
-    matrix = win[:, : nk - t, :].reshape(-1, t)
-    rhs = field._sub(0, values[:, t:])
-    return StackedSystem(t=t, matrix=matrix, rhs=rhs.reshape(-1))
+    win = _windows(values, t)
+    return StackedSystem(t=t, matrix=win[..., :t].reshape(-1, t),
+                         rhs=field._sub(0, win[..., t]).reshape(-1))
 
 
 def build_stacked(code: GrsCode, r, t: int) -> StackedSystem:
@@ -412,19 +427,6 @@ def _error_values(code: GrsCode, locations, values: np.ndarray):
 # The two decoders
 # ---------------------------------------------------------------------------
 
-def _all_syndromes_zero(field: Field, synd: SyndromeSet):
-    """Whether each word's syndromes are all zero (within the real zero
-    test's scale): one bool per word of a (..., L, N - K) stack."""
-    if isinstance(field, PrimeField):
-        return ~synd.values.any(axis=(-2, -1))
-    return field.is_zero(synd.values, scale=synd.scale).all(axis=(-2, -1))
-
-
-def _clean_outcome(field: Field, r: np.ndarray) -> DecodeOutcome:
-    locator = ErrorLocator(coeffs=field.zeros(0))
-    return DecodeOutcome.ok(np.array(r, copy=True), locator, (), field.zeros((r.shape[0], 0)))
-
-
 def _finish(code: GrsCode, synd: np.ndarray, r: np.ndarray, coeffs) -> DecodeOutcome:
     """The tail for one word r with syndromes synd: validate the locator,
     recover values, subtract."""
@@ -445,8 +447,8 @@ def _finish(code: GrsCode, synd: np.ndarray, r: np.ndarray, coeffs) -> DecodeOut
 def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
     """Collaborative Peterson-style decoder.
 
-    Scans t up to t_max, from the rank of the syndromes' row basis where
-    one is computed.  At each t whose stacked syndrome system is consistent
+    Scans t up to t_max, from the rank of the syndromes over GF(p) and from
+    1 over the reals.  At each t whose stacked syndrome system is consistent
     the solution must be unique (full column rank), t-valid, and able to
     reproduce every syndrome; the first t where it is ends the scan.
     Otherwise the scan goes on, and the first failure is reported if no t
@@ -454,7 +456,7 @@ def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
     impasse; all failure modes are reported in the outcome.  The outcome is
     identical to mssr_decode's on every input, over either field.
     """
-    return _decode(code, r, "cpda")
+    return _decode_batch(code, _validated_word(code, r)[None], "cpda")[0]
 
 
 def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
@@ -466,45 +468,67 @@ def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
     including the scan on past a failed check, is cpda_decode's, so the two
     decoders give identical outcomes on every input, over either field.
     """
-    return _decode(code, r, "mssr")
+    return _decode_batch(code, _validated_word(code, r)[None], "mssr")[0]
 
 
-def _decode(code: GrsCode, r, decoder: str) -> DecodeOutcome:
-    """cpda_decode or mssr_decode (decoder "cpda" or "mssr") of one word:
-    _scan_words on the stack of one, from a first t that is the decoders'
-    only difference.  cpda starts at the rank of the row basis where one is
-    computed, mssr at the length of the synthesized recurrence.
+def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
+    """Outcomes of cpda_decode or mssr_decode (decoder "cpda" or "mssr") for
+    every word of a canonical (B, L, N) stack, over either field: the one
+    decode path of the module docstring.
+
+    The syndromes are one product and the clean words one zero test.  The
+    other words, the whole stack itself when no word is clean, go through
+    _scan_words from their starts.  Over GF(p) cpda takes the ranks of one
+    elimination of every syndrome matrix (_row_space), skipped when L = 1,
+    where a nonzero row has rank 1; the row bases are scanned when L > N -
+    K.  mssr takes the synthesized lengths: from synthesize_recurrence for
+    one word, from _synthesize_batch for more over GF(p).  More real words
+    start at t = 1 under either name, since real mssr's synthesis is cpda's
+    scan.
     """
-    r = _validated_word(code, r)
     fld = code.field
-    synd = _syndromes(code, r)
-    if _all_syndromes_zero(fld, synd):
-        return _clean_outcome(fld, r)
-    rows, first = synd.values, 1
-    if isinstance(fld, PrimeField) and len(rows) > rows.shape[1]:
-        # Sequences with a common recurrence of length t span at most t
-        # dimensions, so no t below the rank of a basis can be consistent.
-        basis, rank = _row_space(fld, rows[None])
-        rows, first = basis[0], int(rank[0])
-    if decoder == "mssr":
-        first = synthesize_recurrence(fld, rows)[0]
-    return _scan_words(code, r[None], synd.values[None], rows[None], np.array([first]))[0]
+    count, l, n = words.shape
+    tm = t_max(n, code.k, l)  # refuses L = 0 even when every word is clean
+    synd = _syndromes(code, words)
+    values = synd.values
+    if isinstance(fld, PrimeField):
+        clean = ~values.any(axis=(1, 2))
+    else:
+        clean = fld.is_zero(values, scale=synd.scale).all(axis=(1, 2))
+    outcomes = [None] * count
+    for i in np.flatnonzero(clean):
+        outcomes[i] = DecodeOutcome.ok(np.array(words[i], copy=True), ErrorLocator(fld.zeros(0)),
+                                       (), fld.zeros((l, 0)))
+    dirty = np.flatnonzero(~clean)
+    if dirty.size < count:
+        words, values = words[dirty], values[dirty]
+    rows, start = values, np.ones(len(dirty), dtype=np.intp)
+    if isinstance(fld, PrimeField) and (l > n - code.k or decoder == "cpda" and l > 1):
+        rows, rank = _row_space(fld, values)
+        if decoder == "cpda":
+            start = rank
+    if decoder == "mssr" and len(dirty) == 1:
+        start = np.array([synthesize_recurrence(fld, rows[0])[0]])
+    elif decoder == "mssr" and isinstance(fld, PrimeField):
+        start = _synthesize_batch(fld, rows)[0]
+    for i, out in zip(dirty, _scan_words(code, words, values, rows, start, tm)):
+        outcomes[i] = out
+    return outcomes
 
 
 def _scan_words(code: GrsCode, words: np.ndarray, synd: np.ndarray, rows: np.ndarray,
-                start: np.ndarray) -> list:
+                start: np.ndarray, tm: int) -> list:
     """The t-scan of both decoders, for a (B, L, N) stack of words whose
     syndromes synd are not all zero: their outcomes, in order.
 
     Word b scans the stacked systems of its syndrome rows rows[b] from t =
-    start[b] up to t_max, one _scan_batch per t over the words still
+    start[b] up to tm = t_max, one _scan_batch per t over the words still
     scanning.  At a consistent t a rank below t records RANK_DEFICIENT, and
     the words of full rank go through _finish_batch together.  A failure
     is recorded only as a word's first, and the word scans on; it leaves on
     success.  A word that never reaches a consistent t gets NO_CONSISTENT_T.
     """
     fld = code.field
-    tm = t_max(code.n, code.k, words.shape[1])
     outcomes = [None] * len(words)
     scanning = np.ones(len(words), dtype=bool)
     for t in range(int(start.min(initial=tm + 1)), tm + 1):
@@ -525,47 +549,8 @@ def _scan_words(code: GrsCode, words: np.ndarray, synd: np.ndarray, rows: np.nda
 
 
 # ---------------------------------------------------------------------------
-# Batch decoding of many small words
+# Batch kernels
 # ---------------------------------------------------------------------------
-
-def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
-    """Outcomes of cpda_decode or mssr_decode (decoder "cpda" or "mssr") for
-    every word of a canonical (B, L, N) stack, over either field.
-
-    Each stage runs on the whole stack: the syndromes are one product and
-    the clean words one zero test.  The other words go through _scan_words,
-    the scan of the single-word decoders, from a start computed for all of
-    them at once.
-
-    Over GF(p) cpda eliminates the whole stack once (_row_space) and starts
-    each word at the rank of its syndromes, scanning the row bases when L >
-    N - K.  mssr starts each word at its recurrence length, synthesized for
-    all words in one pass (_synthesize_batch), and needs the elimination
-    only for the row bases.  Over the reals every word scans all L layers
-    from t = 1 under either name, since real mssr's synthesis is cpda's
-    scan.
-    """
-    fld = code.field
-    count, l, n = words.shape
-    synd = _syndromes(code, words)
-    outcomes = [None] * count
-    dirty = np.flatnonzero(~_all_syndromes_zero(fld, synd))
-    for i in np.setdiff1d(np.arange(count), dirty):
-        outcomes[i] = _clean_outcome(fld, words[i])
-    rows = synd.values[dirty]
-    start = np.ones(len(dirty), dtype=np.intp)
-    if isinstance(fld, PrimeField):
-        # No t below the rank of a basis is consistent (see _decode), nor
-        # any below the least common-recurrence length.
-        if decoder == "cpda" or l > n - code.k:
-            rows, start = _row_space(fld, rows)
-        if decoder == "mssr":
-            start = _synthesize_batch(fld, rows)[0]
-    scanned = _scan_words(code, words[dirty], synd.values[dirty], rows, start)
-    for i, out in zip(dirty, scanned):
-        outcomes[i] = out
-    return outcomes
-
 
 def _scan_batch(field: Field, seqs: np.ndarray, t: int):
     """The stacked systems at t of a (B, R, n) stack of syndrome rows, solved.
@@ -576,11 +561,7 @@ def _scan_batch(field: Field, seqs: np.ndarray, t: int):
     coeffs[b] = (c_1, ..., c_t) is word b's solution, meaningful where
     consistent[b] and rank[b] == t.
     """
-    # One gather makes the contiguous stack _solve_batch copied a
-    # sliding_window_view into, without the view's 13 us fixed cost.
-    n = seqs.shape[2]
-    windows = seqs[:, :, np.arange(n - t)[:, None] + np.arange(t + 1)]
-    x, rank, consistent = field._solve_batch(windows, t)
+    x, rank, consistent = field._solve_batch(_windows(seqs, t), t)
     return field._sub(0, x[:, ::-1, 0]), rank, consistent
 
 
@@ -604,8 +585,8 @@ def _synthesize_batch(field: PrimeField, seqs: np.ndarray):
 
     On one word this is about three times slower than _synthesize_gf (the
     4 x 12 bases of N = 16, L = 4 words with 9 errors over GF(257): 0.77 ms
-    against 0.23 ms, 2-core x86), so the single-word decoders keep that
-    loop.
+    against 0.23 ms, 2-core x86), so a stack of one keeps that loop
+    (synthesize_recurrence).
     """
     p = field.p
     count, rows, n = seqs.shape
@@ -659,15 +640,16 @@ def _batch_elements(field: Field, n: int, k: int, l: int) -> int:
     That is the received word, a scan stack (rows of n - k - t windows of
     t + 1 syndromes, at most (n - k + 1)**2 / 4 elements per row: the
     min(l, n - k) basis rows over GF(p), all l layers over the reals), a
-    value solve (n - k rows of t + l entries) or, over GF(p), the n - k by
-    n - k row basis of _row_space.  These grow with the square of n - k, so
-    they, not the received word, bound a batch of long codes with few
-    layers.
+    value solve (n - k rows of t + l entries) or, over GF(p) with l > 1, the
+    n - k by n - k row basis of _row_space.  These grow with the square of
+    n - k, so they, not the received word, bound a batch of long codes with
+    few layers.
     """
     m = n - k
     exact = isinstance(field, PrimeField)
     rows = min(l, m) if exact else l
-    return max(l * n, rows * ((m + 1) ** 2 // 4), m * (t_max(n, k, l) + l), exact * m * m)
+    return max(l * n, rows * ((m + 1) ** 2 // 4), m * (t_max(n, k, l) + l),
+               exact * (l > 1) * m * m)
 
 
 def _locate_batch(code: GrsCode, coeffs: np.ndarray):

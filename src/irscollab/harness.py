@@ -14,9 +14,9 @@ trials go in batches.  For each batch the keys are one array pass
 messages and the error run trial by trial; the encode, the scatter of the
 error values and the sum are one array operation each.  The batch is then
 decoded as one stack by the batch decoder (decoder._decode_batch, the one
-decode path here, over either field), which gives each trial the outcome
-of the single-word decoder: exactly over GF(p), and over the reals to
-within rounding.
+decode path of the package, over either field), which cpda_decode and
+mssr_decode run on a stack of one, so each trial gets their outcome bit
+for bit.
 """
 
 from __future__ import annotations

@@ -15,10 +15,12 @@ patched into PrimeField as _solve_batch to run whole decodes, scan and value
 solves alike, on the reference path.
 
 reference_decode is cpda_decode written from scratch for GF(p): a scan over
-every t from 1 with build_stacked and gauss_jordan_solve, a locator check
-that evaluates Lambda at every 1/alpha_j in Python ints, and a
-gauss_jordan_solve of the error values.  It shares no scan, root search or
-value solve with the decoders, which are checked against it.
+every t from 1 that stacks sliding windows of the brute_syndromes_gf
+syndromes (not the decoder's window gather) and solves them by
+gauss_jordan_solve, a locator check that evaluates Lambda at every 1/alpha_j
+in Python ints, and a gauss_jordan_solve of the error values.  It shares no
+window gather, scan, root search or value solve with the decoders, which are
+checked against it.
 
 gaussian_synthesize is the GF(p) recurrence synthesis that decoder.py used
 before its Berlekamp-Massey pass: at every nonzero discrepancy it refits the
@@ -43,7 +45,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from irscollab.decoder import DecodeOutcome, ErrorLocator, FailureReason, build_stacked, t_max
+from irscollab.decoder import DecodeOutcome, ErrorLocator, FailureReason, t_max
 from irscollab.errmodel import ErrorModelSpec, inject, model_for, sample_error
 from irscollab.field import RANK_TOL, RESIDUAL_TOL
 from irscollab.grs import make_grs
@@ -140,8 +142,9 @@ def oracle_solve_batch():
 def reference_decode(code, r):
     """cpda_decode's outcome for an L x N word r over GF(p), from scratch.
 
-    For t = 1..t_max: solve the stacked system by gauss_jordan_solve; at a
-    consistent t a rank below t is RANK_DEFICIENT; otherwise the locator
+    For t = 1..t_max: solve the stacked system, built from the syndromes'
+    sliding windows of t + 1, by gauss_jordan_solve; at a consistent t a
+    rank below t is RANK_DEFICIENT; otherwise the locator
     1 + c_1 z + ... + c_t z^t must vanish at exactly t of the 1/alpha_j
     (NOT_T_VALID), and the values at those columns must explain every
     syndrome (SYNDROME_RESIDUAL).  The first t that passes is the outcome,
@@ -156,8 +159,9 @@ def reference_decode(code, r):
         return DecodeOutcome.ok(r.copy(), ErrorLocator(fld.zeros(0)), (), fld.zeros((l, 0)))
     first = None
     for t in range(1, t_max(n, code.k, l) + 1):
-        system = build_stacked(code, r, t)
-        x, rank = gauss_jordan_solve(fld, system.matrix, system.rhs[:, None])
+        wins = sliding_window_view(synd, t + 1, axis=1)
+        x, rank = gauss_jordan_solve(fld, wins[..., :t].reshape(-1, t),
+                                     (-wins[..., t] % p).reshape(-1, 1))
         if x is None:
             continue
         if rank < t:

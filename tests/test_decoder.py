@@ -1150,9 +1150,11 @@ BATCH_PRIMES = [3, 17, 257, 65537, 3037000493, 2**61 - 1]
 
 
 def _batch_matches_single_words(code, words):
-    """cpda and mssr outcomes of the batch decoder, asserted equal to
-    cpda_decode's and mssr_decode's word by word, and cpda's to mssr's;
-    returns cpda's."""
+    """cpda and mssr outcomes of the batch decoder on the B-word stack,
+    asserted equal to cpda_decode's and mssr_decode's word by word, and
+    cpda's to mssr's; returns cpda's.  The public decoders run the same
+    path on stacks of one, so this compares the kernels that stack size
+    chooses: the synthesis and the tail."""
     fld = code.field
     both = []
     for name, decode in (("mssr", mssr_decode), ("cpda", cpda_decode)):
@@ -1374,16 +1376,110 @@ def test_every_t_above_the_least_consistent_is_rank_deficient(case):
             least = t
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_small_field_words())
+@st.composite
+def _layered_words(draw):
+    """(code, received): a word over GF(5), GF(7), GF(13) or GF(257) on
+    primitive points, N <= 12 and 2 <= L <= N - K, plus errors in e <=
+    t_max + 2 columns (at most N) whose values have any rank from 1 to
+    min(L, e), so that the rank of the syndromes, where cpda starts, is
+    often below the least consistent t."""
+    fld = PrimeField(draw(st.sampled_from([5, 7, 13, 257])))
+    n = draw(st.integers(3, min(fld.p - 1, 12)))
+    k = draw(st.integers(1, n - 2))
+    l = draw(st.integers(2, n - k))
+    e = draw(st.integers(0, min(n, t_max(n, k, l) + 2)))
+    rank = draw(st.integers(min(1, e), min(l, e)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    code = classical_code(fld, n, k)
+    err = fld.zeros((l, n))
+    err[:, rng.choice(n, e, replace=False)] = fld.matmul(
+        fld.array(rng.integers(1, fld.p, (l, rank))), fld.array(rng.integers(1, fld.p, (rank, e))))
+    return code, fld.add(_random_word(code, l, rng), err)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=st.one_of(_small_field_words(), _layered_words()))
 def test_decoders_match_the_reference_decoder(case):
-    # Both entry points share one scan, so they are checked against a decode
-    # that shares none of it (conftest.reference_decode), bit for bit, on
-    # words with up to t_max + 2 errors, rank-deficient ones included.
+    # Both decoders run one decode path, so they are checked against a
+    # decode that shares none of it (conftest.reference_decode, which scans
+    # from t = 1), bit for bit, on words with up to t_max + 2 errors,
+    # rank-deficient ones included.  With 2 <= L <= N - K cpda starts at
+    # the rank of the syndromes, which errors of low rank put below the
+    # least consistent t.
     code, received = case
     want = reference_decode(code, received)
     for decode in (cpda_decode, mssr_decode):
         assert outcomes_equal(code.field, decode(code, received), want, rtol=0)
+
+
+@pytest.mark.parametrize("l, rank, weight", [(2, 2, 5), (4, 4, 9), (6, 3, 7)])
+def test_cpda_starts_a_word_at_the_rank_of_its_syndromes(monkeypatch, l, rank, weight):
+    # No t below the rank of S is consistent, so with 2 <= L <= N - K = 12
+    # cpda_decode's first scan is at t = rank(S), not at t = 1.
+    fld = PrimeField(257)
+    code = classical_code(fld, 16, 4)
+    rng = np.random.default_rng(1300 + l)
+    err = fld.zeros((l, 16))
+    err[:, rng.choice(16, weight, replace=False)] = fld.matmul(
+        fld.array(rng.integers(1, 257, (l, rank))), fld.array(rng.integers(1, 257, (rank, weight))))
+    received = fld.add(_random_word(code, l, rng), err)
+    assert fld.rank(layer_syndromes(code, received).values) == rank
+    scans, scan_batch = [], decoder_module._scan_batch
+
+    def recording(field, seqs, t):
+        scans.append(t)
+        return scan_batch(field, seqs, t)
+
+    monkeypatch.setattr(decoder_module, "_scan_batch", recording)
+    out = cpda_decode(code, received)
+    assert scans[0] == rank
+    assert outcomes_equal(fld, out, reference_decode(code, received), rtol=0)
+
+
+@pytest.mark.parametrize("l, eliminations", [(1, 0), (2, 1)])
+def test_cpda_eliminates_the_syndromes_of_a_word_only_with_several_layers(monkeypatch, l,
+                                                                         eliminations):
+    # The nonzero syndromes of an L = 1 word have rank 1, so cpda starts it
+    # at t = 1 with no elimination: every _reduce_batch call then carries
+    # right-hand sides (a scan or a value solve).  With L = 2 one call
+    # without them gives the rank.
+    fld = PrimeField(257)
+    code = classical_code(fld, 16, 4)
+    word, received, _ = _planted_instance(code, l, t_max(16, 4, l), np.random.default_rng(1400))
+    extra, reduce_batch = [], PrimeField._reduce_batch
+
+    def counting(self, m, ncols):
+        extra.append(m.shape[-1] - ncols)
+        return reduce_batch(self, m, ncols)
+
+    monkeypatch.setattr(PrimeField, "_reduce_batch", counting)
+    out = cpda_decode(code, received)
+    assert out.success and np.array_equal(out.corrected, word)
+    assert extra.count(0) == eliminations and len(extra) > eliminations
+
+
+@pytest.mark.parametrize("fld", [PrimeField(257), RealField()], ids=["gf257", "real"])
+def test_decoders_never_alias_their_input(fld):
+    # A real float64 word reaches the decoder uncopied, and a stack with no
+    # clean word goes through _decode_batch as it is; every corrected word
+    # is still a fresh array, and the input is left as it was.  The stack's
+    # words finish alone (t = 1, 3) and together (t = 2).
+    rule = "primitive" if isinstance(fld, PrimeField) else "pow:0.9"
+    code = make_grs(fld, 8, 2, make_alphas(fld, 8, rule))
+    rng = np.random.default_rng(1500)
+    planted = [_planted_instance(code, 3, t, rng) for t in (0, 1, 2, 2, 3)]
+    for _, received, _ in planted:
+        before = received.copy()
+        for decode in (cpda_decode, mssr_decode):
+            out = decode(code, received)
+            assert out.success and not np.shares_memory(out.corrected, received)
+            assert np.array_equal(received, before)
+    words = np.stack([received for _, received, _ in planted[1:]])
+    before = words.copy()
+    for name in ("cpda", "mssr"):
+        for out in decoder_module._decode_batch(code, words, name):
+            assert out.success and not np.shares_memory(out.corrected, words)
+        assert np.array_equal(words, before)
 
 
 def test_monte_carlo_cell_makes_one_batched_elimination_per_t(monkeypatch):
