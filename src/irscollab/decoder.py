@@ -633,23 +633,25 @@ def _synthesize_batch(field: PrimeField, seqs: np.ndarray):
     return ell, c[:, 1:]
 
 
-def _batch_elements(field: Field, n: int, k: int, l: int) -> int:
+def _batch_elements(field: Field, n: int, k: int, l: int, decoder: str) -> int:
     """Elements per word in the largest array _decode_batch builds for
-    (B, l, n) words of a GRS(n, k) code over field.
+    (B, l, n) words of a GRS(n, k) code over field, under decoder "cpda",
+    "mssr" or "both".
 
     That is the received word, a scan stack (rows of n - k - t windows of
     t + 1 syndromes, at most (n - k + 1)**2 / 4 elements per row: the
     min(l, n - k) basis rows over GF(p), all l layers over the reals), a
-    value solve (n - k rows of t + l entries) or, over GF(p) with l > 1, the
-    n - k by n - k row basis of _row_space.  These grow with the square of
+    value solve (n - k rows of t + l entries) or the n - k by n - k row
+    basis of _row_space, which _decode_batch builds over GF(p) when l > n -
+    k, or under cpda when l > 1.  These grow with the square of
     n - k, so they, not the received word, bound a batch of long codes with
     few layers.
     """
     m = n - k
     exact = isinstance(field, PrimeField)
     rows = min(l, m) if exact else l
-    return max(l * n, rows * ((m + 1) ** 2 // 4), m * (t_max(n, k, l) + l),
-               exact * (l > 1) * m * m)
+    basis = exact and (l > m or decoder != "mssr" and l > 1)
+    return max(l * n, rows * ((m + 1) ** 2 // 4), m * (t_max(n, k, l) + l), basis * m * m)
 
 
 def _locate_batch(code: GrsCode, coeffs: np.ndarray):

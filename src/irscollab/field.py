@@ -39,12 +39,16 @@ Over GF(p) it is PrimeField._reduce_batch, the one exact elimination, in
 doubling row blocks; it also gives the decoders the row bases of their
 syndrome matrices.
 
-A GF(p) matmul that is not tiny runs on float64 BLAS (dgemm) for int64
-elements while inner * (p - 1)**2 < 2**53, reduced mod p once at the end;
-every partial sum is then an integer below 2**53, so the product is exact
-whatever order the BLAS sums in.  Other products use int64 matmuls (in inner
-chunks when their sums could pass 2**63), and p above _INT64_SAFE_P uses
-Python ints.
+Float64 products over GF(p) follow one rule, PrimeField._float_exact: with
+int64 elements, operands bounded by bound_a and bound_b and inner terms per
+sum, the product is exact in float64 BLAS (dgemm) while inner * bound_a *
+bound_b < 2**53, since every partial sum is then an integer below 2**53,
+whatever order the BLAS sums in.  A GF(p) matmul that is not tiny takes
+dgemm when the rule holds for canonical operands, bounds (p - 1, p - 1), and
+is reduced mod p once at the end; polycode's encodings take it with the
+larger bounds of unreduced representatives.  Other products use int64
+matmuls (in inner chunks when their sums could pass 2**63), and p above
+_INT64_SAFE_P uses Python ints.
 """
 
 from __future__ import annotations
@@ -401,29 +405,36 @@ class PrimeField(Field):
             out[:, i] = col
         return out
 
+    def _float_exact(self, inner: int, bound_a: int, bound_b: int) -> bool:
+        """The one exactness rule of float64 products over GF(p): whether a
+        product of int64 elements, a's entries in [0, bound_a] and b's in
+        [0, bound_b], summed over inner terms, stays below 2**53.  Every
+        partial sum is then an integer that float64 holds exactly, so a
+        dgemm gives the exact product whatever order or FMA the BLAS uses.
+        Object elements (p above _INT64_SAFE_P) never qualify."""
+        return self.dtype is np.int64 and inner * bound_a * bound_b < 2**53
+
     def _matmul(self, a, b):
         """matmul of canonical arrays (b 1-D, 2-D or a stack of matrices),
         exact for every modulus.  A stack of one matrix b multiplies as that
         matrix, which gives the same result.
 
-        With int64 elements, b at most 2-D and inner * (p - 1)**2 < 2**53, a
-        product of at least _BLAS_MIN_MACS multiply-adds runs on float64 BLAS
-        (dgemm) and is reduced mod p only at the end: every partial sum is an
-        integer below 2**53, so it is exact whatever order or FMA the BLAS
-        uses.  The rows of a go through in slabs of about _FLOAT_SLAB
-        elements, each cast to float64 and written straight into the int64
-        result, so the float64 temporaries stay small even when a is a tall
-        stacked system or the result is a whole coded input.  Other int64
-        products are one int64 matmul while inner * (p - 1)**2 < 2**63, and
-        int64 matmuls over inner chunks whose sums stay below 2**63 beyond
-        that.  Object elements (p above _INT64_SAFE_P) use Python-int
-        arithmetic.
+        With b at most 2-D and _float_exact(inner, p - 1, p - 1), a product
+        of at least _BLAS_MIN_MACS multiply-adds runs on float64 BLAS (dgemm)
+        and is reduced mod p only at the end.  The rows of a go through in
+        slabs of about _FLOAT_SLAB elements, each cast to float64 and written
+        straight into the int64 result, so the float64 temporaries stay small
+        even when a is a tall stacked system or the result is a whole coded
+        input.  Other int64 products are one int64 matmul while inner * (p -
+        1)**2 < 2**63, and int64 matmuls over inner chunks whose sums stay
+        below 2**63 beyond that.  Object elements (p above _INT64_SAFE_P) use
+        Python-int arithmetic.
         """
         inner = a.shape[-1]
         if 2 < b.ndim <= a.ndim and math.prod(b.shape[:-2]) == 1:
             b = b.reshape(b.shape[-2:])
-        if (b.ndim <= 2 and a.dtype != object and inner * (self.p - 1) ** 2 < 2**53
-                and a.size * (b.shape[1] if b.ndim == 2 else 1) >= _BLAS_MIN_MACS):
+        if (b.ndim <= 2 and a.size * (b.shape[1] if b.ndim == 2 else 1) >= _BLAS_MIN_MACS
+                and self._float_exact(inner, self.p - 1, self.p - 1)):
             rows = a.reshape(math.prod(a.shape[:-1]), inner)
             bf = b.astype(np.float64)
             out = np.empty((len(rows),) + b.shape[1:], dtype=np.int64)

@@ -177,12 +177,13 @@ def encode(code: GrsCode, msg) -> np.ndarray:
 def _interpolate_rows(code: GrsCode, rows: np.ndarray) -> np.ndarray:
     """Message coefficients for each row of a canonical stack of codewords.
 
-    Over GF(p) the first K positions determine the message exactly and the
-    remaining positions are verified by re-encoding.  Over the reals the fit
-    is the field's least-squares _solve of all N positions, and each row must
-    also pass ||G m - r|| <= RESIDUAL_TOL * ||r||; that bound never exceeds
-    _solve's, so a row _solve rejects fails it too.  Raises NotACodeword when
-    any row fails.
+    Over GF(p) the first K positions determine the message exactly, and the
+    row is a codeword exactly when its other N - K positions are the
+    re-encoding of that message, so only they are checked.  Over the reals
+    the fit is the field's least-squares _solve of all N positions, and each
+    row must also pass ||G m - r|| <= RESIDUAL_TOL * ||r||; that bound never
+    exceeds _solve's, so a row _solve rejects fails it too.  Raises
+    NotACodeword when any row fails.
     """
     field = code.field
     gmat = code.encoding_matrix()
@@ -190,8 +191,7 @@ def _interpolate_rows(code: GrsCode, rows: np.ndarray) -> np.ndarray:
         head = field._solve(gmat[: code.k], rows[:, : code.k].T)[0]
         if head is None:
             raise RuntimeError("leading square system must be invertible")
-        reenc = field._matmul(gmat, head)
-        if np.any(reenc.T != rows):
+        if np.any(field._matmul(gmat[code.k:], head).T != rows[:, code.k:]):
             raise NotACodeword("symbols are not consistent with any codeword")
         return head.T
     msgs = field._solve(gmat, rows.T)[0]

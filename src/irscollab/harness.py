@@ -301,7 +301,8 @@ def _batches(config: ExperimentConfig, code, l: int, t: int):
     order: a batch's largest decoder array holds at most _BATCH_ELEMENTS
     elements.  A trial's draws depend only on (seed, L, t, trial), not on
     what ran before."""
-    size = max(1, _BATCH_ELEMENTS // _batch_elements(config.field, config.n, config.k, l))
+    size = max(1, _BATCH_ELEMENTS // _batch_elements(config.field, config.n, config.k, l,
+                                                     config.decoder))
     enc = code.encoding_matrix().T
     for start in range(0, config.trials, size):
         trials = range(start, min(start + size, config.trials))

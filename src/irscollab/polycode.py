@@ -18,11 +18,12 @@ all rr'/(mn) such entries gives an interleaved word that the decoders in
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidParameters
-from .field import Field, _is_int
+from .field import Field, PrimeField, _is_int
 from .grs import GrsCode, _interpolate_rows
 
 __all__ = [
@@ -88,12 +89,31 @@ class PolyCodeParams:
 
 @dataclass(frozen=True)
 class WorkerTask:
-    """One worker's encoded inputs."""
+    """One worker's encoded inputs, kept as representatives _a and _b.
+
+    Over GF(p), when PrimeField._float_exact holds for the worker product
+    (see encode_tasks), they are unreduced float64 integers, bounded by
+    m(p - 1)**2 and n(p - 1)**2; otherwise they are canonical.  a_tilde and
+    b_tilde are always canonical, reduced from them on first access, so
+    only code that reads them pays for the reduction.
+    """
 
     worker_id: int
-    a_tilde: np.ndarray
-    b_tilde: np.ndarray
+    _a: np.ndarray
+    _b: np.ndarray
     field: Field
+
+    def _canonical(self, rep):
+        # Only an unreduced GF(p) representative has a dtype other than the field's.
+        return rep if rep.dtype == self.field.dtype else self.field._reduce(rep.astype(np.int64))
+
+    @cached_property
+    def a_tilde(self) -> np.ndarray:
+        return self._canonical(self._a)
+
+    @cached_property
+    def b_tilde(self) -> np.ndarray:
+        return self._canonical(self._b)
 
 
 @dataclass(frozen=True)
@@ -123,24 +143,45 @@ def encode_tasks(params: PolyCodeParams, a, b) -> list[WorkerTask]:
     B's block k at degree k*m.  Each input is encoded by one matmul: the
     matrix of the powers x_i^degree, one column per block, times the blocks
     stacked as rows.
+
+    Over GF(p) an encoded entry of A is a sum of m products of canonical
+    elements, so below m(p - 1)**2, and one of B below n(p - 1)**2.  While
+    PrimeField._float_exact(s, m(p - 1)**2, n(p - 1)**2) holds, s the row
+    count of A and B, the worker's product of such entries is exact in
+    float64; each input is then one float64 dgemm, left unreduced, and
+    worker_compute makes the one reduction (Dumas, Giorgi and Pernet, ACM
+    TOMS 2008).  The reals, and every GF(p) case where the rule fails,
+    encode canonically by field.matmul.
     """
     fld = params.field
     a = fld.array(a)
     b = fld.array(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise InvalidParameters("A and B must be 2-D with the same row count")
+    unreduced = isinstance(fld, PrimeField) and fld._float_exact(
+        a.shape[0], params.m * (fld.p - 1) ** 2, params.n * (fld.p - 1) ** 2)
     coded = []
     for mat, parts, step in ((a, params.m, 1), (b, params.n, params.m)):
         blocks = np.stack(_split_columns(mat, parts))
         degrees = step * np.arange(parts)
         powers = fld.power_matrix(params.xs, degrees[-1] + 1)[:, degrees]
-        coded.append(fld.matmul(powers, blocks.reshape(parts, -1)).reshape(-1, *blocks.shape[1:]))
+        flat = blocks.reshape(parts, -1)
+        if unreduced:
+            enc = powers.astype(np.float64) @ flat.astype(np.float64)
+        else:
+            enc = fld.matmul(powers, flat)
+        coded.append(enc.reshape(-1, *blocks.shape[1:]))
     return [WorkerTask(i, a_i, b_i, fld) for i, (a_i, b_i) in enumerate(zip(*coded))]
 
 
 def worker_compute(task: WorkerTask) -> np.ndarray:
-    """The worker's contribution: A~^T B~."""
-    return task.field.matmul(task.a_tilde.T, task.b_tilde)
+    """The worker's contribution A~^T B~, canonical: from unreduced
+    representatives one float64 dgemm and one reduction mod p, otherwise
+    field.matmul."""
+    a, b = task._a, task._b
+    if a.dtype == task.field.dtype:
+        return task.field.matmul(a.T, b)
+    return task.field._reduce((a.T @ b).astype(np.int64))
 
 
 def assemble_irs(params: PolyCodeParams, worker_outputs) -> IrsWord:

@@ -141,6 +141,22 @@ def test_interpolate_rejects_corrupted_word_gf():
         _interpolate_rows(code, rows)
 
 
+@pytest.mark.parametrize("pos", [0, 3, 4, 11])  # 0, K - 1, K and N - 1
+@pytest.mark.parametrize("delta", [1, 256])
+def test_interpolate_rejects_one_changed_symbol_at_either_side_of_k(pos, delta):
+    # Only the last N - K positions are compared with the re-encoding: a
+    # change among the first K moves the interpolated message instead, and
+    # every other position then disagrees with it.
+    gf = PrimeField(257)
+    code = make_grs(gf, 12, 4, gf.power_matrix([3], 12)[0])
+    msgs = gf.rand_elements(np.random.default_rng(pos), (5, 4))
+    rows = np.stack([encode(code, m) for m in msgs])
+    assert np.array_equal(_interpolate_rows(code, rows), msgs)
+    rows[2, pos] = (rows[2, pos] + delta) % 257
+    with pytest.raises(NotACodeword):
+        _interpolate_rows(code, rows)
+
+
 def test_interpolate_roundtrip_and_rejection_real():
     code = make_grs(RE, 8, 3, 0.9 ** np.arange(1, 9))
     rng = np.random.default_rng(31)

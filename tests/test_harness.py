@@ -234,7 +234,7 @@ def test_a_cell_is_drawn_in_decode_batches_of_the_per_trial_draws(monkeypatch, o
                                                                  config):
     fld, l, t = config.field, config.l_values[0], config.t_values[0]
     monkeypatch.setattr(harness, "_BATCH_ELEMENTS",
-                        5 * _batch_elements(fld, config.n, config.k, l))
+                        5 * _batch_elements(fld, config.n, config.k, l, config.decoder))
     code = config.code()
     batches = list(harness._batches(config, code, l, t))
     assert [len(words) for words, _ in batches] == [5, 5, 5, 5, 3]
@@ -311,7 +311,7 @@ def test_run_monte_carlo_does_not_depend_on_the_batch_size(monkeypatch, decoder)
     # Batches of one trial, of three and of a whole cell give the same report.
     cfg = _config(decoder=decoder, trials=10, t_values=(0, 2, 3))
     whole = run_monte_carlo(cfg)
-    for elements in (1, 3 * _batch_elements(cfg.field, 10, 4, 2)):
+    for elements in (1, 3 * _batch_elements(cfg.field, 10, 4, 2, decoder)):
         monkeypatch.setattr(harness, "_BATCH_ELEMENTS", elements)
         assert run_monte_carlo(cfg) == whole
 
@@ -321,7 +321,7 @@ def test_real_run_monte_carlo_does_not_depend_on_the_batch_size(monkeypatch):
     cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(1, 6), t_values=(0, 3, 6),
                            trials=12, model="gre", alphas="pow:0.9", decoder="both", seed=2)
     whole = run_monte_carlo(cfg)
-    for elements in (1, 5 * _batch_elements(cfg.field, 8, 2, 6)):
+    for elements in (1, 5 * _batch_elements(cfg.field, 8, 2, 6, cfg.decoder)):
         monkeypatch.setattr(harness, "_BATCH_ELEMENTS", elements)
         assert run_monte_carlo(cfg) == whole
 
@@ -345,6 +345,29 @@ def test_run_monte_carlo_bounds_the_batch_arrays_of_long_codes(monkeypatch):
     report = run_monte_carlo(_config(n=64, k=4, l_values=(1,), t_values=(29,), trials=40))
     assert report.cell(1, 29).failures < 40
     assert limit // 2 < max(sizes) <= limit
+
+
+@pytest.mark.parametrize("decoder, batch", [("cpda", 4), ("mssr", 6)])
+def test_run_monte_carlo_sizes_the_batch_by_the_arrays_of_its_decoder(monkeypatch, decoder,
+                                                                      batch):
+    # N - K = 60 with L = 2: cpda builds the 60 x 60 row basis of every
+    # word, but mssr with L <= N - K builds none, so its largest array is a
+    # value solve of 60 x (40 + 2) and its batches hold more trials.
+    limit = 2**14
+    monkeypatch.setattr(harness, "_BATCH_ELEMENTS", limit)
+    cfg = _config(n=64, k=4, l_values=(2,), t_values=(39,), trials=24, decoder=decoder)
+    assert [len(w) for w, _ in harness._batches(cfg, cfg.code(), 2, 39)][0] == batch
+    sizes = []
+    reduce_batch = PrimeField._reduce_batch
+
+    def recording(self, m, ncols):
+        out = reduce_batch(self, m, ncols)
+        sizes.append(max(m.size, out[0].size))
+        return out
+
+    monkeypatch.setattr(PrimeField, "_reduce_batch", recording)
+    run_monte_carlo(cfg)
+    assert 3 * limit // 4 < max(sizes) <= limit
 
 
 def test_real_run_monte_carlo_bounds_the_batch_arrays_of_deep_words(monkeypatch):

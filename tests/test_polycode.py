@@ -229,6 +229,84 @@ def test_worker_compute_zero_inputs():
     assert np.all(worker_compute(tasks[0]) == 0)
 
 
+def _python_int_product(fld, task):
+    """A~^T B~ mod p of a task's canonical encodings, in Python ints."""
+    a, b = task.a_tilde.astype(object), task.b_tilde.astype(object)
+    return (a.T @ b) % fld.p
+
+
+@pytest.mark.parametrize("s", [7, 8])
+def test_worker_compute_is_exact_at_either_side_of_the_float_rule(s):
+    # With m = n = 2 over GF(4099), the rule s * 2(p - 1)**2 * 2(p - 1)**2
+    # < 2**53 holds at s = 7 and fails at s = 8: the encodings are left
+    # unreduced only at s = 7, and both sides give the exact product of
+    # all-(p - 1) operands.
+    fld = PrimeField(4099)
+    bounds = (2 * (fld.p - 1) ** 2,) * 2
+    assert fld._float_exact(s, *bounds) == (s == 7)
+    params = PolyCodeParams(field=fld, m=2, n=2, num_workers=7,
+                            xs=[fld.p - 1, fld.p - 2, 2, 3, 4, 5, 6])
+    a = fld.array(np.full((s, 6), fld.p - 1))
+    b = fld.array(np.full((s, 4), fld.p - 1))
+    for task in encode_tasks(params, a, b):
+        assert (task._a.dtype == np.float64) == (s == 7)
+        got = worker_compute(task)
+        assert got.dtype == np.int64
+        assert got.tolist() == _python_int_product(fld, task).tolist()
+
+
+@pytest.mark.parametrize("inner", [2, 3])
+def test_matmul_takes_dgemm_exactly_while_the_float_rule_holds(monkeypatch, inner):
+    # p = 2**26 - 5: the rule inner * (p - 1)**2 < 2**53 holds at inner = 2
+    # and fails at 3.  The odd operands p - 2 make 3(p - 2)**2, above 2**53,
+    # odd, so a float64 sum there would round: a looser switch fails here.
+    fld = PrimeField(2**26 - 5)
+    assert fld._float_exact(inner, fld.p - 1, fld.p - 1) == (inner == 2)
+    dgemm, rule = [], PrimeField._float_exact
+
+    def recording(self, *args):
+        dgemm.append(rule(self, *args))
+        return dgemm[-1]
+
+    monkeypatch.setattr(PrimeField, "_float_exact", recording)
+    a = np.full((4096, inner), fld.p - 2, dtype=np.int64)
+    b = np.full((inner, 4), fld.p - 2, dtype=np.int64)
+    assert np.all(fld._matmul(a, b) == inner * 4 % fld.p)  # (p - 2)**2 = 4 mod p
+    assert dgemm == [inner == 2]
+
+
+@pytest.mark.parametrize("fld", [PrimeField(13), GF, PrimeField(65537), PrimeField(2**31 - 1),
+                                 PrimeField(2**61 - 1), RE],
+                         ids=["gf13", "gf257", "gf65537", "gf2^31-1", "gf2^61-1", "real"])
+def test_worker_compute_matches_the_canonical_product(fld):
+    # Whether or not the encodings were left unreduced, the worker's output
+    # is field.matmul of the canonical encodings, bit for bit.
+    rng = np.random.default_rng(5)
+    params = make_params(fld, 2, 3, 9)
+    a = fld.rand_elements(rng, (48, 2 * 40))
+    b = fld.rand_elements(rng, (48, 3 * 20))
+    unreduced = fld in (PrimeField(13), GF)  # GF(65537) fails the rule: s * 6 * 2**64
+    for task in encode_tasks(params, a, b):
+        assert (task._a.dtype != fld.dtype) == unreduced
+        got, want = worker_compute(task), fld.matmul(task.a_tilde.T, task.b_tilde)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+
+def test_encodings_read_as_canonical_int64():
+    rng = np.random.default_rng(9)
+    params = make_params(GF, 3, 2, 8)
+    tasks = encode_tasks(params, GF.rand_elements(rng, (6, 9)), GF.rand_elements(rng, (6, 4)))
+    assert max(task._a.max() for task in tasks) >= GF.p  # left unreduced
+    for task in tasks:
+        assert task._a.dtype == task._b.dtype == np.float64
+        for got, rep in ((task.a_tilde, task._a), (task.b_tilde, task._b)):
+            assert got.dtype == np.int64
+            assert got.min() >= 0 and got.max() < GF.p
+            assert np.array_equal(got, rep.astype(np.int64) % GF.p)
+        assert task.a_tilde is task.a_tilde  # reduced once, on first access
+
+
 # ---------------------------------------------------------------------------
 # Interleaving
 # ---------------------------------------------------------------------------
