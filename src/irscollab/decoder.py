@@ -39,14 +39,16 @@ under cpda the rank of S over GF(p) (1, with no elimination, when L = 1) and
 consistent t.  Over GF(p) it scans the row basis when L > N - K.  One
 t-scan, _scan_words, then solves per t the stacked systems of the words
 still scanning (_scan_batch), and the words of full rank share one tail,
-_finish_batch.  Where a stage has two kernels, the size of the stack picks
+_finish_batch, for any number of words: one root search (_locate_batch, the
+rule is_t_valid applies to one locator, and for a lone word is_t_valid
+itself), one stacked value solve and one subtraction.  So every outcome is
+built by one code path, and a word's outcome is the same alone or in a batch
+by construction.  Where a stage has two kernels, the size of the stack picks
 the faster.  mssr's length comes, for one word, from synthesize_recurrence
 (_synthesize_gf over GF(p)), and for more from one Berlekamp-Massey pass
 (below) over all of them over GF(p) (_synthesize_batch); more real words
 start at t = 1, as real synthesis is cpda's scan, which reaches the same
-least t.  A tail of one word is _finish (is_t_valid, one value solve, one
-subtraction), of more one _locate_batch, the rule is_t_valid applies to one
-locator, one stacked value solve and one subtraction.
+least t.
 
 Two decoders are provided and produce identical outcomes.  Both scan t
 upward to t_max.  At each t whose stacked system is consistent, the solve
@@ -126,7 +128,7 @@ class FailureReason(enum.Enum):
     SYNDROME_RESIDUAL = "syndrome_residual"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorLocator:
     """Lambda(z) = 1 + coeffs[0] z + ... + coeffs[t-1] z^t.
 
@@ -148,7 +150,7 @@ class ErrorLocator:
         return self.coeffs.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyndromeSet:
     """Per-layer syndromes; scale carries magnitude references over the reals."""
 
@@ -156,7 +158,7 @@ class SyndromeSet:
     scale: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StackedSystem:
     """The L stacked Hankel blocks for a trial error count t."""
 
@@ -165,7 +167,7 @@ class StackedSystem:
     rhs: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeOutcome:
     """Result of a decode attempt.
 
@@ -174,7 +176,8 @@ class DecodeOutcome:
     locator the certified error-locator polynomial.  On failure only reason
     is set.  A Success certifies that the corrected word has all-zero
     syndromes (to within the residual tolerance over the reals) and is the
-    closest interleaved codeword to the input.
+    closest interleaved codeword to the input.  Outcomes compare by
+    identity; outcomes_equal compares them by value.
     """
 
     success: bool
@@ -233,6 +236,14 @@ def _syndromes(code: GrsCode, r: np.ndarray) -> SyndromeSet:
     if isinstance(fld, PrimeField):
         return SyndromeSet(values=fld._matmul(r, h))
     return SyndromeSet(values=r @ h, scale=np.abs(r) @ code.syndrome_matrix_abs())
+
+
+def _reduces_syndromes(field: Field, m: int, l: int, decoder: str) -> bool:
+    """Whether _decode_batch runs _row_space on words of l layers and m
+    syndromes under decoder "cpda", "mssr" or "both": over GF(p), for the
+    row bases when l > m, and under cpda for the ranks it starts at when
+    l > 1 (a dirty one-row word has rank 1)."""
+    return isinstance(field, PrimeField) and (l > m or decoder != "mssr" and l > 1)
 
 
 def _row_space(field: PrimeField, values: np.ndarray):
@@ -399,9 +410,12 @@ def recover_error_values(code: GrsCode, locations, synd: SyndromeSet):
     returns the L x t value matrix, or None when any layer's system is
     inconsistent (so the locations cannot explain the received word).
     Raises InvalidParameters unless the locations are distinct integers in
-    [0, N) and the syndromes form an L x (N - K) matrix.
+    [0, N) and the syndromes form an L x (N - K) matrix.  The decoders do
+    not call it: their tail, _finish_batch, solves the same systems [H_t^T |
+    S^T] for all its words in one _solve_batch, with the same result.
     """
-    values = code.field.array(synd.values)
+    fld = code.field
+    values = fld.array(synd.values)
     if values.ndim != 2 or values.shape[1] != code.n - code.k:
         raise InvalidParameters(
             f"expected an L x {code.n - code.k} syndrome matrix, got shape {values.shape}")
@@ -410,13 +424,6 @@ def recover_error_values(code: GrsCode, locations, synd: SyndromeSet):
         raise InvalidParameters(f"locations must be integers in [0, {code.n}), got {locations}")
     if len(set(locations)) != len(locations):
         raise InvalidParameters(f"locations must be distinct, got {locations}")
-    return _error_values(code, locations, values)
-
-
-def _error_values(code: GrsCode, locations, values: np.ndarray):
-    """recover_error_values on validated syndrome values."""
-    fld = code.field
-    locations = list(locations)
     if not locations:
         return fld.zeros((values.shape[0], 0))
     sol = fld._solve(code.syndrome_matrix()[locations, :].T, values.T)[0]
@@ -426,23 +433,6 @@ def _error_values(code: GrsCode, locations, values: np.ndarray):
 # ---------------------------------------------------------------------------
 # The two decoders
 # ---------------------------------------------------------------------------
-
-def _finish(code: GrsCode, synd: np.ndarray, r: np.ndarray, coeffs) -> DecodeOutcome:
-    """The tail for one word r with syndromes synd: validate the locator,
-    recover values, subtract."""
-    fld = code.field
-    locator = ErrorLocator(coeffs=coeffs)
-    valid, locations = is_t_valid(code, locator)
-    if not valid:
-        return DecodeOutcome.fail(FailureReason.NOT_T_VALID)
-    values = _error_values(code, locations, synd)
-    if values is None:
-        return DecodeOutcome.fail(FailureReason.SYNDROME_RESIDUAL)
-    corrected = np.array(r, copy=True)
-    locs = list(locations)
-    corrected[:, locs] = fld._sub(corrected[:, locs], values)
-    return DecodeOutcome.ok(corrected, locator, locations, values)
-
 
 def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
     """Collaborative Peterson-style decoder.
@@ -503,7 +493,7 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     if dirty.size < count:
         words, values = words[dirty], values[dirty]
     rows, start = values, np.ones(len(dirty), dtype=np.intp)
-    if isinstance(fld, PrimeField) and (l > n - code.k or decoder == "cpda" and l > 1):
+    if _reduces_syndromes(fld, n - code.k, l, decoder):
         rows, rank = _row_space(fld, values)
         if decoder == "cpda":
             start = rank
@@ -642,15 +632,14 @@ def _batch_elements(field: Field, n: int, k: int, l: int, decoder: str) -> int:
     t + 1 syndromes, at most (n - k + 1)**2 / 4 elements per row: the
     min(l, n - k) basis rows over GF(p), all l layers over the reals), a
     value solve (n - k rows of t + l entries) or the n - k by n - k row
-    basis of _row_space, which _decode_batch builds over GF(p) when l > n -
-    k, or under cpda when l > 1.  These grow with the square of
-    n - k, so they, not the received word, bound a batch of long codes with
-    few layers.
+    basis of _row_space, where _reduces_syndromes.  These grow with the
+    square of n - k, so they, not the received word, bound a batch of long
+    codes with few layers.
     """
     m = n - k
     exact = isinstance(field, PrimeField)
     rows = min(l, m) if exact else l
-    basis = exact and (l > m or decoder != "mssr" and l > 1)
+    basis = _reduces_syndromes(field, m, l, decoder)
     return max(l * n, rows * ((m + 1) ** 2 // 4), m * (t_max(n, k, l) + l), basis * m * m)
 
 
@@ -693,37 +682,47 @@ def _locate_batch(code: GrsCode, coeffs: np.ndarray):
 
 def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, which: np.ndarray,
                   coeffs: np.ndarray):
-    """_finish for the words `which` of a stack with syndromes synd, and
-    their locators coeffs, all of one length t.  A single word goes through
-    _finish, which costs less on one word, as a view of the stack.
+    """The one tail of both decoders, for the words `which` of a stack with
+    syndromes synd and their locators coeffs, all of one length t: locate,
+    solve the error values, subtract.  Only the words with a t-valid locator
+    are copied out of the stack, once, as their corrected words; the others
+    fail with NOT_T_VALID.
 
-    The locators are checked by _locate_batch.  The value solves are one
-    _solve_batch of the (B, N - K, t + L) stack [H_t^T | S^T], the L
+    The locators are checked by _locate_batch, a lone word's through
+    is_t_valid, which is _locate_batch on a stack of one.  The value solves
+    are one _solve_batch of the (B, N - K, t + L) stack [H_t^T | S^T], the L
     syndrome columns as right-hand sides; H_t has full column rank t
     (distinct nonzero points), so x is the solution wherever consistent.
-    The subtraction writes every word at once.
+    x is (B, t, L), the layout of corrected[b, :, locs], so one gather and
+    one scatter subtract the values of every word.
     """
-    if len(which) == 1:
-        return [_finish(code, synd[which[0]], words[which[0]], coeffs[0])]
-    words, synd = words[which], synd[which]
     fld = code.field
     count, t = coeffs.shape
-    outcomes = [DecodeOutcome.fail(FailureReason.NOT_T_VALID)] * count
-    valid, locs = _locate_batch(code, coeffs)
-    aug = np.concatenate([code.syndrome_matrix()[locs], synd[valid]], axis=1).transpose(0, 2, 1)
-    x, _, solved = fld._solve_batch(aug, t)
-    values = x.transpose(0, 2, 1)
-    cols = np.broadcast_to(locs[:, None, :], values.shape)
-    corrected = words[valid]
-    fixed = fld._sub(np.take_along_axis(corrected, cols, axis=2), values)
-    np.put_along_axis(corrected, cols, fixed, axis=2)
-    for k, (i, where) in enumerate(zip(valid, locs.tolist())):
-        if solved[k]:
-            outcomes[i] = DecodeOutcome.ok(corrected[k], ErrorLocator(coeffs=coeffs[i]),
-                                           where, values[k])
+    locators = [ErrorLocator(coeffs=c) for c in coeffs]
+    if count == 1:  # is_t_valid is the root stage that perfbench's tracer times
+        ok, where = is_t_valid(code, locators[0])
+        valid, locs = np.arange(int(ok)), np.array(where, dtype=np.intp).reshape(-1, t)
+    else:
+        valid, locs = _locate_batch(code, coeffs)
+    outcomes = [None] * count
+    if valid.size:
+        # Fancy indexing copies slowly (1.3 against 0.4 ms on matmul-deep's
+        # word), so a whole stack is copied as it is, once.
+        if len(valid) == len(words):
+            corrected = words.copy()
         else:
-            outcomes[i] = DecodeOutcome.fail(FailureReason.SYNDROME_RESIDUAL)
-    return outcomes
+            corrected, synd = words[which[valid]], synd[which[valid]]
+        aug = np.concatenate([code.syndrome_matrix()[locs], synd], axis=1).transpose(0, 2, 1)
+        x, _, solved = fld._solve_batch(aug, t)
+        del aug  # so that the copies below reuse its pages (3 MB on matmul-deep)
+        # x as a view would keep a wide GF(p) solve's whole product alive (3
+        # MB on matmul-deep), and its strides would slow the subtraction.
+        x, b = x.copy(), np.arange(len(valid))[:, None]
+        corrected[b, :, locs] = fld._sub(corrected[b, :, locs], x)
+        for k, (i, where) in enumerate(zip(valid, locs.tolist())):
+            outcomes[i] = (DecodeOutcome.ok(corrected[k], locators[i], where, x[k].T) if solved[k]
+                           else DecodeOutcome.fail(FailureReason.SYNDROME_RESIDUAL))
+    return [out or DecodeOutcome.fail(FailureReason.NOT_T_VALID) for out in outcomes]
 
 
 def outcomes_equal(field: Field, a: DecodeOutcome, b: DecodeOutcome, rtol=EQ_TOL) -> bool:

@@ -54,7 +54,7 @@ class ErrorModelSpec:
         object.__setattr__(self, "t", _check_int("t", self.t, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorMatrix:
     """An L x N error pattern and its (sorted) column support."""
 

@@ -87,7 +87,7 @@ class PolyCodeParams:
         return self.m * self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkerTask:
     """One worker's encoded inputs, kept as representatives _a and _b.
 
@@ -116,7 +116,7 @@ class WorkerTask:
         return self._canonical(self._b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrsWord:
     """Interleaved word: row l of d traces entry l of every worker's output."""
 

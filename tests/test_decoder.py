@@ -1124,22 +1124,23 @@ def test_deep_decode_stacks_at_most_positions_squared_rows(monkeypatch, decode):
     word = fld.matmul(fld.rand_elements(rng, (l, k)), code.encoding_matrix().T)
     err = sample_error(ErrorModelSpec(kind="uref", t=t), fld, l, n, rng)
     scans, solves = [], []
-    scan_batch, solve = decoder_module._scan_batch, PrimeField._solve
+    scan_batch, solve_batch = decoder_module._scan_batch, PrimeField._solve_batch
 
     def counting_scan(field, seqs, t):
         # Each of the R rows of a word gives n - t windows, one row each.
         scans.append(seqs.shape[1] * (seqs.shape[2] - t))
         return scan_batch(field, seqs, t)
 
-    def counting_solve(self, a, rhs):
-        solves.append(a.shape[0])
-        return solve(self, a, rhs)
+    def counting_solve(self, aug, ncols):
+        # The rows of each system, the scans' and the value solve's.
+        solves.append(int(np.prod(aug.shape[1:-1])))
+        return solve_batch(self, aug, ncols)
 
     monkeypatch.setattr(decoder_module, "_scan_batch", counting_scan)
-    monkeypatch.setattr(PrimeField, "_solve", counting_solve)
+    monkeypatch.setattr(PrimeField, "_solve_batch", counting_solve)
     out = decode(code, inject(word, err.e, fld))
     assert out.success and np.array_equal(out.corrected, word)
-    assert scans and solves and max(scans + solves) <= (n - k) ** 2
+    assert scans and len(solves) > len(scans) and max(scans + solves) <= (n - k) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -1307,32 +1308,63 @@ def _finish_cases(fld):
     return cases
 
 
+def _public_tail(code, received, synd, coeffs):
+    """The tail of one word from the public stages: is_t_valid,
+    recover_error_values and a subtraction."""
+    fld = code.field
+    locator = ErrorLocator(coeffs=coeffs)
+    valid, locations = is_t_valid(code, locator)
+    if not valid:
+        return DecodeOutcome.fail(FailureReason.NOT_T_VALID)
+    values = recover_error_values(code, locations, SyndromeSet(values=synd))
+    if values is None:
+        return DecodeOutcome.fail(FailureReason.SYNDROME_RESIDUAL)
+    corrected = np.array(received, copy=True)
+    corrected[:, list(locations)] = fld._sub(corrected[:, list(locations)], values)
+    return DecodeOutcome.ok(corrected, locator, locations, values)
+
+
 @pytest.mark.parametrize("fld", [PrimeField(257), RealField()], ids=["gf257", "real"])
 def test_finish_batch_of_one_is_the_single_word_tail(fld):
-    # A stack of one goes through _finish: the same outcome, bit for bit.
-    outcomes = set()
-    for code, received, synd, coeffs in _finish_cases(fld):
-        want = decoder_module._finish(code, synd, received, coeffs)
-        got, = decoder_module._finish_batch(code, received[None], synd[None], [0], coeffs[None])
-        assert outcomes_equal(fld, got, want, rtol=0)
-        outcomes.add(want.success)
-    assert outcomes == {True, False}
+    # The one tail gives the public stages' outcome, bit for bit: on a stack
+    # of one, and on the words of one t finishing together, both as a stack
+    # of their own and picked out of the stack of all twelve.
+    cases = _finish_cases(fld)
+    words = np.stack([received for _, received, _, _ in cases])
+    synds = np.stack([synd for _, _, synd, _ in cases])
+    want = [_public_tail(*case) for case in cases]
+    assert {out.success for out in want} == {True, False}
+    for (code, received, synd, coeffs), out in zip(cases, want):
+        got, = decoder_module._finish_batch(code, received[None], synd[None], np.array([0]),
+                                             coeffs[None])
+        assert outcomes_equal(fld, got, out, rtol=0)
+    code = cases[0][0]
+    for t in (1, 2, 3):
+        which = np.array([i for i, case in enumerate(cases) if len(case[3]) == t])
+        coeffs = np.stack([cases[i][3] for i in which])
+        for stack, synd, picked in ((words, synds, which),
+                                    (words[which], synds[which], np.arange(len(which)))):
+            got = decoder_module._finish_batch(code, stack, synd, picked, coeffs)
+            assert len(got) == len(which)
+            for i, out in zip(which, got):
+                assert outcomes_equal(fld, out, want[i], rtol=0)
 
 
 @pytest.mark.parametrize("fld", [PrimeField(257), RealField()], ids=["gf257", "real"])
 def test_batch_with_one_word_at_full_rank_matches_the_single_word_decoders(fld):
     # Word 0 has one error and reaches full rank at t = 1, alone: its tail
-    # is _finish on a stack of one.  Words 1 and 2 have three errors each
-    # and finish together at t = 3 through the stacked tail.
+    # locates through is_t_valid, once.  Words 1 and 2 have three errors
+    # each and finish together at t = 3 through the stacked root search.
     rule = "primitive" if isinstance(fld, PrimeField) else "pow:0.9"
     code = make_grs(fld, 8, 2, make_alphas(fld, 8, rule))
     rng = np.random.default_rng(1200)
     planted = [_planted_instance(code, 3, t, rng) for t in (1, 3, 3)]
     words = np.stack([received for _, received, _ in planted])
     for name, decode in (("cpda", cpda_decode), ("mssr", mssr_decode)):
-        with mock.patch.object(decoder_module, "_finish", wraps=decoder_module._finish) as finish:
+        with mock.patch.object(decoder_module, "is_t_valid",
+                               wraps=decoder_module.is_t_valid) as located:
             got = decoder_module._decode_batch(code, words, name)
-        assert finish.call_count == 1
+        assert located.call_count == 1
         for (word, received, err), out in zip(planted, got):
             assert out.success and out.locations == err.support
             assert outcomes_equal(fld, out, decode(code, received), rtol=0)
@@ -1758,3 +1790,48 @@ def test_every_success_is_a_nearest_codeword_brute_force(q, l, uniform, seed, da
         assert np.all(table == cpda.corrected, axis=(1, 2)).any()
         distance = np.count_nonzero(np.any(cpda.corrected != received, axis=0))
         assert distance == np.any(table != received, axis=1).sum(axis=1).min()
+
+
+@st.composite
+def _full_rank_error_words(draw):
+    """(code, words, received, supports): one to three words of one GF(p)
+    code, p in {5, 7, 13, 257, 65537}, on primitive points with N <= 24,
+    each hit in t < N - K columns by errors whose L x t values have full
+    column rank t (so L >= t).  L > N - K, where the row bases are scanned,
+    is drawn too."""
+    fld = PrimeField(draw(st.sampled_from([5, 7, 13, 257, 65537])))
+    n = draw(st.integers(3, min(fld.p - 1, 24)))
+    k = draw(st.integers(1, n - 2))
+    l = draw(st.integers(1, n - k + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    code = classical_code(fld, n, k)
+    words, received, supports = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(st.integers(1, min(l, n - k - 1)))
+        values = fld.rand_elements(rng, (l, t))
+        while fld.rank(values) < t:
+            values = fld.rand_elements(rng, (l, t))
+        support = tuple(sorted(int(j) for j in rng.choice(n, t, replace=False)))
+        err = fld.zeros((l, n))
+        err[:, list(support)] = values
+        words.append(_random_word(code, l, rng))
+        received.append(fld.add(words[-1], err))
+        supports.append(support)
+    return code, words, np.stack(received), supports
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_full_rank_error_words())
+def test_full_rank_errors_below_n_minus_k_are_always_corrected(case):
+    # The paper's claim in its exact form: over GF(p), errors in t < N - K
+    # columns whose L x t values have full column rank are corrected with
+    # certainty (L >= t and t < N - K give t <= t_max).  Both public
+    # decoders, and the batch decoder under both names on the whole stack,
+    # locate the planted support and return the codeword.
+    code, words, received, supports = case
+    outcomes = [[decode(code, r) for r in received] for decode in (cpda_decode, mssr_decode)]
+    outcomes += [decoder_module._decode_batch(code, received, name) for name in ("cpda", "mssr")]
+    for outs in outcomes:
+        for word, support, out in zip(words, supports, outs):
+            assert out.success and out.locations == support
+            assert np.array_equal(out.corrected, word)

@@ -1,5 +1,5 @@
 """Print the raw and code-only line counts of the Python files under a
-directory (default src): python tools/count_lines.py [DIR].
+directory (default src), or of one file: python tools/count_lines.py [PATH].
 
 Code-only lines are the lines that hold a token other than a comment, a
 newline or indentation, less the lines of docstrings and other bare string
@@ -32,8 +32,8 @@ def counts(path: Path):
 
 
 def main(root: str = "src"):
-    raw = code = 0
-    for path in sorted(Path(root).rglob("*.py")):
+    top, raw, code = Path(root), 0, 0
+    for path in [top] if top.is_file() else sorted(top.rglob("*.py")):
         r, c = counts(path)
         raw, code = raw + r, code + c
     print(f"{root}: {raw} raw lines, {code} code-only lines")
