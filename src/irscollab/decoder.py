@@ -18,37 +18,49 @@ from S is linear in its rows and so depends only on its row space: the
 solution set and the rank of each stacked system, the minimal common
 recurrence and, when unique, its coefficients (Metzner and Kapturowski,
 IEEE T-IT 1990, use the same fact for L >= t).  Over GF(p), with more
-layers than positions, both decoders therefore first reduce S to its RREF
-row basis (_row_space, by the blocked PrimeField._reduce_batch, whose cost
-grows linearly in L), N - K rows with a zero row at each position that holds
-no pivot, and stack, eliminate and synthesize on that basis; only the
-error-value solve keeps all L layers.  Sequences sharing a recurrence of
-length t span at most t dimensions, so cpda_decode starts its scan at the
-rank of S.  Real words keep all L layers.  With S = QR the least-squares
-problem would not change (the Gram matrix, solution and residual from R's
-rows equal those from S's), but RealField's rank cutoff scales with
-max(shape) of the stacked system, which compression shrinks.
+layers than positions (L > N - K), both decoders therefore first reduce S to
+its RREF row basis (_row_space, by the blocked PrimeField._reduce_batch,
+whose cost grows linearly in L), N - K rows with a zero row at each position
+that holds no pivot, and stack, eliminate and synthesize on that basis; only
+the error-value solve keeps all L layers.  Real words keep all L layers.
+With S = QR the least-squares problem would not change (the Gram matrix,
+solution and residual from R's rows equal those from S's), but RealField's
+rank cutoff scales with max(shape) of the stacked system, which compression
+shrinks.
+
+Over GF(p) cpda starts its scan by one rule, for every L and any number of
+words: the interleaved form of the Peterson-Gorenstein-Zierler rule, where
+the rank of the syndrome matrix gives the error count (Peterson, IRE T-IT
+1960; Gorenstein and Zierler, J. SIAM 1961).  If the stacked system at t is
+consistent, every syndrome row obeys one recurrence of length t, so all its
+windows of w > t consecutive syndromes lie in one t-dimensional space.  The
+rank of the windows of width t_max + 1 of the rows cpda scans (one
+_reduce_batch, without right-hand sides, over the batch) is therefore at
+most the least consistent t, and cpda starts there.  Only inconsistent t are
+skipped, so no outcome depends on the start.  The windows of the row basis
+span the windows of all L rows, so the basis can be windowed.  Over the
+reals the rule is not exact (a rank there is a tolerance decision), so real
+words start at t = 1.
 
 There is one decode path, _decode_batch over a (B, L, N) stack of words:
 the public decoders run it on a stack of one, and the Monte Carlo harness on
 whole batches, so a word's outcome is the same bit for bit.  Its syndromes
 are one product and its clean words one zero test.  Every other word starts
 its scan at a t below which none of its stacked systems is consistent:
-under cpda the rank of S over GF(p) (1, with no elimination, when L = 1) and
-1 over the reals; under mssr the synthesized recurrence length, the least
-consistent t.  Over GF(p) it scans the row basis when L > N - K.  One
-t-scan, _scan_words, then solves per t the stacked systems of the words
-still scanning (_scan_batch), and the words of full rank share one tail,
-_finish_batch, for any number of words: one root search (_locate_batch, the
-rule is_t_valid applies to one locator, and for a lone word is_t_valid
-itself), one stacked value solve and one subtraction.  So every outcome is
-built by one code path, and a word's outcome is the same alone or in a batch
-by construction.  Where a stage has two kernels, the size of the stack picks
-the faster.  mssr's length comes, for one word, from synthesize_recurrence
-(_synthesize_gf over GF(p)), and for more from one Berlekamp-Massey pass
-(below) over all of them over GF(p) (_synthesize_batch); more real words
-start at t = 1, as real synthesis is cpda's scan, which reaches the same
-least t.
+under cpda the window rank above over GF(p) and 1 over the reals; under
+mssr the synthesized recurrence length, the least consistent t.  Over GF(p)
+it scans the row basis when L > N - K.  One t-scan, _scan_words, then
+solves per t the stacked systems of the words still scanning (_scan_batch),
+and the words of full rank share one tail, _finish_batch, for any number of
+words: one root search (_locate_batch, the rule is_t_valid applies to one
+locator, and for a lone word is_t_valid itself), one stacked value solve
+and one subtraction.  So every outcome is built by one code path, and a
+word's outcome is the same alone or in a batch by construction.  Where a
+stage has two kernels, the size of the stack picks the faster.  mssr's
+length comes, for one word, from synthesize_recurrence (_synthesize_gf over
+GF(p)), and for more from one Berlekamp-Massey pass (below) over all of them
+over GF(p) (_synthesize_batch); more real words start at t = 1, as real
+synthesis is cpda's scan, which reaches the same least t.
 
 Two decoders are provided and produce identical outcomes.  Both scan t
 upward to t_max.  At each t whose stacked system is consistent, the solve
@@ -60,10 +72,10 @@ reported.  Over the reals a near-degenerate error pattern can look
 consistent within tolerance at too small a t.  Over GF(p) the first failure
 is final: with Lambda_0 the locator at the least consistent t_0, every
 larger t is consistent (Lambda_0 padded with zeros) and rank-deficient
-(Lambda_0 (1 + a z) solves it too).  cpda_decode starts at most at the rank
-of S, below which no system is consistent, and mssr_decode at the length of
-the minimal common recurrence of the L syndrome sequences, the least
-consistent t.
+(Lambda_0 (1 + a z) solves it too).  cpda_decode starts at most at the
+least consistent t, at the rank of the widest windows of the syndromes over
+GF(p), and mssr_decode at the length of the minimal common recurrence of
+the L syndrome sequences, the least consistent t itself.
 
 Over GF(p) the synthesis is one multi-sequence Berlekamp-Massey pass (Feng
 and Tzeng, IEEE T-IT 1991; Schmidt, Sidorenko and Bossert, IEEE T-IT 2009).
@@ -238,25 +250,13 @@ def _syndromes(code: GrsCode, r: np.ndarray) -> SyndromeSet:
     return SyndromeSet(values=r @ h, scale=np.abs(r) @ code.syndrome_matrix_abs())
 
 
-def _reduces_syndromes(field: Field, m: int, l: int, decoder: str) -> bool:
-    """Whether _decode_batch runs _row_space on words of l layers and m
-    syndromes under decoder "cpda", "mssr" or "both": over GF(p), for the
-    row bases when l > m, and under cpda for the ranks it starts at when
-    l > 1 (a dirty one-row word has rank 1)."""
-    return isinstance(field, PrimeField) and (l > m or decoder != "mssr" and l > 1)
-
-
-def _row_space(field: PrimeField, values: np.ndarray):
-    """(rows, rank) for a (B, L, m) stack of GF(p) syndromes: rank[b] is the
-    rank of word b's syndromes, and rows[b] the rows its scan runs on.
-
-    With more layers than positions these are the word's RREF row basis
-    from PrimeField._reduce_batch, m rows that hold the basis row with pivot
-    j at row j and zeros elsewhere; otherwise the syndromes themselves,
-    which span the same rows.
-    """
-    basis, rank, _ = field._reduce_batch(values, values.shape[2])
-    return (basis if values.shape[1] > values.shape[2] else values), rank
+def _row_space(field: PrimeField, values: np.ndarray) -> np.ndarray:
+    """The RREF row bases of a (B, L, m) stack of GF(p) syndromes, for L >
+    m: PrimeField._reduce_batch's m rows per word, the basis row with pivot
+    j at row j and zeros elsewhere.  They span the syndromes' rows, so every
+    stacked system, window rank and synthesized recurrence is the same on
+    them."""
+    return field._reduce_batch(values, values.shape[2])[0]
 
 
 def _windows(seqs: np.ndarray, t: int) -> np.ndarray:
@@ -272,12 +272,6 @@ def _windows(seqs: np.ndarray, t: int) -> np.ndarray:
     return seqs[..., np.arange(n - t)[:, None] + np.arange(t + 1)]
 
 
-def _stack(values: np.ndarray, t: int, field: Field) -> StackedSystem:
-    win = _windows(values, t)
-    return StackedSystem(t=t, matrix=win[..., :t].reshape(-1, t),
-                         rhs=field._sub(0, win[..., t]).reshape(-1))
-
-
 def build_stacked(code: GrsCode, r, t: int) -> StackedSystem:
     """Stacked syndrome system of an L x N word (L >= 1) for trial error count t.
 
@@ -286,7 +280,9 @@ def build_stacked(code: GrsCode, r, t: int) -> StackedSystem:
     """
     r = _validated_word(code, r)
     t = _check_t(t, code.n, code.k, r.shape[0], least=1)
-    return _stack(_syndromes(code, r).values, t, code.field)
+    win = _windows(_syndromes(code, r).values, t)
+    return StackedSystem(t=t, matrix=win[..., :t].reshape(-1, t),
+                         rhs=code.field._sub(0, win[..., t]).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +433,11 @@ def recover_error_values(code: GrsCode, locations, synd: SyndromeSet):
 def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
     """Collaborative Peterson-style decoder.
 
-    Scans t up to t_max, from the rank of the syndromes over GF(p) and from
-    1 over the reals.  At each t whose stacked syndrome system is consistent
-    the solution must be unique (full column rank), t-valid, and able to
-    reproduce every syndrome; the first t where it is ends the scan.
+    Scans t up to t_max, over GF(p) from the rank of the windows of t_max +
+    1 consecutive syndromes of every layer (no t below it is consistent) and
+    over the reals from 1.  At each t whose stacked syndrome system is
+    consistent the solution must be unique (full column rank), t-valid, and
+    able to reproduce every syndrome; the first t where it is ends the scan.
     Otherwise the scan goes on, and the first failure is reported if no t
     succeeds (see the module docstring).  Never raises on a decoding
     impasse; all failure modes are reported in the outcome.  The outcome is
@@ -468,20 +465,20 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
 
     The syndromes are one product and the clean words one zero test.  The
     other words, the whole stack itself when no word is clean, go through
-    _scan_words from their starts.  Over GF(p) cpda takes the ranks of one
-    elimination of every syndrome matrix (_row_space), skipped when L = 1,
-    where a nonzero row has rank 1; the row bases are scanned when L > N -
-    K.  mssr takes the synthesized lengths: from synthesize_recurrence for
-    one word, from _synthesize_batch for more over GF(p).  More real words
-    start at t = 1 under either name, since real mssr's synthesis is cpda's
-    scan.
+    _scan_words from their starts, on their row bases (_row_space) over
+    GF(p) when L > N - K.  Over GF(p) cpda starts each word at the rank of
+    the width-(t_max + 1) windows of those rows, from one elimination of the
+    stack of windows.  mssr takes the synthesized lengths: from
+    synthesize_recurrence for one word, from _synthesize_batch for more over
+    GF(p).  Real cpda, and more real words under mssr, start at t = 1, since
+    real mssr's synthesis is cpda's scan.
     """
     fld = code.field
     count, l, n = words.shape
     tm = t_max(n, code.k, l)  # refuses L = 0 even when every word is clean
     synd = _syndromes(code, words)
-    values = synd.values
-    if isinstance(fld, PrimeField):
+    values, exact = synd.values, isinstance(fld, PrimeField)
+    if exact:
         clean = ~values.any(axis=(1, 2))
     else:
         clean = fld.is_zero(values, scale=synd.scale).all(axis=(1, 2))
@@ -492,15 +489,15 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     dirty = np.flatnonzero(~clean)
     if dirty.size < count:
         words, values = words[dirty], values[dirty]
-    rows, start = values, np.ones(len(dirty), dtype=np.intp)
-    if _reduces_syndromes(fld, n - code.k, l, decoder):
-        rows, rank = _row_space(fld, values)
-        if decoder == "cpda":
-            start = rank
+    rows = _row_space(fld, values) if exact and l > n - code.k else values
     if decoder == "mssr" and len(dirty) == 1:
         start = np.array([synthesize_recurrence(fld, rows[0])[0]])
-    elif decoder == "mssr" and isinstance(fld, PrimeField):
+    elif decoder == "mssr" and exact:
         start = _synthesize_batch(fld, rows)[0]
+    elif exact:  # no t below the rank of the widest windows is consistent
+        start = fld._reduce_batch(_windows(rows, tm), tm + 1)[1]
+    else:
+        start = np.ones(len(dirty), dtype=np.intp)
     for i, out in zip(dirty, _scan_words(code, words, values, rows, start, tm)):
         outcomes[i] = out
     return outcomes
@@ -623,24 +620,23 @@ def _synthesize_batch(field: PrimeField, seqs: np.ndarray):
     return ell, c[:, 1:]
 
 
-def _batch_elements(field: Field, n: int, k: int, l: int, decoder: str) -> int:
+def _batch_elements(field: Field, n: int, k: int, l: int) -> int:
     """Elements per word in the largest array _decode_batch builds for
-    (B, l, n) words of a GRS(n, k) code over field, under decoder "cpda",
-    "mssr" or "both".
+    (B, l, n) words of a GRS(n, k) code over field, under either decoder.
 
     That is the received word, a scan stack (rows of n - k - t windows of
     t + 1 syndromes, at most (n - k + 1)**2 / 4 elements per row: the
-    min(l, n - k) basis rows over GF(p), all l layers over the reals), a
-    value solve (n - k rows of t + l entries) or the n - k by n - k row
-    basis of _row_space, where _reduces_syndromes.  These grow with the
-    square of n - k, so they, not the received word, bound a batch of long
-    codes with few layers.
+    min(l, n - k) basis rows over GF(p), all l layers over the reals; cpda's
+    start stack is the one at t_max) or a value solve (n - k rows of t + l
+    entries, which also bounds the start's (t_max + 1)**2 basis).  The n - k
+    by n - k row basis of _row_space never sets the maximum: it is built
+    only when l > n - k, and then l * n > (n - k)**2.  The scan stacks and
+    value solves grow with the square of n - k, so they, not the received
+    word, bound a batch of long codes with few layers.
     """
     m = n - k
-    exact = isinstance(field, PrimeField)
-    rows = min(l, m) if exact else l
-    basis = _reduces_syndromes(field, m, l, decoder)
-    return max(l * n, rows * ((m + 1) ** 2 // 4), m * (t_max(n, k, l) + l), basis * m * m)
+    rows = min(l, m) if isinstance(field, PrimeField) else l
+    return max(l * n, rows * ((m + 1) ** 2 // 4), m * (t_max(n, k, l) + l))
 
 
 def _locate_batch(code: GrsCode, coeffs: np.ndarray):

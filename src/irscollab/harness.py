@@ -28,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decoder import (FailureReason, _batch_elements, _check_t, _decode_batch, _stack,
-                      _syndromes, cpda_decode, outcomes_equal, t_max)
+from .decoder import (FailureReason, _batch_elements, _check_t, _decode_batch, _syndromes,
+                      _windows, cpda_decode, outcomes_equal, t_max)
 from .errmodel import ErrorModelSpec, _check_model, _draw_error, model_for, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
 from .field import Field, PrimeField, RealField, _check_int, _is_int
@@ -301,8 +301,7 @@ def _batches(config: ExperimentConfig, code, l: int, t: int):
     order: a batch's largest decoder array holds at most _BATCH_ELEMENTS
     elements.  A trial's draws depend only on (seed, L, t, trial), not on
     what ran before."""
-    size = max(1, _BATCH_ELEMENTS // _batch_elements(config.field, config.n, config.k, l,
-                                                     config.decoder))
+    size = max(1, _BATCH_ELEMENTS // _batch_elements(config.field, config.n, config.k, l))
     enc = code.encoding_matrix().T
     for start in range(0, config.trials, size):
         trials = range(start, min(start + size, config.trials))
@@ -330,12 +329,6 @@ def _decoded(config: ExperimentConfig, code, l: int, t: int):
     batch is decoded as one stack by the batch decoder, over either field."""
     for words, received in _batches(config, code, l, t):
         yield from zip(words, _checked(config, lambda name: _decode_batch(code, received, name)))
-
-
-def _gram_cond(code, received: np.ndarray, t: int) -> float:
-    """2-norm condition number of S^T S, S the stacked system at a checked t."""
-    s = _stack(_syndromes(code, received).values, t, code.field).matrix
-    return float(np.linalg.cond(s.T @ s))
 
 
 def run_monte_carlo(config: ExperimentConfig) -> Report:
@@ -378,8 +371,12 @@ def condnum_study(config: ExperimentConfig) -> Report:
     cells = []
     for l in config.l_values:
         for t in config.t_values:
-            conds = [_gram_cond(code, r, t) for _, received in _batches(config, code, l, t)
-                     for r in received]
+            conds = []
+            for _, received in _batches(config, code, l, t):
+                # Each word's stacked matrix S, L(N - K - t) x t, and its S^T S.
+                s = _windows(_syndromes(code, received).values, t)[..., :t]
+                s = s.reshape(len(received), -1, t)
+                conds.extend(np.linalg.cond(s.swapaxes(1, 2) @ s).tolist())
             cells.append(CellStats(t=t, l=l, trials=config.trials, failures=0,
                                    undetected=0,
                                    mean_cond=math.fsum(conds) / len(conds)))

@@ -141,8 +141,8 @@ def encode_tasks(params: PolyCodeParams, a, b) -> list[WorkerTask]:
 
     The one place the layout (1, m) is set: A's block j goes at degree j and
     B's block k at degree k*m.  Each input is encoded by one matmul: the
-    matrix of the powers x_i^degree, one column per block, times the blocks
-    stacked as rows.
+    matrix of the powers x_i^degree, one column per block (the code's cached
+    encoding matrix at those degrees), times the blocks stacked as rows.
 
     Over GF(p) an encoded entry of A is a sum of m products of canonical
     elements, so below m(p - 1)**2, and one of B below n(p - 1)**2.  While
@@ -163,8 +163,7 @@ def encode_tasks(params: PolyCodeParams, a, b) -> list[WorkerTask]:
     coded = []
     for mat, parts, step in ((a, params.m, 1), (b, params.n, params.m)):
         blocks = np.stack(_split_columns(mat, parts))
-        degrees = step * np.arange(parts)
-        powers = fld.power_matrix(params.xs, degrees[-1] + 1)[:, degrees]
+        powers = params.code.encoding_matrix()[:, step * np.arange(parts)]
         flat = blocks.reshape(parts, -1)
         if unreduced:
             enc = powers.astype(np.float64) @ flat.astype(np.float64)

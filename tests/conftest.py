@@ -41,6 +41,8 @@ The harness's batched draws (harness._draw) are checked against it element
 for element.
 """
 
+import math
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -110,7 +112,7 @@ def gauss_jordan_solve(field, a, rhs):
 def gauss_jordan_solve_batch(field, aug, ncols):
     """_solve_batch's (x, rank, consistent) for a stack of augmented GF(p)
     systems, by gauss_jordan_solve on each; x is zero where inconsistent."""
-    aug = aug.reshape(len(aug), -1, aug.shape[-1])
+    aug = aug.reshape(len(aug), math.prod(aug.shape[1:-1]), aug.shape[-1])
     x = field.zeros((len(aug), ncols, aug.shape[2] - ncols))
     rank, consistent = np.zeros(len(aug), dtype=np.intp), np.zeros(len(aug), dtype=bool)
     for b, m in enumerate(aug):

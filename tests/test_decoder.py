@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import brute_syndromes_gf, classical_code, gauss_jordan_solve, reference_decode
 from irscollab import decoder as decoder_module
@@ -981,8 +982,15 @@ WORD_KINDS = ["clean", "planted", "identical", "past", "rank_one", "low_rank"]
 
 
 def _full_layers(field, values):
-    """_row_space without compression: every layer, scanned from t = 1."""
-    return values, np.ones(len(values), dtype=np.intp)
+    """_row_space without compression: every layer."""
+    return values
+
+
+def _stacked(field, rows, t):
+    """(A, b) of the stacked system at t of syndrome rows, by
+    sliding_window_view rather than the decoder's window gather."""
+    win = sliding_window_view(rows, t + 1, axis=1).reshape(-1, t + 1)
+    return win[:, :t], field._sub(0, win[:, t])
 
 
 def _collab_word(fld, n, k, l, kind, rng):
@@ -1056,14 +1064,14 @@ def test_row_space_keeps_every_stacked_system(case):
     # solution and rank of the t-stack of all L rows, no t below the rank of
     # the basis is consistent, and the synthesized recurrence is the same.
     fld, s = case
-    basis, rank = decoder_module._row_space(fld, s[None])
-    basis, rank = basis[0], int(rank[0])
-    assert basis.dtype == s.dtype and np.count_nonzero(basis.any(axis=1)) == rank == fld.rank(s)
+    basis = decoder_module._row_space(fld, s[None])[0]
+    rank = np.count_nonzero(basis.any(axis=1))
+    assert basis.dtype == s.dtype and basis.shape == (s.shape[1],) * 2 and rank == fld.rank(s)
     assert fld.rank(np.vstack([basis, s])) == rank
     for t in range(1, s.shape[1]):
-        full, small = (decoder_module._stack(v, t, fld) for v in (s, basis))
-        x_full, rank_full = fld._solve(full.matrix, full.rhs[:, None])
-        x_small, rank_small = fld._solve(small.matrix, small.rhs[:, None])
+        (a_full, b_full), (a_small, b_small) = (_stacked(fld, v, t) for v in (s, basis))
+        x_full, rank_full = fld._solve(a_full, b_full[:, None])
+        x_small, rank_small = fld._solve(a_small, b_small[:, None])
         assert rank_small == rank_full
         assert (x_small is None) == (x_full is None)
         assert x_full is None or np.array_equal(x_small, x_full)
@@ -1072,7 +1080,7 @@ def test_row_space_keeps_every_stacked_system(case):
     t_full, c_full = synthesize_recurrence(fld, s)
     t_small, c_small = synthesize_recurrence(fld, basis)
     assert t_small == t_full
-    if t_full and fld.rank(decoder_module._stack(s, t_full, fld).matrix) == t_full:
+    if 0 < t_full < s.shape[1] and fld.rank(_stacked(fld, s, t_full)[0]) == t_full:
         assert np.array_equal(c_small, c_full)
 
 
@@ -1413,8 +1421,9 @@ def _layered_words(draw):
     """(code, received): a word over GF(5), GF(7), GF(13) or GF(257) on
     primitive points, N <= 12 and 2 <= L <= N - K, plus errors in e <=
     t_max + 2 columns (at most N) whose values have any rank from 1 to
-    min(L, e), so that the rank of the syndromes, where cpda starts, is
-    often below the least consistent t."""
+    min(L, e), so that the rank of the syndromes is often below the least
+    consistent t, and cpda's start, the rank of their widest windows, often
+    above the rank."""
     fld = PrimeField(draw(st.sampled_from([5, 7, 13, 257])))
     n = draw(st.integers(3, min(fld.p - 1, 12)))
     k = draw(st.integers(1, n - 2))
@@ -1435,8 +1444,8 @@ def test_decoders_match_the_reference_decoder(case):
     # Both decoders run one decode path, so they are checked against a
     # decode that shares none of it (conftest.reference_decode, which scans
     # from t = 1), bit for bit, on words with up to t_max + 2 errors,
-    # rank-deficient ones included.  With 2 <= L <= N - K cpda starts at
-    # the rank of the syndromes, which errors of low rank put below the
+    # rank-deficient ones included.  cpda starts at the rank of the widest
+    # windows of the syndromes, which errors of low rank can put below the
     # least consistent t.
     code, received = case
     want = reference_decode(code, received)
@@ -1444,10 +1453,37 @@ def test_decoders_match_the_reference_decoder(case):
         assert outcomes_equal(code.field, decode(code, received), want, rtol=0)
 
 
+def _least_consistent_t(code, received):
+    """The least t <= t_max whose stacked system is consistent, by brute
+    force from build_stacked and Field.rank, or None."""
+    fld = code.field
+    for t in range(1, t_max(code.n, code.k, len(received)) + 1):
+        system = build_stacked(code, received, t)
+        if fld.rank(system.matrix) == fld.rank(np.column_stack([system.matrix, system.rhs])):
+            return t
+    return None
+
+
+def _window_rank(code, received):
+    """The rank of the width-(t_max + 1) windows of a word's syndrome rows,
+    by sliding_window_view and Field.rank: where cpda starts over GF(p)."""
+    s = layer_syndromes(code, received).values
+    w = t_max(code.n, code.k, len(received)) + 1
+    return code.field.rank(sliding_window_view(s, w, axis=1).reshape(-1, w))
+
+
+def _first_scanned_t(decode, code, received):
+    """(outcome, the first t that the decode scans, or None)."""
+    with mock.patch.object(decoder_module, "_scan_batch", wraps=decoder_module._scan_batch) as scan:
+        out = decode(code, received)
+    return out, (scan.call_args_list[0].args[2] if scan.called else None)
+
+
 @pytest.mark.parametrize("l, rank, weight", [(2, 2, 5), (4, 4, 9), (6, 3, 7)])
-def test_cpda_starts_a_word_at_the_rank_of_its_syndromes(monkeypatch, l, rank, weight):
-    # No t below the rank of S is consistent, so with 2 <= L <= N - K = 12
-    # cpda_decode's first scan is at t = rank(S), not at t = 1.
+def test_cpda_starts_a_word_at_the_rank_of_its_syndromes(l, rank, weight):
+    # cpda's first scan is at the rank of the width-(t_max + 1) windows of
+    # the syndromes.  No t below it is consistent, and it is at least the
+    # rank of S, where cpda started before (2 <= L <= N - K = 12 here).
     fld = PrimeField(257)
     code = classical_code(fld, 16, 4)
     rng = np.random.default_rng(1300 + l)
@@ -1456,38 +1492,75 @@ def test_cpda_starts_a_word_at_the_rank_of_its_syndromes(monkeypatch, l, rank, w
         fld.array(rng.integers(1, 257, (l, rank))), fld.array(rng.integers(1, 257, (rank, weight))))
     received = fld.add(_random_word(code, l, rng), err)
     assert fld.rank(layer_syndromes(code, received).values) == rank
-    scans, scan_batch = [], decoder_module._scan_batch
-
-    def recording(field, seqs, t):
-        scans.append(t)
-        return scan_batch(field, seqs, t)
-
-    monkeypatch.setattr(decoder_module, "_scan_batch", recording)
-    out = cpda_decode(code, received)
-    assert scans[0] == rank
+    out, first = _first_scanned_t(cpda_decode, code, received)
+    assert rank <= first == _window_rank(code, received) <= _least_consistent_t(code, received)
     assert outcomes_equal(fld, out, reference_decode(code, received), rtol=0)
 
 
-@pytest.mark.parametrize("l, eliminations", [(1, 0), (2, 1)])
-def test_cpda_eliminates_the_syndromes_of_a_word_only_with_several_layers(monkeypatch, l,
-                                                                         eliminations):
-    # The nonzero syndromes of an L = 1 word have rank 1, so cpda starts it
-    # at t = 1 with no elimination: every _reduce_batch call then carries
-    # right-hand sides (a scan or a value solve).  With L = 2 one call
-    # without them gives the rank.
+@pytest.mark.parametrize("l", [1, 2, 13])
+def test_cpda_eliminates_the_windows_of_a_word_once_at_every_depth(monkeypatch, l):
+    # cpda's start is one _reduce_batch without right-hand sides, of width
+    # t_max + 1, at every L, and with L > N - K = 12 the row basis is one
+    # more, of width N - K, under either decoder.  mssr, which starts at its
+    # synthesized length, makes no other.  Every further call carries
+    # right-hand sides (a scan or a value solve).
     fld = PrimeField(257)
     code = classical_code(fld, 16, 4)
-    word, received, _ = _planted_instance(code, l, t_max(16, 4, l), np.random.default_rng(1400))
-    extra, reduce_batch = [], PrimeField._reduce_batch
+    tm = t_max(16, 4, l)
+    word, received, _ = _planted_instance(code, l, tm, np.random.default_rng(1400))
+    basis = [12] if l > 12 else []
+    for decode, plain in ((cpda_decode, basis + [tm + 1]), (mssr_decode, basis)):
+        calls, reduce_batch = [], PrimeField._reduce_batch
 
-    def counting(self, m, ncols):
-        extra.append(m.shape[-1] - ncols)
-        return reduce_batch(self, m, ncols)
+        def counting(self, m, ncols):
+            calls.append((m.shape[-1] - ncols, ncols))
+            return reduce_batch(self, m, ncols)
 
-    monkeypatch.setattr(PrimeField, "_reduce_batch", counting)
-    out = cpda_decode(code, received)
-    assert out.success and np.array_equal(out.corrected, word)
-    assert extra.count(0) == eliminations and len(extra) > eliminations
+        with monkeypatch.context() as patch:
+            patch.setattr(PrimeField, "_reduce_batch", counting)
+            out = decode(code, received)
+        assert out.success and np.array_equal(out.corrected, word)
+        assert [ncols for extra, ncols in calls if not extra] == plain
+        assert len(calls) > len(plain)
+
+
+@st.composite
+def _window_rank_words(draw):
+    """(code, received) over GF(p) for random p, N, K and L, N - K = 1 or 2
+    often, L > N - K included, plus errors in e <= N columns, past t_max
+    included, whose values have any rank from 1 to min(L, e)."""
+    fld = PrimeField(draw(st.sampled_from([3, 5, 7, 13, 257, 65537])))
+    n = draw(st.integers(2, min(fld.p - 1, 14)))
+    m = draw(st.one_of(st.integers(1, min(2, n - 1)), st.integers(1, n - 1)))
+    l = draw(st.integers(1, 8))
+    e = draw(st.integers(0, n))
+    rank = draw(st.integers(min(1, e), min(l, e)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    code = classical_code(fld, n, n - m)
+    err = fld.zeros((l, n))
+    err[:, rng.choice(n, e, replace=False)] = fld.matmul(
+        fld.array(rng.integers(1, fld.p, (l, rank))), fld.array(rng.integers(1, fld.p, (rank, e))))
+    return code, fld.add(_random_word(code, l, rng), err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_window_rank_words())
+def test_window_rank_never_exceeds_the_least_consistent_t(case):
+    # The interleaved Peterson-Gorenstein-Zierler bound behind cpda's start
+    # over GF(p): if the stacked system at t is consistent, every syndrome
+    # row obeys one recurrence of length t, so its windows of width t_max +
+    # 1 > t lie in one t-dimensional space.  The window rank is also at
+    # least rank(S), where cpda started before, and it is where cpda's scan
+    # starts (a clean word, or one whose window rank passes t_max, scans
+    # nothing).
+    code, received = case
+    fld, l = code.field, len(received)
+    s = layer_syndromes(code, received).values
+    windows, least = _window_rank(code, received), _least_consistent_t(code, received)
+    assert fld.rank(s) <= windows
+    assert least is None or windows <= least
+    first = _first_scanned_t(cpda_decode, code, received)[1]
+    assert first == (windows if s.any() and windows <= t_max(code.n, code.k, l) else None)
 
 
 @pytest.mark.parametrize("fld", [PrimeField(257), RealField()], ids=["gf257", "real"])
@@ -1516,7 +1589,7 @@ def test_decoders_never_alias_their_input(fld):
 
 def test_monte_carlo_cell_makes_one_batched_elimination_per_t(monkeypatch):
     # A 100-trial mc-gf257 cell (GF(257), N = 16, K = 4, L = 4, t = 9): one
-    # elimination for the row bases, at most one scan elimination and one
+    # elimination for the start ranks, at most one scan elimination and one
     # value solve per t, and no per-word elimination at all.
     from irscollab.harness import ExperimentConfig, run_monte_carlo
 
@@ -1539,7 +1612,7 @@ def test_monte_carlo_cell_makes_one_batched_elimination_per_t(monkeypatch):
     assert cell.failures == cell.undetected == 0
     assert not single
     kinds = [(shape[-1] - ncols, ncols) for shape, ncols in calls]
-    assert kinds.count((0, 12)) == 1  # the row bases of the 4 x 12 syndromes
+    assert kinds.count((0, 10)) == 1  # the window ranks of the 4 x 12 syndromes, t_max = 9
     scans = [t for extra, t in kinds if extra == 1]
     solves = [t for extra, t in kinds if extra == 4]
     assert len(scans) == len(set(scans)) and len(solves) == len(set(solves))
@@ -1584,10 +1657,11 @@ def test_monte_carlo_mssr_cell_synthesizes_once_per_batch(monkeypatch):
 @pytest.mark.parametrize("decoder, eliminations", [("cpda", 1), ("mssr", 0)])
 def test_monte_carlo_cell_eliminates_the_syndromes_only_where_used(monkeypatch, decoder,
                                                                    eliminations):
-    # With L = 4 <= N - K = 12 mssr scans the syndromes themselves from its
-    # synthesized lengths, so it needs neither the row bases nor the ranks
-    # of the (0, N - K) elimination of all syndrome matrices; cpda still
-    # starts every word at the rank that elimination gives.
+    # With L = 4 <= N - K = 12 both decoders scan the syndromes themselves,
+    # so neither builds a row basis (no (0, N - K) elimination).  cpda starts
+    # every word at the rank of its width-(t_max + 1) windows, from one (0,
+    # 10) elimination of the batch; mssr at its synthesized length, with no
+    # elimination at all beyond its scans and value solves.
     from irscollab.harness import ExperimentConfig, run_monte_carlo
 
     calls = []
@@ -1603,7 +1677,7 @@ def test_monte_carlo_cell_eliminates_the_syndromes_only_where_used(monkeypatch, 
                               decoder=decoder)
     cell = run_monte_carlo(config).cell(4, 9)
     assert cell.failures == cell.undetected == 0
-    assert calls.count((0, 12)) == eliminations
+    assert [call for call in calls if not call[0]] == [(0, 10)] * eliminations
     assert (1, 9) in calls and (4, 9) in calls  # the scan and value solves at t = 9
 
 

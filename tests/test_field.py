@@ -920,6 +920,24 @@ def test_solve_batch_matches_the_single_system_references(case):
     assert x.shape == (count, ncols, width - ncols)
 
 
+@pytest.mark.parametrize("shape", [(0, 5, 7), (0, 2, 5, 7), (3, 2, 5, 7)],
+                         ids=["empty", "empty-layers", "layers"])
+def test_reference_batch_solver_takes_every_stack_that_solve_batch_takes(oracle_solve_batch,
+                                                                         shape):
+    # Tests patch the reference in as PrimeField._solve_batch, so it must
+    # take the same stacks, empty ones and several row axes included, and
+    # give the same shapes, dtypes and, on consistent systems, solutions.
+    fld, ncols = PrimeField(257), 3
+    rng = np.random.default_rng(sum(shape))
+    a = fld.rand_elements(rng, (*shape[:-1], ncols))
+    aug = np.concatenate([a, fld.matmul(a, fld.rand_elements(rng, (ncols, shape[-1] - ncols)))],
+                         axis=-1)
+    got, want = oracle_solve_batch(fld, aug, ncols), fld._solve_batch(aug, ncols)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w)
+    assert want[2].all()
+
+
 def test_agree_is_exact_over_gf_and_relative_over_the_reals():
     gf = PrimeField(2**61 - 1)
     a = gf.array([1, 2**60])

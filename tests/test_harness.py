@@ -234,7 +234,7 @@ def test_a_cell_is_drawn_in_decode_batches_of_the_per_trial_draws(monkeypatch, o
                                                                  config):
     fld, l, t = config.field, config.l_values[0], config.t_values[0]
     monkeypatch.setattr(harness, "_BATCH_ELEMENTS",
-                        5 * _batch_elements(fld, config.n, config.k, l, config.decoder))
+                        5 * _batch_elements(fld, config.n, config.k, l))
     code = config.code()
     batches = list(harness._batches(config, code, l, t))
     assert [len(words) for words, _ in batches] == [5, 5, 5, 5, 3]
@@ -311,7 +311,7 @@ def test_run_monte_carlo_does_not_depend_on_the_batch_size(monkeypatch, decoder)
     # Batches of one trial, of three and of a whole cell give the same report.
     cfg = _config(decoder=decoder, trials=10, t_values=(0, 2, 3))
     whole = run_monte_carlo(cfg)
-    for elements in (1, 3 * _batch_elements(cfg.field, 10, 4, 2, decoder)):
+    for elements in (1, 3 * _batch_elements(cfg.field, 10, 4, 2)):
         monkeypatch.setattr(harness, "_BATCH_ELEMENTS", elements)
         assert run_monte_carlo(cfg) == whole
 
@@ -321,16 +321,17 @@ def test_real_run_monte_carlo_does_not_depend_on_the_batch_size(monkeypatch):
     cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(1, 6), t_values=(0, 3, 6),
                            trials=12, model="gre", alphas="pow:0.9", decoder="both", seed=2)
     whole = run_monte_carlo(cfg)
-    for elements in (1, 5 * _batch_elements(cfg.field, 8, 2, 6, cfg.decoder)):
+    for elements in (1, 5 * _batch_elements(cfg.field, 8, 2, 6)):
         monkeypatch.setattr(harness, "_BATCH_ELEMENTS", elements)
         assert run_monte_carlo(cfg) == whole
 
 
 def test_run_monte_carlo_bounds_the_batch_arrays_of_long_codes(monkeypatch):
-    # N - K = 60 with L = 1: a value solve holds 60 x 30 elements per trial,
-    # a scan stack up to 930 and the row basis 60 x 60, where the received
-    # word holds 64, so batches sized by received symbols would build arrays
-    # several times the limit.
+    # N - K = 60 with L = 1: a value solve holds 60 x 31 elements per trial,
+    # a scan stack up to 930, and cpda's start 30 windows of width t_max + 1
+    # = 31 and their 31 x 31 basis, where the received word holds 64, so
+    # batches sized by received symbols would build arrays several times the
+    # limit.
     limit = 2**14
     monkeypatch.setattr(harness, "_BATCH_ELEMENTS", limit)
     sizes = []
@@ -347,12 +348,13 @@ def test_run_monte_carlo_bounds_the_batch_arrays_of_long_codes(monkeypatch):
     assert limit // 2 < max(sizes) <= limit
 
 
-@pytest.mark.parametrize("decoder, batch", [("cpda", 4), ("mssr", 6)])
+@pytest.mark.parametrize("decoder, batch", [("cpda", 6), ("mssr", 6)])
 def test_run_monte_carlo_sizes_the_batch_by_the_arrays_of_its_decoder(monkeypatch, decoder,
                                                                       batch):
-    # N - K = 60 with L = 2: cpda builds the 60 x 60 row basis of every
-    # word, but mssr with L <= N - K builds none, so its largest array is a
-    # value solve of 60 x (40 + 2) and its batches hold more trials.
+    # N - K = 60 with L = 2: with L <= N - K neither decoder builds the 60 x
+    # 60 row basis, so under both the largest array is a value solve of 60 x
+    # (t_max + L) = 60 x 42 per trial, and both batch 6 trials.  cpda's start
+    # (2 x 20 windows of width 41, and their 41 x 41 basis) stays below it.
     limit = 2**14
     monkeypatch.setattr(harness, "_BATCH_ELEMENTS", limit)
     cfg = _config(n=64, k=4, l_values=(2,), t_values=(39,), trials=24, decoder=decoder)
