@@ -46,21 +46,21 @@ There is one decode path, _decode_batch over a (B, L, N) stack of words:
 the public decoders run it on a stack of one, and the Monte Carlo harness on
 whole batches, so a word's outcome is the same bit for bit.  Its syndromes
 are one product and its clean words one zero test.  Every other word starts
-its scan at a t below which none of its stacked systems is consistent:
-under cpda the window rank above over GF(p) and 1 over the reals; under
-mssr the synthesized recurrence length, the least consistent t.  Over GF(p)
-it scans the row basis when L > N - K.  One t-scan, _scan_words, then
-solves per t the stacked systems of the words still scanning (_scan_batch),
-and the words of full rank share one tail, _finish_batch, for any number of
-words: one root search (_locate_batch, the rule is_t_valid applies to one
-locator, and for a lone word is_t_valid itself), one stacked value solve
-and one subtraction.  So every outcome is built by one code path, and a
-word's outcome is the same alone or in a batch by construction.  Where a
-stage has two kernels, the size of the stack picks the faster.  mssr's
-length comes, for one word, from synthesize_recurrence (_synthesize_gf over
-GF(p)), and for more from one Berlekamp-Massey pass (below) over all of them
-over GF(p) (_synthesize_batch); more real words start at t = 1, as real
-synthesis is cpda's scan, which reaches the same least t.
+its scan at a t below which none of its stacked systems is consistent, by
+one rule per field and decoder, whatever the size of its stack: over GF(p),
+cpda at the window rank above and mssr at the synthesized recurrence length,
+the least consistent t; over the reals both at t = 1, since real synthesis
+is cpda's scan, which reaches the same least t.  Over GF(p) it scans the row
+basis when L > N - K.  One t-scan, _scan_words, then solves per t the
+stacked systems of the words still scanning (_scan_batch), and the words of
+full rank share one tail, _finish_batch, for any number of words: one root
+search (_locate_batch, the rule is_t_valid applies to one locator, and for a
+lone word is_t_valid itself), one stacked value solve and one subtraction.
+So every outcome is built by one code path, and a word's outcome is the same
+alone or in a batch by construction.  Where a stage has two kernels, the
+size of the stack picks the faster: mssr's length comes, for one word, from
+synthesize_recurrence (_synthesize_gf), and for more from one
+Berlekamp-Massey pass (below) over all of them (_synthesize_batch).
 
 Two decoders are provided and produce identical outcomes.  Both scan t
 upward to t_max.  At each t whose stacked system is consistent, the solve
@@ -72,10 +72,10 @@ reported.  Over the reals a near-degenerate error pattern can look
 consistent within tolerance at too small a t.  Over GF(p) the first failure
 is final: with Lambda_0 the locator at the least consistent t_0, every
 larger t is consistent (Lambda_0 padded with zeros) and rank-deficient
-(Lambda_0 (1 + a z) solves it too).  cpda_decode starts at most at the
-least consistent t, at the rank of the widest windows of the syndromes over
-GF(p), and mssr_decode at the length of the minimal common recurrence of
-the L syndrome sequences, the least consistent t itself.
+(Lambda_0 (1 + a z) solves it too).  There cpda_decode starts at most at
+the least consistent t, at the rank of the widest windows of the syndromes,
+and mssr_decode at the length of the minimal common recurrence of the L
+syndrome sequences, the least consistent t itself.
 
 Over GF(p) the synthesis is one multi-sequence Berlekamp-Massey pass (Feng
 and Tzeng, IEEE T-IT 1991; Schmidt, Sidorenko and Bossert, IEEE T-IT 2009).
@@ -93,7 +93,7 @@ basis of their span with the greatest m - ell_B, which makes every length
 the least possible.  With L = 1 this is the classical algorithm.  Over the
 reals, where Berlekamp-Massey is numerically unstable, the least length is
 found by cpda_decode's own scan instead: the first t whose stacked system
-is consistent.
+is consistent.  So the decoders synthesize only over GF(p).
 """
 
 from __future__ import annotations
@@ -355,9 +355,9 @@ def synthesize_recurrence(field: Field, seqs):
     coefficients are the unique ones whenever the t-stack has full column
     rank.  Over GF(p) this is the module docstring's Berlekamp-Massey pass.
     Over the reals t is the least length whose whole stacked system passes
-    _scan_batch, the solve cpda_decode runs at each t, so the two decoders
-    agree exactly; n (with zero coefficients) when no t < n passes, and 0
-    for sequences that are zero within EQ_TOL.
+    _scan_batch, the first consistent t of the decoders' scan from t = 1
+    (so they need not call this); n (with zero coefficients) when no t < n
+    passes, and 0 for sequences that are zero within EQ_TOL.
     """
     seqs = field.array(seqs)
     if seqs.ndim != 2:
@@ -449,11 +449,11 @@ def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
 def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
     """Multi-sequence shift-register decoder.
 
-    Synthesizes the minimal-length common recurrence of the L syndrome
-    sequences and starts cpda_decode's scan at that length, the least
-    consistent t, whose uniqueness check also gives the locator.  The rest,
-    including the scan on past a failed check, is cpda_decode's, so the two
-    decoders give identical outcomes on every input, over either field.
+    Over GF(p) it starts cpda_decode's scan at the length of the minimal
+    common recurrence of the L syndrome sequences, the least consistent t;
+    over the reals, where synthesis is cpda_decode's scan, at t = 1.  The
+    rest, the locator included, is cpda_decode's, so the two decoders give
+    identical outcomes on every input, over either field.
     """
     return _decode_batch(code, _validated_word(code, r)[None], "mssr")[0]
 
@@ -466,12 +466,12 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     The syndromes are one product and the clean words one zero test.  The
     other words, the whole stack itself when no word is clean, go through
     _scan_words from their starts, on their row bases (_row_space) over
-    GF(p) when L > N - K.  Over GF(p) cpda starts each word at the rank of
-    the width-(t_max + 1) windows of those rows, from one elimination of the
-    stack of windows.  mssr takes the synthesized lengths: from
-    synthesize_recurrence for one word, from _synthesize_batch for more over
-    GF(p).  Real cpda, and more real words under mssr, start at t = 1, since
-    real mssr's synthesis is cpda's scan.
+    GF(p) when L > N - K.  They start by one table, whatever the stack: over
+    GF(p), cpda at the rank of the width-(t_max + 1) windows of those rows
+    (one elimination of the stack of windows) and mssr at the synthesized
+    length, from synthesize_recurrence for one word (the tracer's
+    decoder.synthesize span) and _synthesize_batch for more; over the reals,
+    both at t = 1, since real synthesis is cpda's scan.
     """
     fld = code.field
     count, l, n = words.shape
@@ -490,14 +490,14 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     if dirty.size < count:
         words, values = words[dirty], values[dirty]
     rows = _row_space(fld, values) if exact and l > n - code.k else values
-    if decoder == "mssr" and len(dirty) == 1:
-        start = np.array([synthesize_recurrence(fld, rows[0])[0]])
-    elif decoder == "mssr" and exact:
-        start = _synthesize_batch(fld, rows)[0]
-    elif exact:  # no t below the rank of the widest windows is consistent
-        start = fld._reduce_batch(_windows(rows, tm), tm + 1)[1]
-    else:
+    if not exact:
         start = np.ones(len(dirty), dtype=np.intp)
+    elif decoder != "mssr":  # no t below the rank of the widest windows is consistent
+        start = fld._reduce_batch(_windows(rows, tm), tm + 1)[1]
+    elif len(dirty) == 1:
+        start = np.array([synthesize_recurrence(fld, rows[0])[0]])
+    else:
+        start = _synthesize_batch(fld, rows)[0]
     for i, out in zip(dirty, _scan_words(code, words, values, rows, start, tm)):
         outcomes[i] = out
     return outcomes
@@ -570,10 +570,10 @@ def _synthesize_batch(field: PrimeField, seqs: np.ndarray):
     of lowest key, the first such slot on a tie.  Products are stacked
     _matmul calls, so they stay exact for every modulus.
 
-    On one word this is about three times slower than _synthesize_gf (the
-    4 x 12 bases of N = 16, L = 4 words with 9 errors over GF(257): 0.77 ms
-    against 0.23 ms, 2-core x86), so a stack of one keeps that loop
-    (synthesize_recurrence).
+    On one word this is about three times slower than _synthesize_gf (2-core
+    x86, GF(257): 1.0 against 0.31 ms on the 4 x 12 syndromes of words with
+    N = 16, L = 4 and 9 errors, 2.0 against 0.6 ms on matmul-deep's 24 x 24
+    row basis), so a stack of one keeps that loop (synthesize_recurrence).
     """
     p = field.p
     count, rows, n = seqs.shape

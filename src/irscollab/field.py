@@ -462,10 +462,10 @@ class PrimeField(Field):
         first ncols columns, so callers can append right-hand sides as extra
         columns of an augmented matrix.  Every pivot updates every row, so
         _reduce_batch feeds this dense kernel one block at a time.  It is
-        _eliminate's step for a stack of one: the masked steps cost about
-        three times as much on one matrix (2-core x86, a 64 x 24 block of
-        rank 20 at p = 257: 1.1 ms against 0.37 ms), and through them
-        cpda_decode of one N = 16, L = 4 word took 3.1 ms instead of 1.3 ms.
+        _eliminate's step for a stack of one: the masked steps cost over
+        twice as much on one matrix (2-core x86, a 64 x 24 block of rank 20
+        at p = 257: 0.70 ms against 0.29 ms), and through them cpda_decode of
+        one N = 16, L = 4, t = 9 word took 0.89 ms instead of 0.35 ms.
         Here and in _eliminate a subtraction adds the negation instead, so
         that % only ever reduces non-negative sums: numpy's int64 % is about
         3.5 times slower when the signs are mixed (197k elements at p = 257:

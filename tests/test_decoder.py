@@ -612,28 +612,28 @@ def test_real_decode_takes_rank_and_solution_from_one_factorisation(monkeypatch,
     assert calls["svd"] == calls["solve_batch"] > 0
 
 
-def test_real_mssr_solves_at_most_once_more_than_cpda(monkeypatch):
-    # mssr over the reals runs cpda's scan to find the first consistent t,
-    # then starts cpda's scan there, solving that stack once more for its
-    # rank and locator; nothing else.  Every solve, of a stacked system or
-    # of the error values, is one _solve_batch.
+def test_real_mssr_makes_exactly_cpdas_solves(monkeypatch):
+    # Real synthesis is cpda's scan, so a lone real word under mssr starts at
+    # t = 1 like cpda: the same _solve_batch calls, of the same shapes,
+    # whether of a stacked system or of the error values.
     fld = RealField()
     code = make_grs(fld, 8, 2, [0.9 ** i for i in range(1, 9)])
     rng = np.random.default_rng(61)
     calls = []
     solve_batch = RealField._solve_batch
 
-    def counting_solve_batch(self, aug, ncols):
-        calls[-1] += 1
+    def recording_solve_batch(self, aug, ncols):
+        calls[-1].append((aug.shape, ncols))
         return solve_batch(self, aug, ncols)
 
-    monkeypatch.setattr(RealField, "_solve_batch", counting_solve_batch)
+    monkeypatch.setattr(RealField, "_solve_batch", recording_solve_batch)
     for l, t in [(1, 1), (1, 3), (2, 4), (6, 5)]:
         _, received, err = _planted_instance(code, l, t, rng)
         for decode in (cpda_decode, mssr_decode):
-            calls.append(0)
+            calls.append([])
             assert decode(code, received).locations == err.support
-        assert calls[-1] <= calls[-2] + 1, (l, t, calls[-2:])
+        assert calls[-1] == calls[-2], (l, t, calls[-2:])
+        assert calls[-1], (l, t)
 
 
 @pytest.mark.parametrize("decode", [cpda_decode, mssr_decode])

@@ -62,7 +62,10 @@ def test_decodes_record_their_spans(spans, fld, rule):
     with tracer.install(irscollab):
         outcomes = [irscollab.cpda_decode(code, received), irscollab.mssr_decode(code, received)]
     assert all(out.success and out.locations == err.support for out in outcomes)
-    for name in ("decoder.cpda", "decoder.mssr", "decoder.synthesize", "decoder.root"):
+    for name in ("decoder.cpda", "decoder.mssr", "decoder.root"):
         assert tracer.stats[name].calls >= 1, name
+    # Only GF(p) synthesizes; real mssr starts its scan at t = 1 like cpda.
+    synthesized = tracer.stats["decoder.synthesize"].calls
+    assert synthesized >= 1 if isinstance(fld, PrimeField) else synthesized == 0
     assert tracer.counts["decoder.success"] == 2
     assert irscollab.cpda_decode is original
