@@ -22,9 +22,9 @@ from irscollab import ExperimentConfig, RealField, emit_csv, run_monte_carlo, t_
 ###############################################################################
 # The experiment
 # --------------
-# 400 trials per cell on a geometric evaluation grid.  ``model="gre"``
-# draws independent Gaussian error values on a uniform column support of
-# size exactly t.
+# 400 trials per cell on a geometric evaluation grid.  Over the reals the
+# error model is gre: independent Gaussian error values on a uniform column
+# support of size exactly t.
 
 config = ExperimentConfig(
     field=RealField(),
@@ -33,7 +33,6 @@ config = ExperimentConfig(
     l_values=(1, 2, 6),
     t_values=(1, 2, 3, 4, 5, 6),
     trials=400,
-    model="gre",
     alphas="pow:0.9",
     seed=0,
 )

@@ -20,8 +20,8 @@ from irscollab import ExperimentConfig, PrimeField, pf_bound, run_monte_carlo, t
 # Setup
 # -----
 # GF(257), N = 16 workers, threshold K = 4, L = 4 interleaved rows:
-# radius t_max = 9, far beyond the classical 6.  ``model="uref"`` plants
-# uniform nonzero values on a random support of exactly t columns.
+# radius t_max = 9, far beyond the classical 6.  Over GF(q) the error model
+# is uref: uniform nonzero values on a random support of exactly t columns.
 
 q, n, k, l = 257, 16, 4, 4
 radius = t_max(n, k, l)
@@ -34,7 +34,6 @@ config = ExperimentConfig(
     l_values=(l,),
     t_values=(7, 8, 9),
     trials=2000,
-    model="uref",
     seed=0,
 )
 report = run_monte_carlo(config)

@@ -31,7 +31,6 @@ config = ExperimentConfig(
     l_values=(1, 2, 3, 4, 5),
     t_values=(2, 3),
     trials=500,
-    model="gre",
     alphas="pow:0.9",
     seed=0,
 )

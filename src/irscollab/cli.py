@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 
-from .errmodel import model_for
 from .errors import InvalidParameters
 from .field import PrimeField, RealField
 from .harness import (
@@ -93,11 +92,10 @@ def _report(study, config: ExperimentConfig, out) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    fld = _parse_field(args.field)
     config = ExperimentConfig(
-        field=fld, n=args.n, k=args.k, l_values=(args.l,),
-        t_values=_parse_range(args.t), trials=args.trials, model=model_for(fld),
-        alphas=args.alphas, decoder=args.decoder, seed=args.seed)
+        field=_parse_field(args.field), n=args.n, k=args.k, l_values=(args.l,),
+        t_values=_parse_range(args.t), trials=args.trials, alphas=args.alphas,
+        decoder=args.decoder, seed=args.seed)
     return _report(run_monte_carlo, config, args.out)
 
 
@@ -114,11 +112,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_condnum(args) -> int:
-    fld = RealField()
     config = ExperimentConfig(
-        field=fld, n=args.n, k=args.k, l_values=_parse_range(args.l),
-        t_values=_parse_range(args.t), trials=args.trials, model=model_for(fld),
-        alphas=args.alphas, seed=args.seed)
+        field=RealField(), n=args.n, k=args.k, l_values=_parse_range(args.l),
+        t_values=_parse_range(args.t), trials=args.trials, alphas=args.alphas, seed=args.seed)
     return _report(condnum_study, config, args.out)
 
 

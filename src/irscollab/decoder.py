@@ -19,10 +19,11 @@ solution set and the rank of each stacked system, the minimal common
 recurrence and, when unique, its coefficients (Metzner and Kapturowski,
 IEEE T-IT 1990, use the same fact for L >= t).  Over GF(p), with more
 layers than positions (L > N - K), both decoders therefore first reduce S to
-its RREF row basis (_row_space, by the blocked PrimeField._reduce_batch,
-whose cost grows linearly in L), N - K rows with a zero row at each position
-that holds no pivot, and stack, eliminate and synthesize on that basis; only
-the error-value solve keeps all L layers.  Real words keep all L layers.
+its RREF row basis (one blocked PrimeField._reduce_batch of the stack of
+syndromes, whose cost grows linearly in L), N - K rows with the row of pivot
+j at row j and a zero row at each position that holds no pivot, and stack,
+eliminate and synthesize on that basis; only the error-value solve keeps all
+L layers.  Real words keep all L layers.
 With S = QR the least-squares problem would not change (the Gram matrix,
 solution and residual from R's rows equal those from S's), but RealField's
 rank cutoff scales with max(shape) of the stacked system, which compression
@@ -250,15 +251,6 @@ def _syndromes(code: GrsCode, r: np.ndarray) -> SyndromeSet:
     return SyndromeSet(values=r @ h, scale=np.abs(r) @ code.syndrome_matrix_abs())
 
 
-def _row_space(field: PrimeField, values: np.ndarray) -> np.ndarray:
-    """The RREF row bases of a (B, L, m) stack of GF(p) syndromes, for L >
-    m: PrimeField._reduce_batch's m rows per word, the basis row with pivot
-    j at row j and zeros elsewhere.  They span the syndromes' rows, so every
-    stacked system, window rank and synthesized recurrence is the same on
-    them."""
-    return field._reduce_batch(values, values.shape[2])[0]
-
-
 def _windows(seqs: np.ndarray, t: int) -> np.ndarray:
     """The (..., n - t, t + 1) windows of t + 1 consecutive syndromes along
     the last axis of seqs: window i is the row [S_i, ..., S_{i+t-1} | S_{i+t}]
@@ -465,8 +457,8 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
 
     The syndromes are one product and the clean words one zero test.  The
     other words, the whole stack itself when no word is clean, go through
-    _scan_words from their starts, on their row bases (_row_space) over
-    GF(p) when L > N - K.  They start by one table, whatever the stack: over
+    _scan_words from their starts, on their row bases over GF(p) when
+    L > N - K.  They start by one table, whatever the stack: over
     GF(p), cpda at the rank of the width-(t_max + 1) windows of those rows
     (one elimination of the stack of windows) and mssr at the synthesized
     length, from synthesize_recurrence for one word (the tracer's
@@ -489,7 +481,7 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     dirty = np.flatnonzero(~clean)
     if dirty.size < count:
         words, values = words[dirty], values[dirty]
-    rows = _row_space(fld, values) if exact and l > n - code.k else values
+    rows = fld._reduce_batch(values, n - code.k)[0] if exact and l > n - code.k else values
     if not exact:
         start = np.ones(len(dirty), dtype=np.intp)
     elif decoder != "mssr":  # no t below the rank of the widest windows is consistent
@@ -629,10 +621,10 @@ def _batch_elements(field: Field, n: int, k: int, l: int) -> int:
     min(l, n - k) basis rows over GF(p), all l layers over the reals; cpda's
     start stack is the one at t_max) or a value solve (n - k rows of t + l
     entries, which also bounds the start's (t_max + 1)**2 basis).  The n - k
-    by n - k row basis of _row_space never sets the maximum: it is built
-    only when l > n - k, and then l * n > (n - k)**2.  The scan stacks and
-    value solves grow with the square of n - k, so they, not the received
-    word, bound a batch of long codes with few layers.
+    by n - k row basis never sets the maximum: it is built only when
+    l > n - k, and then l * n > (n - k)**2.  The scan stacks and value
+    solves grow with the square of n - k, so they, not the received word,
+    bound a batch of long codes with few layers.
     """
     m = n - k
     rows = min(l, m) if isinstance(field, PrimeField) else l

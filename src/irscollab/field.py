@@ -12,7 +12,7 @@ public methods and the decoders run one body over either field:
 
     _reduce(x)       a fresh arithmetic result in canonical form (reduced mod p
                      in place over GF(p); a 0-d result as a scalar);
-    _invert(x)       the inverse of a canonical value without zeros;
+    _inverse(x)      the inverse of a canonical value or array without zeros;
     _matmul(a, b)    the product a @ b (b 1-D, 2-D or a stack of matrices);
     _sub(a, b)       the difference a - b, elementwise;
     _solve_batch(aug, ncols)
@@ -215,7 +215,7 @@ class Field:
         val = self._coerce(a)
         if np.any(val == 0):
             raise ZeroDivisionError(f"zero has no inverse in {self!r}")
-        return self._invert(val)
+        return self._inverse(val)
 
     def matmul(self, a, b):
         """Matrix product (see _matmul); a 0-d result is a canonical scalar."""
@@ -271,7 +271,7 @@ class PrimeField(Field):
     __slots__ = ("p", "_primitive_root", "_inv_table")
 
     def __init__(self, p: int):
-        p = _check_int("field modulus", p, 2)
+        p = _check_int("p", p, 2)
         if not _is_prime(p):
             raise InvalidParameters(f"field modulus must be prime, got {p}")
         self.p = p
@@ -301,7 +301,10 @@ class PrimeField(Field):
         An array result is always a fresh array.  Object elements become
         Python ints, so products of huge elements never wrap in a fixed-width
         numpy integer.  A large int64 array whose entries already lie in
-        [0, p) is copied after one range check instead of reduced.
+        [0, p) is copied after one range check instead of reduced.  Integer
+        dtypes narrower than 64 bits are widened to int64 first, since they
+        may not hold p; uint64 is reduced as it is, so entries at or above
+        2**63 stay exact.
         """
         if isinstance(x, bool):
             raise TypeError("GF(p) operations take integer operands, got bool")
@@ -319,6 +322,8 @@ class PrimeField(Field):
         elif (arr.dtype == np.int64 and arr.size >= _RANGE_CHECK_MIN
               and arr.min() >= 0 and arr.max() < self.p):
             return arr.copy()
+        elif arr.dtype.itemsize < 8:
+            arr = arr.astype(np.int64)
         return arr % self.p
 
     def array(self, xs) -> np.ndarray:
@@ -342,20 +347,20 @@ class PrimeField(Field):
         out %= self.p
         return int(out) if np.ndim(out) == 0 else out
 
-    def _invert(self, val):
-        return self._inverse(val) if isinstance(val, np.ndarray) else pow(val, self.p - 2, self.p)
-
     def _inverse(self, a):
-        """Elementwise inverse of a canonical array without zeros.
+        """Inverse of a canonical value or array without zeros.
 
-        For p below _INV_TABLE_P, a lookup in a table of every inverse, built
-        on first use.  Otherwise a**(p - 2) by square-and-multiply over the
-        whole array: about 2 log2(p) array products, not one pow per entry.
-        _eliminate inverts one pivot vector per column, and the products
-        cost about 25 us a call at p = 257 even on a few elements, against
-        0.4 us for the lookup (2-core x86); the criterion-3 cell decodes about
-        10 % faster with the table.
+        A scalar is one pow.  An array, for p below _INV_TABLE_P, is a lookup
+        in a table of every inverse, built on first use.  Otherwise it is
+        a**(p - 2) by square-and-multiply over the whole array: about
+        2 log2(p) array products, not one pow per entry.  _eliminate inverts
+        one pivot vector per column, and the products cost about 25 us a
+        call at p = 257 even on a few elements, against 0.4 us for the
+        lookup (2-core x86); the criterion-3 cell decodes about 10 % faster
+        with the table.
         """
+        if not isinstance(a, np.ndarray):
+            return pow(a, self.p - 2, self.p)
         if self.p >= _INV_TABLE_P:
             return self._power(a, self.p - 2)
         if self._inv_table is None:
@@ -707,8 +712,10 @@ class RealField(Field):
             if not np.isfinite(val):
                 raise ValueError(f"real-field elements must be finite, got {val!r}")
             return val
-        arr = np.asarray(x, dtype=np.float64)
-        return arr
+        arr = np.asarray(x)
+        if arr.dtype.kind not in "iufO":
+            raise TypeError(f"real-field operations take numeric operands, got dtype {arr.dtype}")
+        return np.asarray(arr, dtype=np.float64)
 
     def array(self, xs) -> np.ndarray:
         arr = np.asarray(self._coerce(xs), dtype=np.float64)
@@ -725,8 +732,8 @@ class RealField(Field):
     def _reduce(self, out):
         return out
 
-    def _invert(self, val):
-        return 1.0 / val
+    def _inverse(self, a):
+        return 1.0 / a
 
     def is_zero(self, a, scale=1.0):
         """Scale-relative zero test: |a| <= EQ_TOL * max(scale, 1)."""

@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from .errors import InvalidParameters, NotACodeword
-from .field import RESIDUAL_TOL, Field, PrimeField, RealField, _column_norms, _is_int
+from .field import RESIDUAL_TOL, Field, PrimeField, RealField, _check_int, _column_norms
 
 __all__ = ["GrsCode", "make_grs", "encode"]
 
@@ -62,7 +62,7 @@ class GrsCode:
         if isinstance(field, RealField) and np.any(prods == 0.0):
             raise InvalidParameters("evaluation points must be pairwise distinct")
         self.field, self.n, self.k = field, n, k
-        self.alphas, self.u = alphas, field._invert(prods)
+        self.alphas, self.u = alphas, field._inverse(prods)
         for arr in (self.alphas, self.u):
             arr.setflags(write=False)
         self._cache = {}
@@ -97,7 +97,7 @@ class GrsCode:
         with W[:, :t+1], and column 1 holds the candidates themselves.  Built
         on first use; the constructor has checked that the points are nonzero.
         """
-        return self.field.power_matrix(self.field._invert(self.alphas), self.n + 1)
+        return self.field.power_matrix(self.field._inverse(self.alphas), self.n + 1)
 
     @_cached
     def candidate_gaps(self) -> np.ndarray:
@@ -112,11 +112,10 @@ class GrsCode:
 def _code_size(n, k):
     """(n, k) as Python ints, or InvalidParameters unless they are integers
     with 1 <= k < n: the one size rule, of GrsCode and decoder.t_max."""
-    if not (_is_int(n) and _is_int(k)):
-        raise InvalidParameters(f"n and k must be integers, got n={n!r}, k={k!r}")
-    if not 1 <= k < n:
+    n, k = _check_int("n", n, 2), _check_int("k", k, 1)
+    if k >= n:
         raise InvalidParameters(f"need 1 <= k < n, got n={n}, k={k}")
-    return int(n), int(k)
+    return n, k
 
 
 def _product_of_differences(field: Field, alphas: np.ndarray) -> np.ndarray:
@@ -171,7 +170,7 @@ def encode(code: GrsCode, msg) -> np.ndarray:
     msg = code.field.array(msg)
     if msg.ndim != 1 or msg.shape[0] != code.k:
         raise InvalidParameters(f"message must be a length-{code.k} coefficient vector")
-    return code.field.matmul(code.encoding_matrix(), msg)
+    return code.field._matmul(code.encoding_matrix(), msg)
 
 
 def _interpolate_rows(code: GrsCode, rows: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +32,7 @@ from .decoder import (FailureReason, _batch_elements, _check_t, _decode_batch, _
                       _windows, cpda_decode, outcomes_equal, t_max)
 from .errmodel import ErrorModelSpec, _check_model, _draw_error, model_for, sample_error
 from .errors import DecoderMismatch, InvalidParameters, NotACodeword
-from .field import Field, PrimeField, RealField, _check_int, _is_int
+from .field import Field, PrimeField, RealField, _check_int
 from .grs import _check_points, _primitive_points, make_grs
 from .polycode import PolyCodeParams, assemble_irs, encode_tasks, recover_product, worker_compute
 
@@ -104,20 +104,15 @@ def _rule(field: Field, rule: str | None) -> str:
     return rule if rule is not None else "primitive" if isinstance(field, PrimeField) else "pow:0.9"
 
 
-def _check_seed(seed) -> int:
-    """seed as a Python int, or InvalidParameters unless it is a nonnegative
-    integer."""
-    if not _is_int(seed) or seed < 0:
-        raise InvalidParameters(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo experiment: a grid of (L, t) cells over a fixed code.
 
-    alphas is a make_alphas rule, None for the field's default; the config
-    stores the resolved rule, checked with every other field here.
+    Every integer goes through _check_int, whose message names it, and is
+    stored as a Python int.  alphas is a make_alphas rule, None for the
+    field's default; the config stores the resolved rule, checked with
+    every other field here.  The error model is the field's (model_for):
+    model, when given, is only checked against it and not stored.
     """
 
     field: Field
@@ -126,31 +121,26 @@ class ExperimentConfig:
     l_values: tuple
     t_values: tuple
     trials: int
-    model: str
+    model: InitVar[str | None] = None
     alphas: str | None = None
     decoder: str = "cpda"
     seed: int = 0
 
-    def __post_init__(self):
-        l_values, t_values = tuple(self.l_values), tuple(self.t_values)
-        if not all(map(_is_int, (self.n, self.k, self.trials, self.seed, *l_values, *t_values))):
-            raise InvalidParameters("n, k, trials, seed and the l and t values must be integers")
-        for name in ("n", "k", "trials", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "l_values", tuple(map(int, l_values)))
-        object.__setattr__(self, "t_values", tuple(map(int, t_values)))
-        if not self.l_values:
-            raise InvalidParameters("l_values must be nonempty")
-        for l in self.l_values:
-            t_max(self.n, self.k, l)
-        if not self.t_values or any(not 0 <= t <= self.n for t in self.t_values):
+    def __post_init__(self, model):
+        for name, least in (("n", 2), ("k", 1), ("trials", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), least))
+        for name, least in (("l_values", 1), ("t_values", 0)):
+            values = tuple(_check_int(f"{name}[{i}]", v, least)
+                           for i, v in enumerate(getattr(self, name)))
+            if not values:
+                raise InvalidParameters(f"{name} must be nonempty")
+            object.__setattr__(self, name, values)
+        t_max(self.n, self.k, 1)  # the size rule 1 <= k < n
+        if max(self.t_values) > self.n:
             raise InvalidParameters(f"t_values must lie in [0, {self.n}]")
-        if self.trials < 1:
-            raise InvalidParameters("trials must be positive")
-        _check_model(self.model, self.field)
+        _check_model(model_for(self.field) if model is None else model, self.field)
         if self.decoder not in _DECODERS:
             raise InvalidParameters(f"decoder must be one of {_DECODERS}, got {self.decoder!r}")
-        _check_seed(self.seed)
         object.__setattr__(self, "alphas", _rule(self.field, self.alphas))
         make_alphas(self.field, self.n, self.alphas)
 
@@ -331,6 +321,14 @@ def _decoded(config: ExperimentConfig, code, l: int, t: int):
         yield from zip(words, _checked(config, lambda name: _decode_batch(code, received, name)))
 
 
+def _grid(config: ExperimentConfig, cell) -> Report:
+    """The report of cell(code, l, t), the CellStats of one cell, for every
+    (L, t) cell of the config: the one loop over the cells of both
+    studies."""
+    code = config.code()
+    return Report(cells=tuple(cell(code, l, t) for l in config.l_values for t in config.t_values))
+
+
 def run_monte_carlo(config: ExperimentConfig) -> Report:
     """Estimate P_F, P_ML, P_e for every (L, t) cell of the config.
 
@@ -340,19 +338,17 @@ def run_monte_carlo(config: ExperimentConfig) -> Report:
     different word.  Deterministic for a fixed master seed.
     """
     fld = config.field
-    code = config.code()
-    cells = []
-    for l in config.l_values:
-        for t in config.t_values:
-            failures = undetected = 0
-            for word, outcome in _decoded(config, code, l, t):
-                if not outcome.success:
-                    failures += 1
-                elif not fld._agree(outcome.corrected, word, CLASSIFY_RTOL):
-                    undetected += 1
-            cells.append(CellStats(t=t, l=l, trials=config.trials,
-                                   failures=failures, undetected=undetected))
-    return Report(cells=tuple(cells))
+
+    def cell(code, l, t):
+        failures = undetected = 0
+        for word, outcome in _decoded(config, code, l, t):
+            if not outcome.success:
+                failures += 1
+            elif not fld._agree(outcome.corrected, word, CLASSIFY_RTOL):
+                undetected += 1
+        return CellStats(t=t, l=l, trials=config.trials, failures=failures, undetected=undetected)
+
+    return _grid(config, cell)
 
 
 def condnum_study(config: ExperimentConfig) -> Report:
@@ -364,23 +360,20 @@ def condnum_study(config: ExperimentConfig) -> Report:
     """
     if not isinstance(config.field, RealField):
         raise InvalidParameters("conditioning is only studied over the real field")
-    for l in config.l_values:
-        for t in config.t_values:
-            _check_t(t, config.n, config.k, l, least=1)
-    code = config.code()
-    cells = []
-    for l in config.l_values:
-        for t in config.t_values:
-            conds = []
-            for _, received in _batches(config, code, l, t):
-                # Each word's stacked matrix S, L(N - K - t) x t, and its S^T S.
-                s = _windows(_syndromes(code, received).values, t)[..., :t]
-                s = s.reshape(len(received), -1, t)
-                conds.extend(np.linalg.cond(s.swapaxes(1, 2) @ s).tolist())
-            cells.append(CellStats(t=t, l=l, trials=config.trials, failures=0,
-                                   undetected=0,
-                                   mean_cond=math.fsum(conds) / len(conds)))
-    return Report(cells=tuple(cells))
+    for t in config.t_values:  # t_max grows with L: the least L binds
+        _check_t(t, config.n, config.k, min(config.l_values), least=1)
+
+    def cell(code, l, t):
+        conds = []
+        for _, received in _batches(config, code, l, t):
+            # Each word's stacked matrix S, L(N - K - t) x t, and its S^T S.
+            s = _windows(_syndromes(code, received).values, t)[..., :t]
+            s = s.reshape(len(received), -1, t)
+            conds.extend(np.linalg.cond(s.swapaxes(1, 2) @ s).tolist())
+        return CellStats(t=t, l=l, trials=config.trials, failures=0, undetected=0,
+                         mean_cond=math.fsum(conds) / len(conds))
+
+    return _grid(config, cell)
 
 
 def pf_bound(q: int, n: int, k: int, l: int, t: int) -> float:
@@ -427,7 +420,7 @@ def demo_matmul(params: PolyCodeParams, t: int, seed: int = 0) -> DemoReport:
     # interleaving depth of L = 4 regardless of the split counts.
     s, r, rp = 4, 2 * params.m, 2 * params.n
     l = (r * rp) // (params.m * params.n)
-    t, seed = _check_t(t, params.num_workers, params.k, l), _check_seed(seed)
+    t, seed = _check_t(t, params.num_workers, params.k, l), _check_int("seed", seed, 0)
     rng = next(_trial_rngs(seed, l, t, range(1)))
     a = fld.rand_elements(rng, (s, r))
     b = fld.rand_elements(rng, (s, rp))
@@ -446,7 +439,7 @@ def demo_matmul(params: PolyCodeParams, t: int, seed: int = 0) -> DemoReport:
     if reason is not None:
         return DemoReport(success=False, max_rel_error=None, reason=reason,
                           t=t, num_workers=params.num_workers)
-    truth = fld.matmul(a.T, b)
+    truth = fld._matmul(a.T, b)
     if isinstance(fld, PrimeField):
         rel = 0.0 if np.array_equal(product, truth) else 1.0
     else:

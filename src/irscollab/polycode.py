@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameters
-from .field import Field, PrimeField, _is_int
+from .field import Field, PrimeField, _check_int
 from .grs import GrsCode, _interpolate_rows
 
 __all__ = [
@@ -42,12 +42,12 @@ class PolyCodeParams:
     """Parameters of a polynomial code for N workers and m x n block products.
 
     The block counts m and n must be positive integers, and the N workers
-    must outnumber K = m*n.  code, derived and not given, is the induced
-    GRS(N, K) code on the points xs, built once here: its constructor
-    applies the point rule (pairwise distinct and nonzero), and xs becomes
-    its frozen copy of the points.  Anything else raises InvalidParameters.
-    Two params are equal when their field, counts and points are, and
-    equal params hash alike.
+    must outnumber K = m*n; each count goes through _check_int.  code,
+    derived and not given, is the induced GRS(N, K) code on the points xs,
+    built once here: its constructor applies the point rule (pairwise
+    distinct and nonzero), and xs becomes its frozen copy of the points.
+    Anything else raises InvalidParameters.  Two params are equal when their
+    field, counts and points are, and equal params hash alike.
     """
 
     field: Field
@@ -58,15 +58,11 @@ class PolyCodeParams:
     code: GrsCode = dataclass_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not all(map(_is_int, (self.m, self.n, self.num_workers))):
-            raise InvalidParameters("block counts and the worker count must be integers")
         for name in ("m", "n", "num_workers"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.m < 1 or self.n < 1:
-            raise InvalidParameters(f"block counts must be positive, got m={self.m}, n={self.n}")
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1))
         if self.num_workers <= self.k:
             raise InvalidParameters(
-                f"need more workers than K = m*n = {self.k}, got {self.num_workers}"
+                f"num_workers must exceed K = m*n = {self.k}, got {self.num_workers}"
             )
         code = GrsCode(self.field, self.num_workers, self.k, self.xs)
         object.__setattr__(self, "code", code)
@@ -151,7 +147,7 @@ def encode_tasks(params: PolyCodeParams, a, b) -> list[WorkerTask]:
     float64; each input is then one float64 dgemm, left unreduced, and
     worker_compute makes the one reduction (Dumas, Giorgi and Pernet, ACM
     TOMS 2008).  The reals, and every GF(p) case where the rule fails,
-    encode canonically by field.matmul.
+    encode canonically by field._matmul.
     """
     fld = params.field
     a = fld.array(a)
@@ -168,7 +164,7 @@ def encode_tasks(params: PolyCodeParams, a, b) -> list[WorkerTask]:
         if unreduced:
             enc = powers.astype(np.float64) @ flat.astype(np.float64)
         else:
-            enc = fld.matmul(powers, flat)
+            enc = fld._matmul(powers, flat)
         coded.append(enc.reshape(-1, *blocks.shape[1:]))
     return [WorkerTask(i, a_i, b_i, fld) for i, (a_i, b_i) in enumerate(zip(*coded))]
 

@@ -766,6 +766,40 @@ def test_object_elements_become_python_ints():
     assert small.dtype == np.int64 and small.tolist() == [256, 43]
 
 
+INT_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
+
+
+@pytest.mark.parametrize("p", [2, 13, 257, 65537, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
+def test_array_reduces_every_integer_dtype_as_python_ints_do(p, dtype):
+    # Whether or not the dtype can hold p: int8 and uint8 cannot hold 257,
+    # int16 and uint16 cannot hold 65537.  uint64 entries at or above 2**63
+    # reduce exactly.
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(p % 1000)
+    edges = [info.min, info.min + 1, -2, -1, 0, 1, 2, p - 1, p, p + 1, info.max - 1, info.max]
+    vals = [v for v in edges if info.min <= v <= info.max]
+    vals += rng.integers(info.min, info.max, 50, dtype=dtype, endpoint=True).tolist()
+    x = np.array(vals, dtype=dtype)
+    fld = PrimeField(p)
+    got = fld.array(x)
+    assert got.dtype == fld.dtype
+    assert [int(v) for v in got] == [int(v) % p for v in vals]
+    assert fld.is_zero(x).tolist() == [int(v) % p == 0 for v in vals]
+
+
+@pytest.mark.parametrize("bad", [np.array([1 + 0j, 5j]), np.array([True, False]),
+                                 np.array(["1.5", "2"]), 5j, "1.5", np.bool_(True)],
+                         ids=["complex", "bool", "str", "complex-scalar", "str-scalar",
+                              "bool-scalar"])
+def test_real_field_rejects_what_gf_rejects(bad):
+    # Complex values would lose their imaginary part, bools and numeric
+    # strings would become floats: each raises TypeError, as over GF(p).
+    for fld in (RealField(), PrimeField(257)):
+        with pytest.raises(TypeError):
+            fld.array(bad)
+
+
 def test_object_arrays_reject_non_integers():
     for p in (257, 2**61 - 1):
         with pytest.raises(TypeError):

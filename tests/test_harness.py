@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo harness and the CLI."""
 
+import dataclasses
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irscollab import harness
+from irscollab import cli, harness
 from irscollab.cli import main
 from irscollab.decoder import DecodeOutcome, FailureReason, _batch_elements
 from irscollab.errors import DecoderMismatch, InvalidParameters
@@ -128,7 +130,13 @@ def test_config_validation():
     dict(seed=1.5), dict(seed=False), dict(n=10.0), dict(k=4.0), dict(k=True),
 ])
 def test_config_rejects_non_integers(bad):
-    with pytest.raises(InvalidParameters, match="integers"):
+    # The message names the parameter, and the first entry of a grid.
+    ((name, value),) = bad.items()
+    least = dict(n=2, k=1, trials=1, seed=0, l_values=1, t_values=0)[name]
+    label = f"{name}[0]" if name.endswith("_values") else name
+    got = repr(value[0] if name.endswith("_values") else value)
+    message = rf"^{re.escape(label)} must be an integer >= {least}, got {re.escape(got)}$"
+    with pytest.raises(InvalidParameters, match=message):
         _config(**bad)
 
 
@@ -149,6 +157,22 @@ def test_config_checks_its_rule_at_construction(rule):
     # GF(7) has six nonzero points, so "linear" gives a zero among eight.
     with pytest.raises(InvalidParameters):
         _config(field=PrimeField(7), n=8, k=2, alphas=rule)
+
+
+@pytest.mark.parametrize("field, model, rule", [
+    (PrimeField(257), "uref", "primitive"), (RealField(), "gre", "pow:0.9")], ids=["gf257", "real"])
+def test_config_derives_its_error_model(field, model, rule):
+    # model is init-only: the field's model is accepted and not stored, so
+    # the config equals one built without it; the other field's is refused.
+    assert "model" not in [f.name for f in dataclasses.fields(ExperimentConfig)]
+    grid = dict(field=field, n=10, k=4, l_values=(2,), t_values=(1,), trials=3, alphas=rule)
+    given = ExperimentConfig(**grid, model=model)
+    assert given == ExperimentConfig(**grid)
+    assert dataclasses.replace(given, decoder="mssr").decoder == "mssr"
+    other = "gre" if model == "uref" else "uref"
+    with pytest.raises(InvalidParameters, match=f"the '{other}' error model is not defined"):
+        ExperimentConfig(**grid, model=other)
+    assert not hasattr(cli, "model_for")
 
 
 def test_config_takes_numpy_integers():
@@ -558,7 +582,8 @@ def test_demo_matmul_reports_a_word_the_interpolation_rejects():
 
 @pytest.mark.parametrize("seed", [-1, 2.0, True, "3"])
 def test_demo_matmul_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
-    with pytest.raises(InvalidParameters, match="seed must be a nonnegative integer"):
+    message = rf"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(InvalidParameters, match=message):
         demo_matmul(_demo_params(PrimeField(257), 12), t=1, seed=seed)
 
 
@@ -572,7 +597,7 @@ def test_cli_demo_matmul_refuses_a_negative_seed(capsys):
                "--workers", "12", "--t", "1", "--seed", "-1"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: seed must be a nonnegative integer") and "Traceback" not in err
+    assert err == "error: seed must be an integer >= 0, got -1\n"
 
 
 def test_demo_matmul_rejects_t_beyond_radius():

@@ -6,9 +6,12 @@ the equal Python int.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irscollab.decoder import build_stacked, t_max
 from irscollab.errmodel import ErrorModelSpec, sample_error
@@ -40,6 +43,7 @@ EDGES = {
                        dict(m=2, n=2, num_workers=6)),
     "GrsCode": (lambda n, k: GrsCode(GF, n, k, range(1, 9)), dict(n=8, k=2)),
     "ErrorModelSpec": (lambda t: ErrorModelSpec("uref", t), dict(t=2)),
+    "PrimeField": (PrimeField, dict(p=257)),
 }
 
 
@@ -47,6 +51,8 @@ def _fingerprint(x):
     """x as nested plain values, with the type of every scalar."""
     if isinstance(x, np.ndarray):
         return x.dtype.str, x.tolist()
+    if isinstance(x, PrimeField):
+        return _fingerprint(("PrimeField", x.p))
     if isinstance(x, GrsCode):
         return _fingerprint((x.field, x.n, x.k, x.alphas, x.u))
     if dataclasses.is_dataclass(x):
@@ -66,3 +72,37 @@ def test_every_integer_parameter_takes_integers_only(edge, name):
     want = _fingerprint(call(**valid))
     for kind in (np.int64, np.uint16):
         assert _fingerprint(call(**{**valid, name: kind(valid[name])})) == want
+
+
+# The least value of each integer parameter, and the name that its message
+# starts with when it is not the parameter's own.
+LEAST = {
+    ("ExperimentConfig", "n"): 2, ("ExperimentConfig", "k"): 1, ("ExperimentConfig", "l"): 1,
+    ("ExperimentConfig", "t"): 0, ("ExperimentConfig", "trials"): 1,
+    ("ExperimentConfig", "seed"): 0, ("PolyCodeParams", "m"): 1, ("PolyCodeParams", "n"): 1,
+    ("PolyCodeParams", "num_workers"): 5, ("demo_matmul", "seed"): 0, ("demo_matmul", "t"): 0,
+    ("t_max", "l"): 1, ("make_alphas", "n"): 1, ("sample_error", "l"): 1,
+    ("sample_error", "n"): 1, ("ErrorModelSpec", "t"): 0, ("PrimeField", "p"): 2,
+    ("pf_bound", "q"): 2,
+}
+LABELS = {("ExperimentConfig", "l"): "l_values[0]", ("ExperimentConfig", "t"): "t_values[0]"}
+INT_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_integer_parameters_are_checked_by_one_rule_that_names_them(data):
+    # A float, a bool, a string or an integer below the least value raises
+    # InvalidParameters whose message starts with the parameter's name; a
+    # numpy integer gives what the equal Python int gives, stored as an int.
+    edge, name = data.draw(st.sampled_from(sorted(LEAST)), label="parameter")
+    call, valid = EDGES[edge]
+    least = LEAST[edge, name]
+    bad = data.draw(st.one_of(st.floats(), st.booleans(), st.text(max_size=4),
+                              st.integers(max_value=least - 1)), label="bad")
+    with pytest.raises(InvalidParameters) as exc:
+        call(**{**valid, name: bad})
+    assert re.match(rf"{re.escape(LABELS.get((edge, name), name))}[ =]", str(exc.value))
+    dtype = data.draw(st.sampled_from([d for d in INT_DTYPES if np.iinfo(d).max >= valid[name]]),
+                      label="dtype")
+    assert _fingerprint(call(**{**valid, name: dtype(valid[name])})) == _fingerprint(call(**valid))

@@ -62,13 +62,13 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("m, n, num_workers, message", [
-    (0, 2, 5, "must be positive, got m=0, n=2"),
-    (2, 0, 5, "must be positive, got m=2, n=0"),
-    (-1, 1, 5, "must be positive"),
-    (2.0, 2, 5, "must be integers"),
-    (2, "2", 5, "must be integers"),
-    (2, 2, 5.0, "must be integers"),
-])
+    (0, 2, 5, r"^m must be an integer >= 1, got 0$"),
+    (2, 0, 5, r"^n must be an integer >= 1, got 0$"),
+    (-1, 1, 5, r"^m must be an integer >= 1, got -1$"),
+    (2.0, 2, 5, r"^m must be an integer >= 1, got 2\.0$"),
+    (2, "2", 5, r"^n must be an integer >= 1, got '2'$"),
+    (2, 2, 5.0, r"^num_workers must be an integer >= 1, got 5\.0$"),
+], ids=["m=0", "n=0", "m=-1", "m=2.0", "n='2'", "num_workers=5.0"])
 def test_params_need_positive_integer_block_counts(m, n, num_workers, message):
     with pytest.raises(InvalidParameters, match=message):
         PolyCodeParams(field=GF, m=m, n=n, num_workers=num_workers,
