@@ -45,9 +45,14 @@ words start at t = 1.
 
 There is one decode path, _decode_batch over a (B, L, N) stack of words:
 the public decoders run it on a stack of one, and the Monte Carlo harness on
-whole batches, so a word's outcome is the same bit for bit.  Its syndromes
-are one product and its clean words one zero test.  Every other word starts
-its scan at a t below which none of its stacked systems is consistent, by
+whole batches, so a word's outcome is the same bit for bit.  It returns its
+outcomes as arrays (_Decoded): a status code per word, the stack of
+corrected words, and per t the locations, error values and locators of the
+words that succeeded there.  A DecodeOutcome is built only on request, for
+the public decoders and for the harness's cpda/mssr comparison; Monte Carlo
+counts read the arrays.  Its syndromes are one product and its clean words
+one zero test.  Every other word starts its scan at a t below which none of
+its stacked systems is consistent, by
 one rule per field and decoder, whatever the size of its stack: over GF(p),
 cpda at the window rank above and mssr at the synthesized recurrence length,
 the least consistent t; over the reals both at t = 1, since real synthesis
@@ -435,7 +440,7 @@ def cpda_decode(code: GrsCode, r) -> DecodeOutcome:
     impasse; all failure modes are reported in the outcome.  The outcome is
     identical to mssr_decode's on every input, over either field.
     """
-    return _decode_batch(code, _validated_word(code, r)[None], "cpda")[0]
+    return _decode_batch(code, _validated_word(code, r)[None], "cpda").outcome(0)
 
 
 def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
@@ -447,13 +452,51 @@ def mssr_decode(code: GrsCode, r) -> DecodeOutcome:
     rest, the locator included, is cpda_decode's, so the two decoders give
     identical outcomes on every input, over either field.
     """
-    return _decode_batch(code, _validated_word(code, r)[None], "mssr")[0]
+    return _decode_batch(code, _validated_word(code, r)[None], "mssr").outcome(0)
 
 
-def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
-    """Outcomes of cpda_decode or mssr_decode (decoder "cpda" or "mssr") for
-    every word of a canonical (B, L, N) stack, over either field: the one
-    decode path of the module docstring.
+# A word's status in a _Decoded: 0 for success, otherwise 1 + the index of
+# its first failure in _REASONS, FailureReason's order.
+_REASONS = tuple(FailureReason)
+_NO_CONSISTENT_T, _RANK_DEFICIENT, _NOT_T_VALID, _SYNDROME_RESIDUAL = range(1, len(_REASONS) + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Decoded:
+    """The outcomes of _decode_batch for a (B, L, N) stack, as arrays.
+
+    status is the (B,) int8 code of each word (see _REASONS), and corrected
+    the fresh (B, L, N) stack of corrected words, the received word where
+    the status is not 0.  groups maps each t >= 1 at which words succeeded
+    to (words, locations, values, coeffs): their sorted indices, (b, t)
+    locations in column order, (b, t, L) error values and (b, t) locator
+    coefficients; a success in no group is a clean word.  outcome(i) builds
+    word i's DecodeOutcome on request, so a caller that needs only counts
+    builds no object per word.
+    """
+
+    status: np.ndarray
+    corrected: np.ndarray
+    groups: dict
+
+    def outcome(self, i) -> DecodeOutcome:
+        if self.status[i]:
+            return DecodeOutcome.fail(_REASONS[self.status[i] - 1])
+        for words, locs, values, coeffs in self.groups.values():
+            row = np.searchsorted(words, i)
+            if row < len(words) and words[row] == i:
+                return DecodeOutcome.ok(self.corrected[i], ErrorLocator(coeffs[row]), locs[row],
+                                        values[row].T)
+        dtype = self.corrected.dtype
+        return DecodeOutcome.ok(self.corrected[i], ErrorLocator(np.zeros(0, dtype)), (),
+                                np.zeros((self.corrected.shape[1], 0), dtype))
+
+
+def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> _Decoded:
+    """The outcomes of cpda_decode or mssr_decode (decoder "cpda" or "mssr")
+    for every word of a canonical (B, L, N) stack, over either field, as a
+    _Decoded: the one decode path of the module docstring.  It builds no
+    DecodeOutcome; the public decoders build their word's from outcome(0).
 
     The syndromes are one product and the clean words one zero test.  The
     other words, the whole stack itself when no word is clean, go through
@@ -463,7 +506,9 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
     (one elimination of the stack of windows) and mssr at the synthesized
     length, from synthesize_recurrence for one word (the tracer's
     decoder.synthesize span) and _synthesize_batch for more; over the reals,
-    both at t = 1, since real synthesis is cpda's scan.
+    both at t = 1, since real synthesis is cpda's scan.  The corrected
+    stack is one copy of the words, into which each success's error values
+    are subtracted, one scatter per t.
     """
     fld = code.field
     count, l, n = words.shape
@@ -474,13 +519,9 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
         clean = ~values.any(axis=(1, 2))
     else:
         clean = fld.is_zero(values, scale=synd.scale).all(axis=(1, 2))
-    outcomes = [None] * count
-    for i in np.flatnonzero(clean):
-        outcomes[i] = DecodeOutcome.ok(np.array(words[i], copy=True), ErrorLocator(fld.zeros(0)),
-                                       (), fld.zeros((l, 0)))
     dirty = np.flatnonzero(~clean)
     if dirty.size < count:
-        words, values = words[dirty], values[dirty]
+        values = values[dirty]
     rows = fld._reduce_batch(values, n - code.k)[0] if exact and l > n - code.k else values
     if not exact:
         start = np.ones(len(dirty), dtype=np.intp)
@@ -490,15 +531,22 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> list:
         start = np.array([synthesize_recurrence(fld, rows[0])[0]])
     else:
         start = _synthesize_batch(fld, rows)[0]
-    for i, out in zip(dirty, _scan_words(code, words, values, rows, start, tm)):
-        outcomes[i] = out
-    return outcomes
+    status = np.zeros(count, dtype=np.int8)
+    status[dirty], found = _scan_words(code, values, rows, start, tm)
+    corrected = words.copy()
+    for t, (done, locs, x, coeffs) in found.items():
+        done = dirty[done]
+        corrected[done[:, None], :, locs] = fld._sub(corrected[done[:, None], :, locs], x)
+        found[t] = (done, locs, x, coeffs)
+    return _Decoded(status, corrected, found)
 
 
-def _scan_words(code: GrsCode, words: np.ndarray, synd: np.ndarray, rows: np.ndarray,
-                start: np.ndarray, tm: int) -> list:
-    """The t-scan of both decoders, for a (B, L, N) stack of words whose
-    syndromes synd are not all zero: their outcomes, in order.
+def _scan_words(code: GrsCode, synd: np.ndarray, rows: np.ndarray, start: np.ndarray,
+                tm: int):
+    """The t-scan of both decoders, for a stack of B words whose syndromes
+    synd are not all zero: (status, found), their (B,) status codes and, for
+    each t at which words succeeded, (words, locations, values, coeffs) as in
+    _Decoded.groups, the words indexed into this stack.
 
     Word b scans the stacked systems of its syndrome rows rows[b] from t =
     start[b] up to tm = t_max, one _scan_batch per t over the words still
@@ -508,23 +556,25 @@ def _scan_words(code: GrsCode, words: np.ndarray, synd: np.ndarray, rows: np.nda
     success.  A word that never reaches a consistent t gets NO_CONSISTENT_T.
     """
     fld = code.field
-    outcomes = [None] * len(words)
-    scanning = np.ones(len(words), dtype=bool)
+    status, found = np.zeros(len(synd), dtype=np.int8), {}
+    scanning = np.ones(len(synd), dtype=bool)
     for t in range(int(start.min(initial=tm + 1)), tm + 1):
         pos = np.flatnonzero(scanning & (start <= t))
         if not pos.size:
             continue
         coeffs, rank, consistent = _scan_batch(fld, rows[pos], t)
         full = consistent & (rank == t)
-        for j in pos[consistent ^ full]:
-            outcomes[j] = outcomes[j] or DecodeOutcome.fail(FailureReason.RANK_DEFICIENT)
-        done = pos[full]
-        if done.size:
-            for j, out in zip(done, _finish_batch(code, words, synd, done, coeffs[full])):
-                if out.success or outcomes[j] is None:
-                    outcomes[j] = out
-                scanning[j] = not out.success
-    return [out or DecodeOutcome.fail(FailureReason.NO_CONSISTENT_T) for out in outcomes]
+        failed = np.where(consistent ^ full, _RANK_DEFICIENT, 0)
+        if full.any():
+            failed[full], locs, x = _finish_batch(code, synd, pos[full], coeffs[full])
+            ok = full & (failed == 0)
+            found[t] = (pos[ok], locs, x, coeffs[ok])
+            scanning[pos[ok]] = False
+        if failed.any():
+            status[pos] = np.where(status[pos] == 0, failed, status[pos])
+    status[scanning & (status == 0)] = _NO_CONSISTENT_T
+    status[~scanning] = 0
+    return status, found
 
 
 # ---------------------------------------------------------------------------
@@ -668,13 +718,13 @@ def _locate_batch(code: GrsCode, coeffs: np.ndarray):
     return valid[ok], locs[ok]
 
 
-def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, which: np.ndarray,
-                  coeffs: np.ndarray):
+def _finish_batch(code: GrsCode, synd: np.ndarray, which: np.ndarray, coeffs: np.ndarray):
     """The one tail of both decoders, for the words `which` of a stack with
-    syndromes synd and their locators coeffs, all of one length t: locate,
-    solve the error values, subtract.  Only the words with a t-valid locator
-    are copied out of the stack, once, as their corrected words; the others
-    fail with NOT_T_VALID.
+    syndromes synd and their locators coeffs, all of one length t: locate
+    and solve the error values.  Returns (status, locs, x): the status code
+    of each word (0, NOT_T_VALID or SYNDROME_RESIDUAL), and the (b, t)
+    locations and (b, t, L) error values of the b words of status 0, in
+    order, which _decode_batch subtracts from its copies of the words.
 
     The locators are checked by _locate_batch, a lone word's through
     is_t_valid, which is _locate_batch on a stack of one.  The value solves
@@ -686,31 +736,25 @@ def _finish_batch(code: GrsCode, words: np.ndarray, synd: np.ndarray, which: np.
     """
     fld = code.field
     count, t = coeffs.shape
-    locators = [ErrorLocator(coeffs=c) for c in coeffs]
     if count == 1:  # is_t_valid is the root stage that perfbench's tracer times
-        ok, where = is_t_valid(code, locators[0])
+        ok, where = is_t_valid(code, ErrorLocator(coeffs=coeffs[0]))
         valid, locs = np.arange(int(ok)), np.array(where, dtype=np.intp).reshape(-1, t)
     else:
         valid, locs = _locate_batch(code, coeffs)
-    outcomes = [None] * count
-    if valid.size:
-        # Fancy indexing copies slowly (1.3 against 0.4 ms on matmul-deep's
-        # word), so a whole stack is copied as it is, once.
-        if len(valid) == len(words):
-            corrected = words.copy()
-        else:
-            corrected, synd = words[which[valid]], synd[which[valid]]
-        aug = np.concatenate([code.syndrome_matrix()[locs], synd], axis=1).transpose(0, 2, 1)
-        x, _, solved = fld._solve_batch(aug, t)
-        del aug  # so that the copies below reuse its pages (3 MB on matmul-deep)
-        # x as a view would keep a wide GF(p) solve's whole product alive (3
-        # MB on matmul-deep), and its strides would slow the subtraction.
-        x, b = x.copy(), np.arange(len(valid))[:, None]
-        corrected[b, :, locs] = fld._sub(corrected[b, :, locs], x)
-        for k, (i, where) in enumerate(zip(valid, locs.tolist())):
-            outcomes[i] = (DecodeOutcome.ok(corrected[k], locators[i], where, x[k].T) if solved[k]
-                           else DecodeOutcome.fail(FailureReason.SYNDROME_RESIDUAL))
-    return [out or DecodeOutcome.fail(FailureReason.NOT_T_VALID) for out in outcomes]
+    status = np.full(count, _NOT_T_VALID, dtype=np.int8)
+    if not valid.size:
+        return status, locs, fld.zeros((0, t, synd.shape[1]))
+    # Fancy indexing copies slowly (1.3 against 0.4 ms on matmul-deep's
+    # syndromes), so a whole stack goes into the solve as it is.
+    aug = np.concatenate([code.syndrome_matrix()[locs],
+                          synd if len(valid) == len(synd) else synd[which[valid]]], axis=1)
+    x, _, solved = fld._solve_batch(aug.transpose(0, 2, 1), t)
+    del aug  # so that the copy below reuses its pages (3 MB on matmul-deep)
+    # x as a view would keep a wide GF(p) solve's whole product alive (3 MB
+    # on matmul-deep), and its strides would slow the subtraction.
+    x = x.copy() if solved.all() else x[solved]
+    status[valid] = np.where(solved, 0, _SYNDROME_RESIDUAL)
+    return status, locs[solved], x
 
 
 def outcomes_equal(field: Field, a: DecodeOutcome, b: DecodeOutcome, rtol=EQ_TOL) -> bool:

@@ -24,16 +24,20 @@ public methods and the decoders run one body over either field:
                      - ncols) at every rank, meaningful where consistent[b]:
                      over GF(p) the exact one with free variables zero, over
                      the reals the minimum-norm least-squares one;
-    _agree(x, y, rtol)
-                     whether two arrays agree: exactly over GF(p), within
-                     rtol of the larger magnitude (at least 1) over the reals.
+    _agrees(x, y, rtol)
+                     whether two (B, ...) stacks of one shape agree, system
+                     by system: exactly over GF(p), within rtol of the larger
+                     magnitude (at least 1) over the reals.
+
+Field._agree(x, y, rtol), whether two arrays agree, is _agrees on stacks of
+one, so outcomes_equal and the Monte Carlo counts judge by one rule.
 
 Field._solve(a, rhs) is _solve_batch on the stack of the one system
 [a | rhs], and rank and solve_consistent validate their operands and call
 it, so a single system and a Monte Carlo batch are solved by one kernel, bit
 for bit, over either field.  Over the reals that kernel is one stacked SVD,
 whose residual tests take their norms from _column_norms, which stays finite
-and nonzero at any scale.
+and nonzero at any scale and decides its scaling per system.
 
 Over GF(p) it is PrimeField._reduce_batch, the one exact elimination, in
 doubling row blocks; it also gives the decoders the row bases of their
@@ -110,6 +114,10 @@ _NORM_RANGE = (2.0**-400, 2.0**400)
 # rejects non-integers such as floats.
 _as_int = np.frompyfunc(operator.index, 1, 1)
 
+# Whether each element of an object array is a bool or a string, which both
+# fields refuse inside a container as they refuse them as scalars and arrays.
+_is_flag_or_text = np.frompyfunc(lambda e: isinstance(e, (bool, np.bool_, str, bytes)), 1, 1)
+
 # Moduli below this invert arrays by lookup in a table of all p inverses
 # (at most 512 KB), built on first use; larger ones by square-and-multiply.
 _INV_TABLE_P = 2**16
@@ -161,22 +169,35 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _refuse_flags(x, arr: np.ndarray, field) -> None:
+    """TypeError when x, a list, tuple or object array that numpy read as
+    arr, holds a bool or a string: numpy would read True as 1 and, into
+    float64, '1.5' as 1.5."""
+    if arr.dtype == object or isinstance(x, (list, tuple)):
+        elements = arr if arr.dtype == object else np.array(x, dtype=object)
+        if np.any(_is_flag_or_text(elements)):
+            raise TypeError(f"{field!r} operations take no bool or string elements")
+
+
 def _column_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the columns (axis -2) of a float array, at any scale.
+    """Euclidean norms of the columns (axis -2) of every system of a (B,
+    rows, cols) float stack, at any scale.
 
     np.linalg.norm squares the entries, so the norm of a column above about
-    1e154 comes out inf, and below about 1e-154 it comes out 0.  When the
-    largest magnitude in v lies outside _NORM_RANGE, every column is divided
+    1e154 comes out inf, and below about 1e-154 it comes out 0.  In a system
+    whose largest magnitude lies outside _NORM_RANGE, every column is divided
     by its own largest magnitude and its norm multiplied back (Blue, ACM TOMS
-    1978).  Only then, so that at ordinary scales the norms, and with them
-    every residual test, are np.linalg.norm's bit for bit.  A column whose
-    entries all lie below 2**-511 beside one in range still underflows.
+    1978).  Only there: the other systems are divided and multiplied by 1, so
+    their norms, and with them every residual test, are np.linalg.norm's bit
+    for bit whatever else shares the stack.  A column whose entries all lie
+    below 2**-511 beside one in range still underflows.
     """
     low, high = _NORM_RANGE
-    if low < np.abs(v).max(initial=0.0) < high:
+    top = np.abs(v).max(axis=(-2, -1), initial=0.0)
+    if low < top.min(initial=high) and top.max(initial=0.0) < high:
         return np.linalg.norm(v, axis=-2)
     big = np.abs(v).max(axis=-2, keepdims=True, initial=0.0)
-    big[big == 0.0] = 1.0
+    big[(big == 0.0) | ((low < top) & (top < high))[..., None, None]] = 1.0
     return np.linalg.norm(v / big, axis=-2) * big[..., 0, :]
 
 
@@ -255,6 +276,10 @@ class Field:
             return None
         return x[:, 0] if one_d else x
 
+    def _agree(self, x, y, rtol) -> bool:
+        """Whether x and y have one shape and agree by _agrees."""
+        return x.shape == y.shape and bool(self._agrees(x[None], y[None], rtol)[0])
+
     def _solve(self, a, rhs):
         """(x, rank) of a @ x = rhs for canonical 2-D a and rhs, from
         _solve_batch on the stack of the one system [a | rhs]; x is None
@@ -311,12 +336,13 @@ class PrimeField(Field):
         if isinstance(x, (int, np.integer)):
             return int(x) % self.p
         arr = np.asarray(x)
-        if arr.dtype == object:
-            arr = np.asarray(_as_int(arr), dtype=object)
-        elif arr.dtype.kind not in "iu":
+        if arr.dtype.kind not in "iuO":
             raise TypeError(
                 f"GF({self.p}) operations take integer operands, got dtype {arr.dtype}"
             )
+        _refuse_flags(x, arr, self)
+        if arr.dtype == object:
+            arr = np.asarray(_as_int(arr), dtype=object)
         elif self.p > _INT64_SAFE_P:
             arr = arr.astype(object)
         elif (arr.dtype == np.int64 and arr.size >= _RANGE_CHECK_MIN
@@ -391,9 +417,9 @@ class PrimeField(Field):
         out %= self.p
         return out
 
-    def _agree(self, x, y, rtol):
-        """Exact equality; rtol is ignored over a finite field."""
-        return np.array_equal(x, y)
+    def _agrees(self, x, y, rtol):
+        """Exact equality of each system; rtol is ignored over a finite field."""
+        return (x == y).all(axis=tuple(range(1, x.ndim)))
 
     # -- bulk helpers --------------------------------------------------------
 
@@ -715,6 +741,7 @@ class RealField(Field):
         arr = np.asarray(x)
         if arr.dtype.kind not in "iufO":
             raise TypeError(f"real-field operations take numeric operands, got dtype {arr.dtype}")
+        _refuse_flags(x, arr, self)
         return np.asarray(arr, dtype=np.float64)
 
     def array(self, xs) -> np.ndarray:
@@ -744,12 +771,13 @@ class RealField(Field):
     def _sub(self, a, b):
         return a - b
 
-    def _agree(self, x, y, rtol):
-        """One shape, and |x - y| <= rtol * max(1, max |x|, max |y|) entrywise."""
-        if x.shape != y.shape:
-            return False
-        scale = max(1.0, np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0))
-        return bool(np.abs(x - y).max(initial=0.0) <= rtol * scale)
+    def _agrees(self, x, y, rtol):
+        """|x - y| <= rtol * max(1, max |x|, max |y|) entrywise, each max
+        taken over one system."""
+        axes = tuple(range(1, x.ndim))
+        scale = np.maximum(np.maximum(np.abs(x).max(axis=axes, initial=0.0),
+                                      np.abs(y).max(axis=axes, initial=0.0)), 1.0)
+        return np.abs(x - y).max(axis=axes, initial=0.0) <= rtol * scale
 
     # -- bulk helpers --------------------------------------------------------
 

@@ -8,15 +8,19 @@ deterministic CSV reports.
 
 Every trial draws from its own counter-based Philox stream, keyed as
 SeedSequence((master seed, L, t, trial index)) keys it, so runs are
-reproducible cell by cell and independent of execution order.  A cell's
-trials go in batches.  For each batch the keys are one array pass
+reproducible cell by cell and independent of execution order.  The trials
+of all the cells of one L go in batches that span those cells, in (t, trial)
+order.  For the part of each cell in a batch the keys are one array pass
 (_trial_keys), one Philox is re-keyed per trial, and only the draws of the
 messages and the error run trial by trial; the encode, the scatter of the
 error values and the sum are one array operation each.  The batch is then
 decoded as one stack by the batch decoder (decoder._decode_batch, the one
 decode path of the package, over either field), which cpda_decode and
-mssr_decode run on a stack of one, so each trial gets their outcome bit
-for bit.
+mssr_decode run on a stack of one, so each trial gets their outcome bit for
+bit.  Its result is arrays, and each cell's counts are read from them:
+failures from the status codes, and undetected errors from one agreement
+test of the corrected stack against the transmitted words (Field._agrees,
+the rule of outcomes_equal).
 """
 
 from __future__ import annotations
@@ -286,47 +290,46 @@ def _draw(fld: Field, enc: np.ndarray, seed: int, l: int, t: int, trials: range)
     return words, fld._reduce(words + e)
 
 
-def _batches(config: ExperimentConfig, code, l: int, t: int):
-    """(words, received) for each decode batch of the (L, t) cell, in trial
-    order: a batch's largest decoder array holds at most _BATCH_ELEMENTS
-    elements.  A trial's draws depend only on (seed, L, t, trial), not on
-    what ran before."""
+def _batches(config: ExperimentConfig, code, l: int):
+    """(cell, words, received) for each decode batch of the cells of one L,
+    in (t, trial) order: cell holds each trial's index into t_values, and a
+    batch's largest decoder array at most _BATCH_ELEMENTS elements.  A
+    trial's draws depend only on (seed, L, t, trial), not on what ran
+    before or shares its batch."""
     size = max(1, _BATCH_ELEMENTS // _batch_elements(config.field, config.n, config.k, l))
-    enc = code.encoding_matrix().T
-    for start in range(0, config.trials, size):
-        trials = range(start, min(start + size, config.trials))
-        yield _draw(config.field, enc, config.seed, l, t, trials)
+    enc, trials = code.encoding_matrix().T, config.trials
+    total = trials * len(config.t_values)
+    for start in range(0, total, size):
+        stop = min(start + size, total)
+        draws = [_draw(config.field, enc, config.seed, l, config.t_values[c],
+                       range(max(start - c * trials, 0), min(stop - c * trials, trials)))
+                 for c in range(start // trials, (stop - 1) // trials + 1)]
+        yield (np.arange(start, stop) // trials, *map(np.concatenate, zip(*draws)))
 
 
-def _checked(config: ExperimentConfig, decode) -> list:
-    """decode(name), a list of outcomes, for the configured decoder.
+def _checked(config: ExperimentConfig, code, received: np.ndarray):
+    """_decode_batch's result on received for the configured decoder.
 
-    With "both", the cpda outcomes after comparing each with mssr's: the
-    two decoders give identical outcomes over either field, so any
+    With "both", cpda's, after comparing each word's outcome with mssr's:
+    the two decoders give identical outcomes over either field, so any
     difference raises DecoderMismatch.
     """
     if config.decoder != "both":
-        return decode(config.decoder)
-    cpda, mssr = decode("cpda"), decode("mssr")
-    for a, b in zip(cpda, mssr):
+        return _decode_batch(code, received, config.decoder)
+    cpda, mssr = _decode_batch(code, received, "cpda"), _decode_batch(code, received, "mssr")
+    for i in range(len(received)):
+        a, b = cpda.outcome(i), mssr.outcome(i)
         if not outcomes_equal(config.field, a, b):
             raise DecoderMismatch(f"decoders disagree: {a.reason} vs {b.reason}")
     return cpda
 
 
-def _decoded(config: ExperimentConfig, code, l: int, t: int):
-    """(word, outcome) for every trial of the (L, t) cell, in order: each
-    batch is decoded as one stack by the batch decoder, over either field."""
-    for words, received in _batches(config, code, l, t):
-        yield from zip(words, _checked(config, lambda name: _decode_batch(code, received, name)))
-
-
-def _grid(config: ExperimentConfig, cell) -> Report:
-    """The report of cell(code, l, t), the CellStats of one cell, for every
-    (L, t) cell of the config: the one loop over the cells of both
-    studies."""
+def _grid(config: ExperimentConfig, cells) -> Report:
+    """The report of cells(code, l), the CellStats of the cells of one L in
+    t_values order, for every L of the config: the one loop over the cells
+    of both studies."""
     code = config.code()
-    return Report(cells=tuple(cell(code, l, t) for l in config.l_values for t in config.t_values))
+    return Report(cells=tuple(c for l in config.l_values for c in cells(code, l)))
 
 
 def run_monte_carlo(config: ExperimentConfig) -> Report:
@@ -337,18 +340,20 @@ def run_monte_carlo(config: ExperimentConfig) -> Report:
     failure when the decoder gives up, undetected error when it returns a
     different word.  Deterministic for a fixed master seed.
     """
-    fld = config.field
+    fld, count = config.field, len(config.t_values)
 
-    def cell(code, l, t):
-        failures = undetected = 0
-        for word, outcome in _decoded(config, code, l, t):
-            if not outcome.success:
-                failures += 1
-            elif not fld._agree(outcome.corrected, word, CLASSIFY_RTOL):
-                undetected += 1
-        return CellStats(t=t, l=l, trials=config.trials, failures=failures, undetected=undetected)
+    def cells(code, l):
+        failures, undetected = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
+        for cell, words, received in _batches(config, code, l):
+            out = _checked(config, code, received)
+            failed = out.status != 0
+            wrong = ~failed & ~fld._agrees(out.corrected, words, CLASSIFY_RTOL)
+            failures += np.bincount(cell[failed], minlength=count)
+            undetected += np.bincount(cell[wrong], minlength=count)
+        return [CellStats(t=t, l=l, trials=config.trials, failures=int(f), undetected=int(u))
+                for t, f, u in zip(config.t_values, failures, undetected)]
 
-    return _grid(config, cell)
+    return _grid(config, cells)
 
 
 def condnum_study(config: ExperimentConfig) -> Report:
@@ -363,17 +368,20 @@ def condnum_study(config: ExperimentConfig) -> Report:
     for t in config.t_values:  # t_max grows with L: the least L binds
         _check_t(t, config.n, config.k, min(config.l_values), least=1)
 
-    def cell(code, l, t):
-        conds = []
-        for _, received in _batches(config, code, l, t):
-            # Each word's stacked matrix S, L(N - K - t) x t, and its S^T S.
-            s = _windows(_syndromes(code, received).values, t)[..., :t]
-            s = s.reshape(len(received), -1, t)
-            conds.extend(np.linalg.cond(s.swapaxes(1, 2) @ s).tolist())
-        return CellStats(t=t, l=l, trials=config.trials, failures=0, undetected=0,
-                         mean_cond=math.fsum(conds) / len(conds))
+    def cells(code, l):
+        conds = [[] for _ in config.t_values]
+        for cell, _, received in _batches(config, code, l):
+            for c in range(cell[0], cell[-1] + 1):
+                # Each word's stacked matrix S, L(N - K - t) x t, and its S^T S.
+                t = config.t_values[c]
+                s = _windows(_syndromes(code, received[cell == c]).values, t)[..., :t]
+                s = s.reshape(len(s), -1, t)
+                conds[c].extend(np.linalg.cond(s.swapaxes(1, 2) @ s).tolist())
+        return [CellStats(t=t, l=l, trials=config.trials, failures=0, undetected=0,
+                          mean_cond=math.fsum(cond) / len(cond))
+                for t, cond in zip(config.t_values, conds)]
 
-    return _grid(config, cell)
+    return _grid(config, cells)
 
 
 def pf_bound(q: int, n: int, k: int, l: int, t: int) -> float:

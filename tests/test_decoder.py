@@ -1165,6 +1165,13 @@ def test_deep_decode_stacks_at_most_positions_squared_rows(monkeypatch, decode):
 BATCH_PRIMES = [3, 17, 257, 65537, 3037000493, 2**61 - 1]
 
 
+def _batch_outcomes(code, words, name):
+    """The outcome of every word of the stack, built from the arrays that
+    _decode_batch returns."""
+    decoded = decoder_module._decode_batch(code, words, name)
+    return [decoded.outcome(i) for i in range(len(words))]
+
+
 def _batch_matches_single_words(code, words):
     """cpda and mssr outcomes of the batch decoder on the B-word stack,
     asserted equal to cpda_decode's and mssr_decode's word by word, and
@@ -1174,7 +1181,7 @@ def _batch_matches_single_words(code, words):
     fld = code.field
     both = []
     for name, decode in (("mssr", mssr_decode), ("cpda", cpda_decode)):
-        got = decoder_module._decode_batch(code, words, name)
+        got = _batch_outcomes(code, words, name)
         assert len(got) == len(words)
         for outcome, word in zip(got, words):
             assert outcomes_equal(fld, outcome, decode(code, word))
@@ -1262,7 +1269,7 @@ def test_mssr_takes_only_the_length_from_the_synthesis(monkeypatch, l):
     # leave every outcome equal to cpda's.
     code, words = _every_outcome_batch(l)
     p = code.field.p
-    cpda = decoder_module._decode_batch(code, words, "cpda")
+    cpda = _batch_outcomes(code, words, "cpda")
     synthesize, synthesize_batch = synthesize_recurrence, decoder_module._synthesize_batch
 
     def scrambled(length, coeffs):
@@ -1272,7 +1279,7 @@ def test_mssr_takes_only_the_length_from_the_synthesis(monkeypatch, l):
                         lambda field, seqs: scrambled(*synthesize(field, seqs)))
     monkeypatch.setattr(decoder_module, "_synthesize_batch",
                         lambda field, seqs: scrambled(*synthesize_batch(field, seqs)))
-    batch = decoder_module._decode_batch(code, words, "mssr")
+    batch = _batch_outcomes(code, words, "mssr")
     for word, want, got in zip(words, cpda, batch):
         assert outcomes_equal(code.field, got, want)
         assert outcomes_equal(code.field, mssr_decode(code, word), want)
@@ -1280,7 +1287,9 @@ def test_mssr_takes_only_the_length_from_the_synthesis(monkeypatch, l):
 
 def test_batch_decoding_of_an_empty_stack():
     code = make_grs(PrimeField(257), 16, 4, list(range(1, 17)))
-    assert decoder_module._decode_batch(code, code.field.zeros((0, 4, 16)), "cpda") == []
+    decoded = decoder_module._decode_batch(code, code.field.zeros((0, 4, 16)), "cpda")
+    assert decoded.status.shape == (0,) and decoded.corrected.shape == (0, 4, 16)
+    assert not decoded.groups
 
 
 def test_batch_decoding_requires_nonzero_points():
@@ -1300,7 +1309,7 @@ def test_deep_batch_of_one_matches_the_single_word_decoders(name, decode):
     word, received, _ = _planted_instance(code, 1024, 20, np.random.default_rng(900))
     want = decode(code, received)
     assert want.success and np.array_equal(want.corrected, word)
-    got = decoder_module._decode_batch(code, received[None], name)[0]
+    got = decoder_module._decode_batch(code, received[None], name).outcome(0)
     assert outcomes_equal(fld, got, want, rtol=0)
 
 
@@ -1339,6 +1348,25 @@ def _public_tail(code, received, synd, coeffs):
     return DecodeOutcome.ok(corrected, locator, locations, values)
 
 
+def _finish_outcomes(code, words, synd, which, coeffs):
+    """_finish_batch's result for the words `which` of the stack, as
+    DecodeOutcomes: each success's values subtracted from a copy of its
+    word at its locations, as _decode_batch subtracts them."""
+    fld = code.field
+    status, locs, x = decoder_module._finish_batch(code, synd, which, coeffs)
+    assert len(status) == len(which) and len(locs) == len(x) == np.count_nonzero(status == 0)
+    outcomes, found = [], iter(zip(locs, x))
+    for i, code_, c in zip(which, status, coeffs):
+        if code_:
+            outcomes.append(DecodeOutcome.fail(list(FailureReason)[code_ - 1]))
+            continue
+        where, values = next(found)
+        corrected = words[i].copy()
+        corrected[:, where] = fld._sub(corrected[:, where], values.T)
+        outcomes.append(DecodeOutcome.ok(corrected, ErrorLocator(c), where, values.T))
+    return outcomes
+
+
 @pytest.mark.parametrize("fld", [PrimeField(257), RealField()], ids=["gf257", "real"])
 def test_finish_batch_of_one_is_the_single_word_tail(fld):
     # The one tail gives the public stages' outcome, bit for bit: on a stack
@@ -1350,8 +1378,7 @@ def test_finish_batch_of_one_is_the_single_word_tail(fld):
     want = [_public_tail(*case) for case in cases]
     assert {out.success for out in want} == {True, False}
     for (code, received, synd, coeffs), out in zip(cases, want):
-        got, = decoder_module._finish_batch(code, received[None], synd[None], np.array([0]),
-                                             coeffs[None])
+        got, = _finish_outcomes(code, received[None], synd[None], np.array([0]), coeffs[None])
         assert outcomes_equal(fld, got, out, rtol=0)
     code = cases[0][0]
     for t in (1, 2, 3):
@@ -1359,7 +1386,7 @@ def test_finish_batch_of_one_is_the_single_word_tail(fld):
         coeffs = np.stack([cases[i][3] for i in which])
         for stack, synd, picked in ((words, synds, which),
                                     (words[which], synds[which], np.arange(len(which)))):
-            got = decoder_module._finish_batch(code, stack, synd, picked, coeffs)
+            got = _finish_outcomes(code, stack, synd, picked, coeffs)
             assert len(got) == len(which)
             for i, out in zip(which, got):
                 assert outcomes_equal(fld, out, want[i], rtol=0)
@@ -1378,7 +1405,7 @@ def test_batch_with_one_word_at_full_rank_matches_the_single_word_decoders(fld):
     for name, decode in (("cpda", cpda_decode), ("mssr", mssr_decode)):
         with mock.patch.object(decoder_module, "is_t_valid",
                                wraps=decoder_module.is_t_valid) as located:
-            got = decoder_module._decode_batch(code, words, name)
+            got = _batch_outcomes(code, words, name)
         assert located.call_count == 1
         for (word, received, err), out in zip(planted, got):
             assert out.success and out.locations == err.support
@@ -1589,15 +1616,16 @@ def test_decoders_never_alias_their_input(fld):
     words = np.stack([received for _, received, _ in planted[1:]])
     before = words.copy()
     for name in ("cpda", "mssr"):
-        for out in decoder_module._decode_batch(code, words, name):
+        for out in _batch_outcomes(code, words, name):
             assert out.success and not np.shares_memory(out.corrected, words)
         assert np.array_equal(words, before)
 
 
 def test_monte_carlo_cell_makes_one_batched_elimination_per_t(monkeypatch):
-    # A 100-trial mc-gf257 cell (GF(257), N = 16, K = 4, L = 4, t = 9): one
-    # elimination for the start ranks, at most one scan elimination and one
-    # value solve per t, and no per-word elimination at all.
+    # The mc-gf257 grid (GF(257), N = 16, K = 4, L = 4, t in {7, 8, 9}, 100
+    # trials per cell), whose three cells share one batch: one elimination
+    # for the start ranks of the whole L, at most one scan elimination and
+    # one value solve per t, and no per-word elimination at all.
     from irscollab.harness import ExperimentConfig, run_monte_carlo
 
     calls, single = [], []
@@ -1613,10 +1641,9 @@ def test_monte_carlo_cell_makes_one_batched_elimination_per_t(monkeypatch):
     monkeypatch.setattr(PrimeField, "_reduce_batch", counting_reduce)
     for name in ("_solve", "_row_reduce"):
         monkeypatch.setattr(PrimeField, name, per_word(name))
-    config = ExperimentConfig(field=PrimeField(257), n=16, k=4, l_values=(4,), t_values=(9,),
+    config = ExperimentConfig(field=PrimeField(257), n=16, k=4, l_values=(4,), t_values=(7, 8, 9),
                               trials=100, model="uref", alphas="primitive", seed=5)
-    cell = run_monte_carlo(config).cell(4, 9)
-    assert cell.failures == cell.undetected == 0
+    assert all(c.failures == c.undetected == 0 for c in run_monte_carlo(config).cells)
     assert not single
     kinds = [(shape[-1] - ncols, ncols) for shape, ncols in calls]
     assert kinds.count((0, 10)) == 1  # the window ranks of the 4 x 12 syndromes, t_max = 9
@@ -1624,12 +1651,12 @@ def test_monte_carlo_cell_makes_one_batched_elimination_per_t(monkeypatch):
     solves = [t for extra, t in kinds if extra == 4]
     assert len(scans) == len(set(scans)) and len(solves) == len(set(solves))
     assert len(calls) == 1 + len(scans) + len(solves) <= 1 + 2 * t_max(16, 4, 4)
-    assert 9 in solves and all(shape[0] > 1 for shape, _ in calls)
+    assert {7, 8, 9} <= set(solves) and all(shape[0] > 1 for shape, _ in calls)
 
 
 def test_monte_carlo_mssr_cell_synthesizes_once_per_batch(monkeypatch):
-    # The same cell decoded by mssr: one batched synthesis per batch, and
-    # no per-word synthesis or elimination at all.
+    # The same grid decoded by mssr: its three cells are one batch, with one
+    # batched synthesis, and no per-word synthesis or elimination at all.
     from irscollab import harness
     from irscollab.harness import ExperimentConfig, run_monte_carlo
 
@@ -1652,13 +1679,12 @@ def test_monte_carlo_mssr_cell_synthesizes_once_per_batch(monkeypatch):
     monkeypatch.setattr(decoder_module, "_synthesize_gf", per_word("_synthesize_gf"))
     for name in ("_solve", "_row_reduce"):
         monkeypatch.setattr(PrimeField, name, per_word(name))
-    config = ExperimentConfig(field=PrimeField(257), n=16, k=4, l_values=(4,), t_values=(9,),
+    config = ExperimentConfig(field=PrimeField(257), n=16, k=4, l_values=(4,), t_values=(7, 8, 9),
                               trials=100, model="uref", alphas="primitive", seed=5,
                               decoder="mssr")
-    cell = run_monte_carlo(config).cell(4, 9)
-    assert cell.failures == cell.undetected == 0
+    assert all(c.failures == c.undetected == 0 for c in run_monte_carlo(config).cells)
     assert not single
-    assert batches == [100] and syntheses == [100]
+    assert batches == [300] and syntheses == [300]
 
 
 @pytest.mark.parametrize("decoder, eliminations", [("cpda", 1), ("mssr", 0)])
@@ -1666,9 +1692,10 @@ def test_monte_carlo_cell_eliminates_the_syndromes_only_where_used(monkeypatch, 
                                                                    eliminations):
     # With L = 4 <= N - K = 12 both decoders scan the syndromes themselves,
     # so neither builds a row basis (no (0, N - K) elimination).  cpda starts
-    # every word at the rank of its width-(t_max + 1) windows, from one (0,
-    # 10) elimination of the batch; mssr at its synthesized length, with no
-    # elimination at all beyond its scans and value solves.
+    # every word of the three cells at the rank of its width-(t_max + 1)
+    # windows, from one (0, 10) elimination of their one batch; mssr at its
+    # synthesized length, with no elimination at all beyond its scans and
+    # value solves.
     from irscollab.harness import ExperimentConfig, run_monte_carlo
 
     calls = []
@@ -1679,13 +1706,13 @@ def test_monte_carlo_cell_eliminates_the_syndromes_only_where_used(monkeypatch, 
         return reduce_batch(self, m, ncols)
 
     monkeypatch.setattr(PrimeField, "_reduce_batch", counting_reduce)
-    config = ExperimentConfig(field=PrimeField(257), n=16, k=4, l_values=(4,), t_values=(9,),
+    config = ExperimentConfig(field=PrimeField(257), n=16, k=4, l_values=(4,), t_values=(7, 8, 9),
                               trials=100, model="uref", alphas="primitive", seed=5,
                               decoder=decoder)
-    cell = run_monte_carlo(config).cell(4, 9)
-    assert cell.failures == cell.undetected == 0
+    assert all(c.failures == c.undetected == 0 for c in run_monte_carlo(config).cells)
     assert [call for call in calls if not call[0]] == [(0, 10)] * eliminations
-    assert (1, 9) in calls and (4, 9) in calls  # the scan and value solves at t = 9
+    for t in (7, 8, 9):  # the scan and value solves at each planted t
+        assert (1, t) in calls and (4, t) in calls
 
 
 # ---------------------------------------------------------------------------
@@ -1720,7 +1747,7 @@ def _real_batch_matches_single_words(code, words, kinds):
     each word's error kind, for the failure message."""
     fld = code.field
     for name, decode in (("mssr", mssr_decode), ("cpda", cpda_decode)):
-        got = decoder_module._decode_batch(code, words, name)
+        got = _batch_outcomes(code, words, name)
         assert len(got) == len(words)
         for outcome, word, kind in zip(got, words, kinds):
             assert outcomes_equal(fld, outcome, decode(code, word), rtol=0), kind
@@ -1911,7 +1938,7 @@ def test_full_rank_errors_below_n_minus_k_are_always_corrected(case):
     # locate the planted support and return the codeword.
     code, words, received, supports = case
     outcomes = [[decode(code, r) for r in received] for decode in (cpda_decode, mssr_decode)]
-    outcomes += [decoder_module._decode_batch(code, received, name) for name in ("cpda", "mssr")]
+    outcomes += [_batch_outcomes(code, received, name) for name in ("cpda", "mssr")]
     for outs in outcomes:
         for word, support, out in zip(words, supports, outs):
             assert out.success and out.locations == support

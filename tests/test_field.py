@@ -315,6 +315,49 @@ def test_column_norms_stay_finite_and_nonzero_at_any_scale():
     assert field_module._column_norms(np.zeros((2, 0, 3))).shape == (2, 3)
 
 
+def _residual_border_system(rng, rows=6, ncols=2):
+    """[a | b] with a = [I; 0] and b = [top; 0 ... 0; delta], delta the
+    largest value that RealField._solve_batch, alone, still accepts as
+    consistent.  The SVD of a, x = top and the residual (0, ..., -delta)
+    are exact, so the verdict turns on the last bit of the norm of b."""
+    re = RealField()
+    aug = np.zeros((rows, ncols + 1))
+    aug[:ncols, :ncols] = np.eye(ncols)
+    aug[:ncols, ncols] = rng.standard_normal(ncols)
+    delta = field_module.RESIDUAL_TOL * np.linalg.norm(aug[:ncols, ncols])
+    for step in (np.inf, 0.0):  # up past the border, then down to its last accepted value
+        while re._solve_batch(aug[None], ncols)[2][0] == (step == np.inf):
+            delta = np.nextafter(delta, step)
+            aug[-1, ncols] = delta
+    return aug
+
+
+def test_real_solve_batch_of_a_system_does_not_depend_on_its_stack():
+    # Every system of a stack gets the (x, rank, consistent) it gets alone,
+    # bit for bit, beside systems at 1e130 and 1e-130, whose norms take the
+    # scaled path of _column_norms.  Deciding that path for the whole stack
+    # moved the norms of the others in their last bits, and flipped the
+    # verdict of systems whose residual lies at the border.
+    rng = np.random.default_rng(30)
+    border = [_residual_border_system(rng) for _ in range(16)]
+    plain = [rng.standard_normal((6, 3)) for _ in range(8)]
+    plain += [np.concatenate([a, a @ rng.standard_normal((2, 1))], axis=1)
+              for a in (rng.standard_normal((6, 2)) for _ in range(8))]
+    scaled = [rng.standard_normal((6, 3)) * c for c in (1e130, 1e-130, 1e130, 1e-130)]
+    stack = np.stack(border + plain[:8] + scaled[:2] + plain[8:] + scaled[2:])
+    re = RealField()
+    x, rank, consistent = re._solve_batch(stack, 2)
+    assert consistent[:16].all()
+    for i, system in enumerate(stack):
+        alone = re._solve_batch(system[None], 2)
+        assert x[i].tobytes() == alone[0][0].tobytes()
+        assert rank[i] == alone[1][0] and consistent[i] == alone[2][0]
+    # The norms of each system are its own, bit for bit.
+    norms = field_module._column_norms(stack)
+    for i, system in enumerate(stack):
+        assert norms[i].tobytes() == field_module._column_norms(system[None])[0].tobytes()
+
+
 def test_real_solve_rejects_b_along_a_direction_under_the_cutoff(oracle_lstsq):
     # b = a x is consistent, but its part along the singular direction just
     # under the rank cutoff is truncated away and exceeds the residual bound.
@@ -798,6 +841,21 @@ def test_real_field_rejects_what_gf_rejects(bad):
     for fld in (RealField(), PrimeField(257)):
         with pytest.raises(TypeError):
             fld.array(bad)
+
+
+@pytest.mark.parametrize("fld", [PrimeField(257), PrimeField(2**61 - 1), RealField()], ids=repr)
+@pytest.mark.parametrize("bad", [
+    [True, 2], (2, False), [[1, 2], [np.True_, 4]], ["1", 2],
+    np.array([True, 2], dtype=object), np.array(["1.5", True], dtype=object),
+    np.array([[1, 2], [3, "4"]], dtype=object), np.array(True, dtype=object),
+], ids=["list-bool", "tuple-bool", "nested-numpy-bool", "list-str", "object-bool",
+        "object-str-bool", "object-str", "object-0d-bool"])
+def test_fields_reject_bools_and_strings_inside_containers(fld, bad):
+    # numpy reads [True, 2] as [1, 2] and, into float64, '1.5' as 1.5: inside
+    # a list, a tuple or an object array a bool or a string raises TypeError,
+    # as it does as a scalar or as the dtype of an array.
+    with pytest.raises(TypeError):
+        fld.array(bad)
 
 
 def test_object_arrays_reject_non_integers():

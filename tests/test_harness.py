@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irscollab import cli, harness
 from irscollab.cli import main
-from irscollab.decoder import DecodeOutcome, FailureReason, _batch_elements
+from irscollab.decoder import FailureReason, _batch_elements
 from irscollab.errors import DecoderMismatch, InvalidParameters
 from irscollab.field import PrimeField, RealField
 from irscollab.harness import (
@@ -28,6 +30,9 @@ from irscollab.harness import (
     run_monte_carlo,
 )
 from irscollab.polycode import PolyCodeParams
+
+# The status code of _decode_batch's array result for a NOT_T_VALID failure.
+NOT_T_VALID = 1 + list(FailureReason).index(FailureReason.NOT_T_VALID)
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +255,28 @@ def test_batched_draws_match_the_per_trial_draws(oracle_trials, seed, field, l, 
 
 
 @pytest.mark.parametrize("config", [
-    _config(t_values=(3,), trials=23, seed=10**30),
-    ExperimentConfig(field=RealField(), n=8, k=2, l_values=(6,), t_values=(4,), trials=23,
+    _config(t_values=(3, 1), trials=23, seed=10**30),
+    ExperimentConfig(field=RealField(), n=8, k=2, l_values=(6,), t_values=(4, 2), trials=23,
                      model="gre", alphas="pow:0.9", seed=2**32),
 ], ids=["gf257", "real"])
 def test_a_cell_is_drawn_in_decode_batches_of_the_per_trial_draws(monkeypatch, oracle_trials,
                                                                  config):
-    fld, l, t = config.field, config.l_values[0], config.t_values[0]
+    # The cells of one L are drawn in batches that span them in (t, trial)
+    # order: the fifth batch holds the last three trials of the first cell
+    # and the first two of the second.
+    fld, l = config.field, config.l_values[0]
     monkeypatch.setattr(harness, "_BATCH_ELEMENTS",
                         5 * _batch_elements(fld, config.n, config.k, l))
     code = config.code()
-    batches = list(harness._batches(config, code, l, t))
-    assert [len(words) for words, _ in batches] == [5, 5, 5, 5, 3]
-    want = oracle_trials(fld, code.encoding_matrix().T, config.seed, l, t, range(23))
-    assert _identical(np.concatenate([w for w, _ in batches]), want[0])
-    assert _identical(np.concatenate([r for _, r in batches]), want[1])
+    batches = list(harness._batches(config, code, l))
+    assert [len(words) for _, words, _ in batches] == [5] * 9 + [1]
+    assert np.concatenate([cell for cell, _, _ in batches]).tolist() == [0] * 23 + [1] * 23
+    want = [oracle_trials(fld, code.encoding_matrix().T, config.seed, l, t, range(23))
+            for t in config.t_values]
+    assert _identical(np.concatenate([w for _, w, _ in batches]),
+                      np.concatenate([w for w, _ in want]))
+    assert _identical(np.concatenate([r for _, _, r in batches]),
+                      np.concatenate([r for _, r in want]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +294,54 @@ def test_run_monte_carlo_counts_and_rates():
     # Weight-0 and low-weight cells decode perfectly over GF(257).
     assert report.cell(2, 0).p_e == 0.0
     assert report.cell(2, 1).p_e == 0.0
+
+
+def _agree_by_the_rule(fld, x, y, rtol):
+    """_agree's rule for one pair of words, in Python floats over the
+    reals: |x - y| <= rtol * max(1, max |x|, max |y|)."""
+    if isinstance(fld, PrimeField):
+        return np.array_equal(x, y)
+    scale = max(1.0, float(np.abs(x).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
+    return float(np.abs(x - y).max(initial=0.0)) <= rtol * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(fld=st.sampled_from([RealField(), PrimeField(257), PrimeField(2**61 - 1)]),
+       shape=st.tuples(st.integers(0, 8), st.integers(1, 4), st.integers(1, 6)),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_agreement_is_agree_per_word(fld, shape, seed):
+    # The one test that counts undetected errors over a stack is _agree's
+    # rule word by word.  Over the reals each word's difference is placed
+    # just below, exactly at or just above CLASSIFY_RTOL times its scale,
+    # or anywhere, at magnitudes from 1e-3 to 1e8; over GF(p) words are
+    # equal or differ in one symbol.
+    rng = np.random.default_rng(seed)
+    rtol = harness.CLASSIFY_RTOL
+    if isinstance(fld, PrimeField):
+        x = fld.rand_elements(rng, shape)
+        y = x.copy()
+        for word in y[rng.random(shape[0]) < 0.5]:
+            word[rng.integers(shape[1]), rng.integers(shape[2])] += 1
+        y = fld.array(y)
+        kinds = ["any"] * shape[0]
+    else:
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 8, (shape[0], 1, 1))
+        y = x + rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 0, (shape[0], 1, 1))
+        kinds = rng.choice(["below", "at", "above", "any"], shape[0]).tolist()
+        for word_x, word_y, kind in zip(x, y, kinds):
+            if kind == "any":
+                continue
+            i, j = rng.integers(shape[1]), rng.integers(shape[2])
+            word_x[i, j] = 0.0
+            word_y[:] = word_x
+            diff = rtol * max(1.0, float(np.abs(word_x).max()))
+            word_y[i, j] = {"below": np.nextafter(diff, 0.0), "at": diff,
+                            "above": np.nextafter(diff, np.inf)}[kind] * rng.choice([-1.0, 1.0])
+    want = [_agree_by_the_rule(fld, a, b, rtol) for a, b in zip(x, y)]
+    assert fld._agrees(x, y, rtol).tolist() == want
+    assert [fld._agree(a, b, rtol) for a, b in zip(x, y)] == want
+    for kind, agree in zip(kinds, want):
+        assert kind == "any" or agree == (kind != "above")
 
 
 def test_run_monte_carlo_deterministic():
@@ -302,10 +362,10 @@ def test_run_monte_carlo_both_mode_raises_on_a_disagreement(monkeypatch):
     decode_batch = harness._decode_batch
 
     def skewed(code, words, name):
-        outcomes = decode_batch(code, words, name)
+        decoded = decode_batch(code, words, name)
         if name == "mssr":
-            outcomes[-1] = DecodeOutcome.fail(FailureReason.NOT_T_VALID)
-        return outcomes
+            decoded.status[-1] = NOT_T_VALID
+        return decoded
 
     monkeypatch.setattr(harness, "_decode_batch", skewed)
     with pytest.raises(DecoderMismatch):
@@ -318,10 +378,10 @@ def test_run_monte_carlo_both_mode_raises_on_a_real_disagreement(monkeypatch):
     decode_batch = harness._decode_batch
 
     def skewed(code, words, name):
-        outcomes = decode_batch(code, words, name)
+        decoded = decode_batch(code, words, name)
         if name == "mssr":
-            outcomes[0] = DecodeOutcome.fail(FailureReason.NOT_T_VALID)
-        return outcomes
+            decoded.status[0] = NOT_T_VALID
+        return decoded
 
     monkeypatch.setattr(harness, "_decode_batch", skewed)
     cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(2,), t_values=(1,),
@@ -382,7 +442,7 @@ def test_run_monte_carlo_sizes_the_batch_by_the_arrays_of_its_decoder(monkeypatc
     limit = 2**14
     monkeypatch.setattr(harness, "_BATCH_ELEMENTS", limit)
     cfg = _config(n=64, k=4, l_values=(2,), t_values=(39,), trials=24, decoder=decoder)
-    assert [len(w) for w, _ in harness._batches(cfg, cfg.code(), 2, 39)][0] == batch
+    assert [len(w) for _, w, _ in harness._batches(cfg, cfg.code(), 2)][0] == batch
     sizes = []
     reduce_batch = PrimeField._reduce_batch
 
@@ -436,9 +496,9 @@ def test_run_monte_carlo_real_field():
 
 
 def test_run_monte_carlo_real_field_calls_each_decoder_by_name(monkeypatch):
-    # A real cell, like a GF(p) one, is one batch per decoder name through the
-    # module's _decode_batch as it is bound when the cell runs, so a wrapper
-    # installed later sees it.
+    # The cells of a real L, like those of a GF(p) one, are one batch per
+    # decoder name through the module's _decode_batch as it is bound when
+    # the grid runs, so a wrapper installed later sees it.
     calls = []
     decode_batch = harness._decode_batch
 
@@ -447,10 +507,10 @@ def test_run_monte_carlo_real_field_calls_each_decoder_by_name(monkeypatch):
         return decode_batch(code, words, name)
 
     monkeypatch.setattr(harness, "_decode_batch", counting)
-    cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(6,), t_values=(2,),
+    cfg = ExperimentConfig(field=RealField(), n=8, k=2, l_values=(6,), t_values=(2, 4),
                            trials=7, model="gre", alphas="pow:0.9", decoder="both")
-    assert run_monte_carlo(cfg).cell(6, 2).p_e == 0.0
-    assert calls == [("cpda", 7), ("mssr", 7)]
+    assert all(c.p_e == 0.0 for c in run_monte_carlo(cfg).cells)
+    assert calls == [("cpda", 14), ("mssr", 14)]
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +771,58 @@ def test_cli_condnum_reproduces_golden_csv(tmp_path, capsys):
     out = tmp_path / name
     assert main(["condnum", *args, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _cli_configs(monkeypatch, runs):
+    """(study, config) of each CLI argv of runs, as the CLI builds them."""
+    built = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_report", lambda study, config, out: built.append((study, config)))
+        for argv in runs:
+            main(argv)
+    return built
+
+
+def _batch_limits(config):
+    """The _BATCH_ELEMENTS of one trial per batch, of batches that split
+    cells mid-way (37 trials at the widest L, which do not divide the cells
+    of the runs below), and of one batch per L."""
+    widest = max(_batch_elements(config.field, config.n, config.k, l) for l in config.l_values)
+    return {"trial": 1, "mid-cell": 37 * widest, "L": 2**62}
+
+
+@pytest.mark.parametrize("limit", ["trial", "mid-cell", "L"])
+def test_reports_do_not_depend_on_the_batch_boundaries(monkeypatch, tmp_path, limit):
+    # Batches span the cells of one L, so their boundaries fall anywhere in
+    # a cell.  Every golden CSV, under each decoder, and a real and a GF(p)
+    # grid (L = 1, L <= N - K and L > N - K, cells inside and beyond the
+    # radius) come out byte for byte the same at every batch size.
+    golden = _cli_configs(monkeypatch, [["simulate", *args] for args in GOLDEN_RUNS.values()]
+                          + [["condnum", *GOLDEN_CONDNUM[1]]])
+    runs = {}  # the two GF(257) golden runs differ only in their decoder
+    for (study, config), name in zip(golden, [*GOLDEN_RUNS, GOLDEN_CONDNUM[0]]):
+        want = runs.setdefault(dataclasses.replace(config, decoder="cpda"),
+                               (study, (GOLDEN / name).read_bytes()))
+        assert want[1] == (GOLDEN / name).read_bytes()
+    runs = [(study, config, want) for config, (study, want) in runs.items()]
+    for config in (
+            ExperimentConfig(field=RealField(), n=8, k=2, l_values=(1, 6, 8),
+                             t_values=(0, 1, 2, 3, 4, 5, 6), trials=30, seed=4),
+            ExperimentConfig(field=PrimeField(257), n=16, k=4, l_values=(1, 4, 13),
+                             t_values=(0, 3, 7, 9, 11), trials=25, seed=4)):
+        path = tmp_path / "want.csv"
+        emit_csv(run_monte_carlo(config), path)
+        runs.append((run_monte_carlo, config, path.read_bytes()))
+    out = tmp_path / "out.csv"
+    for study, config, want in runs:
+        limits = _batch_limits(config)
+        assert any(config.trials % (limits["mid-cell"]
+                                    // _batch_elements(config.field, config.n, config.k, l))
+                   for l in config.l_values)
+        monkeypatch.setattr(harness, "_BATCH_ELEMENTS", limits[limit])
+        for decoder in (("cpda", "mssr", "both") if study is run_monte_carlo else ("cpda",)):
+            emit_csv(study(dataclasses.replace(config, decoder=decoder)), out)
+            assert out.read_bytes() == want, (config, decoder)
 
 
 @pytest.mark.parametrize("argv, rule", [
