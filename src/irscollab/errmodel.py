@@ -90,7 +90,9 @@ def _draw_error(field: Field, l: int, n: int, t: int, rng):
     block whose columns are redrawn until none is zero.  Column j of the
     block belongs to the j-th smallest column of the support.  The one order
     of an error's draws, for sample_error and the harness's trials; t = 0
-    draws nothing.
+    draws nothing.  The harness draws most GF(p) trials of a batch at once
+    (harness._batch_draws), reproducing this order on each trial's stream,
+    and a test pins the two against each other.
     """
     support = rng.choice(n, size=t, replace=False)
     vals = field.rand_elements(rng, (l, t))

@@ -11,16 +11,25 @@ SeedSequence((master seed, L, t, trial index)) keys it, so runs are
 reproducible cell by cell and independent of execution order.  The trials
 of all the cells of one L go in batches that span those cells, in (t, trial)
 order.  For the part of each cell in a batch the keys are one array pass
-(_trial_keys), one Philox is re-keyed per trial, and only the draws of the
-messages and the error run trial by trial; the encode, the scatter of the
-error values and the sum are one array operation each.  The batch is then
-decoded as one stack by the batch decoder (decoder._decode_batch, the one
-decode path of the package, over either field), which cpda_decode and
-mssr_decode run on a stack of one, so each trial gets their outcome bit for
-bit.  Its result is arrays, and each cell's counts are read from them:
-failures from the status codes, and undetected errors from one agreement
-test of the corrected stack against the transmitted words (Field._agrees,
-the rule of outcomes_equal).
+(_trial_keys).  Over GF(p) with p - 1 < 2**32 and N <= 10000 the draws are
+one array pass too (_batch_draws), and reproduce each trial's stream bit
+for bit: the Philox4x64-10 blocks of every key at once, their uint32
+halves, Lemire's bounded draws for the messages and the error values, and
+Floyd's algorithm plus the shuffle draws of Generator.choice for the
+support.  A trial with a rejected Lemire draw or an all-zero error column
+would take more words than that pass reads, so it alone is redrawn trial by
+trial (_trial_draws, the per-trial path, which _trial also runs).  Whole
+cells take the per-trial path where numpy draws otherwise: a larger p takes
+its 64-bit bounded draws, a larger N its tail-shuffle choice, and the reals
+its ziggurat normals, whose tables numpy does not expose.  The encode, the
+scatter of the error values and the sum are one array operation each.  The
+batch is then decoded as one stack by the batch decoder
+(decoder._decode_batch, the one decode path of the package, over either
+field), which cpda_decode and mssr_decode run on a stack of one, so each
+trial gets their outcome bit for bit.  Its result is arrays, and each
+cell's counts are read from them: failures from the status codes, and
+undetected errors from one agreement test of the corrected stack against
+the transmitted words (Field._agrees, the rule of outcomes_equal).
 """
 
 from __future__ import annotations
@@ -250,8 +259,9 @@ def _trial_keys(seed: int, l: int, t: int, trials: range) -> np.ndarray:
     return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
 
 
-def _trial_rngs(seed: int, l: int, t: int, trials: range):
-    """The generator of each trial of the range, in order.
+def _trial_rngs(keys: np.ndarray):
+    """The generator of each trial key of the (B, 2) keys (_trial_keys), in
+    order.
 
     One Philox is re-keyed before each trial to the trial's key, with
     counter 0 and empty buffers: the stream of
@@ -260,34 +270,159 @@ def _trial_rngs(seed: int, l: int, t: int, trials: range):
     """
     bits = np.random.Philox(0)
     state, rng = bits.state, np.random.Generator(bits)
-    for key in _trial_keys(seed, l, t, trials):
+    for key in keys:
         state["state"]["key"] = key
         bits.state = state
         yield rng
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011; numpy/random/src/philox/philox.h): the multipliers of words
+# 0 and 2 of the counter, and the Weyl increments of the two key words, as
+# (2, 1, 1) columns against the (2, B, blocks) pairs of words that a round
+# treats alike.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+
+# The largest n at which Generator.choice(n, t, replace=False) always takes
+# Floyd's algorithm; above it, large t take a tail shuffle of arange(n).
+_FLOYD_N = 10000
+
+
+def _mulhilo(m: np.ndarray, x: np.ndarray):
+    """(hi, lo): the high and low 64 bits of m * x over uint64 arrays, the
+    high word summed from the four products of 32-bit halves, none of which
+    wraps."""
+    x0, x1, m0, m1 = x & _MASK32, x >> 32, m & _MASK32, m >> 32
+    mid = x1 * m0 + (x0 * m0 >> 32)
+    cross = x0 * m1 + (mid & _MASK32)
+    return x1 * m1 + (mid >> 32) + (cross >> 32), x * m
+
+
+def _philox(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """(B, 4 * blocks) uint64: the first blocks Philox4x64-10 blocks of each
+    of the (B, 2) keys, the output of np.random.Philox(key=key).random_raw.
+
+    numpy steps the counter before it generates, so block b is the cipher
+    of the counter (b, 0, 0, 0), b = 1 ... blocks.  A round multiplies
+    words 0 and 2; words 0 and 2 of the next are the high halves crossed,
+    xor words 1 and 3, xor the key, and words 1 and 3 the low halves
+    crossed.  So each pair of words is one (2, B, blocks) array.
+    """
+    even = np.zeros((2, len(keys), blocks), dtype=np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd, key = np.zeros_like(even), keys.T[:, :, None]
+    for r in range(10):
+        if r:
+            key = key + _PHILOX_W
+        hi, lo = _mulhilo(_PHILOX_M, even)
+        hi = hi[::-1]
+        hi ^= odd
+        hi ^= key
+        even, odd = hi, lo[::-1]
+    return np.stack((even, odd), axis=1).transpose(2, 3, 0, 1).reshape(len(keys), -1)
+
+
+def _uint32_words(keys: np.ndarray, count: int) -> np.ndarray:
+    """(B, count) uint64: the first count uint32 words of each key's Philox
+    stream, as a Generator takes them: the low half of each output word,
+    then its high half."""
+    raw = _philox(keys, -(-count // 8))
+    return np.stack([raw & _MASK32, raw >> 32], axis=-1).reshape(len(keys), -1)[:, :count]
+
+
+def _batch_draws(fld: PrimeField, l: int, k: int, n: int, t: int, keys: np.ndarray):
+    """(messages, support, values, redo) of the trials keyed by keys, all at
+    once: the draws of _trial_draws bit for bit, for every trial that redo
+    does not flag.  Over GF(p) with p - 1 < 2**32 and n <= _FLOYD_N only.
+
+    Each bounded draw on [0, b) takes one uint32 word of the trial's Philox
+    stream, the low half of each output word first, and is Lemire's
+    multiply-shift (Lemire, ACM TOMACS 2019): the high 32 bits of word * b,
+    rejected when the low 32 bits fall below (2**32 - b) mod b.  In stream
+    order: the l x k messages on [0, p); Floyd's support on [0, j] for
+    j = n - t ... n - 1 (j = 0 draws nothing and takes 0), which takes j
+    when the draw is already chosen; then choice's Fisher-Yates shuffle on
+    [0, i] for i = t - 1 ... 1, whose draws count but whose order does not,
+    since the support is sorted; then the l x t values on [0, p).  A trial
+    with a rejected draw or an all-zero value column, which _draw_error
+    redraws, takes more words than this reads: redo flags it.
+    """
+    floyd = range(max(n - t, 1), n)
+    bounds = np.array([fld.p] * (l * k) + [j + 1 for j in floyd] + list(range(t, 1, -1))
+                      + [fld.p] * (l * t), dtype=np.uint64)
+    count, product = len(keys), _uint32_words(keys, len(bounds)) * bounds
+    redo = ((product & _MASK32) < (np.uint64(2**32) - bounds) % bounds).any(axis=1)
+    draws = (product >> 32).astype(np.int64)
+    vals = draws[:, len(bounds) - l * t:].reshape(count, l, t)
+    redo |= ~vals.any(axis=1).all(axis=1)
+    rows, chosen = np.arange(count), np.zeros((count, n), dtype=bool)
+    chosen[:, 0] = t == n
+    for col, j in enumerate(floyd, l * k):
+        hit = chosen[rows, draws[:, col]]
+        chosen[rows, np.where(hit, j, draws[:, col])] = True
+    support = np.nonzero(chosen)[1].reshape(count, t)
+    return (draws[:, :l * k].reshape(count, l, k).astype(fld.dtype, copy=False), support,
+            vals.astype(fld.dtype, copy=False), redo)
+
+
+def _trial_draws(fld: Field, l: int, k: int, n: int, t: int, keys: np.ndarray):
+    """(messages, support, values): (B, l, k), (B, t) sorted and (B, l, t),
+    of the trials keyed by keys, drawn trial by trial from _trial_rngs, each
+    its messages and then its error (errmodel._draw_error): the per-trial
+    path, whose draws _batch_draws reproduces."""
+    msgs = np.empty((len(keys), l, k), dtype=fld.dtype)
+    support = np.empty((len(keys), t), dtype=np.intp)
+    vals = np.empty((len(keys), l, t), dtype=fld.dtype)
+    for i, rng in enumerate(_trial_rngs(keys)):
+        msgs[i] = fld.rand_elements(rng, (l, k))
+        support[i], vals[i] = _draw_error(fld, l, n, t, rng)
+    support.sort(axis=1)
+    return msgs, support, vals
+
+
+def _words(fld: Field, enc: np.ndarray, msgs, support, vals):
+    """(words, received): the (B, L, N) codewords msgs @ enc, and the same
+    plus the error whose values vals sit on the sorted support."""
+    words = fld._matmul(msgs, enc)
+    if not support.shape[1]:
+        return words, words
+    e = fld.zeros(words.shape)
+    e[np.arange(len(words))[:, None, None], np.arange(words.shape[1])[:, None],
+      support[:, None]] = vals
+    return words, fld._reduce(words + e)
 
 
 def _draw(fld: Field, enc: np.ndarray, seed: int, l: int, t: int, trials: range):
     """(words, received): (B, L, N) codewords and received words of the
     trials of the (L, t) cell in the range, enc the K x N encoding matrix.
 
-    Each trial draws from its own stream, trial by trial, its messages and
-    then its error (errmodel._draw_error).  The encode, the scatter of the
-    error values and the sum are then one array operation each.
+    Over GF(p) with p - 1 < 2**32 and N <= _FLOYD_N, every trial is drawn at
+    once (_batch_draws), and only the trials it flags are redrawn by the
+    per-trial path (_trial_draws).  Larger moduli take numpy's 64-bit
+    bounded draws, larger N its tail-shuffle choice, and the reals its
+    ziggurat normals, whose tables numpy does not expose: those cells take
+    the per-trial path whole.
     """
-    k, n = enc.shape
-    msgs = np.empty((len(trials), l, k), dtype=fld.dtype)
-    support = np.empty((len(trials), t), dtype=np.intp)
-    vals = np.empty((len(trials), l, t), dtype=fld.dtype)
-    for i, rng in enumerate(_trial_rngs(seed, l, t, trials)):
-        msgs[i] = fld.rand_elements(rng, (l, k))
-        support[i], vals[i] = _draw_error(fld, l, n, t, rng)
-    words = fld._matmul(msgs, enc)
-    if not t:
-        return words, words
-    support.sort(axis=1)
-    e = fld.zeros(words.shape)
-    e[np.arange(len(trials))[:, None, None], np.arange(l)[:, None], support[:, None]] = vals
-    return words, fld._reduce(words + e)
+    (k, n), keys = enc.shape, _trial_keys(seed, l, t, trials)
+    if not (isinstance(fld, PrimeField) and fld.p <= 2**32 and n <= _FLOYD_N):
+        return _words(fld, enc, *_trial_draws(fld, l, k, n, t, keys))
+    msgs, support, vals, redo = _batch_draws(fld, l, k, n, t, keys)
+    if redo.any():
+        msgs[redo], support[redo], vals[redo] = _trial_draws(fld, l, k, n, t, keys[redo])
+    return _words(fld, enc, msgs, support, vals)
+
+
+def _trial(config: ExperimentConfig, l: int, t: int, i: int):
+    """(codeword, received, support) of trial i of the (L, t) cell of the
+    config, by the per-trial path: the L x N transmitted and received words
+    and the sorted tuple of the planted columns, as run_monte_carlo decodes
+    them."""
+    enc = config.code().encoding_matrix().T
+    drawn = _trial_draws(config.field, l, *enc.shape, t,
+                         _trial_keys(config.seed, l, t, range(i, i + 1)))
+    words, received = _words(config.field, enc, *drawn)
+    return words[0], received[0], tuple(drawn[1][0].tolist())
 
 
 def _batches(config: ExperimentConfig, code, l: int):
@@ -429,7 +564,7 @@ def demo_matmul(params: PolyCodeParams, t: int, seed: int = 0) -> DemoReport:
     s, r, rp = 4, 2 * params.m, 2 * params.n
     l = (r * rp) // (params.m * params.n)
     t, seed = _check_t(t, params.num_workers, params.k, l), _check_int("seed", seed, 0)
-    rng = next(_trial_rngs(seed, l, t, range(1)))
+    rng = next(_trial_rngs(_trial_keys(seed, l, t, range(1))))
     a = fld.rand_elements(rng, (s, r))
     b = fld.rand_elements(rng, (s, rp))
     word = assemble_irs(params, [worker_compute(task) for task in encode_tasks(params, a, b)])

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irscollab import cli, harness
 from irscollab.cli import main
-from irscollab.decoder import FailureReason, _batch_elements
+from irscollab.decoder import FailureReason, _batch_elements, cpda_decode
 from irscollab.errors import DecoderMismatch, InvalidParameters
 from irscollab.field import PrimeField, RealField
 from irscollab.harness import (
@@ -223,7 +223,7 @@ def test_trial_rngs_replay_a_fresh_generator_per_trial():
     def draws(rng):
         return (rng.integers(0, 2**32, 3, dtype=np.uint32).tolist(),
                 rng.standard_normal(2).tolist(), rng.choice(9, 4, replace=False).tolist())
-    got = [draws(rng) for rng in harness._trial_rngs(5, 2, 3, range(3, 11))]
+    got = [draws(rng) for rng in harness._trial_rngs(harness._trial_keys(5, 2, 3, range(3, 11)))]
     want = [draws(np.random.Generator(np.random.Philox(np.random.SeedSequence((5, 2, 3, i)))))
             for i in range(3, 11)]
     assert got == want
@@ -277,6 +277,82 @@ def test_a_cell_is_drawn_in_decode_batches_of_the_per_trial_draws(monkeypatch, o
                       np.concatenate([w for w, _ in want]))
     assert _identical(np.concatenate([r for _, _, r in batches]),
                       np.concatenate([r for _, r in want]))
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_philox_blocks_are_numpys_philox_stream(seed):
+    # Raw words first, then their uint32 halves: a wrong counter, round or
+    # key bump fails the first check, a wrong half order the second.
+    keys = harness._trial_keys(seed, 4, 9, range(2**32 - 5, 2**32 + 4))
+    raw = harness._philox(keys, 7)
+    words = harness._uint32_words(keys, 53)
+    assert raw.dtype == words.dtype == np.uint64
+    for key, got, got32 in zip(keys, raw, words):
+        bits = np.random.Philox(key=int(key[0]) | int(key[1]) << 64)
+        assert got.tolist() == bits.random_raw(28).tolist()
+        want = np.random.Generator(np.random.Philox(key=int(key[0]) | int(key[1]) << 64))
+        assert got32.tolist() == want.integers(0, 2**32, 53, dtype=np.uint32).tolist()
+
+
+# 2147483659, a prime just above 2**31, rejects about half of all draws on
+# [0, p); 4294967291, the largest prime below 2**32, has object elements;
+# 4294967311, above 2**32, takes numpy's 64-bit draws.
+_DRAW_PRIMES = (2, 3, 13, 257, 65537, 2147483659, 4294967291, 4294967311)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.sampled_from(_SEEDS) | st.integers(0, 2**128), p=st.sampled_from(_DRAW_PRIMES),
+       l=st.integers(1, 5), n=st.integers(2, 20), data=st.data())
+@example(seed=0, p=2147483659, l=3, n=20, data=None)  # t = n, and the fallback
+def test_batched_draws_are_the_per_trial_draws_for_any_cell(oracle_trials, seed, p, l, n, data):
+    k, t, start, count = 4, n, 2**32 - 6, 12
+    if data is not None:
+        k, t = data.draw(st.integers(1, n - 1)), data.draw(st.integers(0, n))
+        start = data.draw(st.sampled_from((0, 7)) | st.integers(2**32 - 12, 2**32))
+        count = data.draw(st.integers(1, 12))
+    fld, trials = PrimeField(p), range(start, start + count)
+    enc = fld.rand_elements(np.random.default_rng(n), (n, k)).T
+    per_trial, redrawn = harness._trial_draws, []
+
+    def spy(*args):
+        redrawn.extend(map(tuple, args[-1]))
+        return per_trial(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_trial_draws", spy)
+        got = harness._draw(fld, enc, seed, l, t, trials)
+    assert all(map(_identical, got, oracle_trials(fld, enc, seed, l, t, trials)))
+    if p > 2**32:
+        assert redrawn == list(map(tuple, harness._trial_keys(seed, l, t, trials)))
+    if p == 2147483659 and count * l * k >= 40:
+        # Each draw on [0, p) is rejected with odds near 1/2, so the
+        # fallback runs but for odds of 2**-40.
+        assert redrawn
+
+
+@pytest.mark.parametrize("config", [
+    _config(n=16, k=4, l_values=(4,), t_values=(0, 9, 10), trials=40, seed=7),
+    ExperimentConfig(field=RealField(), n=8, k=2, l_values=(1,), t_values=(0, 3, 4),
+                     trials=40, model="gre", alphas="pow:0.9", seed=7),
+], ids=["gf257", "real"])
+def test_replayed_trials_reproduce_their_cells(config):
+    # Decoding each trial alone, as _trial draws it, gives every cell's
+    # counts: no error, and cells at the radius and beyond it.
+    fld, l = config.field, config.l_values[0]
+    cells = []
+    for t in config.t_values:
+        failures = undetected = 0
+        for i in range(config.trials):
+            word, received, support = harness._trial(config, l, t, i)
+            assert support == tuple(np.flatnonzero(np.any(received != word, axis=0)))
+            outcome = cpda_decode(config.code(), received)
+            failures += not outcome.success
+            undetected += outcome.success and not fld._agrees(
+                outcome.corrected[None], word[None], harness.CLASSIFY_RTOL)[0]
+        cells.append(CellStats(t=t, l=l, trials=config.trials, failures=failures,
+                               undetected=undetected))
+    assert run_monte_carlo(config) == Report(cells=tuple(cells))
+    assert sum(c.failures for c in cells) and sum(c.successes for c in cells)
 
 
 # ---------------------------------------------------------------------------
