@@ -237,7 +237,7 @@ def _check_t(t, n: int, k: int, l: int, least: int = 0) -> int:
 
 def _validated_word(code: GrsCode, r) -> np.ndarray:
     """r as a canonical L x N word, L >= 1: the one check of a word's shape."""
-    r = code.field.array(r)
+    r = code.field._canonical(r)
     if r.ndim != 2 or r.shape[1] != code.n or r.shape[0] < 1:
         raise InvalidParameters(f"expected an L x {code.n} matrix, L >= 1, got shape {r.shape}")
     return r
@@ -356,7 +356,7 @@ def synthesize_recurrence(field: Field, seqs):
     (so they need not call this); n (with zero coefficients) when no t < n
     passes, and 0 for sequences that are zero within EQ_TOL.
     """
-    seqs = field.array(seqs)
+    seqs = field._canonical(seqs)
     if seqs.ndim != 2:
         raise InvalidParameters("expected an L x n matrix of sequences")
     if isinstance(field, PrimeField):
@@ -388,7 +388,7 @@ def is_t_valid(code: GrsCode, locator: ErrorLocator):
     locator of degree t > N has t distinct roots among the N candidates.
     Real coefficients must be finite (ValueError otherwise).
     """
-    coeffs, t = code.field.array(locator.coeffs), locator.t
+    coeffs, t = code.field._canonical(locator.coeffs), locator.t
     if not 0 < t <= code.n:
         return t == 0, ()
     valid, locs = _locate_batch(code, coeffs[None])
@@ -408,7 +408,7 @@ def recover_error_values(code: GrsCode, locations, synd: SyndromeSet):
     S^T] for all its words in one _solve_batch, with the same result.
     """
     fld = code.field
-    values = fld.array(synd.values)
+    values = fld._canonical(synd.values)
     if values.ndim != 2 or values.shape[1] != code.n - code.k:
         raise InvalidParameters(
             f"expected an L x {code.n - code.k} syndrome matrix, got shape {values.shape}")
@@ -515,10 +515,7 @@ def _decode_batch(code: GrsCode, words: np.ndarray, decoder: str) -> _Decoded:
     tm = t_max(n, code.k, l)  # refuses L = 0 even when every word is clean
     synd = _syndromes(code, words)
     values, exact = synd.values, isinstance(fld, PrimeField)
-    if exact:
-        clean = ~values.any(axis=(1, 2))
-    else:
-        clean = fld.is_zero(values, scale=synd.scale).all(axis=(1, 2))
+    clean = fld.is_zero(values, scale=synd.scale).all(axis=(1, 2))
     dirty = np.flatnonzero(~clean)
     if dirty.size < count:
         values = values[dirty]

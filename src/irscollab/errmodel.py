@@ -106,12 +106,12 @@ def _draw_error(field: Field, l: int, n: int, t: int, rng):
 def inject(d, e, field: Field) -> np.ndarray:
     """Entrywise field addition of an error matrix onto a word.
 
-    Each operand is validated once by field.array; the sum of the canonical
-    arrays is then one raw add, put in canonical form by field._reduce (one
-    reduction mod p in place over GF(p)).
+    Each operand is validated once by field._canonical, uncopied when
+    canonical; the sum is then one raw add, a fresh array put in canonical
+    form by field._reduce (one reduction mod p in place over GF(p)).
     """
-    d = field.array(d)
-    e = field.array(e)
+    d = field._canonical(d)
+    e = field._canonical(e)
     if d.shape != e.shape:
         raise InvalidParameters(f"shape mismatch: {d.shape} vs {e.shape}")
     return field._reduce(d + e)

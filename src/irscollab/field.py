@@ -6,7 +6,10 @@ lives in numpy arrays.  The field object owns the arithmetic, the zero test,
 and the linear algebra the decoders rely on.
 
 Arrays are validated once, at the public methods (array, matmul, rank,
-solve_consistent, ...), which the base class Field gives both fields.
+solve_consistent, ...), by _canonical(x): x itself when it is canonical
+(int64 in [0, p), by one min/max pass, or finite float64), otherwise a fresh
+canonical array.  Functions that only read an operand use that as it is;
+array() copies it when it shares memory with x, so the caller owns it.
 Inside, both fields provide the same raw kernels on canonical arrays, so the
 public methods and the decoders run one body over either field:
 
@@ -98,12 +101,6 @@ _FLOAT_SLAB = 2**16
 # OpenBLAS: 4x16 @ 16x12 takes 3.9 us in int64 and 5.9 us through float64;
 # 32x32 @ 32x32 takes 37 us and 16 us).
 _BLAS_MIN_MACS = 2**14
-
-# Smallest int64 array that PrimeField._coerce range-checks instead of
-# reducing: a min/max pass plus a copy beats a % pass from here on (16384 x 40
-# at p = 257: 0.83 ms against 4.96 ms), while below about 1024 elements the
-# single % pass is faster.
-_RANGE_CHECK_MIN = 2**12
 
 # np.linalg.norm squares the entries: while the largest magnitude of an array
 # lies in this range, no square overflows, and a column near that magnitude
@@ -205,12 +202,17 @@ class Field:
     """What both fields share: the public methods, which validate their
     operands once and then run the field's raw kernels.
 
-    A subclass gives its element handling (_coerce, array, dtype, is_zero,
-    power_matrix, rand_elements), its identity, and the raw kernels listed
-    in the module docstring.
+    A subclass gives its element handling (_coerce, _canonical, dtype,
+    is_zero, power_matrix, rand_elements), its identity, and the raw kernels
+    listed in the module docstring.
     """
 
     __slots__ = ()
+
+    def array(self, xs) -> np.ndarray:
+        """_canonical(xs), copied when it shares memory with xs: the caller's own."""
+        arr = self._canonical(xs)
+        return arr.copy() if np.may_share_memory(arr, xs) else arr
 
     def element(self, x):
         """Canonical representative of a scalar x."""
@@ -240,7 +242,7 @@ class Field:
 
     def matmul(self, a, b):
         """Matrix product (see _matmul); a 0-d result is a canonical scalar."""
-        out = self._matmul(self.array(a), self.array(b))
+        out = self._matmul(self._canonical(a), self._canonical(b))
         return out if np.ndim(out) else self._reduce(out)
 
     def rank(self, m) -> int:
@@ -248,7 +250,7 @@ class Field:
         blocked elimination stops once every column holds a pivot; over the
         reals, the count of singular values above RANK_TOL * sigma_max *
         max(m.shape)."""
-        m = self.array(m)
+        m = self._canonical(m)
         if m.ndim != 2:
             raise InvalidParameters("rank expects a 2-D matrix")
         return self._solve(m, m[:, :0])[1]
@@ -263,10 +265,10 @@ class Field:
         the minimum-norm least-squares solution, accepted by the residual test
         of RealField._solve_batch.
         """
-        a = self.array(a)
+        a = self._canonical(a)
         if a.ndim != 2:
             raise InvalidParameters("solve_consistent expects a 2-D coefficient matrix")
-        b = self.array(b)
+        b = self._canonical(b)
         one_d = b.ndim == 1
         rhs = b[:, None] if one_d else b
         if rhs.shape[0] != a.shape[0]:
@@ -325,11 +327,9 @@ class PrimeField(Field):
 
         An array result is always a fresh array.  Object elements become
         Python ints, so products of huge elements never wrap in a fixed-width
-        numpy integer.  A large int64 array whose entries already lie in
-        [0, p) is copied after one range check instead of reduced.  Integer
-        dtypes narrower than 64 bits are widened to int64 first, since they
-        may not hold p; uint64 is reduced as it is, so entries at or above
-        2**63 stay exact.
+        numpy integer.  Integer dtypes narrower than 64 bits are widened to
+        int64 first, since they may not hold p; uint64 is reduced as it is,
+        so entries at or above 2**63 stay exact.
         """
         if isinstance(x, bool):
             raise TypeError("GF(p) operations take integer operands, got bool")
@@ -345,19 +345,18 @@ class PrimeField(Field):
             arr = np.asarray(_as_int(arr), dtype=object)
         elif self.p > _INT64_SAFE_P:
             arr = arr.astype(object)
-        elif (arr.dtype == np.int64 and arr.size >= _RANGE_CHECK_MIN
-              and arr.min() >= 0 and arr.max() < self.p):
-            return arr.copy()
         elif arr.dtype.itemsize < 8:
             arr = arr.astype(np.int64)
         return arr % self.p
 
-    def array(self, xs) -> np.ndarray:
-        """Array of canonical representatives (int64, or object for huge p)."""
-        arr = np.asarray(self._coerce(xs))
-        if arr.dtype != self.dtype:
-            arr = arr.astype(self.dtype)
-        return arr
+    def _canonical(self, x) -> np.ndarray:
+        """x itself when it is int64 with every entry in [0, p), by one
+        min/max pass at any size; otherwise a fresh array of _coerce(x)."""
+        if (type(x) is np.ndarray and x.dtype == np.int64 and self.dtype is np.int64
+                and x.min(initial=0) >= 0 and x.max(initial=0) < self.p):
+            return x
+        arr = np.asarray(self._coerce(x))
+        return arr if arr.dtype == self.dtype else arr.astype(self.dtype)
 
     def rand_elements(self, rng, shape):
         """Uniform field elements drawn from rng (p must fit in int64)."""
@@ -406,8 +405,7 @@ class PrimeField(Field):
 
     def is_zero(self, a, scale=1.0):
         """Exact zero test; scale is ignored over a finite field."""
-        val = self._coerce(a)
-        out = val == 0
+        out = self._canonical(a) == 0
         return bool(out) if np.ndim(out) == 0 else out
 
     def _sub(self, a, b):
@@ -425,7 +423,7 @@ class PrimeField(Field):
 
     def power_matrix(self, xs, ncols: int) -> np.ndarray:
         """Matrix P with P[j, i] = xs[j] ** i for i in [0, ncols)."""
-        xs = self.array(xs)
+        xs = self._canonical(xs)
         out = np.empty((xs.shape[0], ncols), dtype=xs.dtype)
         if ncols == 0:
             return out
@@ -744,8 +742,9 @@ class RealField(Field):
         _refuse_flags(x, arr, self)
         return np.asarray(arr, dtype=np.float64)
 
-    def array(self, xs) -> np.ndarray:
-        arr = np.asarray(self._coerce(xs), dtype=np.float64)
+    def _canonical(self, x) -> np.ndarray:
+        """x itself when it is finite float64, otherwise a fresh such array."""
+        arr = np.asarray(self._coerce(x), dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("real-field arrays must be finite (no NaN or inf)")
         return arr
@@ -782,7 +781,7 @@ class RealField(Field):
     # -- bulk helpers --------------------------------------------------------
 
     def power_matrix(self, xs, ncols: int) -> np.ndarray:
-        xs = self.array(xs)
+        xs = self._canonical(xs)
         return np.power.outer(xs, np.arange(ncols, dtype=np.float64))
 
     def _matmul(self, a, b):

@@ -56,8 +56,7 @@ class GrsCode:
 
     def __init__(self, field: Field, n: int, k: int, alphas):
         n, k = _code_size(n, k)
-        # Copy: field.array passes a canonical input through, and it must not be frozen.
-        alphas = np.array(_check_points(field, alphas, n), copy=True)
+        alphas = _check_points(field, alphas, n)
         prods = _product_of_differences(field, alphas)
         if isinstance(field, RealField) and np.any(prods == 0.0):
             raise InvalidParameters("evaluation points must be pairwise distinct")
@@ -98,6 +97,12 @@ class GrsCode:
         on first use; the constructor has checked that the points are nonzero.
         """
         return self.field.power_matrix(self.field._inverse(self.alphas), self.n + 1)
+
+    @_cached
+    def _head_inverse(self) -> np.ndarray:
+        """Inverse of the encoding matrix's first K rows, invertible on distinct points."""
+        eye = np.eye(self.k, dtype=self.field.dtype)
+        return self.field._solve(self.encoding_matrix()[:self.k], eye)[0]
 
     @_cached
     def candidate_gaps(self) -> np.ndarray:
@@ -162,12 +167,12 @@ def _primitive_points(field: Field, n: int) -> np.ndarray:
         raise InvalidParameters("primitive points need a prime field")
     if n > field.p - 1:
         raise InvalidParameters(f"need n <= p - 1 = {field.p - 1} distinct powers, got n={n}")
-    return field.power_matrix(field.array([field.primitive_root()]), n)[0]
+    return field.power_matrix([field.primitive_root()], n)[0]
 
 
 def encode(code: GrsCode, msg) -> np.ndarray:
     """Codeword c with c_i = m(alpha_i), m the polynomial with coeffs msg."""
-    msg = code.field.array(msg)
+    msg = code.field._canonical(msg)
     if msg.ndim != 1 or msg.shape[0] != code.k:
         raise InvalidParameters(f"message must be a length-{code.k} coefficient vector")
     return code.field._matmul(code.encoding_matrix(), msg)
@@ -176,10 +181,10 @@ def encode(code: GrsCode, msg) -> np.ndarray:
 def _interpolate_rows(code: GrsCode, rows: np.ndarray) -> np.ndarray:
     """Message coefficients for each row of a canonical stack of codewords.
 
-    Over GF(p) the first K positions determine the message exactly, and the
-    row is a codeword exactly when its other N - K positions are the
-    re-encoding of that message, so only they are checked.  Over the reals
-    the fit is the field's least-squares _solve of all N positions, and each
+    Over GF(p) the message is the first K positions times the cached
+    _head_inverse, and the row is a codeword exactly when its other N - K
+    positions re-encode it, so only they are checked.  Over the reals the
+    fit is the field's least-squares _solve of all N positions, and each
     row must also pass ||G m - r|| <= RESIDUAL_TOL * ||r||; that bound never
     exceeds _solve's, so a row _solve rejects fails it too.  Raises
     NotACodeword when any row fails.
@@ -187,12 +192,10 @@ def _interpolate_rows(code: GrsCode, rows: np.ndarray) -> np.ndarray:
     field = code.field
     gmat = code.encoding_matrix()
     if isinstance(field, PrimeField):
-        head = field._solve(gmat[: code.k], rows[:, : code.k].T)[0]
-        if head is None:
-            raise RuntimeError("leading square system must be invertible")
-        if np.any(field._matmul(gmat[code.k:], head).T != rows[:, code.k:]):
+        msgs = field._matmul(rows[:, :code.k], code._head_inverse().T)
+        if np.any(field._matmul(msgs, gmat[code.k:].T) != rows[:, code.k:]):
             raise NotACodeword("symbols are not consistent with any codeword")
-        return head.T
+        return msgs
     msgs = field._solve(gmat, rows.T)[0]
     if msgs is None or np.any(_column_norms(gmat @ msgs - rows.T)
                               > RESIDUAL_TOL * _column_norms(rows.T)):

@@ -100,7 +100,7 @@ def make_alphas(field: Field, n: int, rule: str | None = None):
                 points = [pow(int(base), i, field.p) for i in range(1, n + 1)]
             else:
                 base = float(raw)
-                points = field.array([base ** i for i in range(1, n + 1)])
+                points = field._canonical([base ** i for i in range(1, n + 1)])
         except (ValueError, OverflowError) as exc:
             raise InvalidParameters(f"bad alpha rule {rule!r}: {exc}") from None
     elif rule == "linear":

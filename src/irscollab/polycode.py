@@ -150,8 +150,8 @@ def encode_tasks(params: PolyCodeParams, a, b) -> list[WorkerTask]:
     encode canonically by field._matmul.
     """
     fld = params.field
-    a = fld.array(a)
-    b = fld.array(b)
+    a = fld._canonical(a)
+    b = fld._canonical(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise InvalidParameters("A and B must be 2-D with the same row count")
     unreduced = isinstance(fld, PrimeField) and fld._float_exact(
@@ -172,10 +172,10 @@ def encode_tasks(params: PolyCodeParams, a, b) -> list[WorkerTask]:
 def worker_compute(task: WorkerTask) -> np.ndarray:
     """The worker's contribution A~^T B~, canonical: from unreduced
     representatives one float64 dgemm and one reduction mod p, otherwise
-    field.matmul."""
+    field._matmul of the canonical ones."""
     a, b = task._a, task._b
     if a.dtype == task.field.dtype:
-        return task.field.matmul(a.T, b)
+        return task.field._matmul(a.T, b)
     return task.field._reduce((a.T @ b).astype(np.int64))
 
 
@@ -197,7 +197,7 @@ def assemble_irs(params: PolyCodeParams, worker_outputs) -> IrsWord:
     (shape,) = shapes
     if len(shape) != 2:
         raise InvalidParameters("worker outputs must be 2-D matrices")
-    cols = [params.field.array(o).reshape(-1) for o in outputs]
+    cols = [params.field._canonical(o).reshape(-1) for o in outputs]
     d = np.stack(cols, axis=1)
     return IrsWord(d=d, code=params.code, block_rows=shape[0], block_cols=shape[1])
 
@@ -214,7 +214,7 @@ def recover_product(params: PolyCodeParams, word: IrsWord) -> np.ndarray:
     br, bc, code = word.block_rows, word.block_cols, word.code
     if (code.field, code.k, code.alphas.tolist()) != (params.field, params.k, params.xs.tolist()):
         raise InvalidParameters(f"the word's code is not the params' code: {code!r}")
-    d = params.field.array(word.d)
+    d = params.field._canonical(word.d)
     if d.shape != (br * bc, params.num_workers):
         raise InvalidParameters("interleaved word shape does not match its block layout")
     msgs = _interpolate_rows(params.code, d)

@@ -463,8 +463,8 @@ def test_recover_product_interpolates_on_the_params_code(field, xs, moved):
 
 
 @settings(max_examples=150, deadline=None)
-@given(p=st.sampled_from([7, 257, 65537, 3037000493, 2**61 - 1]), m=st.integers(1, 3),
-       n=st.integers(1, 3), extra=st.integers(1, 6), rows=st.integers(1, 3),
+@given(p=st.sampled_from([7, 13, 257, 65537, 2**31 - 1, 3037000493, 2**61 - 1]),
+       m=st.integers(1, 3), n=st.integers(1, 3), extra=st.integers(1, 6), rows=st.integers(1, 3),
        block_rows=st.integers(1, 2), block_cols=st.integers(1, 2),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_recover_product_is_exact_clean_and_after_correction(
